@@ -259,8 +259,8 @@ def load_map(path, *, strict: bool = True) -> SemanticMap:
         graph = graph_from_json(
             (root / "graph.json").read_text(encoding="utf-8"), strict=strict
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
-        raise MapFormatError(f"{root}/graph.json: corrupt: {exc}") from exc
+    except (MapFormatError, UnicodeDecodeError) as exc:
+        raise MapFormatError(f"{root}/graph.json: {exc}") from exc
 
     try:
         room_labels = {int(k): str(v) for k, v in meta_doc.get("labels", {}).items()}
@@ -321,11 +321,18 @@ def graph_from_json(text: str, *, strict: bool = True) -> SemanticGraph:
     """Rebuild a graph from its JSON form.
 
     strict=False skips the insertion guards so malformed graphs can still be
-    loaded for inspection; validate() then reports what is broken.
+    loaded for inspection; validate() then reports what is broken. Malformed
+    JSON or a missing, mistyped or too-short field raises MapFormatError.
     """
+    try:
+        return _graph_from_doc(json.loads(text), strict)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise MapFormatError(f"corrupt: {exc!r}") from exc
+
+
+def _graph_from_doc(doc: dict, strict: bool) -> SemanticGraph:
     from .graph import ContainmentEdge
 
-    doc = json.loads(text)
     if doc.get("version") != FORMAT_VERSION:
         raise MapFormatError(f"unsupported graph version {doc.get('version')!r}")
     graph = SemanticGraph()

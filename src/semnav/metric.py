@@ -17,16 +17,21 @@ cells are allowed. Averaging the two endpoint factors keeps the rule symmetric
 (cost(a->b) == cost(b->a)) and leaves free-space cost equal to geometric
 length. step_length is resolution for the 4 straight moves and
 resolution*sqrt(2) for the 4 diagonal moves.
+
+grid_shortest_path runs scipy.sparse.csgraph.dijkstra on a CSR graph that
+each call builds over a window of the grid; its docstring says why the window
+gives the same cost as a whole-grid search. Nothing is cached on the grid.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     ConfigError,
@@ -296,14 +301,11 @@ def costs_to_pixels(
 # ---------------------------------------------------------------------------
 # Grid shortest path
 
+# (drow, dcol) of the 8 moves, in the order each node's CSR row lists them.
+_MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
-def traversal_factor(cost: int, allow_inscribed: bool = False) -> float:
-    """Per-cell cost multiplier; raises ValidationError on untraversable cells."""
-    if cost <= 252:
-        return 1.0 + cost / 128.0
-    if cost == COST_INSCRIBED and allow_inscribed:
-        return INSCRIBED_FACTOR
-    raise ValidationError(f"cell cost {cost} is untraversable")
+# Side margin, in cells, of the first search box around start and goal.
+_FIRST_MARGIN = 8
 
 
 def _factor_row(allow_inscribed: bool) -> np.ndarray:
@@ -325,91 +327,152 @@ def grid_shortest_path(
 ) -> tuple[list[GridIndex], float]:
     """Minimum-cost 8-connected path between two traversable cells.
 
-    Dijkstra with deterministic tie-breaking (heap entries carry the flat
-    cell index; predecessors update only on strict improvement). `mask`, when
-    given, additionally restricts traversable cells to True entries.
+    `mask`, when given, additionally restricts traversable cells to True
+    entries, and the search runs on the mask's bounding box. Without a mask
+    it runs on a box around start and goal, grown until it holds a path of
+    some cost C, then (unless the box already covers it) once more on the
+    cells v with resolution * (octile(start, v) + octile(v, goal)) <= C plus
+    one cell. Every step costs at least its length, so that set holds every
+    path of cost <= C and the result equals a whole-grid search.
+
+    The cost is the exact minimum, bit for bit. Among equal-cost paths the
+    one returned is csgraph's deterministic choice for the window searched.
 
     Returns (path, cost) with path endpoints equal to start/goal. Raises
-    ValidationError for untraversable endpoints and UnreachableError when no
-    route exists.
+    GridBoundsError for endpoints outside the grid, ValidationError for
+    untraversable endpoints or a mask of the wrong shape, and
+    UnreachableError when no route exists.
     """
     start = GridIndex(*start)
     goal = GridIndex(*goal)
     for name, idx in (("start", start), ("goal", goal)):
         if not g.in_bounds(idx):
             raise GridBoundsError(f"{name} {idx} outside {g.width}x{g.height} grid")
-
+    if mask is not None and mask.shape != (g.height, g.width):
+        raise ValidationError("mask shape must match grid")
     factors = _factor_row(allow_inscribed)
-    fcost = factors[g.cells]
-    if mask is not None:
-        if mask.shape != (g.height, g.width):
-            raise ValidationError("mask shape must match grid")
-        fcost = np.where(mask, fcost, -1.0)
     for name, idx in (("start", start), ("goal", goal)):
-        if fcost[idx.row, idx.col] < 0:
+        cut = mask is not None and not mask[idx.row, idx.col]
+        if cut or factors[g.cells[idx.row, idx.col]] < 0:
             raise ValidationError(f"{name} cell {idx} is untraversable")
 
     if start == goal:
         return [start], 0.0
 
-    w, h = g.width, g.height
-    flat_factor = fcost.ravel()
-    n = w * h
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    closed = np.zeros(n, dtype=bool)
+    def search(box, keep=None):
+        top, bottom, left, right = box
+        f = factors[g.cells[top:bottom, left:right]]
+        if keep is not None:
+            f[~keep] = -1.0
+        return _window_search(f, top, left, g.resolution, start, goal)
 
-    straight = g.resolution
-    diagonal = g.resolution * SQRT2
-    # (flat offset, dcol, step length)
-    moves = (
-        (-w, 0, straight),
-        (-1, -1, straight),
-        (1, 1, straight),
-        (w, 0, straight),
-        (-w - 1, -1, diagonal),
-        (-w + 1, 1, diagonal),
-        (w - 1, -1, diagonal),
-        (w + 1, 1, diagonal),
+    if mask is not None:
+        top, bottom, left, right = box = _bounding_box(mask)
+        found = search(box, mask[top:bottom, left:right])
+        if found is None:
+            raise UnreachableError(f"no traversable route from {start} to {goal}")
+        return found
+
+    whole = (0, g.height, 0, g.width)
+    margin = _FIRST_MARGIN
+    while True:
+        box = _clip_box(g, start, goal, margin, margin)
+        found = search(box)
+        if found is not None:
+            break
+        if box == whole:
+            raise UnreachableError(f"no traversable route from {start} to {goal}")
+        margin *= 2
+    cost = found[1]
+
+    # Octile ellipse with foci start and goal and "length" cost/resolution
+    # plus one cell of slack. A cell `reach` rows (columns) beyond both foci
+    # is at octile distance >= 2*reach + |drow| (|dcol|) from them.
+    span = cost / g.resolution + 1.0
+    row_reach = math.ceil((span - abs(start.row - goal.row)) / 2)
+    col_reach = math.ceil((span - abs(start.col - goal.col)) / 2)
+    top, _, left, _ = loose = _clip_box(g, start, goal, row_reach, col_reach)
+    rows = np.arange(loose[0], loose[1])[:, None]
+    cols = np.arange(loose[2], loose[3])[None, :]
+    inside = _octile(rows - start.row, cols - start.col)
+    inside += _octile(rows - goal.row, cols - goal.col)
+    inside = inside <= span
+    r0, r1, c0, c1 = _bounding_box(inside)
+    ellipse = (top + r0, top + r1, left + c0, left + c1)
+    rows_covered = box[0] <= ellipse[0] and ellipse[1] <= box[1]
+    if rows_covered and box[2] <= ellipse[2] and ellipse[3] <= box[3]:
+        return found
+    return search(ellipse, inside[r0:r1, c0:c1])
+
+
+def _bounding_box(m: np.ndarray) -> tuple[int, int, int, int]:
+    """(top, bottom, left, right) half-open box around the True cells of m."""
+    rows = np.flatnonzero(m.any(axis=1))
+    cols = np.flatnonzero(m.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def _octile(drow: np.ndarray, dcol: np.ndarray) -> np.ndarray:
+    drow, dcol = np.abs(drow), np.abs(dcol)
+    return np.maximum(drow, dcol) + (SQRT2 - 1.0) * np.minimum(drow, dcol)
+
+
+def _clip_box(g: CostmapGrid, a: GridIndex, b: GridIndex, row_margin: int, col_margin: int):
+    """(top, bottom, left, right) half-open box around a and b, clipped to the grid."""
+    return (
+        max(0, min(a.row, b.row) - row_margin),
+        min(g.height, max(a.row, b.row) + row_margin + 1),
+        max(0, min(a.col, b.col) - col_margin),
+        min(g.width, max(a.col, b.col) + col_margin + 1),
     )
 
-    sidx = start.row * w + start.col
-    gidx = goal.row * w + goal.col
-    dist[sidx] = 0.0
-    heap = [(0.0, sidx)]
-    pop = heapq.heappop
-    push = heapq.heappush
-    while heap:
-        d, u = pop(heap)
-        if closed[u]:
-            continue
-        closed[u] = True
-        if u == gidx:
-            break
-        fu = flat_factor[u]
-        ucol = u % w
-        for off, dcol, step in moves:
-            vcol = ucol + dcol
-            if vcol < 0 or vcol >= w:
-                continue
-            v = u + off
-            if v < 0 or v >= n or closed[v]:
-                continue
-            fv = flat_factor[v]
-            if fv < 0:
-                continue
-            nd = d + step * (0.5 * (fu + fv))
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                push(heap, (nd, v))
-    if not closed[gidx]:
-        raise UnreachableError(f"no traversable route from {start} to {goal}")
 
+def _window_search(f, top, left, resolution, start, goal):
+    """Dijkstra from start to goal over the cells of a grid window.
+
+    f holds the window's per-cell factors (< 0 = untraversable) and (top,
+    left) is its first cell in the grid. Returns (path, cost) or None.
+    """
+    height, width = f.shape
+    open_ = f >= 0
+    rows, cols = np.nonzero(open_)
+    n = rows.size
+    node = np.full((height + 2, width + 2), -1, dtype=np.int32)
+    node[1:-1, 1:-1][open_] = np.arange(n, dtype=np.int32)
+    fnode = f[open_]
+
+    def neighbours(drow, dcol):
+        return node[1 + drow : 1 + drow + height, 1 + dcol : 1 + dcol + width][open_]
+
+    degree = np.zeros(n, dtype=np.int32)
+    for drow, dcol in _MOVES:
+        degree += neighbours(drow, dcol) >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    weights = np.empty(indptr[-1])
+    fill = indptr[:-1].copy()
+    straight, diagonal = resolution, resolution * SQRT2
+    for drow, dcol in _MOVES:
+        other = neighbours(drow, dcol)
+        has = other >= 0
+        other = other[has]
+        at = fill[has]
+        step = diagonal if drow and dcol else straight
+        indices[at] = other
+        weights[at] = step * (0.5 * (fnode[has] + fnode[other]))
+        fill[has] += 1
+
+    graph = csr_array((weights, indices, indptr), shape=(n, n))
+    source = node[start.row - top + 1, start.col - left + 1]
+    target = node[goal.row - top + 1, goal.col - left + 1]
+    dist, pred = dijkstra(graph, indices=source, return_predecessors=True)
+    if not np.isfinite(dist[target]):
+        return None
     path = []
-    node = gidx
-    while node >= 0:
-        path.append(GridIndex(node % w, node // w))
-        node = pred[node]
+    v = target
+    while v >= 0:
+        path.append(GridIndex(int(cols[v]) + left, int(rows[v]) + top))
+        v = pred[v]
     path.reverse()
-    return path, float(dist[gidx])
+    return path, float(dist[target])

@@ -24,6 +24,7 @@ from .errors import (
     DiscoveryFailedError,
     GridBoundsError,
     MapConsistencyError,
+    OracleParseError,
     UnreachableError,
     ValidationError,
 )
@@ -143,7 +144,12 @@ def resolve_start(m: SemanticMap, start: str | MetricPoint) -> tuple[str, Metric
 
 
 def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
-    """Run the full mode-dispatch plan over a frozen semantic map."""
+    """Run the full mode-dispatch plan over a frozen semantic map.
+
+    An oracle that fails or returns a malformed payload gives a
+    "discovery-failed" PlanOutcome, like any other planning failure, rather
+    than an exception.
+    """
     t0 = time.perf_counter()
 
     def done(result=None, failure=None):
@@ -170,7 +176,7 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
         ]
         try:
             response = goal_llm_response(contexts, goal, oracle)
-        except DiscoveryFailedError:
+        except (DiscoveryFailedError, OracleParseError):
             return done(failure=FAIL_DISCOVERY)
         best = dijkstra(m.graph, start_room, response.top_room)
         if best is None:

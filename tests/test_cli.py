@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -114,6 +115,16 @@ class TestPlan:
     def test_plan_bad_start_exits_2(self, map_dir):
         result = run_cli("plan", "--map", str(map_dir), "--start", "mars", "--goal", "desk")
         assert result.returncode == 2
+
+    def test_plan_short_portal_list_exits_2(self, map_dir, tmp_path):
+        broken = tmp_path / "broken"
+        shutil.copytree(map_dir, broken)
+        doc = json.loads((broken / "graph.json").read_text())
+        doc["edges"][0]["portal"] = [3]
+        (broken / "graph.json").write_text(json.dumps(doc))
+        result = run_cli("plan", "--map", str(broken), "--start", "mars", "--goal", "desk")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
 
     def test_plan_point_start_with_refine_writes_waypoints(self, map_dir, tmp_path):
         graph = json.loads((map_dir / "graph.json").read_text())

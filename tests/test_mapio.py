@@ -66,6 +66,18 @@ class TestRoundTrip:
         with pytest.raises(MapFormatError):
             load_map(tmp_path / "m")
 
+    def test_short_portal_list_rejected(self, tmp_path):
+        m = gt_semantic_map(1)
+        save_map(m, tmp_path / "m")
+        path = tmp_path / "m" / "graph.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["edges"][0]["portal"] = [3]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(MapFormatError):
+            graph_from_json(path.read_text(encoding="utf-8"))
+        with pytest.raises(MapFormatError):
+            load_map(tmp_path / "m")
+
     def test_missing_layer_rejected(self, tmp_path):
         m = gt_semantic_map(1)
         save_map(m, tmp_path / "m")

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semnav.errors import (
     ConfigError,
@@ -12,6 +13,7 @@ from semnav.errors import (
     UnreachableError,
     ValidationError,
 )
+from semnav import metric
 from semnav.metric import (
     CostmapGrid,
     GridIndex,
@@ -365,3 +367,100 @@ class TestGridShortestPath:
         mask2[0, 4] = True  # goal stays in-mask but is cut off
         with pytest.raises(UnreachableError):
             grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 0), mask=mask2)
+
+
+# Mostly free cells so that random grids stay connected often enough.
+_CELL_VALUES = [0] * 8 + [7, 64, 128, 200, 252] + [254] * 3 + [253, 255]
+
+
+@st.composite
+def search_cases(draw):
+    width = draw(st.integers(2, 16))
+    height = draw(st.integers(2, 16))
+    n = width * height
+    cells = np.array(
+        draw(st.lists(st.sampled_from(_CELL_VALUES), min_size=n, max_size=n)), dtype=np.uint8
+    ).reshape(height, width)
+    start = GridIndex(draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
+    goal = GridIndex(draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
+    mask = None
+    if draw(st.booleans()):
+        keep = st.sampled_from([True, True, True, False])
+        mask = np.array(draw(st.lists(keep, min_size=n, max_size=n))).reshape(height, width)
+        mask[start.row, start.col] = mask[goal.row, goal.col] = True
+    for idx in (start, goal):
+        if cells[idx.row, idx.col] >= 253:
+            cells[idx.row, idx.col] = 0
+    grid = CostmapGrid(
+        width=width,
+        height=height,
+        resolution=draw(st.sampled_from([0.05, 0.1, 1.0])),
+        origin_x=0,
+        origin_y=0,
+        cells=cells,
+    )
+    return grid, start, goal, mask, draw(st.booleans())
+
+
+def long_detour_grid():
+    """Two free strips split by a 13-cell-thick wall with two tunnels through
+    it: a costly one 9 rows from the endpoints, a free one 18 rows away."""
+    cells = np.zeros((32, 25), dtype=np.uint8)
+    cells[:, 6:19] = 254
+    cells[11, 6:19] = 252
+    cells[20, 6:19] = 0
+    return CostmapGrid(width=25, height=32, resolution=1.0, origin_x=0, origin_y=0, cells=cells)
+
+
+class TestWindowedSearchExactness:
+    @settings(max_examples=200, deadline=None)
+    @given(search_cases(), st.integers(1, 4))
+    def test_matches_brute_force_with_small_windows(self, case, first_margin):
+        g, start, goal, mask, allow_inscribed = case
+        masked = g
+        if mask is not None:
+            masked = CostmapGrid(
+                width=g.width,
+                height=g.height,
+                resolution=g.resolution,
+                origin_x=0,
+                origin_y=0,
+                cells=np.where(mask, g.cells, 254),
+            )
+        expected = brute_grid_dijkstra(masked, start, goal, allow_inscribed)
+        # Small first boxes make most searches grow and take the ellipse pass.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "_FIRST_MARGIN", first_margin)
+            try:
+                path, cost = grid_shortest_path(
+                    g, start, goal, allow_inscribed=allow_inscribed, mask=mask
+                )
+            except UnreachableError:
+                path, cost = None, None
+        assert cost == expected
+        if path is not None:
+            assert path[0] == start and path[-1] == goal
+            for a, b in zip(path, path[1:]):
+                assert max(abs(a.col - b.col), abs(a.row - b.row)) == 1
+            limit = 253 if allow_inscribed else 252
+            assert all(masked.cost_at(c) <= limit for c in path)
+
+    def test_long_detour_grows_box_then_takes_ellipse_pass(self, monkeypatch):
+        g = long_detour_grid()
+        start, goal = GridIndex(5, 2), GridIndex(19, 2)
+        windows = []
+        search = metric._window_search
+
+        def spy(f, *args):
+            found = search(f, *args)
+            windows.append(None if found is None else found[1])
+            return found
+
+        monkeypatch.setattr(metric, "_window_search", spy)
+        path, cost = grid_shortest_path(g, start, goal)
+        assert cost == brute_grid_dijkstra(g, start, goal)
+        # First box: no tunnel, no path. Grown box: only the costly tunnel.
+        # Ellipse pass: the free tunnel outside the grown box.
+        assert len(windows) == 3 and windows[0] is None
+        assert windows[2] == cost < windows[1]
+        assert GridIndex(12, 20) in path

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from semnav.discovery import CooccurrenceTable, DiscoveryResponse, MockOracle
-from semnav.errors import MapConsistencyError, ValidationError
+from semnav.errors import MapConsistencyError, OracleParseError, ValidationError
 from semnav.graph import GoalQuery
 from semnav.metric import MetricPoint
 from semnav.planner import (
@@ -139,6 +139,16 @@ class TestPlanDispatch:
 
     def test_discovery_without_oracle_fails(self, fig_map):
         out = plan(fig_map, PlanRequest(start="office_1", goal=GoalQuery("unicorn")))
+        assert not out.ok and out.failure_reason == FAIL_DISCOVERY
+
+    def test_malformed_oracle_payload_is_discovery_failure(self, fig_map):
+        class GarbledOracle:
+            def rank(self, contexts, goal):
+                raise OracleParseError("malformed oracle payload: missing 'ranked_rooms'")
+
+        out = plan(
+            fig_map, PlanRequest(start="office_1", goal=GoalQuery("unicorn")), GarbledOracle()
+        )
         assert not out.ok and out.failure_reason == FAIL_DISCOVERY
 
     def test_discovery_to_unreachable_room_is_no_route_without_retry(self):
