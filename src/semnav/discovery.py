@@ -23,6 +23,7 @@ import requests
 
 from .errors import ConfigError, DiscoveryFailedError, OracleParseError, ValidationError
 from .graph import GoalQuery, normalize_label
+from .metric import read_text_lines
 
 log = logging.getLogger(__name__)
 
@@ -80,21 +81,20 @@ class CooccurrenceTable:
 def load_cooccurrence_table(path) -> CooccurrenceTable:
     """Parse `object_class, room_category, score` lines."""
     entries: dict[tuple[str, str], float] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"{path}:{lineno}: expected 'class, category, score'")
-            key = (normalize_label(parts[0]), normalize_label(parts[1]))
-            if key in entries:
-                raise ConfigError(f"{path}:{lineno}: duplicate entry {key}")
-            try:
-                entries[key] = float(parts[2])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: non-numeric score {parts[2]!r}") from exc
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            raise ConfigError(f"{path}:{lineno}: expected 'class, category, score'")
+        key = (normalize_label(parts[0]), normalize_label(parts[1]))
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: duplicate entry {key}")
+        try:
+            entries[key] = float(parts[2])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: non-numeric score {parts[2]!r}") from exc
     return CooccurrenceTable(entries=entries)
 
 

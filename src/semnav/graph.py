@@ -177,11 +177,6 @@ class SemanticGraph:
     def get_edge(self, room_a: str, room_b: str) -> RoomEdge | None:
         return self._edge_index.get(_edge_key(room_a, room_b))
 
-    def objects_in_room(self, room_id: str) -> list[ObjectNode]:
-        return sorted(
-            (o for o in self.objects.values() if o.room_id == room_id), key=lambda o: o.id
-        )
-
     def categories(self) -> set[str]:
         return {normalize_label(r.category) for r in self.rooms.values()}
 

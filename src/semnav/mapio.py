@@ -99,7 +99,8 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
         return out  # positional checks below assume matching dims
 
     labels = m.raster.labels
-    present = set(int(v) for v in np.unique(labels) if v > 0)
+    boxes = ndimage.find_objects(labels)
+    present = {i + 1 for i, box in enumerate(boxes) if box is not None}
     mapped = set(m.room_labels)
     for label in sorted(present - mapped):
         out.append(Violation(f"label {label}", "label-map", "raster label has no room id"))
@@ -124,7 +125,8 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
         out.append(Violation("raster", "labeled-free", f"{n} labeled cell(s) not free"))
 
     for label in sorted(present & mapped):
-        region = labels == label
+        # the bounding box holds every cell of the region and every path between them
+        region = labels[boxes[label - 1]] == label
         _, n_comp = ndimage.label(region, structure=FOUR_CONNECTED)
         if n_comp != 1:
             out.append(
@@ -416,29 +418,39 @@ def _esc(text: str) -> str:
 
 
 def _rect_runs(values: np.ndarray):
-    """Greedy maximal-rectangle decomposition of a nonzero-valued int array."""
-    h, w = values.shape
-    visited = np.zeros((h, w), dtype=bool)
-    for r in range(h):
-        row = values[r]
-        c = 0
-        while c < w:
+    """Greedy rectangle decomposition of the nonzero cells of an int array.
+
+    Yields (value, col, row, width, height) in full-grid coordinates, in the
+    order of a row-major scan: at each unvisited nonzero cell the rectangle
+    takes the longest run of equal unvisited cells to its right, then extends
+    down while every cell below that run is equal and unvisited.
+    Reading a row's runs all at once is exact: a rectangle started in a row
+    marks only columns that row's scan has passed, so the runs are those of
+    the row with its visited cells zeroed.
+    """
+    nz_rows = np.flatnonzero(values.any(axis=1))
+    if nz_rows.size == 0:
+        return
+    nz_cols = np.flatnonzero(values.any(axis=0))
+    r0, c0 = int(nz_rows[0]), int(nz_cols[0])
+    vals = values[r0 : nz_rows[-1] + 1, c0 : nz_cols[-1] + 1]
+    visited = np.zeros(vals.shape, dtype=bool)
+    todo = np.count_nonzero(vals, axis=1)  # unvisited nonzero cells per row
+    for r in np.flatnonzero(todo).tolist():
+        if not todo[r]:
+            continue
+        row = np.where(visited[r], 0, vals[r])
+        cuts = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), row.size]
+        for c, c1 in zip(cuts[:-1], cuts[1:]):
             v = row[c]
-            if v == 0 or visited[r, c]:
-                c += 1
+            if v == 0:
                 continue
-            c1 = c
-            while c1 < w and row[c1] == v and not visited[r, c1]:
-                c1 += 1
-            r1 = r + 1
-            while r1 < h:
-                seg = values[r1, c:c1]
-                if (seg != v).any() or visited[r1, c:c1].any():
-                    break
-                r1 += 1
+            block = vals[r + 1 :, c:c1]
+            stop = ((block != v) | visited[r + 1 :, c:c1]).any(axis=1)
+            r1 = r + 1 + (int(stop.argmax()) if stop.any() else stop.size)
             visited[r:r1, c:c1] = True
-            yield int(v), c, r, c1 - c, r1 - r
-            c = c1
+            todo[r:r1] -= c1 - c
+            yield int(v), c0 + c, r0 + r, c1 - c, r1 - r
 
 
 def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
@@ -489,14 +501,17 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
     rooms_sorted = sorted(m.graph.rooms.values(), key=lambda r: r.id)
     colors = {r.id: _ROOM_PALETTE[i % len(_ROOM_PALETTE)] for i, r in enumerate(rooms_sorted)}
     id_to_label = {rid: label for label, rid in m.room_labels.items()}
+    boxes = ndimage.find_objects(m.raster.labels)
     for room in rooms_sorted:
         label = id_to_label.get(room.id)
         if label is None:
             continue
         parts.append(f'<g class="room"><title>{_esc(room.id)}</title>\n')
-        region = (m.raster.labels == label).astype(np.int32)
-        for _, col, row, w, h in _rect_runs(region):
-            x, y, rw, rh = cell_rect(col, row, w, h)
+        # a label outside find_objects' range (e.g. 0) is drawn from the whole grid
+        box = boxes[label - 1] if 0 < label <= len(boxes) else np.s_[0:, 0:]
+        runs = () if box is None else _rect_runs(m.raster.labels[box] == label)
+        for _, col, row, w, h in runs:
+            x, y, rw, rh = cell_rect(col + box[1].start, row + box[0].start, w, h)
             parts.append(
                 f'<rect x="{x:.2f}" y="{y:.2f}" width="{rw:.2f}" height="{rh:.2f}" '
                 f'fill="{colors[room.id]}" fill-opacity="0.35"/>\n'

@@ -199,23 +199,31 @@ def write_pgm(path, array: np.ndarray, maxval: int | None = None) -> None:
         f.write(header + payload)
 
 
+def read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that do not decode raise ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_key_value_file(path, *, required: set[str], allowed: set[str]) -> dict[str, str]:
     """Parse a UTF-8 `key: value` per line file, rejecting unknown keys."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key: value', got {line!r}")
-            key, value = line.split(":", 1)
-            key = key.strip()
-            if key not in allowed:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value.strip()
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key: value', got {line!r}")
+        key, value = line.split(":", 1)
+        key = key.strip()
+        if key not in allowed:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value.strip()
     missing = required - values.keys()
     if missing:
         raise ConfigError(f"{path}: missing required key(s): {', '.join(sorted(missing))}")

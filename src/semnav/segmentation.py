@@ -26,7 +26,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, MapConsistencyError, ValidationError
 from .graph import RoomEdge, UNCATEGORIZED, normalize_label
-from .metric import CostmapGrid, GridIndex, grid_shortest_path
+from .metric import CostmapGrid, GridIndex, grid_shortest_path, read_text_lines
 
 DEFAULT_DOOR_WIDTH_MAX = 1.2  # meters
 DEFAULT_MIN_ROOM_AREA = 4.0  # square meters
@@ -360,55 +360,54 @@ def parse_rules(path) -> list[CategoryRule]:
     """Parse a rules file: one `category: required=a,b; weights=a:2,b:1` per line."""
     rules = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'category: clauses'")
+        category, rest = line.split(":", 1)
+        category = normalize_label(category)
+        if category in seen:
+            raise ConfigError(f"{path}:{lineno}: duplicate category {category!r}")
+        seen.add(category)
+        required: frozenset[str] = frozenset()
+        weights: dict[str, float] = {}
+        for clause in rest.split(";"):
+            clause = clause.strip()
+            if not clause:
                 continue
-            if ":" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'category: clauses'")
-            category, rest = line.split(":", 1)
-            category = normalize_label(category)
-            if category in seen:
-                raise ConfigError(f"{path}:{lineno}: duplicate category {category!r}")
-            seen.add(category)
-            required: frozenset[str] = frozenset()
-            weights: dict[str, float] = {}
-            for clause in rest.split(";"):
-                clause = clause.strip()
-                if not clause:
-                    continue
-                if "=" not in clause:
-                    raise ConfigError(f"{path}:{lineno}: bad clause {clause!r}")
-                key, value = clause.split("=", 1)
-                key = key.strip()
-                if key == "required":
-                    required = frozenset(
-                        normalize_label(v) for v in value.split(",") if v.strip()
-                    )
-                elif key == "weights":
-                    for item in value.split(","):
-                        item = item.strip()
-                        if not item:
-                            continue
-                        if ":" not in item:
-                            raise ConfigError(f"{path}:{lineno}: bad weight {item!r}")
-                        cls, wgt = item.split(":", 1)
-                        cls = normalize_label(cls)
-                        if cls in weights:
-                            raise ConfigError(f"{path}:{lineno}: duplicate class {cls!r}")
-                        try:
-                            weights[cls] = float(wgt)
-                        except ValueError as exc:
-                            raise ConfigError(
-                                f"{path}:{lineno}: non-numeric weight {wgt!r}"
-                            ) from exc
-                else:
-                    raise ConfigError(f"{path}:{lineno}: unknown clause {key!r}")
-            try:
-                rules.append(
-                    CategoryRule(category=category, required=required, score_weights=weights)
+            if "=" not in clause:
+                raise ConfigError(f"{path}:{lineno}: bad clause {clause!r}")
+            key, value = clause.split("=", 1)
+            key = key.strip()
+            if key == "required":
+                required = frozenset(
+                    normalize_label(v) for v in value.split(",") if v.strip()
                 )
-            except ValidationError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            elif key == "weights":
+                for item in value.split(","):
+                    item = item.strip()
+                    if not item:
+                        continue
+                    if ":" not in item:
+                        raise ConfigError(f"{path}:{lineno}: bad weight {item!r}")
+                    cls, wgt = item.split(":", 1)
+                    cls = normalize_label(cls)
+                    if cls in weights:
+                        raise ConfigError(f"{path}:{lineno}: duplicate class {cls!r}")
+                    try:
+                        weights[cls] = float(wgt)
+                    except ValueError as exc:
+                        raise ConfigError(
+                            f"{path}:{lineno}: non-numeric weight {wgt!r}"
+                        ) from exc
+            else:
+                raise ConfigError(f"{path}:{lineno}: unknown clause {key!r}")
+        try:
+            rules.append(
+                CategoryRule(category=category, required=required, score_weights=weights)
+            )
+        except ValidationError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return rules

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def cell_factor(cost: int, allow_inscribed: bool = False):
     """Traversal factor per the documented convention; None = untraversable."""
@@ -97,3 +99,32 @@ def brute_discovery_scores(table_entries, contexts, goal_class):
             score += 0.1 * table_entries.get((goal_class, attr), 0.0)
         out[ctx.room_id] = score
     return out
+
+
+def brute_rect_runs(values):
+    """Greedy maximal-rectangle decomposition, one cell at a time.
+
+    Reference for mapio._rect_runs, which must yield the same
+    (value, col, row, width, height) tuples in the same order.
+    """
+    h, w = values.shape
+    visited = np.zeros((h, w), dtype=bool)
+    for r in range(h):
+        row = values[r]
+        c = 0
+        while c < w:
+            v = row[c]
+            if v == 0 or visited[r, c]:
+                c += 1
+                continue
+            c1 = c
+            while c1 < w and row[c1] == v and not visited[r, c1]:
+                c1 += 1
+            r1 = r + 1
+            while r1 < h:
+                seg = values[r1, c:c1]
+                if (seg != v).any() or visited[r1, c:c1].any():
+                    break
+                r1 += 1
+            visited[r:r1, c:c1] = True
+            yield int(v), c, r, c1 - c, r1 - r

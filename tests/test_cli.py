@@ -67,6 +67,14 @@ class TestValidate:
         result = run_cli("validate", "--map", str(tmp_path / "absent"))
         assert result.returncode == 2
 
+    def test_validate_non_utf8_meta_exits_2(self, map_dir, tmp_path):
+        broken = tmp_path / "broken"
+        shutil.copytree(map_dir, broken)
+        (broken / "costmap.meta").write_bytes(b"\xff\xfe")
+        result = run_cli("validate", "--map", str(broken))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
     def test_validate_tampered_map_exits_3(self, map_dir, tmp_path):
         import shutil
 

@@ -128,6 +128,12 @@ class TestTableFile:
         with pytest.raises(ConfigError):
             load_cooccurrence_table(path)
 
+    def test_non_utf8_table_rejected(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a, b, 1\n\xff\xfe\n")
+        with pytest.raises(ConfigError):
+            load_cooccurrence_table(path)
+
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("a, b\n", encoding="utf-8")

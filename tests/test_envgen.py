@@ -4,7 +4,7 @@ from scipy import ndimage
 
 from semnav import metric
 from semnav.envgen import EnvSpec, generate, load_env_spec
-from semnav.errors import GenerationError, ValidationError
+from semnav.errors import ConfigError, GenerationError, ValidationError
 from semnav.metric import COST_FREE, COST_LETHAL, GridIndex
 from semnav.segmentation import FOUR_CONNECTED
 
@@ -190,6 +190,12 @@ class TestSpecFile:
         path = tmp_path / "env.spec"
         path.write_text("rooms: 3\n", encoding="utf-8")
         with pytest.raises(Exception):
+            load_env_spec(path)
+
+    def test_non_utf8_spec_rejected(self, tmp_path):
+        path = tmp_path / "env.spec"
+        path.write_bytes(b"seed: 9\n\xff\xfe\n")
+        with pytest.raises(ConfigError):
             load_env_spec(path)
 
     def test_defaults_when_empty(self, tmp_path):

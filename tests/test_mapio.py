@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semnav import envgen
+from semnav import envgen, mapio
 from semnav.errors import MapConsistencyError, MapFormatError
-from semnav.graph import GoalQuery
+from semnav.graph import GoalQuery, Violation
 from semnav.mapio import (
     SemanticMap,
     assemble_map,
@@ -16,8 +18,10 @@ from semnav.mapio import (
     validate_semantic_map,
 )
 from semnav.planner import PlanRequest, plan
+from semnav.segmentation import RoomLabelRaster
 
 from mapfactory import fig_office_map, strip_map
+from oracles import brute_rect_runs
 
 
 def gt_semantic_map(seed, n_rooms=3, resolution=0.1, **kw):
@@ -158,6 +162,83 @@ class TestValidation:
         )
         rules = {v.rule for v in validate_semantic_map(franken)}
         assert "label-map" in rules
+
+    @staticmethod
+    def _relabel(m, cell, label):
+        labels = m.raster.labels.copy()
+        labels[cell] = label
+        raster = RoomLabelRaster(width=m.raster.width, height=m.raster.height, labels=labels)
+        return SemanticMap(
+            costmap=m.costmap, raster=raster, graph=m.graph,
+            room_labels=m.room_labels, meta=m.meta,
+        )
+
+    def test_far_split_room_reports_component_count(self, gt_map):
+        rows, cols = np.nonzero(gt_map.raster.labels)
+        first = (rows[0], cols[0])
+        last = (rows[-1], cols[-1])
+        label = int(gt_map.raster.labels[first])
+        assert int(gt_map.raster.labels[last]) != label
+        franken = self._relabel(gt_map, last, label)
+        assert validate_semantic_map(franken) == [
+            Violation(
+                f"label {label}",
+                "room-connected",
+                "room region splits into 2 4-connected components",
+            )
+        ]
+
+    def test_unmapped_raster_label_reported(self, gt_map):
+        rows, cols = np.nonzero(gt_map.raster.labels)
+        label = max(gt_map.room_labels) + 3
+        franken = self._relabel(gt_map, (rows[-1], cols[-1]), label)
+        assert validate_semantic_map(franken) == [
+            Violation(f"label {label}", "label-map", "raster label has no room id")
+        ]
+
+
+def _cells(data, n, n_values):
+    return data.draw(st.lists(st.integers(0, n_values), min_size=n, max_size=n))
+
+
+def _blocky(shape, n_values, data):
+    """A random coarse array with each cell scaled up to a block, cropped to shape."""
+    h, w = shape
+    ch, cw = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+    coarse = np.array(_cells(data, ch * cw, n_values)).reshape(ch, cw)
+    return np.kron(coarse, np.ones((-(-h // ch), -(-w // cw)), dtype=int))[:h, :w]
+
+
+class TestRectRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_cell_by_cell_oracle(self, data):
+        shape = data.draw(
+            st.one_of(
+                st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                st.tuples(st.just(1), st.integers(1, 40)),
+                st.tuples(st.integers(1, 40), st.just(1)),
+            )
+        )
+        n_values = data.draw(st.integers(1, 4))
+        layout = data.draw(st.sampled_from(["zero", "full", "noisy", "blocky"]))
+        if layout == "zero":
+            values = np.zeros(shape, dtype=np.int32)
+        elif layout == "full":
+            values = np.full(shape, n_values, dtype=np.int32)
+        elif layout == "noisy":
+            values = np.array(_cells(data, shape[0] * shape[1], n_values)).reshape(shape)
+        else:
+            values = _blocky(shape, n_values, data)
+        assert list(mapio._rect_runs(values)) == list(brute_rect_runs(values))
+
+    def test_svg_bytes_equal_oracle_render(self, gt_map, monkeypatch):
+        rooms = sorted(gt_map.graph.rooms)
+        out = plan(gt_map, PlanRequest(start=rooms[0], goal=GoalQuery(rooms[-1]),
+                                       refine_metric=True))
+        fast = render_svg(gt_map, out.result).encode()
+        monkeypatch.setattr(mapio, "_rect_runs", brute_rect_runs)
+        assert render_svg(gt_map, out.result).encode() == fast
 
 
 class TestRenderSvg:

@@ -84,6 +84,13 @@ class TestPgmLoading:
         with pytest.raises(ConfigError):
             load_costmap(img, meta)
 
+    def test_non_utf8_meta_rejected(self, tmp_path):
+        img, meta = tmp_path / "m.pgm", tmp_path / "m.meta"
+        write_raw_pgm(img, 2, 2, b"\xff" * 4)
+        meta.write_bytes(b"\xff\xferesolution: 0.05\n")
+        with pytest.raises(ConfigError):
+            load_costmap(img, meta)
+
     def test_unknown_meta_key_rejected(self, tmp_path):
         img, meta = tmp_path / "m.pgm", tmp_path / "m.meta"
         write_raw_pgm(img, 2, 2, b"\xff" * 4)

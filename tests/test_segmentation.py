@@ -278,6 +278,12 @@ class TestRulesFile:
         with pytest.raises(ConfigError):
             parse_rules(path)
 
+    def test_non_utf8_rules_rejected(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_bytes(b"\xff\xfeoffice: required=desk\n")
+        with pytest.raises(ConfigError):
+            parse_rules(path)
+
     def test_empty_rule_rejected(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("office: required=\n", encoding="utf-8")
