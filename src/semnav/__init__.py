@@ -41,9 +41,7 @@ from .graph import (
     RoomNode,
     SemanticGraph,
     Violation,
-    find_goal_state,
     normalize_label,
-    validate_graph,
 )
 from .mapio import (
     MapMeta,
@@ -59,9 +57,7 @@ from .metric import (
     GridIndex,
     MetricPoint,
     grid_shortest_path,
-    grid_to_world,
     load_costmap,
-    world_to_grid,
 )
 from .planner import (
     PlanOutcome,

@@ -151,7 +151,8 @@ class HttpOracle:
     Response: {"ranking": [{"id", "confidence"}], "rationale": str}
 
     Transport failures are retried with exponential backoff before giving
-    up; every request is timeboxed so planning latency stays bounded.
+    up; any other request error (a malformed URL, say) fails at once. Every
+    request is timeboxed so planning latency stays bounded.
     """
 
     def __init__(
@@ -195,6 +196,8 @@ class HttpOracle:
             except (requests.ConnectionError, requests.Timeout, requests.HTTPError) as exc:
                 last_error = exc
                 log.warning("oracle request attempt %d failed: %s", attempt + 1, exc)
+            except requests.RequestException as exc:
+                raise DiscoveryFailedError(f"oracle request failed: {exc}") from exc
         raise DiscoveryFailedError(
             f"oracle transport failed after {self.retries + 1} attempts: {last_error}"
         )

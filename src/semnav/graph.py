@@ -156,23 +156,13 @@ class SemanticGraph:
         self._adjacency = adj
         return self
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     # -- queries -----------------------------------------------------------
 
     def neighbors(self, room_id: str) -> list[tuple[str, float]]:
-        if self._adjacency is not None:
-            return self._adjacency[room_id]
-        out = []
-        for e in self.room_edges:
-            if e.room_a == room_id:
-                out.append((e.room_b, e.weight))
-            elif e.room_b == room_id:
-                out.append((e.room_a, e.weight))
-        out.sort()
-        return out
+        """Sorted (room, weight) pairs; only a frozen graph answers this."""
+        if self._adjacency is None:
+            raise ValidationError("graph is not frozen; freeze() it before searching")
+        return self._adjacency[room_id]
 
     def get_edge(self, room_a: str, room_b: str) -> RoomEdge | None:
         return self._edge_index.get(_edge_key(room_a, room_b))
@@ -350,11 +340,3 @@ def _edge_sort_key(e: RoomEdge):
 
 def _finite(x: float) -> bool:
     return x == x and x not in (float("inf"), float("-inf"))
-
-
-def find_goal_state(graph: SemanticGraph, goal: GoalQuery) -> GoalState:
-    return graph.find_goal_state(goal)
-
-
-def validate_graph(graph: SemanticGraph) -> list[Violation]:
-    return graph.validate()

@@ -224,6 +224,8 @@ def load_map(path, *, strict: bool = True) -> SemanticMap:
         meta_doc = json.loads((root / "meta.json").read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MapFormatError(f"{root}/meta.json: corrupt: {exc}") from exc
+    if not isinstance(meta_doc, dict) or not isinstance(meta_doc.get("labels", {}), dict):
+        raise MapFormatError(f"{root}/meta.json: expected an object with a \"labels\" object")
     version = meta_doc.get("version")
     if version != FORMAT_VERSION:
         raise MapFormatError(f"{root}: unsupported map version {version!r}")

@@ -82,8 +82,10 @@ class CostmapGrid:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValidationError("grid dimensions must be positive")
-        if not (self.resolution > 0):
-            raise ValidationError(f"resolution must be positive, got {self.resolution}")
+        if not (self.resolution > 0 and math.isfinite(self.resolution)):
+            raise ValidationError(f"resolution must be positive and finite, got {self.resolution}")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise ValidationError(f"origin must be finite, got ({self.origin_x}, {self.origin_y})")
         cells = np.ascontiguousarray(self.cells, dtype=np.uint8)
         if cells.size != self.width * self.height:
             raise ValidationError(
@@ -130,14 +132,6 @@ class CostmapGrid:
             self.origin_x + (index.col + 0.5) * self.resolution,
             self.origin_y + (index.row + 0.5) * self.resolution,
         )
-
-
-def world_to_grid(g: CostmapGrid, p: MetricPoint) -> GridIndex:
-    return g.world_to_grid(p)
-
-
-def grid_to_world(g: CostmapGrid, index: GridIndex) -> MetricPoint:
-    return g.grid_to_world(index)
 
 
 # ---------------------------------------------------------------------------

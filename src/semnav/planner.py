@@ -4,13 +4,14 @@ Planning dispatches on how many graph nodes match the goal:
 
     none      Discovery Mode — ask the oracle which room most likely holds
               the goal, then route to that room (one attempt, no recursion);
-    exactly 1 Targeted Navigation Mode — one graph search;
-    several   Multi-target Exploration Mode — search per candidate, keep the
-              cheapest, silently skipping unreachable candidates.
+    exactly 1 Targeted Navigation Mode — route to that node;
+    several   Multi-target Exploration Mode — route to the cheapest
+              candidate, silently skipping unreachable candidates.
 
-Path length means accumulated edge weight by default; hop count is
-available for ablation. Planning is read-only over a frozen map, so any
-number of concurrent plans may share one SemanticMap.
+Each plan runs one room-graph search, whatever the mode. Path length means
+accumulated edge weight by default; hop count is available for ablation.
+Planning is read-only over a frozen map, so any number of concurrent plans
+may share one SemanticMap.
 """
 
 from __future__ import annotations
@@ -78,43 +79,56 @@ class PlanOutcome:
         return self.result is not None
 
 
-def dijkstra(graph: SemanticGraph, start_room: str, goal_node: str) -> SemanticPath | None:
-    """Minimum-weight room path; None when the goal room is unreachable.
+def dijkstra(
+    graph: SemanticGraph,
+    start_room: str,
+    *goal_nodes: str,
+    length_metric: str = LENGTH_WEIGHT,
+) -> SemanticPath | None:
+    """Room path to the nearest goal; None when no goal is reachable.
 
-    An object goal resolves to its containing room and the object id is
-    appended as the terminal node (objects are leaves with no edges).
+    One heap search from start_room, stopped once every goal's room is
+    settled. An object goal resolves to its containing room and the object
+    id is appended as the terminal node (objects are leaves with no edges).
     Equal-cost paths tie-break to the lexicographically smallest node-id
-    sequence: heap entries carry the path tuple, so among equal costs the
-    smallest sequence pops first.
+    sequence, as heap entries carry the path tuple; so no goal's path depends
+    on the other goals. The goal whose path is shortest by length_metric
+    wins, ties going to the earliest in goal_nodes.
     """
     if start_room not in graph.rooms:
         raise ValidationError(f"start {start_room!r} is not a room node")
-    tail: tuple[str, ...] = ()
-    if goal_node in graph.objects:
-        tail = (goal_node,)
-        goal_room = graph.objects[goal_node].room_id
-    elif goal_node in graph.rooms:
-        goal_room = goal_node
-    else:
-        raise ValidationError(f"goal {goal_node!r} is not a node in the graph")
+    if length_metric not in (LENGTH_WEIGHT, LENGTH_HOPS):
+        raise ValidationError(f"unknown length metric {length_metric!r}")
+    targets: list[tuple[str, tuple[str, ...]]] = []  # (goal room, tail)
+    for node in goal_nodes:
+        if node in graph.objects:
+            targets.append((graph.objects[node].room_id, (node,)))
+        elif node in graph.rooms:
+            targets.append((node, ()))
+        else:
+            raise ValidationError(f"goal {node!r} is not a node in the graph")
 
-    if start_room == goal_room:
-        return SemanticPath(nodes=(start_room,) + tail, graph_cost=0.0)
-
+    pending = {room for room, _ in targets}
+    settled: dict[str, tuple[float, tuple[str, ...]]] = {}
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (start_room,))]
-    closed: set[str] = set()
-    while heap:
+    while heap and pending:
         cost, path = heapq.heappop(heap)
         node = path[-1]
-        if node in closed:
+        if node in settled:
             continue
-        closed.add(node)
-        if node == goal_room:
-            return SemanticPath(nodes=path + tail, graph_cost=cost)
+        settled[node] = (cost, path)
+        pending.discard(node)
         for neighbor, weight in graph.neighbors(node):
-            if neighbor not in closed:
+            if neighbor not in settled:
                 heapq.heappush(heap, (cost + weight, path + (neighbor,)))
-    return None
+
+    reached = [
+        SemanticPath(nodes=settled[room][1] + tail, graph_cost=settled[room][0])
+        for room, tail in targets
+        if room in settled
+    ]
+    by_hops = length_metric == LENGTH_HOPS
+    return min(reached, key=lambda p: len(p.nodes) if by_hops else p.graph_cost, default=None)
 
 
 def resolve_start(m: SemanticMap, start: str | MetricPoint) -> tuple[str, MetricPoint] | None:
@@ -178,29 +192,14 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
             response = goal_llm_response(contexts, goal, oracle)
         except (DiscoveryFailedError, OracleParseError):
             return done(failure=FAIL_DISCOVERY)
-        best = dijkstra(m.graph, start_room, response.top_room)
-        if best is None:
-            return done(failure=FAIL_NO_ROUTE)
-    elif len(goal_state) == 1:
-        mode = MODE_TARGETED
-        best = dijkstra(m.graph, start_room, goal_state.nodes[0])
-        if best is None:
-            return done(failure=FAIL_NO_ROUTE)
+        candidates = (response.top_room,)
     else:
-        mode = MODE_MULTI_TARGET
-        best = None
-        best_length = None
-        for candidate in goal_state.nodes:
-            path = dijkstra(m.graph, start_room, candidate)
-            if path is None:
-                continue
-            length = path.graph_cost if request.length_metric == LENGTH_WEIGHT else len(path.nodes)
-            if best_length is None or length < best_length:
-                best = path
-                best_length = length
-        if best is None:
-            return done(failure=FAIL_NO_ROUTE)
+        mode = MODE_TARGETED if len(goal_state) == 1 else MODE_MULTI_TARGET
+        candidates = goal_state.nodes
 
+    best = dijkstra(m.graph, start_room, *candidates, length_metric=request.length_metric)
+    if best is None:
+        return done(failure=FAIL_NO_ROUTE)
     best = replace(best, mode=mode)
     if request.refine_metric:
         waypoints = refine_to_metric(

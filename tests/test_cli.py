@@ -75,6 +75,29 @@ class TestValidate:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("shape", ["list", "labels-list"])
+    def test_validate_wrong_shape_meta_exits_2(self, map_dir, tmp_path, shape):
+        broken = tmp_path / "broken"
+        shutil.copytree(map_dir, broken)
+        doc = json.loads((broken / "meta.json").read_text())
+        doc = [doc] if shape == "list" else {**doc, "labels": list(doc["labels"].items())}
+        (broken / "meta.json").write_text(json.dumps(doc), encoding="utf-8")
+        result = run_cli("validate", "--map", str(broken))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    def test_validate_non_finite_origin_exits_2(self, map_dir, tmp_path):
+        broken = tmp_path / "broken"
+        shutil.copytree(map_dir, broken)
+        meta = (broken / "costmap.meta").read_text()
+        meta = "".join(
+            "origin_x: inf\n" if line.startswith("origin_x:") else line
+            for line in meta.splitlines(keepends=True)
+        )
+        (broken / "costmap.meta").write_text(meta, encoding="utf-8")
+        result = run_cli("validate", "--map", str(broken))
+        assert result.returncode == 2
+
     def test_validate_tampered_map_exits_3(self, map_dir, tmp_path):
         import shutil
 

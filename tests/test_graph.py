@@ -83,6 +83,10 @@ class TestMutation:
         assert office_graph.neighbors("corridor_1") == [("office_1", 1.0), ("office_3", 1.0)]
         assert office_graph.neighbors("office_1") == [("corridor_1", 1.0)]
 
+    def test_unfrozen_graph_refuses_neighbor_queries(self, office_graph):
+        with pytest.raises(ValidationError):
+            office_graph.neighbors("corridor_1")
+
     def test_random_insertion_sequences_stay_valid(self):
         rng = random.Random(2024)
         for trial in range(10):

@@ -105,6 +105,15 @@ class TestPgmLoading:
         with pytest.raises(ValidationError):
             load_costmap(img, meta)
 
+    def test_non_finite_geometry_rejected(self):
+        for geometry in (
+            dict(resolution=math.inf, origin_x=0.0, origin_y=0.0),
+            dict(resolution=1.0, origin_x=math.inf, origin_y=0.0),
+            dict(resolution=1.0, origin_x=0.0, origin_y=math.nan),
+        ):
+            with pytest.raises(ValidationError):
+                CostmapGrid(width=2, height=2, cells=np.zeros((2, 2)), **geometry)
+
     def test_pgm_roundtrip_with_comments(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n3 2\n# another\n255\n" + bytes(range(6)))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from semnav.discovery import CooccurrenceTable, DiscoveryResponse, MockOracle
+from semnav.discovery import CooccurrenceTable, DiscoveryResponse, HttpOracle, MockOracle
 from semnav.errors import MapConsistencyError, OracleParseError, ValidationError
 from semnav.graph import GoalQuery
 from semnav.metric import MetricPoint
@@ -151,6 +151,12 @@ class TestPlanDispatch:
         )
         assert not out.ok and out.failure_reason == FAIL_DISCOVERY
 
+    def test_malformed_oracle_url_is_discovery_failure(self, fig_map):
+        # requests rejects the URL before it opens any connection
+        oracle = HttpOracle(url="notaurl", retries=0)
+        out = plan(fig_map, PlanRequest(start="office_1", goal=GoalQuery("unicorn")), oracle)
+        assert not out.ok and out.failure_reason == FAIL_DISCOVERY
+
     def test_discovery_to_unreachable_room_is_no_route_without_retry(self):
         m = strip_map(
             rooms=[("start", "x"), ("island", "kitchen")],
@@ -255,6 +261,33 @@ class TestPlanProperties:
             ]
             costs = [p.graph_cost for p in per_candidate if p is not None]
             assert out.result.graph_cost == min(costs)
+
+    def test_plan_route_is_argmin_of_single_goal_searches(self):
+        # integer weights force equal-cost ties; "z" rooms have no edges
+        rng = random.Random(4711)
+        for _ in range(200):
+            ids, edges = random_graph_edges(rng, rng.randint(2, 9))
+            edges = [(a, b, float(rng.randint(1, 3))) for a, b, _ in edges]
+            rooms = ids + [f"z{i}" for i in range(rng.randint(0, 2))]
+            holders = [rng.choice(rooms) for _ in range(rng.randint(1, 5))]
+            objects = [(f"desk_{i}", "desk", rid) for i, rid in enumerate(holders)]
+            m = strip_map(rooms=[(rid, "x") for rid in rooms], objects=objects, edges=edges)
+            start = rng.choice(ids)
+            singles = [dijkstra(m.graph, start, oid) for oid in sorted(o for o, _, _ in objects)]
+            reached = [p for p in singles if p is not None]
+            for metric in ("weight", "hops"):
+                request = PlanRequest(start=start, goal=GoalQuery("desk"), length_metric=metric)
+                out = plan(m, request)
+                if not reached:
+                    assert out.failure_reason == FAIL_NO_ROUTE
+                    continue
+                expected = min(
+                    reached, key=lambda p: p.graph_cost if metric == "weight" else len(p.nodes)
+                )
+                assert (out.result.nodes, out.result.graph_cost) == (
+                    expected.nodes,
+                    expected.graph_cost,
+                )
 
     def test_scaling_edge_weights_preserves_routes(self):
         rng = random.Random(909)
