@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, MapFormatError, ValidationError
 from .graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph, UNCATEGORIZED, normalize_label
 from .mapio import SemanticMap, assemble_map
@@ -99,6 +101,7 @@ def build_semantic_map(
         room_ids[label] = f"{base}_{counters[base]}"
 
     graph = SemanticGraph()
+    cell_counts = np.bincount(raster.labels.ravel())
     for label in labels:
         centroid_cell = region_centroid_cell(raster, label)
         graph.add_room(
@@ -106,7 +109,7 @@ def build_semantic_map(
                 id=room_ids[label],
                 category=categories[label],
                 centroid=costmap.grid_to_world(centroid_cell),
-                cell_count=int((raster.labels == label).sum()),
+                cell_count=int(cell_counts[label]),
             )
         )
     class_counters: dict[str, int] = {}

@@ -117,12 +117,13 @@ class CostmapGrid:
 
     def world_to_grid(self, p: MetricPoint) -> GridIndex:
         """Map a world point to the grid cell containing it."""
-        col = math.floor((p.x - self.origin_x) / self.resolution)
-        row = math.floor((p.y - self.origin_y) / self.resolution)
-        idx = GridIndex(col, row)
-        if not self.in_bounds(idx):
-            raise GridBoundsError(f"point ({p.x}, {p.y}) outside grid bounds")
-        return idx
+        fx = (p.x - self.origin_x) / self.resolution
+        fy = (p.y - self.origin_y) / self.resolution
+        if math.isfinite(fx) and math.isfinite(fy):
+            idx = GridIndex(math.floor(fx), math.floor(fy))
+            if self.in_bounds(idx):
+                return idx
+        raise GridBoundsError(f"point ({p.x}, {p.y}) outside grid bounds")
 
     def grid_to_world(self, index: GridIndex) -> MetricPoint:
         """World coordinates of a cell's center."""
@@ -369,7 +370,7 @@ def grid_shortest_path(
         return _window_search(f, top, left, g.resolution, start, goal)
 
     if mask is not None:
-        top, bottom, left, right = box = _bounding_box(mask)
+        top, bottom, left, right = box = bounding_box(mask)
         found = search(box, mask[top:bottom, left:right])
         if found is None:
             raise UnreachableError(f"no traversable route from {start} to {goal}")
@@ -399,7 +400,7 @@ def grid_shortest_path(
     inside = _octile(rows - start.row, cols - start.col)
     inside += _octile(rows - goal.row, cols - goal.col)
     inside = inside <= span
-    r0, r1, c0, c1 = _bounding_box(inside)
+    r0, r1, c0, c1 = bounding_box(inside)
     ellipse = (top + r0, top + r1, left + c0, left + c1)
     rows_covered = box[0] <= ellipse[0] and ellipse[1] <= box[1]
     if rows_covered and box[2] <= ellipse[2] and ellipse[3] <= box[3]:
@@ -407,7 +408,7 @@ def grid_shortest_path(
     return search(ellipse, inside[r0:r1, c0:c1])
 
 
-def _bounding_box(m: np.ndarray) -> tuple[int, int, int, int]:
+def bounding_box(m: np.ndarray) -> tuple[int, int, int, int]:
     """(top, bottom, left, right) half-open box around the True cells of m."""
     rows = np.flatnonzero(m.any(axis=1))
     cols = np.flatnonzero(m.any(axis=0))

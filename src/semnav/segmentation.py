@@ -6,7 +6,9 @@ transform of free space:
   1. per free cell, distance to the nearest untraversable cell;
   2. seed regions at distance local maxima deeper than half the doorway
      threshold;
-  3. flood seeds outward in decreasing-distance order (4-connected);
+  3. flood seeds outward (4-connected), claiming cells in the order
+     (-distance, row, col); each cell takes the smallest seed label
+     offered to it by an already-claimed neighbour;
   4. merge regions whose shared boundary is wider than the doorway
      threshold (they are halves of one space, not two rooms);
   5. absorb regions smaller than the minimum room size into their largest
@@ -19,6 +21,8 @@ robot could never reach keep label 0.
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +30,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, MapConsistencyError, ValidationError
 from .graph import RoomEdge, UNCATEGORIZED, normalize_label
-from .metric import CostmapGrid, GridIndex, grid_shortest_path, read_text_lines
+from .metric import CostmapGrid, GridIndex, bounding_box, grid_shortest_path, read_text_lines
 
 DEFAULT_DOOR_WIDTH_MAX = 1.2  # meters
 DEFAULT_MIN_ROOM_AREA = 4.0  # square meters
@@ -72,7 +76,10 @@ class RoomLabelRaster:
 
 
 def default_min_room_cells(resolution: float, area_m2: float = DEFAULT_MIN_ROOM_AREA) -> int:
-    return max(1, round(area_m2 / (resolution * resolution)))
+    cells = area_m2 / (resolution * resolution)
+    if not (math.isfinite(cells) and cells >= 0):
+        raise ConfigError(f"minimum room area must be finite and >= 0, got {area_m2}")
+    return max(1, round(cells))
 
 
 def segment_rooms(
@@ -86,6 +93,8 @@ def segment_rooms(
     numbering are all fixed by (row, col) scan order, so identical inputs
     produce identical rasters.
     """
+    if not (math.isfinite(door_width_max) and door_width_max > 0):
+        raise ConfigError(f"door width must be finite and > 0, got {door_width_max}")
     if min_room_cells is None:
         min_room_cells = default_min_room_cells(g.resolution)
     free = g.cells < 253
@@ -135,45 +144,73 @@ def _seed_components(dist: np.ndarray, domain: np.ndarray, min_depth: float) -> 
 
 
 def _flood(dist: np.ndarray, domain: np.ndarray, seeds: list[np.ndarray]) -> np.ndarray:
-    """Grow seed regions over the domain, deepest cells first, 4-connected."""
+    """Grow seed regions over the domain, deepest cells first, 4-connected.
+
+    A priority flood whose keys never change: each domain cell is ranked once
+    by (-distance, row, col) and the heap holds plain int ranks. A cell is
+    queued once, when first offered a label, and until it pops it keeps the
+    smallest seed label offered to it. Seed cells take the ranks below all
+    others, so every seed expands before any other cell pops.
+    """
     h, w = dist.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    heap: list[tuple[float, int, int, int]] = []
+    width = w + 2  # one closed cell of padding on each side: no bounds checks
+    label_type = np.min_scalar_type(len(seeds))
+    seeded = np.zeros((h + 2, width), dtype=label_type)
+    order = []
     for k, cells in enumerate(seeds, start=1):
-        for r, c in cells:
-            labels[r, c] = k
-    for k, cells in enumerate(seeds, start=1):
-        for r, c in cells:
-            _push_frontier(heap, dist, domain, labels, int(r), int(c), k)
+        seeded[cells[:, 0] + 1, cells[:, 1] + 1] = k
+        order.append((cells[:, 0] + 1) * width + cells[:, 1] + 1)
+    n_seed_cells = sum(len(cells) for cells in seeds)
+    cells = np.flatnonzero(domain & (seeded[1:-1, 1:-1] == 0))
+    # row-major cells, so the stable sort breaks distance ties by (row, col)
+    cells = cells[np.argsort(-dist.ravel()[cells], kind="stable")]
+    cells += 2 * (cells // w) + width + 1
+    order.append(cells)
+    rank = np.zeros(seeded.size, dtype=np.intc)
+    rank[cells] = np.arange(n_seed_cells, n_seed_cells + cells.size, dtype=np.intc)
+    is_open = np.zeros(seeded.shape, dtype=np.uint8)
+    is_open.ravel()[cells] = 1
+
+    # typed buffers: their items read as Python ints, at a fraction of a list's memory
+    labels = array(label_type.char, seeded.tobytes())
+    open_ = bytearray(is_open.tobytes())
+    rank_ = array("i", rank.tobytes())
+    order_ = array("i", np.concatenate(order).astype(np.intc).tobytes())
+    del seeded, cells, rank, is_open, order  # not needed during the loop
+    heap = list(range(n_seed_cells))
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        _, r, c, k = heapq.heappop(heap)
-        if labels[r, c]:
-            continue
-        labels[r, c] = k
-        _push_frontier(heap, dist, domain, labels, r, c, k)
-    return labels
-
-
-def _push_frontier(heap, dist, domain, labels, r: int, c: int, k: int) -> None:
-    h, w = dist.shape
-    for nr, nc in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
-        if 0 <= nr < h and 0 <= nc < w and domain[nr, nc] and not labels[nr, nc]:
-            heapq.heappush(heap, (-dist[nr, nc], nr, nc, k))
+        i = order_[pop(heap)]
+        open_[i] = 0
+        k = labels[i]
+        for n in (i - width, i - 1, i + 1, i + width):
+            if open_[n]:
+                pending = labels[n]
+                if not pending:
+                    labels[n] = k
+                    push(heap, rank_[n])
+                elif k < pending:
+                    labels[n] = k
+    out = np.frombuffer(labels, dtype=label_type).reshape(h + 2, width)
+    return out[1:-1, 1:-1].astype(np.int32)
 
 
 def _boundary_pairs(labels: np.ndarray) -> dict[tuple[int, int], int]:
     """Count 4-adjacent cell pairs joining two distinct positive labels."""
-    pairs: dict[tuple[int, int], int] = {}
+    base = int(labels.max()) + 1
+    codes = []
     for a, b in (
         (labels[:, :-1], labels[:, 1:]),
         (labels[:-1, :], labels[1:, :]),
     ):
         both = (a > 0) & (b > 0) & (a != b)
-        lo = np.minimum(a[both], b[both])
-        hi = np.maximum(a[both], b[both])
-        for la, lb in zip(lo.tolist(), hi.tolist()):
-            pairs[(la, lb)] = pairs.get((la, lb), 0) + 1
-    return pairs
+        a, b = a[both].astype(np.int64), b[both].astype(np.int64)
+        codes.append(np.minimum(a, b) * base + np.maximum(a, b))
+    codes, counts = np.unique(np.concatenate(codes), return_counts=True)
+    return {
+        (code // base, code % base): count
+        for code, count in zip(codes.tolist(), counts.tolist())
+    }
 
 
 def _merge_wide_boundaries(labels: np.ndarray, door_width_max: float, res: float) -> np.ndarray:
@@ -221,17 +258,11 @@ def _absorb_small_regions(labels: np.ndarray, min_room_cells: int) -> np.ndarray
 
 def _compact_labels(labels: np.ndarray) -> np.ndarray:
     """Renumber labels 1..K in order of first appearance in row-major scan."""
-    out = np.zeros_like(labels, dtype=np.uint16)
-    mapping: dict[int, int] = {}
-    flat = labels.ravel()
-    nonzero = np.flatnonzero(flat)
-    for idx in nonzero.tolist():
-        k = int(flat[idx])
-        if k not in mapping:
-            mapping[k] = len(mapping) + 1
-    for old, new in mapping.items():
-        out[labels == old] = new
-    return out
+    values, first = np.unique(labels, return_index=True)
+    first, values = first[values > 0], values[values > 0]
+    lut = np.zeros(int(labels.max()) + 1, dtype=np.uint16)
+    lut[values[np.argsort(first)]] = np.arange(1, values.size + 1)
+    return lut[labels]
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +270,18 @@ def _compact_labels(labels: np.ndarray) -> np.ndarray:
 
 
 def region_centroid_cell(raster: RoomLabelRaster, label: int) -> GridIndex:
-    """Cell of the region nearest its arithmetic mean (always inside the region)."""
-    cells = np.argwhere(raster.labels == label)
-    if cells.size == 0:
+    """Cell of the region nearest its arithmetic mean (always inside the region).
+
+    Ties go to the first such cell in row-major order.
+    """
+    mask = raster.labels == label
+    if not mask.any():
         raise ValidationError(f"label {label} has no cells")
+    top, bottom, left, right = bounding_box(mask)
+    cells = np.argwhere(mask[top:bottom, left:right]) + (top, left)  # row-major
     mean = cells.mean(axis=0)
     d2 = ((cells - mean) ** 2).sum(axis=1)
-    order = np.lexsort((cells[:, 1], cells[:, 0], d2))
-    r, c = cells[order[0]]
+    r, c = cells[np.argmin(d2)]
     return GridIndex(int(c), int(r))
 
 

@@ -8,6 +8,7 @@ documented contract expression exactly: step * (0.5 * (fa + fb)).
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -128,3 +129,81 @@ def brute_rect_runs(values):
                 r1 += 1
             visited[r:r1, c:c1] = True
             yield int(v), c, r, c1 - c, r1 - r
+
+
+def brute_flood(dist: np.ndarray, domain: np.ndarray, seeds: list[np.ndarray]) -> np.ndarray:
+    """Grow seed regions over the domain, deepest cells first, 4-connected.
+
+    Reference for segmentation._flood: a heap of (-dist, row, col, label)
+    tuples with one entry per offer, so a cell takes the smallest label
+    offered to it before it pops.
+    """
+    h, w = dist.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    heap: list[tuple[float, int, int, int]] = []
+    for k, cells in enumerate(seeds, start=1):
+        for r, c in cells:
+            labels[r, c] = k
+    for k, cells in enumerate(seeds, start=1):
+        for r, c in cells:
+            _brute_push_frontier(heap, dist, domain, labels, int(r), int(c), k)
+    while heap:
+        _, r, c, k = heapq.heappop(heap)
+        if labels[r, c]:
+            continue
+        labels[r, c] = k
+        _brute_push_frontier(heap, dist, domain, labels, r, c, k)
+    return labels
+
+
+def _brute_push_frontier(heap, dist, domain, labels, r: int, c: int, k: int) -> None:
+    h, w = dist.shape
+    for nr, nc in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
+        if 0 <= nr < h and 0 <= nc < w and domain[nr, nc] and not labels[nr, nc]:
+            heapq.heappush(heap, (-dist[nr, nc], nr, nc, k))
+
+
+def brute_boundary_pairs(labels: np.ndarray) -> dict[tuple[int, int], int]:
+    """Count 4-adjacent cell pairs joining two distinct positive labels.
+
+    Reference for segmentation._boundary_pairs, one pair at a time.
+    """
+    pairs: dict[tuple[int, int], int] = {}
+    for a, b in (
+        (labels[:, :-1], labels[:, 1:]),
+        (labels[:-1, :], labels[1:, :]),
+    ):
+        both = (a > 0) & (b > 0) & (a != b)
+        lo = np.minimum(a[both], b[both])
+        hi = np.maximum(a[both], b[both])
+        for la, lb in zip(lo.tolist(), hi.tolist()):
+            pairs[(la, lb)] = pairs.get((la, lb), 0) + 1
+    return pairs
+
+
+def brute_compact_labels(labels: np.ndarray) -> np.ndarray:
+    """Renumber labels 1..K in order of first appearance in row-major scan.
+
+    Reference for segmentation._compact_labels, one cell at a time.
+    """
+    out = np.zeros_like(labels, dtype=np.uint16)
+    mapping: dict[int, int] = {}
+    flat = labels.ravel()
+    nonzero = np.flatnonzero(flat)
+    for idx in nonzero.tolist():
+        k = int(flat[idx])
+        if k not in mapping:
+            mapping[k] = len(mapping) + 1
+    for old, new in mapping.items():
+        out[labels == old] = new
+    return out
+
+
+def brute_centroid_cell(labels: np.ndarray, label: int):
+    """(row, col) of the label's cell nearest its mean, ties by (row, col)."""
+    cells = np.argwhere(labels == label)
+    mean = cells.mean(axis=0)
+    d2 = ((cells - mean) ** 2).sum(axis=1)
+    order = np.lexsort((cells[:, 1], cells[:, 0], d2))
+    r, c = cells[order[0]]
+    return int(r), int(c)

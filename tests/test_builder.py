@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
+from semnav import envgen
 from semnav.builder import ObjectPlacement, build_semantic_map, load_objects
 from semnav.errors import ConfigError, ValidationError
+from semnav.mapio import save_map
 from semnav.metric import MetricPoint
 
 
@@ -31,6 +35,32 @@ class TestBuildSemanticMap:
         classes = {o.class_label for o in gt.objects}
         for oid, obj in m.graph.objects.items():
             assert oid.rsplit("_", 1)[0] in classes
+
+    @pytest.mark.parametrize(
+        "seed, rooms_pgm, graph_json",
+        [
+            (
+                3,
+                "a43c65dd7449ebb446facc9d7db084e151010a94cdd316c3257693cd3110cf9b",
+                "f2e6533ad26163133e1171ff6c95ba6ccd8701963e288cf1a8adf0950e8270d4",
+            ),
+            (
+                5,
+                "fe6b84266a8f8e70c3b006f18fa0b4193ab60fe039efb8db402c426d4a63f8ce",
+                "5c223c2ae880716ed761d2b339eebd5b7078bc3645f723dc2efd2ef7c328fb3d",
+            ),
+        ],
+    )
+    def test_saved_bytes_are_pinned(self, default_rules, tmp_path, seed, rooms_pgm, graph_json):
+        # digests recorded from the per-cell heap flood; meta.json carries a timestamp
+        grid, gt, _ = envgen.generate(envgen.EnvSpec(seed=seed, n_rooms=4, resolution=0.1))
+        objects = [ObjectPlacement(o.class_label, o.position, o.id) for o in gt.objects]
+        save_map(build_semantic_map(grid, objects, default_rules), tmp_path)
+        digest = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("rooms.pgm", "graph.json")
+        }
+        assert digest == {"rooms.pgm": rooms_pgm, "graph.json": graph_json}
 
     def test_object_in_wall_rejected(self, small_env, default_rules):
         grid, _, _ = small_env

@@ -120,6 +120,13 @@ class TestPlan:
         assert "mode: targeted" in result.stdout
         assert "path: " in result.stdout and "cost: " in result.stdout
 
+    @pytest.mark.parametrize("start", ["nan,1", "inf,1", "1e308,1"])
+    def test_plan_non_finite_start_exits_2(self, map_dir, start):
+        result = run_cli("plan", "--map", str(map_dir), f"--start={start}", "--goal", "desk")
+        assert result.returncode == 2, result.stderr
+        assert "invalid-start" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_plan_object_class_goal(self, map_dir):
         result = run_cli("plan", "--map", str(map_dir), "--start", "corridor_1",
                          "--goal", "desk")
@@ -265,6 +272,44 @@ class TestBuildFromOccupancy:
             "--out", str(tmp_path / "m2"),
         )
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_build_rejects_non_finite_object_position(self, map_dir, tmp_path, value):
+        objfile = tmp_path / "objects.json"
+        objfile.write_text(f'[{{"class": "desk", "position": [{value}, 1.0]}}]', encoding="utf-8")
+        result = run_cli(
+            "build",
+            "--costmap", str(map_dir / "occupancy.pgm"),
+            "--meta", str(map_dir / "occupancy.meta"),
+            "--objects", str(objfile),
+            "--out", str(tmp_path / "m2"),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--min-room-area", "nan"),
+            ("--min-room-area", "inf"),
+            ("--min-room-area", "-1"),
+            ("--door-width-max", "0"),
+            ("--door-width-max", "-1"),
+            ("--door-width-max", "nan"),
+            ("--door-width-max", "inf"),
+        ],
+    )
+    def test_build_rejects_bad_parameter(self, map_dir, tmp_path, flag, value):
+        result = run_cli(
+            "build",
+            "--costmap", str(map_dir / "occupancy.pgm"),
+            "--meta", str(map_dir / "occupancy.meta"),
+            "--out", str(tmp_path / "m2"),
+            f"{flag}={value}",
+        )
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "m2").exists()
 
     def test_missing_required_flag_exits_2(self):
         result = run_cli("build", "--out", "/tmp/x")

@@ -155,6 +155,14 @@ class TestCoordinates:
         with pytest.raises(GridBoundsError):
             g.world_to_grid(MetricPoint(-0.01, 0.0))
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
+    def test_non_finite_or_overflowing_point_raises(self, x):
+        g = grid_from_ascii("..\n..", resolution=0.05)
+        with pytest.raises(GridBoundsError):
+            g.world_to_grid(MetricPoint(x, 0.0))
+        with pytest.raises(GridBoundsError):
+            g.world_to_grid(MetricPoint(0.0, x))
+
     def test_unit_cell_center(self):
         g = grid_from_ascii("..\n..", resolution=1.0)
         assert g.grid_to_world(GridIndex(0, 0)) == MetricPoint(0.5, 0.5)

@@ -238,6 +238,11 @@ class TestStartResolution:
         out = plan(fig_map, PlanRequest(start=MetricPoint(-3.0, 0.5), goal=GoalQuery("desk")))
         assert not out.ok and out.failure_reason == FAIL_INVALID_START
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), 1e308])
+    def test_non_finite_point_invalid(self, fig_map, x):
+        out = plan(fig_map, PlanRequest(start=MetricPoint(x, 1.0), goal=GoalQuery("desk")))
+        assert not out.ok and out.failure_reason == FAIL_INVALID_START
+
     def test_unlabeled_cell_invalid_not_snapped(self, gt_map):
         # cell (0,0) is the unknown margin of generated maps
         out = plan(gt_map, PlanRequest(start=MetricPoint(0.01, 0.01), goal=GoalQuery("desk")))

@@ -8,7 +8,12 @@ from semnav.segmentation import (
     CategoryRule,
     FOUR_CONNECTED,
     RoomLabelRaster,
+    _boundary_pairs,
+    _compact_labels,
+    _flood,
+    _seed_components,
     categorize_room,
+    default_min_room_cells,
     extract_adjacency,
     parse_rules,
     region_centroid_cell,
@@ -16,6 +21,12 @@ from semnav.segmentation import (
 )
 
 from conftest import grid_from_ascii
+from oracles import (
+    brute_boundary_pairs,
+    brute_centroid_cell,
+    brute_compact_labels,
+    brute_flood,
+)
 
 
 def overlap_matrix(gt_raster, seg_raster):
@@ -125,6 +136,102 @@ class TestSegmentRooms:
         grid, _, _ = envgen.generate(spec)
         raster = segment_rooms(grid)
         assert (grid.cells[raster.labels > 0] < 253).all()
+
+    @pytest.mark.parametrize("door_width_max", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_door_width_rejected(self, small_env, door_width_max):
+        grid, _, _ = small_env
+        with pytest.raises(ConfigError):
+            segment_rooms(grid, door_width_max=door_width_max)
+
+    @pytest.mark.parametrize("area", [-1.0, float("nan"), float("inf")])
+    def test_bad_min_room_area_rejected(self, area):
+        with pytest.raises(ConfigError):
+            default_min_room_cells(0.05, area)
+
+    def test_zero_min_room_area_is_one_cell(self):
+        assert default_min_room_cells(0.05, 0.0) == 1
+
+
+@st.composite
+def flood_inputs(draw):
+    """Small grids with quantised distances (plateaus), holes and seed sets."""
+    h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    levels = draw(st.integers(2, 4))
+    dist = np.array(
+        draw(st.lists(st.integers(1, levels), min_size=h * w, max_size=h * w)), dtype=float
+    ).reshape(h, w)
+    hole_rate = draw(st.sampled_from([0, 1, 3]))
+    domain = np.array(
+        draw(st.lists(st.integers(0, 9), min_size=h * w, max_size=h * w))
+    ).reshape(h, w) >= hole_rate
+    n_groups = draw(st.integers(1, 6))
+    seed_map = np.zeros((h, w), dtype=int)
+    picks = st.tuples(st.integers(0, h * w - 1), st.integers(1, n_groups))
+    for cell, k in draw(st.lists(picks, min_size=1, max_size=8)):
+        r, c = divmod(cell, w)
+        domain[r, c] = True
+        seed_map[r, c] = k  # a later pick may take the cell over: sets stay disjoint
+    seeds = [np.argwhere(seed_map == k) for k in range(1, n_groups + 1)]
+    return dist, domain, [cells for cells in seeds if len(cells)]
+
+
+def label_grids(max_label: int, dtype):
+    """Label arrays of up to 8x8 cells with values in 0..max_label."""
+    return st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+        lambda hw: st.lists(
+            st.integers(0, max_label), min_size=hw[0] * hw[1], max_size=hw[0] * hw[1]
+        ).map(lambda v: np.array(v, dtype=dtype).reshape(hw))
+    )
+
+
+class TestAgainstLoopOracles:
+    """The vectorised and rank-keyed steps against the per-cell loops they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(flood_inputs())
+    def test_flood_matches_tuple_heap(self, inputs):
+        dist, domain, seeds = inputs
+        got = _flood(dist, domain, seeds)
+        want = brute_flood(dist, domain, seeds)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_flood_matches_tuple_heap_on_generated_map(self):
+        from scipy import ndimage
+
+        grid, _, _ = envgen.generate(envgen.EnvSpec(seed=5, n_rooms=4, resolution=0.1))
+        free = grid.cells < 253
+        components, _ = ndimage.label(free, structure=FOUR_CONNECTED)
+        sizes = np.bincount(components.ravel())
+        sizes[0] = 0
+        domain = components == int(np.argmax(sizes))
+        dist = ndimage.distance_transform_edt(free, sampling=grid.resolution)
+        seeds = _seed_components(dist, domain, 0.6)
+        assert len(seeds) > 1
+        assert np.array_equal(_flood(dist, domain, seeds), brute_flood(dist, domain, seeds))
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_grids(6, np.int32))
+    def test_compact_and_boundary_pairs_match_loops(self, labels):
+        got = _compact_labels(labels)
+        want = brute_compact_labels(labels)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert _boundary_pairs(labels) == brute_boundary_pairs(labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_grids(3, np.uint16))
+    def test_centroid_matches_lexsort(self, labels):
+        h, w = labels.shape
+        raster = RoomLabelRaster(width=w, height=h, labels=labels)
+        for k in raster.room_labels():
+            cell = region_centroid_cell(raster, k)
+            assert (cell.row, cell.col) == brute_centroid_cell(labels, k)
+
+    def test_centroid_of_absent_label_rejected(self):
+        raster = RoomLabelRaster(width=2, height=1, labels=np.array([[1, 0]]))
+        with pytest.raises(ValidationError):
+            region_centroid_cell(raster, 2)
 
 
 class TestAdjacency:
