@@ -45,16 +45,16 @@ def load_objects(path) -> list[ObjectPlacement]:
     out = []
     for i, entry in enumerate(doc):
         try:
-            position = MetricPoint(float(entry["position"][0]), float(entry["position"][1]))
-            out.append(
-                ObjectPlacement(
-                    class_label=str(entry["class"]),
-                    position=position,
-                    id=str(entry["id"]) if "id" in entry else None,
-                )
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            position, label, oid = entry["position"], entry["class"], entry.get("id", "")
+            numbers = isinstance(position, list) and {type(v) for v in position} <= {int, float}
+            if not (numbers and len(position) == 2):
+                raise ValueError(f"position must be [x, y] numbers, got {position!r}")
+            if not (isinstance(label, str) and isinstance(oid, str)):
+                raise ValueError("class and id must be strings")
+            x, y = float(position[0]), float(position[1])
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad object entry #{i}: {exc}") from exc
+        out.append(ObjectPlacement(label, MetricPoint(x, y), entry.get("id")))
     return out
 
 

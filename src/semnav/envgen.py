@@ -74,25 +74,22 @@ class EnvSpec:
         if self.n_rooms < 1:
             raise ValidationError("n_rooms must be >= 1")
         lo, hi = self.room_size_range
-        if not (0 < lo <= hi):
+        if not (0 < lo <= hi < math.inf):
             raise ValidationError(f"bad room_size_range {self.room_size_range}")
         dlo, dhi = self.object_density
         if not (0 <= dlo <= dhi):
             raise ValidationError(f"bad object_density {self.object_density}")
-        if self.resolution <= 0:
-            raise ValidationError("resolution must be positive")
         if self.layout not in ("spine", "chain"):
             raise ValidationError(f"layout must be 'spine' or 'chain', got {self.layout!r}")
-        if self.door_width <= 0 or self.corridor_width <= 0:
-            raise ValidationError("door_width and corridor_width must be positive")
+        for name in ("resolution", "door_width", "corridor_width", "wall_thickness"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValidationError(f"{name} must be positive and finite: {getattr(self, name)}")
         if self.layout == "spine" and self.n_rooms > 1:
             if self.corridor_width <= DEFAULT_DOOR_WIDTH_MAX:
                 raise ValidationError(
                     f"corridor_width {self.corridor_width} must exceed the doorway "
                     f"threshold {DEFAULT_DOOR_WIDTH_MAX} or the corridor reads as a door"
                 )
-        if self.wall_thickness <= 0:
-            raise ValidationError("wall_thickness must be positive")
 
 
 @dataclass(frozen=True)

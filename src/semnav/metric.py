@@ -311,8 +311,8 @@ _MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 _FIRST_MARGIN = 8
 
 
-def _factor_row(allow_inscribed: bool) -> np.ndarray:
-    # -1 marks untraversable values so the search can test with one compare.
+def factor_table(allow_inscribed: bool = False) -> np.ndarray:
+    """Traversal factor per cell value; -1 marks untraversable values."""
     factors = np.full(256, -1.0)
     factors[:253] = 1.0 + np.arange(253) / 128.0
     if allow_inscribed:
@@ -326,37 +326,30 @@ def grid_shortest_path(
     goal: GridIndex,
     *,
     allow_inscribed: bool = False,
-    mask: np.ndarray | None = None,
 ) -> tuple[list[GridIndex], float]:
     """Minimum-cost 8-connected path between two traversable cells.
 
-    `mask`, when given, additionally restricts traversable cells to True
-    entries, and the search runs on the mask's bounding box. Without a mask
-    it runs on a box around start and goal, grown until it holds a path of
-    some cost C, then (unless the box already covers it) once more on the
-    cells v with resolution * (octile(start, v) + octile(v, goal)) <= C plus
-    one cell. Every step costs at least its length, so that set holds every
-    path of cost <= C and the result equals a whole-grid search.
+    The search runs on a box around start and goal, grown until it holds a
+    path of some cost C, then (unless the box already covers it) once more
+    on the cells v with resolution * (octile(start, v) + octile(v, goal)) <= C
+    plus one cell. Every step costs at least its length, so that set holds
+    every path of cost <= C and the result equals a whole-grid search.
 
     The cost is the exact minimum, bit for bit. Among equal-cost paths the
     one returned is csgraph's deterministic choice for the window searched.
 
     Returns (path, cost) with path endpoints equal to start/goal. Raises
     GridBoundsError for endpoints outside the grid, ValidationError for
-    untraversable endpoints or a mask of the wrong shape, and
-    UnreachableError when no route exists.
+    untraversable endpoints, and UnreachableError when no route exists.
     """
     start = GridIndex(*start)
     goal = GridIndex(*goal)
     for name, idx in (("start", start), ("goal", goal)):
         if not g.in_bounds(idx):
             raise GridBoundsError(f"{name} {idx} outside {g.width}x{g.height} grid")
-    if mask is not None and mask.shape != (g.height, g.width):
-        raise ValidationError("mask shape must match grid")
-    factors = _factor_row(allow_inscribed)
+    factors = factor_table(allow_inscribed)
     for name, idx in (("start", start), ("goal", goal)):
-        cut = mask is not None and not mask[idx.row, idx.col]
-        if cut or factors[g.cells[idx.row, idx.col]] < 0:
+        if factors[g.cells[idx.row, idx.col]] < 0:
             raise ValidationError(f"{name} cell {idx} is untraversable")
 
     if start == goal:
@@ -368,13 +361,6 @@ def grid_shortest_path(
         if keep is not None:
             f[~keep] = -1.0
         return _window_search(f, top, left, g.resolution, start, goal)
-
-    if mask is not None:
-        top, bottom, left, right = box = bounding_box(mask)
-        found = search(box, mask[top:bottom, left:right])
-        if found is None:
-            raise UnreachableError(f"no traversable route from {start} to {goal}")
-        return found
 
     whole = (0, g.height, 0, g.width)
     margin = _FIRST_MARGIN
@@ -430,16 +416,22 @@ def _clip_box(g: CostmapGrid, a: GridIndex, b: GridIndex, row_margin: int, col_m
     )
 
 
-def _window_search(f, top, left, resolution, start, goal):
-    """Dijkstra from start to goal over the cells of a grid window.
+def window_costs(f: np.ndarray, resolution: float, source: tuple[int, int]) -> np.ndarray:
+    """Cheapest-path cost, summed from window cell source (row, col), to every
+    window cell; f is as for _window_search, and unreached cells read inf."""
+    graph, node = _window_graph(f, resolution)
+    if node[source] < 0:
+        return np.full(f.shape, np.inf)
+    dist = dijkstra(graph, indices=node[source])
+    return np.where(node >= 0, dist[node], np.inf)
 
-    f holds the window's per-cell factors (< 0 = untraversable) and (top,
-    left) is its first cell in the grid. Returns (path, cost) or None.
-    """
+
+def _window_graph(f, resolution):
+    """CSR graph of the 8-connected moves between a window's open cells (f >= 0),
+    and node[r, c]: cell (r, c)'s graph node in row-major order, -1 where closed."""
     height, width = f.shape
     open_ = f >= 0
-    rows, cols = np.nonzero(open_)
-    n = rows.size
+    n = int(open_.sum())
     node = np.full((height + 2, width + 2), -1, dtype=np.int32)
     node[1:-1, 1:-1][open_] = np.arange(n, dtype=np.int32)
     fnode = f[open_]
@@ -465,13 +457,22 @@ def _window_search(f, top, left, resolution, start, goal):
         indices[at] = other
         weights[at] = step * (0.5 * (fnode[has] + fnode[other]))
         fill[has] += 1
+    return csr_array((weights, indices, indptr), shape=(n, n)), node[1:-1, 1:-1]
 
-    graph = csr_array((weights, indices, indptr), shape=(n, n))
-    source = node[start.row - top + 1, start.col - left + 1]
-    target = node[goal.row - top + 1, goal.col - left + 1]
+
+def _window_search(f, top, left, resolution, start, goal):
+    """Dijkstra from start to goal over the cells of a grid window.
+
+    f holds the window's per-cell factors (< 0 = untraversable) and (top,
+    left) is its first cell in the grid. Returns (path, cost) or None.
+    """
+    graph, node = _window_graph(f, resolution)
+    source = node[start.row - top, start.col - left]
+    target = node[goal.row - top, goal.col - left]
     dist, pred = dijkstra(graph, indices=source, return_predecessors=True)
     if not np.isfinite(dist[target]):
         return None
+    rows, cols = np.nonzero(node >= 0)
     path = []
     v = target
     while v >= 0:

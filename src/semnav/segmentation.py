@@ -30,7 +30,9 @@ from scipy import ndimage
 
 from .errors import ConfigError, MapConsistencyError, ValidationError
 from .graph import RoomEdge, UNCATEGORIZED, normalize_label
-from .metric import CostmapGrid, GridIndex, bounding_box, grid_shortest_path, read_text_lines
+from .metric import (
+    SQRT2, CostmapGrid, GridIndex, bounding_box, factor_table, read_text_lines, window_costs
+)
 
 DEFAULT_DOOR_WIDTH_MAX = 1.2  # meters
 DEFAULT_MIN_ROOM_AREA = 4.0  # square meters
@@ -278,7 +280,12 @@ def region_centroid_cell(raster: RoomLabelRaster, label: int) -> GridIndex:
     if not mask.any():
         raise ValidationError(f"label {label} has no cells")
     top, bottom, left, right = bounding_box(mask)
-    cells = np.argwhere(mask[top:bottom, left:right]) + (top, left)  # row-major
+    return _central_cell(mask[top:bottom, left:right], top, left)
+
+
+def _central_cell(room: np.ndarray, top: int, left: int) -> GridIndex:
+    """region_centroid_cell for a region cropped to a box whose first cell is (top, left)."""
+    cells = np.argwhere(room) + (top, left)  # row-major
     mean = cells.mean(axis=0)
     d2 = ((cells - mean) ** 2).sum(axis=1)
     r, c = cells[np.argmin(d2)]
@@ -290,62 +297,58 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
 
     Two rooms are adjacent iff a free cell of one is 4-adjacent to a free
     cell of the other; the portal is the boundary cell closest to the
-    boundary's mean position. Edge ids are the raster labels rendered as
-    strings (callers remap them to final room ids).
+    boundary's mean position, ties to the first in row-major order. Edge ids
+    are the raster labels rendered as strings (callers remap them to final
+    room ids).
 
     Weight is the grid shortest-path cost centroid_a -> portal -> centroid_b,
-    with each leg searched within its own room (plus the portal cell).
+    each leg within its own room (plus the portal cell), from one search per
+    room. Raises MapConsistencyError for a leg with no route.
     """
     labels = raster.labels
-    boundary_cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (asl, bsl), (aoff, boff) in (
-        ((np.s_[:, :-1], np.s_[:, 1:]), ((0, 0), (0, 1))),
-        ((np.s_[:-1, :], np.s_[1:, :]), ((0, 0), (1, 0))),
-    ):
-        a, b = labels[asl], labels[bsl]
+    width, base = labels.shape[1], int(labels.max()) + 1
+    keys = []  # pair code * cells + flat index, for both cells of each boundary pair
+    for a, b, offset in ((labels[:, :-1], labels[:, 1:], 1), (labels[:-1], labels[1:], width)):
         both = (a > 0) & (b > 0) & (a != b)
         rows, cols = np.nonzero(both)
-        av, bv = a[both], b[both]
-        for r, c, la, lb in zip(rows.tolist(), cols.tolist(), av.tolist(), bv.tolist()):
-            key = (min(la, lb), max(la, lb))
-            boundary_cells.setdefault(key, []).append((r + aoff[0], c + aoff[1]))
-            boundary_cells.setdefault(key, []).append((r + boff[0], c + boff[1]))
+        a, b = a[both].astype(np.int64), b[both].astype(np.int64)
+        key = (np.minimum(a, b) * base + np.maximum(a, b)) * labels.size + rows * width + cols
+        keys += [key, key + offset]
+    codes, cells = np.divmod(np.unique(np.concatenate(keys)), labels.size)
+    codes, first = np.unique(codes, return_index=True)
+    edges, legs = [], {}  # legs: room label -> indices of its edges
+    for i, (code, flat) in enumerate(zip(codes.tolist(), np.split(cells, first[1:]))):
+        arr = np.stack(np.divmod(flat, width), axis=1)  # row-major
+        d2 = ((arr - arr.mean(axis=0)) ** 2).sum(axis=1)
+        pr, pc = arr[np.argmin(d2)]
+        edges.append((*divmod(code, base), GridIndex(int(pc), int(pr))))
+        for label in edges[-1][:2]:
+            legs.setdefault(label, []).append(i)
 
-    centroids = {k: region_centroid_cell(raster, k) for k in raster.room_labels()}
-    edges = []
-    for (la, lb), cells in sorted(boundary_cells.items()):
-        arr = np.array(sorted(set(cells)))
-        mean = arr.mean(axis=0)
-        d2 = ((arr - mean) ** 2).sum(axis=1)
-        order = np.lexsort((arr[:, 1], arr[:, 0], d2))
-        pr, pc = arr[order[0]]
-        portal = GridIndex(int(pc), int(pr))
-        weight = _portal_weight(g, raster, la, lb, portal, centroids[la], centroids[lb])
-        edges.append(RoomEdge(room_a=str(la), room_b=str(lb), weight=weight, portal=portal))
-    return edges
-
-
-def _portal_weight(
-    g: CostmapGrid,
-    raster: RoomLabelRaster,
-    label_a: int,
-    label_b: int,
-    portal: GridIndex,
-    centroid_a: GridIndex,
-    centroid_b: GridIndex,
-) -> float:
-    total = 0.0
-    for label, centroid in ((label_a, centroid_a), (label_b, centroid_b)):
-        mask = raster.labels == label
-        mask[portal.row, portal.col] = True
-        try:
-            _, cost = grid_shortest_path(g, portal, centroid, mask=mask)
-        except Exception as exc:
-            raise MapConsistencyError(
-                f"room label {label}: centroid unreachable from portal {portal}: {exc}"
-            ) from exc
-        total += cost
-    return total
+    factors = factor_table()
+    # step length to a portal from each of its 8 neighbours, and 0 from itself
+    steps = g.resolution * np.array([[SQRT2, 1.0, SQRT2], [1.0, 0.0, 1.0], [SQRT2, 1.0, SQRT2]])
+    weights = [0.0] * len(edges)
+    boxes = ndimage.find_objects(labels)
+    for label, ids in legs.items():
+        # the room's box plus two closed cells: a portal outside it has all 8 neighbours
+        box = boxes[label - 1]
+        top, left = box[0].start - 2, box[1].start - 2
+        room = np.pad(labels[box] == label, 2)
+        centroid = _central_cell(room, top, left)
+        f = factors[np.pad(g.cells[box], 2)]
+        f[~room] = -1.0
+        dist = window_costs(f, g.resolution, (centroid.row - top, centroid.col - left))
+        for i in ids:
+            portal = edges[i][2]
+            near = np.s_[portal.row - top - 1 :, portal.col - left - 1 :]
+            fp = factors[g.cells[portal.row, portal.col]]
+            # a portal in the room keeps its own cost: no neighbour's route undercuts it
+            cost = (dist[near][:3, :3] + steps * (0.5 * (f[near][:3, :3] + fp))).min()
+            if fp < 0 or cost == np.inf:
+                raise MapConsistencyError(f"room label {label}: centroid cannot reach {portal}")
+            weights[i] += float(cost)
+    return [RoomEdge(str(la), str(lb), w, p) for (la, lb, p), w in zip(edges, weights)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +371,8 @@ class CategoryRule:
                 f"rule {self.category!r} needs a required set or score weights"
             )
         for cls, wgt in self.score_weights.items():
-            if not (wgt > 0):
-                raise ValidationError(f"rule {self.category!r}: weight for {cls!r} must be > 0")
+            if not (0 < wgt < math.inf):
+                raise ValidationError(f"rule {self.category!r}: weight for {cls!r} not in (0, inf)")
 
 
 def categorize_room(attributes, rules: list[CategoryRule]) -> str:

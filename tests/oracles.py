@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -207,3 +208,58 @@ def brute_centroid_cell(labels: np.ndarray, label: int):
     order = np.lexsort((cells[:, 1], cells[:, 0], d2))
     r, c = cells[order[0]]
     return int(r), int(c)
+
+
+def brute_adjacency(labels: np.ndarray, grid):
+    """Room adjacency edges from a loop over every boundary cell.
+
+    Reference for segmentation.extract_adjacency: its boundary-cell loop and
+    lexsort portal choice before one search per room replaced them. Each leg
+    costs brute_grid_dijkstra from the room's centroid to the portal, on a
+    grid where every cell but the room's and the portal is lethal. Returns
+    (label_a, label_b, (col, row) portal, weight) per edge; the weight is
+    None when a leg has no route.
+    """
+    boundary_cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (asl, bsl), (aoff, boff) in (
+        ((np.s_[:, :-1], np.s_[:, 1:]), ((0, 0), (0, 1))),
+        ((np.s_[:-1, :], np.s_[1:, :]), ((0, 0), (1, 0))),
+    ):
+        a, b = labels[asl], labels[bsl]
+        both = (a > 0) & (b > 0) & (a != b)
+        rows, cols = np.nonzero(both)
+        av, bv = a[both], b[both]
+        for r, c, la, lb in zip(rows.tolist(), cols.tolist(), av.tolist(), bv.tolist()):
+            key = (min(la, lb), max(la, lb))
+            boundary_cells.setdefault(key, []).append((r + aoff[0], c + aoff[1]))
+            boundary_cells.setdefault(key, []).append((r + boff[0], c + boff[1]))
+
+    edges = []
+    for (la, lb), cells in sorted(boundary_cells.items()):
+        arr = np.array(sorted(set(cells)))
+        mean = arr.mean(axis=0)
+        d2 = ((arr - mean) ** 2).sum(axis=1)
+        order = np.lexsort((arr[:, 1], arr[:, 0], d2))
+        pr, pc = arr[order[0]]
+        portal = (int(pc), int(pr))
+        total = 0.0
+        for label in (la, lb):
+            keep = labels == label
+            keep[pr, pc] = True
+            room = SimpleNamespace(
+                width=grid.width,
+                height=grid.height,
+                resolution=grid.resolution,
+                cells=np.where(keep, grid.cells, 254),
+            )
+            r, c = brute_centroid_cell(labels, label)
+            try:
+                cost = brute_grid_dijkstra(room, (c, r), portal)
+            except ValueError:  # untraversable centroid or portal
+                cost = None
+            if cost is None:
+                total = None
+                break
+            total += cost
+        edges.append((la, lb, portal, total))
+    return edges

@@ -37,23 +37,39 @@ class TestBuildSemanticMap:
             assert oid.rsplit("_", 1)[0] in classes
 
     @pytest.mark.parametrize(
-        "seed, rooms_pgm, graph_json",
+        "seed, rooms_pgm, graph_json, n_rooms, resolution",
         [
             (
                 3,
                 "a43c65dd7449ebb446facc9d7db084e151010a94cdd316c3257693cd3110cf9b",
                 "f2e6533ad26163133e1171ff6c95ba6ccd8701963e288cf1a8adf0950e8270d4",
+                4,
+                0.1,
             ),
             (
                 5,
                 "fe6b84266a8f8e70c3b006f18fa0b4193ab60fe039efb8db402c426d4a63f8ce",
                 "5c223c2ae880716ed761d2b339eebd5b7078bc3645f723dc2efd2ef7c328fb3d",
+                4,
+                0.1,
+            ),
+            # graph.json from legs summed centroid -> portal; summing them
+            # portal -> centroid, as before, moves 4 of its 12 edge weights
+            (
+                7,
+                "8342ebbf41e680716003aeea505615757d47588217d3054881ae7642c0e92c9f",
+                "4b8f2b41d79c5a12da6d88c725ff449eb9664f2178bb4d459e47c52681ea4918",
+                12,
+                0.05,
             ),
         ],
     )
-    def test_saved_bytes_are_pinned(self, default_rules, tmp_path, seed, rooms_pgm, graph_json):
+    def test_saved_bytes_are_pinned(
+        self, default_rules, tmp_path, seed, rooms_pgm, graph_json, n_rooms, resolution
+    ):
         # digests recorded from the per-cell heap flood; meta.json carries a timestamp
-        grid, gt, _ = envgen.generate(envgen.EnvSpec(seed=seed, n_rooms=4, resolution=0.1))
+        spec = envgen.EnvSpec(seed=seed, n_rooms=n_rooms, resolution=resolution)
+        grid, gt, _ = envgen.generate(spec)
         objects = [ObjectPlacement(o.class_label, o.position, o.id) for o in gt.objects]
         save_map(build_semantic_map(grid, objects, default_rules), tmp_path)
         digest = {
@@ -102,6 +118,34 @@ class TestObjectsFile:
         path.write_text('[{"class": "desk"}]', encoding="utf-8")
         with pytest.raises(ConfigError):
             load_objects(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"class": "desk", "position": "12"}',
+            '{"class": "desk", "position": [1.0]}',
+            '{"class": "desk", "position": [1.0, 2.0, 3.0]}',
+            '{"class": "desk", "position": [1.0, "2"]}',
+            '{"class": "desk", "position": [true, 2.0]}',
+            '{"class": "desk", "position": {"x": 1.0, "y": 2.0}}',
+            '{"class": "desk", "position": [1' + "0" * 400 + ', 2.0]}',
+            '{"class": ["a", "b"], "position": [1.0, 2.0]}',
+            '{"class": 7, "position": [1.0, 2.0]}',
+            '{"class": "desk", "position": [1.0, 2.0], "id": 3}',
+            '{"class": "desk", "position": [1.0, 2.0], "id": null}',
+            '"desk"',
+        ],
+    )
+    def test_malformed_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "objects.json"
+        path.write_text(f"[{entry}]", encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_objects(path)
+
+    def test_integer_position_accepted(self, tmp_path):
+        path = tmp_path / "objects.json"
+        path.write_text('[{"class": "desk", "position": [1, 2]}]', encoding="utf-8")
+        assert load_objects(path)[0].position == MetricPoint(1.0, 2.0)
 
     def test_non_array_rejected(self, tmp_path):
         path = tmp_path / "objects.json"

@@ -57,6 +57,18 @@ class TestGen:
         assert "invalid input" in result.stderr
 
 
+    @pytest.mark.parametrize(
+        "line", ["resolution: nan", "door_width: nan", "wall_thickness: inf",
+                 "room_size_range: 3, inf"]
+    )
+    def test_gen_non_finite_spec_exits_2(self, tmp_path, line):
+        bad = tmp_path / "bad.spec"
+        bad.write_text(f"n_rooms: 2\n{line}\n", encoding="utf-8")
+        result = run_cli("gen", "--spec", str(bad), "--out", str(tmp_path / "m"))
+        assert result.returncode == 2, result.stderr
+        assert "invalid input" in result.stderr
+
+
 class TestValidate:
     def test_validate_clean_map_exits_0(self, map_dir):
         result = run_cli("validate", "--map", str(map_dir))

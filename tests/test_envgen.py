@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -144,6 +146,21 @@ class TestSpecValidation:
     def test_narrow_corridor_rejected(self):
         with pytest.raises(ValidationError):
             EnvSpec(corridor_width=1.0)
+
+    @pytest.mark.parametrize(
+        "field", ["resolution", "corridor_width", "door_width", "wall_thickness"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_nonpositive_length_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            EnvSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "sizes", [(math.nan, 5.0), (3.0, math.nan), (3.0, math.inf), (math.inf, math.inf)]
+    )
+    def test_non_finite_room_size_range_rejected(self, sizes):
+        with pytest.raises(ValidationError):
+            EnvSpec(room_size_range=sizes)
 
     def test_bad_layout_rejected(self):
         with pytest.raises(ValidationError):

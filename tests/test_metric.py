@@ -379,19 +379,6 @@ class TestGridShortestPath:
         paths = {tuple(path) for path, _ in results}
         assert len(costs) == 1 and len(paths) == 1
 
-    def test_mask_restricts_search(self):
-        g = grid_from_ascii("\n".join(["." * 5] * 3))
-        mask = np.zeros((3, 5), dtype=bool)
-        mask[0, :] = True  # bottom row only
-        path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 0), mask=mask)
-        assert cost == 4.0
-        assert all(c.row == 0 for c in path)
-        mask2 = np.zeros((3, 5), dtype=bool)
-        mask2[0, :2] = True
-        mask2[0, 4] = True  # goal stays in-mask but is cut off
-        with pytest.raises(UnreachableError):
-            grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 0), mask=mask2)
-
 
 # Mostly free cells so that random grids stay connected often enough.
 _CELL_VALUES = [0] * 8 + [7, 64, 128, 200, 252] + [254] * 3 + [253, 255]
@@ -407,11 +394,6 @@ def search_cases(draw):
     ).reshape(height, width)
     start = GridIndex(draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
     goal = GridIndex(draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
-    mask = None
-    if draw(st.booleans()):
-        keep = st.sampled_from([True, True, True, False])
-        mask = np.array(draw(st.lists(keep, min_size=n, max_size=n))).reshape(height, width)
-        mask[start.row, start.col] = mask[goal.row, goal.col] = True
     for idx in (start, goal):
         if cells[idx.row, idx.col] >= 253:
             cells[idx.row, idx.col] = 0
@@ -423,7 +405,7 @@ def search_cases(draw):
         origin_y=0,
         cells=cells,
     )
-    return grid, start, goal, mask, draw(st.booleans())
+    return grid, start, goal, draw(st.booleans())
 
 
 def long_detour_grid():
@@ -440,25 +422,13 @@ class TestWindowedSearchExactness:
     @settings(max_examples=200, deadline=None)
     @given(search_cases(), st.integers(1, 4))
     def test_matches_brute_force_with_small_windows(self, case, first_margin):
-        g, start, goal, mask, allow_inscribed = case
-        masked = g
-        if mask is not None:
-            masked = CostmapGrid(
-                width=g.width,
-                height=g.height,
-                resolution=g.resolution,
-                origin_x=0,
-                origin_y=0,
-                cells=np.where(mask, g.cells, 254),
-            )
-        expected = brute_grid_dijkstra(masked, start, goal, allow_inscribed)
+        g, start, goal, allow_inscribed = case
+        expected = brute_grid_dijkstra(g, start, goal, allow_inscribed)
         # Small first boxes make most searches grow and take the ellipse pass.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metric, "_FIRST_MARGIN", first_margin)
             try:
-                path, cost = grid_shortest_path(
-                    g, start, goal, allow_inscribed=allow_inscribed, mask=mask
-                )
+                path, cost = grid_shortest_path(g, start, goal, allow_inscribed=allow_inscribed)
             except UnreachableError:
                 path, cost = None, None
         assert cost == expected
@@ -467,7 +437,7 @@ class TestWindowedSearchExactness:
             for a, b in zip(path, path[1:]):
                 assert max(abs(a.col - b.col), abs(a.row - b.row)) == 1
             limit = 253 if allow_inscribed else 252
-            assert all(masked.cost_at(c) <= limit for c in path)
+            assert all(g.cost_at(c) <= limit for c in path)
 
     def test_long_detour_grows_box_then_takes_ellipse_pass(self, monkeypatch):
         g = long_detour_grid()

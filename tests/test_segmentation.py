@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semnav import envgen
-from semnav.errors import ConfigError, ValidationError
+from semnav import envgen, metric
+from semnav.errors import ConfigError, MapConsistencyError, ValidationError
+from semnav.metric import CostmapGrid
 from semnav.segmentation import (
     CategoryRule,
     FOUR_CONNECTED,
@@ -22,6 +23,7 @@ from semnav.segmentation import (
 
 from conftest import grid_from_ascii
 from oracles import (
+    brute_adjacency,
     brute_boundary_pairs,
     brute_centroid_cell,
     brute_compact_labels,
@@ -313,6 +315,100 @@ class TestAdjacency:
             assert raster.labels[cell.row, cell.col] == k
 
 
+# Mostly free cells, with some graded, inscribed, lethal and unknown ones.
+_ROOM_CELL_VALUES = [0] * 12 + [9, 100, 252, 253, 254, 255]
+
+
+@st.composite
+def adjacency_cases(draw):
+    """Up to 10x10 cells split among 2-4 rooms by nearest seed, with holes."""
+    h, w = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    n = h * w
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True))
+    rows, cols = np.divmod(np.arange(n), w)
+    d2 = [(rows - r) ** 2 + (cols - c) ** 2 for r, c in (divmod(s, w) for s in seeds)]
+    labels = (np.argmin(d2, axis=0) + 1).astype(np.uint16)
+    holes = draw(st.lists(st.integers(0, n - 1), max_size=n // 8))
+    labels[holes] = 0
+    cells = np.array(
+        draw(st.lists(st.sampled_from(_ROOM_CELL_VALUES), min_size=n, max_size=n)),
+        dtype=np.uint8,
+    )
+    grid = CostmapGrid(
+        width=w,
+        height=h,
+        resolution=draw(st.sampled_from([0.05, 0.1, 1.0])),
+        origin_x=0,
+        origin_y=0,
+        cells=cells,
+    )
+    return RoomLabelRaster(width=w, height=h, labels=labels.reshape(h, w)), grid
+
+
+def assert_matches_brute_adjacency(raster, grid):
+    want = brute_adjacency(raster.labels, grid)
+    if any(weight is None for *_, weight in want):
+        with pytest.raises(MapConsistencyError):
+            extract_adjacency(raster, grid)
+        return
+    got = [
+        (int(e.room_a), int(e.room_b), (e.portal.col, e.portal.row), e.weight)
+        for e in extract_adjacency(raster, grid)
+    ]
+    assert got == want
+
+
+class TestAdjacencyAgainstLoopOracle:
+    """One search per room against per-edge searches over room plus portal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(adjacency_cases())
+    def test_matches_per_edge_searches(self, case):
+        assert_matches_brute_adjacency(*case)
+
+    def test_matches_per_edge_searches_on_generated_map(self):
+        grid, _, _ = envgen.generate(envgen.EnvSpec(seed=5, n_rooms=3, resolution=0.2))
+        raster = segment_rooms(grid)
+        assert len(raster.room_labels()) == 4
+        assert_matches_brute_adjacency(raster, grid)
+
+    def test_portal_cut_off_from_centroid_raises(self):
+        # Room 1 spans columns 0-5 and is split by the wall in column 4; its
+        # centroid lies left of the wall, its portal right of it.
+        grid = grid_from_ascii(
+            """
+            ....#...
+            ....#...
+            ....#...
+            """
+        )
+        labels = np.array([[1, 1, 1, 1, 1, 1, 2, 2]] * 3, dtype=np.uint16)
+        raster = RoomLabelRaster(width=8, height=3, labels=labels)
+        assert region_centroid_cell(raster, 1) == (2, 1)
+        assert [(la, lb, portal) for la, lb, portal, _ in brute_adjacency(labels, grid)] == [
+            (1, 2, (5, 1))
+        ]
+        with pytest.raises(MapConsistencyError):
+            extract_adjacency(raster, grid)
+
+    def test_one_search_per_room(self, small_env, monkeypatch):
+        grid, _, _ = small_env
+        raster = segment_rooms(grid)
+        sources = []
+        search = metric.dijkstra
+
+        def spy(graph, *args, **kwargs):
+            sources.append(kwargs["indices"])
+            return search(graph, *args, **kwargs)
+
+        monkeypatch.setattr(metric, "dijkstra", spy)
+        edges = extract_adjacency(raster, grid)
+        rooms = raster.room_labels()
+        assert len(rooms) > 2
+        assert {int(k) for e in edges for k in (e.room_a, e.room_b)} == set(rooms)
+        assert len(sources) == len(rooms)
+
+
 OFFICE_RULES = [
     CategoryRule("office", frozenset({"desk"}), {"desk": 3.0, "chair": 1.0, "bookcase": 1.0}),
     CategoryRule("kitchen", frozenset({"sink"}), {"sink": 2.0, "fridge": 2.0}),
@@ -406,5 +502,12 @@ class TestRulesFile:
     def test_nonpositive_weight_rejected(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("office: weights=desk:0\n", encoding="utf-8")
+        with pytest.raises(ConfigError):
+            parse_rules(path)
+
+    @pytest.mark.parametrize("weight", ["1e999", "inf", "-inf", "nan"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        path = tmp_path / "rules.txt"
+        path.write_text(f"office: weights=desk:{weight}\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             parse_rules(path)
