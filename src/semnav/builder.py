@@ -22,7 +22,6 @@ from .segmentation import (
     DEFAULT_DOOR_WIDTH_MAX,
     categorize_room,
     extract_adjacency,
-    region_centroid_cell,
     segment_rooms,
 )
 
@@ -103,12 +102,11 @@ def build_semantic_map(
     graph = SemanticGraph()
     cell_counts = np.bincount(raster.labels.ravel())
     for label in labels:
-        centroid_cell = region_centroid_cell(raster, label)
         graph.add_room(
             RoomNode(
                 id=room_ids[label],
                 category=categories[label],
-                centroid=costmap.grid_to_world(centroid_cell),
+                centroid=costmap.grid_to_world(raster.centroid_cells[label]),
                 cell_count=int(cell_counts[label]),
             )
         )

@@ -65,13 +65,29 @@ def _parse_start(text: str) -> str | MetricPoint:
 
 
 def _make_oracle(args):
-    kind = getattr(args, "oracle", "mock")
-    if kind == "none":
+    if args.oracle == "none":
         return None
-    if kind == "http":
-        return discovery.HttpOracle(url=getattr(args, "oracle_url", None))
-    table_path = getattr(args, "table", None) or _default_table_path()
+    if args.oracle == "http":
+        return discovery.HttpOracle(url=args.oracle_url)
+    table_path = args.table or _default_table_path()
     return discovery.MockOracle(discovery.load_cooccurrence_table(table_path))
+
+
+def _plan(m, args) -> tuple[planner.PlanOutcome, int]:
+    """Plan args.start -> args.goal; a failure is reported and mapped to its exit code."""
+    request = planner.PlanRequest(
+        start=_parse_start(args.start),
+        goal=GoalQuery(args.goal),
+        allow_inscribed=args.allow_inscribed,
+        refine_metric=args.refine,
+    )
+    outcome = planner.plan(m, request, _make_oracle(args))
+    if outcome.ok:
+        return outcome, EXIT_OK
+    print(f"planning failed: {outcome.failure_reason}", file=sys.stderr)
+    if outcome.failure_reason == planner.FAIL_INVALID_START:
+        return outcome, EXIT_INVALID_INPUT
+    return outcome, EXIT_PLAN_FAILURE
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser):
@@ -152,19 +168,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    m = mapio.load_map(args.map)
-    request = planner.PlanRequest(
-        start=_parse_start(args.start),
-        goal=GoalQuery(args.goal),
-        allow_inscribed=args.allow_inscribed,
-        refine_metric=args.refine,
-    )
-    outcome = planner.plan(m, request, _make_oracle(args))
-    if not outcome.ok:
-        print(f"planning failed: {outcome.failure_reason}", file=sys.stderr)
-        if outcome.failure_reason == planner.FAIL_INVALID_START:
-            return EXIT_INVALID_INPUT
-        return EXIT_PLAN_FAILURE
+    outcome, code = _plan(mapio.load_map(args.map), args)
+    if code:
+        return code
     path = outcome.result
     print(f"mode: {path.mode}")
     print("path: " + " -> ".join(path.nodes))
@@ -198,18 +204,9 @@ def cmd_render(args) -> int:
     m = mapio.load_map(args.map)
     path = None
     if args.start and args.goal:
-        request = planner.PlanRequest(
-            start=_parse_start(args.start),
-            goal=GoalQuery(args.goal),
-            allow_inscribed=args.allow_inscribed,
-            refine_metric=args.refine,
-        )
-        outcome = planner.plan(m, request, _make_oracle(args))
-        if not outcome.ok:
-            print(f"planning failed: {outcome.failure_reason}", file=sys.stderr)
-            if outcome.failure_reason == planner.FAIL_INVALID_START:
-                return EXIT_INVALID_INPUT
-            return EXIT_PLAN_FAILURE
+        outcome, code = _plan(m, args)
+        if code:
+            return code
         path = outcome.result
     svg = mapio.render_svg(m, path, scale=args.scale)
     Path(args.out).write_text(svg, encoding="utf-8")
@@ -218,12 +215,12 @@ def cmd_render(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    m = mapio.load_map(args.map, strict=False)
-    violations = mapio.validate_semantic_map(m)
-    for v in violations:
-        print(str(v))
-    if violations:
-        print(f"{len(violations)} violation(s)", file=sys.stderr)
+    try:
+        mapio.load_map(args.map)
+    except MapConsistencyError as exc:
+        for v in exc.violations:
+            print(str(v))
+        print(f"{len(exc.violations)} violation(s)", file=sys.stderr)
         return EXIT_INCONSISTENT
     print("ok")
     return EXIT_OK

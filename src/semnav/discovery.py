@@ -150,9 +150,10 @@ class HttpOracle:
     Request:  {"goal": str, "rooms": [{"id", "category", "objects"}]}
     Response: {"ranking": [{"id", "confidence"}], "rationale": str}
 
-    Transport failures are retried with exponential backoff before giving
-    up; any other request error (a malformed URL, say) fails at once. Every
-    request is timeboxed so planning latency stays bounded.
+    Transport failures, 5xx and 429 replies are retried with exponential
+    backoff before giving up; any other 4xx reply or request error (a
+    malformed URL, say) fails at once. Every request is timeboxed so planning
+    latency stays bounded.
     """
 
     def __init__(
@@ -191,6 +192,8 @@ class HttpOracle:
                 resp = requests.post(
                     self.url, json=payload, headers=headers, timeout=self.timeout
                 )
+                if 400 <= resp.status_code < 500 and resp.status_code != 429:
+                    raise DiscoveryFailedError(f"oracle refused the request: {resp.status_code}")
                 resp.raise_for_status()
                 return self._parse(resp.text)
             except (requests.ConnectionError, requests.Timeout, requests.HTTPError) as exc:

@@ -56,6 +56,12 @@ CORRIDOR_CATEGORY = "corridor"
 
 _MARGIN_CELLS = 2  # unknown ring outside the building
 
+# Upper bounds on what a spec may ask for, far above any map in use (at most
+# 64 rooms and under a million cells), so a bad spec is refused before it
+# allocates memory.
+MAX_ROOMS = 1024
+MAX_GRID_CELLS = 16_000_000
+
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -71,8 +77,8 @@ class EnvSpec:
     wall_thickness: float = 0.2
 
     def __post_init__(self):
-        if self.n_rooms < 1:
-            raise ValidationError("n_rooms must be >= 1")
+        if not 1 <= self.n_rooms <= MAX_ROOMS:
+            raise ValidationError(f"n_rooms must be in 1..{MAX_ROOMS}, got {self.n_rooms}")
         lo, hi = self.room_size_range
         if not (0 < lo <= hi < math.inf):
             raise ValidationError(f"bad room_size_range {self.room_size_range}")
@@ -145,7 +151,10 @@ def generate(spec: EnvSpec) -> tuple[CostmapGrid, GroundTruth, SemanticGraph]:
     res = spec.resolution
 
     def cells(meters: float) -> int:
-        return max(1, round(meters / res))
+        n = meters / res
+        if n > MAX_GRID_CELLS:  # also catches an overflow to inf
+            raise GenerationError(f"{meters} m spans more than {MAX_GRID_CELLS} cells")
+        return max(1, round(n))
 
     wt = cells(spec.wall_thickness)
     door = cells(spec.door_width)
@@ -170,6 +179,8 @@ def generate(spec: EnvSpec) -> tuple[CostmapGrid, GroundTruth, SemanticGraph]:
         layout = _layout_chain(sizes, wt, door, m, rng)
 
     grid_w, grid_h, room_rects, corridor_rect, door_rects = layout
+    if grid_w * grid_h > MAX_GRID_CELLS:
+        raise GenerationError(f"a {grid_w}x{grid_h} grid exceeds {MAX_GRID_CELLS} cells")
 
     costs = np.full((grid_h, grid_w), COST_UNKNOWN, dtype=np.uint8)
     costs[m : grid_h - m, m : grid_w - m] = COST_LETHAL

@@ -51,4 +51,11 @@ class GenerationError(SemnavError):
 
 
 class MapConsistencyError(SemnavError):
-    """Cross-layer disagreement between costmap, room raster, and graph."""
+    """Cross-layer disagreement between costmap, room raster, and graph.
+
+    violations holds every broken invariant when a map was judged as a whole.
+    """
+
+    def __init__(self, message: str, violations=()):
+        super().__init__(message)
+        self.violations = list(violations)

@@ -141,12 +141,13 @@ class SemanticGraph:
         self._edge_index[key] = edge
 
     def freeze(self) -> "SemanticGraph":
-        """Seal the graph and precompute the planner's adjacency lists.
+        """Seal the graph and precompute the planner's adjacency lists and edge index.
 
         Dangling edge endpoints do not crash the freeze; validate() is the
         place that reports them.
         """
         self._frozen = True
+        self._edge_index = {_edge_key(e.room_a, e.room_b): e for e in self.room_edges}
         adj: dict[str, list[tuple[str, float]]] = {rid: [] for rid in self.rooms}
         for e in self.room_edges:
             adj.setdefault(e.room_a, []).append((e.room_b, e.weight))

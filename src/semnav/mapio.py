@@ -11,6 +11,11 @@ On disk a map is a directory:
 Each layer stays independently inspectable with stock tools; the JSON graph
 diffs cleanly. load(save(m)) reproduces m exactly, including edge weights
 and raster bytes.
+
+A map is read one way for every command. A malformed file, or a room or
+object id listed twice in graph.json, raises MapFormatError (CLI exit 2).
+A well-formed map that breaks an invariant of validate_semantic_map raises
+MapConsistencyError carrying every violation (CLI exit 3).
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import MapConsistencyError, MapFormatError, ValidationError
+from .errors import GridBoundsError, MapConsistencyError, MapFormatError, ValidationError
 from .graph import (
+    ContainmentEdge,
     ObjectNode,
     RoomEdge,
     RoomNode,
@@ -138,34 +144,21 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
             )
 
     id_to_label = {rid: label for label, rid in m.room_labels.items()}
-    for room in m.graph.rooms.values():
-        label = id_to_label.get(room.id)
+    rooms, objects = m.graph.rooms.values(), m.graph.objects.values()
+    placed = [(r.id, "centroid", r.centroid, r.id, "centroid-in-room") for r in rooms]
+    placed += [(o.id, "position", o.position, o.room_id, "object-in-room") for o in objects]
+    for subject, what, point, room_id, rule in placed:
+        label = id_to_label.get(room_id)
         if label is None:
             continue  # already reported via label-map
         try:
-            cell = m.costmap.world_to_grid(MetricPoint(*room.centroid))
-        except Exception:
-            out.append(Violation(room.id, "centroid-in-room", "centroid outside grid"))
+            cell = m.costmap.world_to_grid(MetricPoint(*point))
+        except GridBoundsError:
+            out.append(Violation(subject, rule, f"{what} outside grid"))
             continue
-        if int(labels[cell.row, cell.col]) != label:
-            out.append(
-                Violation(room.id, "centroid-in-room", f"centroid cell labeled "
-                          f"{int(labels[cell.row, cell.col])}, expected {label}")
-            )
-    for obj in m.graph.objects.values():
-        label = id_to_label.get(obj.room_id)
-        if label is None:
-            continue
-        try:
-            cell = m.costmap.world_to_grid(MetricPoint(*obj.position))
-        except Exception:
-            out.append(Violation(obj.id, "object-in-room", "position outside grid"))
-            continue
-        if int(labels[cell.row, cell.col]) != label:
-            out.append(
-                Violation(obj.id, "object-in-room", f"position cell labeled "
-                          f"{int(labels[cell.row, cell.col])}, expected {label}")
-            )
+        found = int(labels[cell.row, cell.col])
+        if found != label:
+            out.append(Violation(subject, rule, f"{what} cell labeled {found}, expected {label}"))
     for e in m.graph.room_edges:
         col, row = e.portal
         if not (0 <= col < m.costmap.width and 0 <= row < m.costmap.height):
@@ -181,13 +174,17 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
 # Save / load
 
 
-def save_map(m: SemanticMap, path) -> None:
-    """Write the map directory; refuses inconsistent maps."""
+def _refuse_violations(m: SemanticMap, context: str) -> None:
+    """MapConsistencyError carrying every violation, if the map has any."""
     violations = validate_semantic_map(m)
     if violations:
-        raise MapConsistencyError(
-            "map failed validation: " + "; ".join(str(v) for v in violations[:5])
-        )
+        shown = "; ".join(str(v) for v in violations[:5])
+        raise MapConsistencyError(f"{context}: {shown}", violations)
+
+
+def save_map(m: SemanticMap, path) -> None:
+    """Write the map directory; refuses inconsistent maps."""
+    _refuse_violations(m, "map failed validation")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     write_pgm(root / "costmap.pgm", m.costmap.cells, maxval=255)
@@ -208,13 +205,12 @@ def save_map(m: SemanticMap, path) -> None:
     (root / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def load_map(path, *, strict: bool = True) -> SemanticMap:
+def load_map(path) -> SemanticMap:
     """Read a map directory; rejects unknown versions and inconsistent layers.
 
-    strict=False defers invariant judgment to validate_semantic_map: the
-    graph is rebuilt without insertion guards and cross-layer violations do
-    not raise. The validate CLI uses this so it can report what is wrong
-    instead of refusing to look.
+    A malformed file raises MapFormatError. A well-formed map that breaks an
+    invariant raises MapConsistencyError, whose violations list every
+    finding of validate_semantic_map.
     """
     root = Path(path)
     for name in _REQUIRED_FILES:
@@ -260,9 +256,7 @@ def load_map(path, *, strict: bool = True) -> SemanticMap:
     )
 
     try:
-        graph = graph_from_json(
-            (root / "graph.json").read_text(encoding="utf-8"), strict=strict
-        )
+        graph = graph_from_json((root / "graph.json").read_text(encoding="utf-8"))
     except (MapFormatError, UnicodeDecodeError) as exc:
         raise MapFormatError(f"{root}/graph.json: {exc}") from exc
 
@@ -277,12 +271,7 @@ def load_map(path, *, strict: bool = True) -> SemanticMap:
     m = SemanticMap(
         costmap=costmap, raster=raster, graph=graph, room_labels=room_labels, meta=meta
     )
-    if strict:
-        violations = validate_semantic_map(m)
-        if violations:
-            raise MapConsistencyError(
-                f"{root}: inconsistent layers: " + "; ".join(str(v) for v in violations[:5])
-            )
+    _refuse_violations(m, f"{root}: inconsistent layers")
     return m
 
 
@@ -321,26 +310,24 @@ def graph_to_json(graph: SemanticGraph) -> str:
     return json.dumps(doc, indent=2)
 
 
-def graph_from_json(text: str, *, strict: bool = True) -> SemanticGraph:
-    """Rebuild a graph from its JSON form.
+def graph_from_json(text: str) -> SemanticGraph:
+    """Rebuild a graph from its JSON form, taking every node and edge as stored.
 
-    strict=False skips the insertion guards so malformed graphs can still be
-    loaded for inspection; validate() then reports what is broken. Malformed
-    JSON or a missing, mistyped or too-short field raises MapFormatError.
+    Malformed JSON, a missing, mistyped or too-short field, or a room or
+    object id listed twice raises MapFormatError. Invariants are not judged
+    here: SemanticGraph.validate() reports what is broken.
     """
     try:
-        return _graph_from_doc(json.loads(text), strict)
+        return _graph_from_doc(json.loads(text))
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"corrupt: {exc!r}") from exc
 
 
-def _graph_from_doc(doc: dict, strict: bool) -> SemanticGraph:
-    from .graph import ContainmentEdge
-
+def _graph_from_doc(doc: dict) -> SemanticGraph:
     if doc.get("version") != FORMAT_VERSION:
         raise MapFormatError(f"unsupported graph version {doc.get('version')!r}")
     graph = SemanticGraph()
-    rooms = [
+    graph.rooms = _by_id(
         RoomNode(
             id=str(r["id"]),
             category=str(r["category"]),
@@ -349,8 +336,8 @@ def _graph_from_doc(doc: dict, strict: bool) -> SemanticGraph:
             attributes=[str(a) for a in r["attributes"]],
         )
         for r in doc["rooms"]
-    ]
-    objects = [
+    )
+    graph.objects = _by_id(
         ObjectNode(
             id=str(o["id"]),
             class_label=str(o["class"]),
@@ -358,8 +345,9 @@ def _graph_from_doc(doc: dict, strict: bool) -> SemanticGraph:
             room_id=str(o["room"]),
         )
         for o in doc["objects"]
-    ]
-    edges = [
+    )
+    graph.containment = [ContainmentEdge(o.room_id, o.id) for o in graph.objects.values()]
+    graph.room_edges = [
         RoomEdge(
             room_a=str(e["a"]),
             room_b=str(e["b"]),
@@ -368,27 +356,17 @@ def _graph_from_doc(doc: dict, strict: bool) -> SemanticGraph:
         )
         for e in doc["edges"]
     ]
-    if strict:
-        for room in rooms:
-            graph.add_room(room)
-        for obj in objects:
-            graph.add_object(obj)
-        # add_object rebuilt the attribute caches; restore the stored lists
-        for r in doc["rooms"]:
-            graph.rooms[str(r["id"])].attributes = [str(a) for a in r["attributes"]]
-        for edge in edges:
-            graph.add_room_edge(edge)
-    else:
-        for room in rooms:
-            graph.rooms[room.id] = room
-        for obj in objects:
-            graph.objects[obj.id] = obj
-            graph.containment.append(
-                ContainmentEdge(room_id=obj.room_id, object_id=obj.id)
-            )
-        graph.room_edges.extend(edges)
-    graph.freeze()
-    return graph
+    return graph.freeze()
+
+
+def _by_id(nodes) -> dict:
+    """Nodes keyed by id; an id listed twice would silently drop a node."""
+    out = {}
+    for node in nodes:
+        if node.id in out:
+            raise MapFormatError(f"node id {node.id!r} listed more than once")
+        out[node.id] = node
+    return out
 
 
 # ---------------------------------------------------------------------------

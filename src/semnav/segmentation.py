@@ -24,15 +24,14 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, MapConsistencyError, ValidationError
 from .graph import RoomEdge, UNCATEGORIZED, normalize_label
-from .metric import (
-    SQRT2, CostmapGrid, GridIndex, bounding_box, factor_table, read_text_lines, window_costs
-)
+from .metric import SQRT2, CostmapGrid, GridIndex, factor_table, read_text_lines, window_costs
 
 DEFAULT_DOOR_WIDTH_MAX = 1.2  # meters
 DEFAULT_MIN_ROOM_AREA = 4.0  # square meters
@@ -75,6 +74,22 @@ class RoomLabelRaster:
 
     def label_at(self, index: GridIndex) -> int:
         return int(self.labels[index.row, index.col])
+
+    @cached_property
+    def centroid_cells(self) -> dict[int, GridIndex]:
+        """Each room label's cell nearest the region's mean (always inside it).
+
+        Ties go to the first such cell in row-major order. One find_objects
+        pass per raster; each region is then read from its own box.
+        """
+        out = {}
+        for label, box in enumerate(ndimage.find_objects(self.labels), start=1):
+            if box is not None:
+                cells = np.argwhere(self.labels[box] == label) + (box[0].start, box[1].start)
+                d2 = ((cells - cells.mean(axis=0)) ** 2).sum(axis=1)
+                r, c = cells[np.argmin(d2)]  # row-major, so the first of equals
+                out[label] = GridIndex(int(c), int(r))
+        return out
 
 
 def default_min_room_cells(resolution: float, area_m2: float = DEFAULT_MIN_ROOM_AREA) -> int:
@@ -271,27 +286,6 @@ def _compact_labels(labels: np.ndarray) -> np.ndarray:
 # Adjacency
 
 
-def region_centroid_cell(raster: RoomLabelRaster, label: int) -> GridIndex:
-    """Cell of the region nearest its arithmetic mean (always inside the region).
-
-    Ties go to the first such cell in row-major order.
-    """
-    mask = raster.labels == label
-    if not mask.any():
-        raise ValidationError(f"label {label} has no cells")
-    top, bottom, left, right = bounding_box(mask)
-    return _central_cell(mask[top:bottom, left:right], top, left)
-
-
-def _central_cell(room: np.ndarray, top: int, left: int) -> GridIndex:
-    """region_centroid_cell for a region cropped to a box whose first cell is (top, left)."""
-    cells = np.argwhere(room) + (top, left)  # row-major
-    mean = cells.mean(axis=0)
-    d2 = ((cells - mean) ** 2).sum(axis=1)
-    r, c = cells[np.argmin(d2)]
-    return GridIndex(int(c), int(r))
-
-
 def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]:
     """Room adjacency edges from shared free boundaries.
 
@@ -335,7 +329,7 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
         box = boxes[label - 1]
         top, left = box[0].start - 2, box[1].start - 2
         room = np.pad(labels[box] == label, 2)
-        centroid = _central_cell(room, top, left)
+        centroid = raster.centroid_cells[label]
         f = factors[np.pad(g.cells[box], 2)]
         f[~room] = -1.0
         dist = window_costs(f, g.resolution, (centroid.row - top, centroid.col - left))

@@ -122,6 +122,46 @@ class TestValidate:
         assert result.returncode == 3
 
 
+def _set(entry, key, value):
+    entry[key] = value
+
+
+# (tampering of graph.json, exit code from every command, rule validate names)
+TAMPERINGS = {
+    "duplicate-room": (lambda d: d["rooms"].append(d["rooms"][0]), 2, None),
+    "duplicate-object": (lambda d: d["objects"].append(d["objects"][0]), 2, None),
+    "self-loop": (lambda d: _set(d["edges"][0], "b", d["edges"][0]["a"]), 3, "no-self-loop"),
+    "negative-weight": (lambda d: _set(d["edges"][0], "weight", -4.0), 3, "edge-weight"),
+    "nan-weight": (lambda d: _set(d["edges"][0], "weight", float("nan")), 3, "edge-weight"),
+    "duplicate-edge": (lambda d: d["edges"].append(d["edges"][0]), 3, "duplicate-edge"),
+    "unknown-room": (lambda d: _set(d["objects"][0], "room", "nowhere"), 3, "dangling-room-ref"),
+    "bad-attributes": (lambda d: _set(d["rooms"][0], "attributes", ["bogus"]), 3,
+                       "attributes-cache"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERINGS))
+def test_plan_and_validate_judge_a_tampered_map_alike(map_dir, tmp_path, case):
+    tamper, code, rule = TAMPERINGS[case]
+    broken = tmp_path / "broken"
+    shutil.copytree(map_dir, broken)
+    doc = json.loads((broken / "graph.json").read_text())
+    start = doc["rooms"][0]["id"]
+    tamper(doc)
+    (broken / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
+    validate = run_cli("validate", "--map", str(broken))
+    planned = run_cli("plan", "--map", str(broken), "--start", start, "--goal", "desk")
+    assert (validate.returncode, planned.returncode) == (code, code), validate.stderr
+    for result in (validate, planned):
+        assert "Traceback" not in result.stderr
+    if rule is None:
+        assert "listed more than once" in validate.stderr
+    else:
+        lines = validate.stdout.splitlines()
+        assert any(f": {rule}: " in line for line in lines)
+        assert validate.stderr.strip() == f"{len(lines)} violation(s)"
+
+
 class TestPlan:
     def test_plan_known_goal_exits_0(self, map_dir):
         graph = json.loads((map_dir / "graph.json").read_text())

@@ -258,6 +258,22 @@ class TestHttpOracle:
             oracle.rank([OFFICE], GoalQuery("mug"))
         assert len(_StubHandler.seen) == 2
 
+    def test_client_error_status_fails_without_retry(self, stub_server):
+        _, url = stub_server
+        _StubHandler.status = 404
+        oracle = HttpOracle(url=url, timeout=5, retries=2, backoff=0.01)
+        with pytest.raises(DiscoveryFailedError, match="404"):
+            oracle.rank([OFFICE], GoalQuery("mug"))
+        assert len(_StubHandler.seen) == 1
+
+    def test_too_many_requests_is_retried(self, stub_server):
+        _, url = stub_server
+        _StubHandler.status = 429
+        oracle = HttpOracle(url=url, timeout=5, retries=1, backoff=0.01)
+        with pytest.raises(DiscoveryFailedError):
+            oracle.rank([OFFICE], GoalQuery("mug"))
+        assert len(_StubHandler.seen) == 2
+
     def test_env_var_configuration(self, stub_server, monkeypatch):
         _, url = stub_server
         _StubHandler.payload = json.dumps(

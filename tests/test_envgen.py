@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from semnav import metric
-from semnav.envgen import EnvSpec, generate, load_env_spec
+from semnav import envgen, metric
+from semnav.envgen import MAX_GRID_CELLS, MAX_ROOMS, EnvSpec, generate, load_env_spec
 from semnav.errors import ConfigError, GenerationError, ValidationError
 from semnav.metric import COST_FREE, COST_LETHAL, GridIndex
 from semnav.segmentation import FOUR_CONNECTED
@@ -142,6 +142,25 @@ class TestSpecValidation:
     def test_zero_rooms_rejected(self):
         with pytest.raises(ValidationError):
             EnvSpec(n_rooms=0)
+
+    def test_too_many_rooms_rejected(self):
+        EnvSpec(n_rooms=MAX_ROOMS)  # construction only: nothing is generated
+        with pytest.raises(ValidationError, match="n_rooms"):
+            EnvSpec(n_rooms=MAX_ROOMS + 1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnvSpec(n_rooms=1, room_size_range=(1000.0, 1000.0)),  # one 20000x20000 room
+            EnvSpec(n_rooms=2, room_size_range=(1e308, 1e308)),  # overflows to inf cells
+            EnvSpec(n_rooms=64, room_size_range=(30.0, 30.0), layout="chain"),  # ~23M cells
+        ],
+        ids=["wide-room", "overflow", "long-chain"],
+    )
+    def test_oversized_grid_refused_before_allocation(self, spec, monkeypatch):
+        monkeypatch.setattr(envgen, "np", None)  # any array allocation would fail differently
+        with pytest.raises(GenerationError, match=str(MAX_GRID_CELLS)):
+            generate(spec)
 
     def test_narrow_corridor_rejected(self):
         with pytest.raises(ValidationError):

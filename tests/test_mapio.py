@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from semnav.mapio import (
     save_map,
     validate_semantic_map,
 )
+from semnav.metric import MetricPoint
 from semnav.planner import PlanRequest, plan
 from semnav.segmentation import RoomLabelRaster
 
@@ -107,6 +109,39 @@ class TestRoundTrip:
         with pytest.raises(MapConsistencyError):
             load_map(tmp_path / "m")
 
+    def test_load_reports_every_violation(self, tmp_path):
+        m = gt_semantic_map(1)
+        save_map(m, tmp_path / "m")
+        path = tmp_path / "m" / "graph.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for edge in doc["edges"]:
+            edge["weight"] = -1.0
+        for room in doc["rooms"]:
+            room["attributes"] = ["bogus"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(MapConsistencyError) as info:
+            load_map(tmp_path / "m")
+        rules = [v.rule for v in info.value.violations]
+        assert rules == ["edge-weight"] * len(doc["edges"]) + ["attributes-cache"] * len(
+            doc["rooms"]
+        )
+        assert len(rules) > 5  # the message shows five; the list holds them all
+
+    @pytest.mark.parametrize("key", ["rooms", "objects"])
+    def test_id_listed_twice_is_format_error(self, key):
+        doc = json.loads(graph_to_json(gt_semantic_map(1).graph))
+        doc[key].append(dict(doc[key][0]))
+        with pytest.raises(MapFormatError, match="listed more than once"):
+            graph_from_json(json.dumps(doc))
+
+    def test_loaded_graph_indexes_its_edges(self, tmp_path):
+        m = gt_semantic_map(1)
+        save_map(m, tmp_path / "m")
+        graph = load_map(tmp_path / "m").graph
+        assert graph.room_edges
+        for e in graph.room_edges:
+            assert graph.get_edge(e.room_b, e.room_a) is e
+
     def test_graph_json_schema_shape(self):
         m = fig_office_map()
         doc = json.loads(graph_to_json(m.graph))
@@ -186,6 +221,24 @@ class TestValidation:
                 "room-connected",
                 "room region splits into 2 4-connected components",
             )
+        ]
+
+    def test_centroid_outside_grid_reported(self, gt_map):
+        graph = gt_map.graph.copy()
+        room = next(iter(graph.rooms.values()))
+        room.centroid = MetricPoint(-5.0, -5.0)
+        franken = dataclasses.replace(gt_map, graph=graph)
+        assert validate_semantic_map(franken) == [
+            Violation(room.id, "centroid-in-room", "centroid outside grid")
+        ]
+
+    def test_object_outside_grid_reported(self, gt_map):
+        graph = gt_map.graph.copy()
+        obj = next(iter(graph.objects.values()))
+        obj.position = MetricPoint(1e6, 2.0)
+        franken = dataclasses.replace(gt_map, graph=graph)
+        assert validate_semantic_map(franken) == [
+            Violation(obj.id, "object-in-room", "position outside grid")
         ]
 
     def test_unmapped_raster_label_reported(self, gt_map):

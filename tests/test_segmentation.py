@@ -17,7 +17,6 @@ from semnav.segmentation import (
     default_min_room_cells,
     extract_adjacency,
     parse_rules,
-    region_centroid_cell,
     segment_rooms,
 )
 
@@ -226,14 +225,15 @@ class TestAgainstLoopOracles:
     def test_centroid_matches_lexsort(self, labels):
         h, w = labels.shape
         raster = RoomLabelRaster(width=w, height=h, labels=labels)
+        assert sorted(raster.centroid_cells) == raster.room_labels()
         for k in raster.room_labels():
-            cell = region_centroid_cell(raster, k)
+            cell = raster.centroid_cells[k]
             assert (cell.row, cell.col) == brute_centroid_cell(labels, k)
 
     def test_centroid_of_absent_label_rejected(self):
         raster = RoomLabelRaster(width=2, height=1, labels=np.array([[1, 0]]))
-        with pytest.raises(ValidationError):
-            region_centroid_cell(raster, 2)
+        with pytest.raises(KeyError):
+            raster.centroid_cells[2]
 
 
 class TestAdjacency:
@@ -311,7 +311,7 @@ class TestAdjacency:
         grid, _, _ = small_env
         raster = segment_rooms(grid)
         for k in raster.room_labels():
-            cell = region_centroid_cell(raster, k)
+            cell = raster.centroid_cells[k]
             assert raster.labels[cell.row, cell.col] == k
 
 
@@ -384,7 +384,7 @@ class TestAdjacencyAgainstLoopOracle:
         )
         labels = np.array([[1, 1, 1, 1, 1, 1, 2, 2]] * 3, dtype=np.uint16)
         raster = RoomLabelRaster(width=8, height=3, labels=labels)
-        assert region_centroid_cell(raster, 1) == (2, 1)
+        assert raster.centroid_cells[1] == (2, 1)
         assert [(la, lb, portal) for la, lb, portal, _ in brute_adjacency(labels, grid)] == [
             (1, 2, (5, 1))
         ]
