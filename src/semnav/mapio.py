@@ -104,9 +104,8 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
         )
         return out  # positional checks below assume matching dims
 
-    labels = m.raster.labels
-    boxes = ndimage.find_objects(labels)
-    present = {i + 1 for i, box in enumerate(boxes) if box is not None}
+    labels, boxes = m.raster.labels, m.raster.boxes
+    present = set(m.raster.room_labels())
     mapped = set(m.room_labels)
     for label in sorted(present - mapped):
         out.append(Violation(f"label {label}", "label-map", "raster label has no room id"))
@@ -247,10 +246,6 @@ def load_map(path) -> SemanticMap:
         raise MapFormatError(f"{root}/costmap.meta: bad geometry: {exc}") from exc
 
     labels, _ = read_pgm(root / "rooms.pgm")
-    if labels.shape != costs.shape:
-        raise MapFormatError(
-            f"{root}: rooms.pgm {labels.shape} does not match costmap {costs.shape}"
-        )
     raster = RoomLabelRaster(
         width=labels.shape[1], height=labels.shape[0], labels=labels.astype(np.uint16)
     )
@@ -319,7 +314,7 @@ def graph_from_json(text: str) -> SemanticGraph:
     """
     try:
         return _graph_from_doc(json.loads(text))
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MapFormatError(f"corrupt: {exc!r}") from exc
 
 
@@ -481,7 +476,7 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
     rooms_sorted = sorted(m.graph.rooms.values(), key=lambda r: r.id)
     colors = {r.id: _ROOM_PALETTE[i % len(_ROOM_PALETTE)] for i, r in enumerate(rooms_sorted)}
     id_to_label = {rid: label for label, rid in m.room_labels.items()}
-    boxes = ndimage.find_objects(m.raster.labels)
+    boxes = m.raster.boxes
     for room in rooms_sorted:
         label = id_to_label.get(room.id)
         if label is None:

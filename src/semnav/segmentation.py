@@ -70,20 +70,25 @@ class RoomLabelRaster:
         )
 
     def room_labels(self) -> list[int]:
-        return sorted(int(v) for v in np.unique(self.labels) if v > 0)
+        return [label for label, box in enumerate(self.boxes, start=1) if box is not None]
 
     def label_at(self, index: GridIndex) -> int:
         return int(self.labels[index.row, index.col])
 
     @cached_property
+    def boxes(self) -> list[tuple[slice, slice] | None]:
+        """find_objects of the labels: item k - 1 is label k's box, None if absent."""
+        return ndimage.find_objects(self.labels)
+
+    @cached_property
     def centroid_cells(self) -> dict[int, GridIndex]:
         """Each room label's cell nearest the region's mean (always inside it).
 
-        Ties go to the first such cell in row-major order. One find_objects
-        pass per raster; each region is then read from its own box.
+        Ties go to the first such cell in row-major order. Each region is
+        read from its own box.
         """
         out = {}
-        for label, box in enumerate(ndimage.find_objects(self.labels), start=1):
+        for label, box in enumerate(self.boxes, start=1):
             if box is not None:
                 cells = np.argwhere(self.labels[box] == label) + (box[0].start, box[1].start)
                 d2 = ((cells - cells.mean(axis=0)) ** 2).sum(axis=1)
@@ -125,16 +130,14 @@ def segment_rooms(
 
     dist = ndimage.distance_transform_edt(free, sampling=g.resolution)
 
-    seeds = _seed_components(dist, domain, door_width_max / 2.0)
+    seeds = _seed_labels(dist, domain, door_width_max / 2.0)
     labels = _flood(dist, domain, seeds)
-    labels = _merge_wide_boundaries(labels, door_width_max, g.resolution)
-    labels = _absorb_small_regions(labels, min_room_cells)
-    labels = _compact_labels(labels)
+    labels = _merge_regions(labels, door_width_max, g.resolution, min_room_cells)
     return RoomLabelRaster(width=g.width, height=g.height, labels=labels)
 
 
-def _seed_components(dist: np.ndarray, domain: np.ndarray, min_depth: float) -> list[np.ndarray]:
-    """Distance local maxima grouped into components; one seed region each."""
+def _seed_labels(dist: np.ndarray, domain: np.ndarray, min_depth: float) -> np.ndarray:
+    """Distance local maxima as 8-connected seeds, numbered by first cell in row-major scan."""
     h, w = dist.shape
     padded = np.full((h + 2, w + 2), -1.0)
     padded[1:-1, 1:-1] = np.where(domain, dist, -1.0)
@@ -151,40 +154,31 @@ def _seed_components(dist: np.ndarray, domain: np.ndarray, min_depth: float) -> 
         flat = np.where(domain.ravel(), dist.ravel(), -1.0)
         is_max = np.zeros_like(domain)
         is_max.ravel()[int(np.argmax(flat))] = True
-    comp, n = ndimage.label(is_max, structure=np.ones((3, 3), dtype=bool))
-    out = []
-    for k in range(1, n + 1):
-        out.append(np.argwhere(comp == k))
-    # label order fixed by each component's first cell in row-major scan
-    out.sort(key=lambda cells: (int(cells[0][0]), int(cells[0][1])))
-    return out
+    comp, _ = ndimage.label(is_max, structure=np.ones((3, 3), dtype=bool))
+    return _compact_labels(comp)  # ndimage.label's own order is not documented
 
 
-def _flood(dist: np.ndarray, domain: np.ndarray, seeds: list[np.ndarray]) -> np.ndarray:
-    """Grow seed regions over the domain, deepest cells first, 4-connected.
+def _flood(dist: np.ndarray, domain: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Grow the seed raster's regions over the domain, deepest cells first, 4-connected.
 
     A priority flood whose keys never change: each domain cell is ranked once
     by (-distance, row, col) and the heap holds plain int ranks. A cell is
     queued once, when first offered a label, and until it pops it keeps the
     smallest seed label offered to it. Seed cells take the ranks below all
-    others, so every seed expands before any other cell pops.
+    others, so every seed expands before any other cell pops; they offer
+    labels only to non-seed cells, so their order among themselves is free.
     """
     h, w = dist.shape
     width = w + 2  # one closed cell of padding on each side: no bounds checks
-    label_type = np.min_scalar_type(len(seeds))
-    seeded = np.zeros((h + 2, width), dtype=label_type)
-    order = []
-    for k, cells in enumerate(seeds, start=1):
-        seeded[cells[:, 0] + 1, cells[:, 1] + 1] = k
-        order.append((cells[:, 0] + 1) * width + cells[:, 1] + 1)
-    n_seed_cells = sum(len(cells) for cells in seeds)
-    cells = np.flatnonzero(domain & (seeded[1:-1, 1:-1] == 0))
+    label_type = np.min_scalar_type(int(seeds.max()))
+    seeded = np.pad(seeds.astype(label_type), 1)
+    seed_cells = np.flatnonzero(seeded)
+    cells = np.flatnonzero(domain & (seeds == 0))
     # row-major cells, so the stable sort breaks distance ties by (row, col)
     cells = cells[np.argsort(-dist.ravel()[cells], kind="stable")]
     cells += 2 * (cells // w) + width + 1
-    order.append(cells)
     rank = np.zeros(seeded.size, dtype=np.intc)
-    rank[cells] = np.arange(n_seed_cells, n_seed_cells + cells.size, dtype=np.intc)
+    rank[cells] = np.arange(seed_cells.size, seed_cells.size + cells.size, dtype=np.intc)
     is_open = np.zeros(seeded.shape, dtype=np.uint8)
     is_open.ravel()[cells] = 1
 
@@ -192,9 +186,9 @@ def _flood(dist: np.ndarray, domain: np.ndarray, seeds: list[np.ndarray]) -> np.
     labels = array(label_type.char, seeded.tobytes())
     open_ = bytearray(is_open.tobytes())
     rank_ = array("i", rank.tobytes())
-    order_ = array("i", np.concatenate(order).astype(np.intc).tobytes())
-    del seeded, cells, rank, is_open, order  # not needed during the loop
-    heap = list(range(n_seed_cells))
+    order_ = array("i", np.concatenate([seed_cells, cells]).astype(np.intc).tobytes())
+    heap = list(range(seed_cells.size))
+    del seeded, seed_cells, cells, rank, is_open  # not needed during the loop
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         i = order_[pop(heap)]
@@ -230,54 +224,60 @@ def _boundary_pairs(labels: np.ndarray) -> dict[tuple[int, int], int]:
     }
 
 
-def _merge_wide_boundaries(labels: np.ndarray, door_width_max: float, res: float) -> np.ndarray:
-    """Fold together region pairs whose shared boundary exceeds doorway width."""
-    labels = labels.copy()
-    while True:
-        pairs = _boundary_pairs(labels)
-        wide = [
-            (cnt, la, lb)
-            for (la, lb), cnt in pairs.items()
-            if cnt * res > door_width_max
-        ]
-        if not wide:
-            return labels
-        # widest first; ties by smaller label pair
-        wide.sort(key=lambda t: (-t[0], t[1], t[2]))
-        _, la, lb = wide[0]
-        labels[labels == lb] = la
+def _merge_regions(
+    labels: np.ndarray, door_width_max: float, res: float, min_room_cells: int
+) -> np.ndarray:
+    """Merge wide boundaries, absorb small regions and renumber: one relabel.
 
+    Both loops run on the region graph, where a folded region's boundary and
+    cell counts add onto the survivor's. Merge takes the widest boundary
+    wider than a doorway, ties to the smaller pair; the smaller label
+    survives. Absorb takes the smallest region, ties to the smaller label,
+    into its neighbour with the most cells, ties to the smaller label, or
+    into 0, until none is small or one is left. Regions are numbered 1..K
+    by their first cell in row-major scan.
+    """
+    pairs = _boundary_pairs(labels)
+    values, first, counts = np.unique(labels, return_index=True, return_counts=True)
+    size = dict(zip(values.tolist(), counts.tolist()))
+    start = dict(zip(values.tolist(), first.tolist()))
+    size.pop(0, None)
+    region = np.arange(int(values[-1]) + 1)  # each flood label's region (0: dropped)
 
-def _absorb_small_regions(labels: np.ndarray, min_room_cells: int) -> np.ndarray:
-    """Merge sub-minimum regions into their largest neighbor (label 0 if isolated)."""
-    labels = labels.copy()
-    while True:
-        counts = np.bincount(labels.ravel())
-        present = [k for k in range(1, counts.size) if counts[k] > 0]
-        small = [k for k in present if counts[k] < min_room_cells]
-        if not small or len(present) == 1:
-            return labels
-        small.sort(key=lambda k: (counts[k], k))
-        victim = small[0]
-        pairs = _boundary_pairs(labels)
-        neighbors = []
-        for la, lb in pairs:
-            if la == victim:
-                neighbors.append(lb)
-            elif lb == victim:
-                neighbors.append(la)
-        if not neighbors:
-            labels[labels == victim] = 0
-            continue
-        target = max(neighbors, key=lambda k: (counts[k], -k))
-        labels[labels == victim] = target
+    def fold(victim: int, target: int) -> None:
+        nonlocal pairs
+        region[region == victim] = target
+        if target:
+            size[target] += size[victim]
+            start[target] = min(start[target], start[victim])
+        del size[victim]
+        moved = {}
+        for pair, count in pairs.items():
+            a, b = sorted(target if k == victim else k for k in pair)
+            if a != b:
+                moved[a, b] = moved.get((a, b), 0) + count
+        pairs = moved
+
+    while wide := [(-n, a, b) for (a, b), n in pairs.items() if n * res > door_width_max]:
+        _, a, b = min(wide)
+        fold(b, a)
+    while len(size) > 1:
+        victim = min(size, key=lambda k: (size[k], k))
+        if size[victim] >= min_room_cells:
+            break
+        neighbours = [b if a == victim else a for a, b in pairs if victim in (a, b)]
+        fold(victim, max(neighbours, key=lambda k: (size[k], -k), default=0))
+    number = np.zeros(region.size, dtype=np.uint16)
+    number[sorted(size, key=start.get)] = np.arange(1, len(size) + 1)
+    return number[region][labels]
 
 
 def _compact_labels(labels: np.ndarray) -> np.ndarray:
     """Renumber labels 1..K in order of first appearance in row-major scan."""
     values, first = np.unique(labels, return_index=True)
     first, values = first[values > 0], values[values > 0]
-    lut = np.zeros(int(labels.max()) + 1, dtype=np.uint16)
+    # wider than a room raster only for a seed raster of over 65535 seeds
+    lut = np.zeros(int(labels.max()) + 1, dtype=np.uint16 if values.size < 2**16 else np.uint32)
     lut[values[np.argsort(first)]] = np.arange(1, values.size + 1)
     return lut[labels]
 
@@ -323,10 +323,9 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
     # step length to a portal from each of its 8 neighbours, and 0 from itself
     steps = g.resolution * np.array([[SQRT2, 1.0, SQRT2], [1.0, 0.0, 1.0], [SQRT2, 1.0, SQRT2]])
     weights = [0.0] * len(edges)
-    boxes = ndimage.find_objects(labels)
     for label, ids in legs.items():
         # the room's box plus two closed cells: a portal outside it has all 8 neighbours
-        box = boxes[label - 1]
+        box = raster.boxes[label - 1]
         top, left = box[0].start - 2, box[1].start - 2
         room = np.pad(labels[box] == label, 2)
         centroid = raster.centroid_cells[label]

@@ -13,6 +13,7 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+from scipy import ndimage
 
 
 def cell_factor(cost: int, allow_inscribed: bool = False):
@@ -180,6 +181,88 @@ def brute_boundary_pairs(labels: np.ndarray) -> dict[tuple[int, int], int]:
         for la, lb in zip(lo.tolist(), hi.tolist()):
             pairs[(la, lb)] = pairs.get((la, lb), 0) + 1
     return pairs
+
+
+def brute_seed_components(dist: np.ndarray, domain: np.ndarray, min_depth: float) -> list[np.ndarray]:
+    """Distance local maxima grouped into components; one seed region each.
+
+    Reference for segmentation._seed_labels: one full-grid pass per seed,
+    each seed a (row, col) cell array, in order of its first cell.
+    """
+    h, w = dist.shape
+    padded = np.full((h + 2, w + 2), -1.0)
+    padded[1:-1, 1:-1] = np.where(domain, dist, -1.0)
+    center = padded[1:-1, 1:-1]
+    is_max = center > min_depth
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            is_max &= center >= padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+    is_max &= domain
+    if not is_max.any():
+        # Narrow map: fall back to the single deepest cell, first in scan order.
+        flat = np.where(domain.ravel(), dist.ravel(), -1.0)
+        is_max = np.zeros_like(domain)
+        is_max.ravel()[int(np.argmax(flat))] = True
+    comp, n = ndimage.label(is_max, structure=np.ones((3, 3), dtype=bool))
+    out = []
+    for k in range(1, n + 1):
+        out.append(np.argwhere(comp == k))
+    # label order fixed by each component's first cell in row-major scan
+    out.sort(key=lambda cells: (int(cells[0][0]), int(cells[0][1])))
+    return out
+
+
+def brute_merge(labels: np.ndarray, door_width_max: float, res: float) -> np.ndarray:
+    """Fold together region pairs whose shared boundary exceeds doorway width.
+
+    Reference for the merge loop of segmentation._merge_regions: one full
+    raster rewrite and boundary count per merge.
+    """
+    labels = labels.copy()
+    while True:
+        pairs = brute_boundary_pairs(labels)
+        wide = [
+            (cnt, la, lb)
+            for (la, lb), cnt in pairs.items()
+            if cnt * res > door_width_max
+        ]
+        if not wide:
+            return labels
+        # widest first; ties by smaller label pair
+        wide.sort(key=lambda t: (-t[0], t[1], t[2]))
+        _, la, lb = wide[0]
+        labels[labels == lb] = la
+
+
+def brute_absorb(labels: np.ndarray, min_room_cells: int) -> np.ndarray:
+    """Merge sub-minimum regions into their largest neighbor (label 0 if isolated).
+
+    Reference for the absorb loop of segmentation._merge_regions: one full
+    raster rewrite, cell count and boundary count per absorbed region.
+    """
+    labels = labels.copy()
+    while True:
+        counts = np.bincount(labels.ravel())
+        present = [k for k in range(1, counts.size) if counts[k] > 0]
+        small = [k for k in present if counts[k] < min_room_cells]
+        if not small or len(present) == 1:
+            return labels
+        small.sort(key=lambda k: (counts[k], k))
+        victim = small[0]
+        pairs = brute_boundary_pairs(labels)
+        neighbors = []
+        for la, lb in pairs:
+            if la == victim:
+                neighbors.append(lb)
+            elif lb == victim:
+                neighbors.append(la)
+        if not neighbors:
+            labels[labels == victim] = 0
+            continue
+        target = max(neighbors, key=lambda k: (counts[k], -k))
+        labels[labels == victim] = target
 
 
 def brute_compact_labels(labels: np.ndarray) -> np.ndarray:

@@ -122,6 +122,60 @@ class TestValidate:
         assert result.returncode == 3
 
 
+def _cut_rooms_row(map_dir, broken):
+    """Copy the map with the last row of rooms.pgm cut off."""
+    from semnav.metric import read_pgm, write_pgm
+
+    shutil.copytree(map_dir, broken)
+    labels, maxval = read_pgm(broken / "rooms.pgm")
+    write_pgm(broken / "rooms.pgm", labels[:-1], maxval=maxval)
+
+
+class TestLayerShapes:
+    def test_validate_layer_shape_mismatch_exits_3(self, map_dir, tmp_path):
+        _cut_rooms_row(map_dir, tmp_path / "broken")
+        result = run_cli("validate", "--map", str(tmp_path / "broken"))
+        assert result.returncode == 3, result.stderr
+        assert result.stdout.startswith("raster: layer-dims: ")
+        assert "Traceback" not in result.stderr
+
+    def test_plan_layer_shape_mismatch_exits_3(self, map_dir, tmp_path):
+        _cut_rooms_row(map_dir, tmp_path / "broken")
+        result = run_cli(
+            "plan", "--map", str(tmp_path / "broken"), "--start", "corridor_1", "--goal", "desk"
+        )
+        assert result.returncode == 3, result.stderr
+        assert "raster: layer-dims: " in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+class TestOverflowingGraphNumbers:
+    def _tamper(self, map_dir, broken, section, key, literal):
+        shutil.copytree(map_dir, broken)
+        doc = json.loads((broken / "graph.json").read_text())
+        doc[section][0][key] = "@@"
+        text = json.dumps(doc).replace('"@@"', literal)
+        (broken / "graph.json").write_text(text, encoding="utf-8")
+        return doc
+
+    def test_validate_infinite_portal_exits_2(self, map_dir, tmp_path):
+        self._tamper(map_dir, tmp_path / "broken", "edges", "portal", "[Infinity, 0]")
+        result = run_cli("validate", "--map", str(tmp_path / "broken"))
+        assert result.returncode == 2, result.stderr
+        assert "invalid input" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_plan_overflowing_cell_count_exits_2(self, map_dir, tmp_path):
+        doc = self._tamper(map_dir, tmp_path / "broken", "rooms", "cell_count", "1e400")
+        start = doc["rooms"][0]["id"]
+        result = run_cli(
+            "plan", "--map", str(tmp_path / "broken"), "--start", start, "--goal", "desk"
+        )
+        assert result.returncode == 2, result.stderr
+        assert "invalid input" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def _set(entry, key, value):
     entry[key] = value
 

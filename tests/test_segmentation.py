@@ -12,7 +12,8 @@ from semnav.segmentation import (
     _boundary_pairs,
     _compact_labels,
     _flood,
-    _seed_components,
+    _merge_regions,
+    _seed_labels,
     categorize_room,
     default_min_room_cells,
     extract_adjacency,
@@ -22,11 +23,14 @@ from semnav.segmentation import (
 
 from conftest import grid_from_ascii
 from oracles import (
+    brute_absorb,
     brute_adjacency,
     brute_boundary_pairs,
     brute_centroid_cell,
     brute_compact_labels,
     brute_flood,
+    brute_merge,
+    brute_seed_components,
 )
 
 
@@ -185,6 +189,46 @@ def label_grids(max_label: int, dtype):
     )
 
 
+def seed_raster(seeds: list[np.ndarray], shape) -> np.ndarray:
+    """The label raster of a seed list: item k's cells get label k (1-based)."""
+    raster = np.zeros(shape, dtype=np.uint16)
+    for k, cells in enumerate(seeds, start=1):
+        raster[cells[:, 0], cells[:, 1]] = k
+    return raster
+
+
+@st.composite
+def region_grids(draw):
+    """Flood-like label grids: blocks of up to 4x4 cells give wide boundaries,
+    stray cells give many small regions, and some cells are 0-holes."""
+    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    bh, bw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    ch, cw = -(-h // bh), -(-w // bw)
+    coarse = np.array(
+        draw(st.lists(st.integers(0, n), min_size=ch * cw, max_size=ch * cw))
+    ).reshape(ch, cw)
+    labels = np.kron(coarse, np.ones((bh, bw), dtype=int))[:h, :w].astype(np.int32)
+    picks = st.tuples(st.integers(0, h * w - 1), st.integers(0, n + 4))
+    for cell, k in draw(st.lists(picks, max_size=12)):
+        labels.flat[cell] = k
+    return labels
+
+
+@st.composite
+def seed_inputs(draw):
+    """Quantised distance grids with holes, and a depth that may leave no maximum."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    dist = np.array(
+        draw(st.lists(st.integers(0, 4), min_size=h * w, max_size=h * w)), dtype=float
+    ).reshape(h, w)
+    domain = np.array(
+        draw(st.lists(st.integers(0, 4), min_size=h * w, max_size=h * w))
+    ).reshape(h, w) > 0
+    domain.flat[draw(st.integers(0, h * w - 1))] = True
+    return dist, domain, draw(st.sampled_from([0.0, 1.0, 2.5, 4.0]))
+
+
 class TestAgainstLoopOracles:
     """The vectorised and rank-keyed steps against the per-cell loops they replaced."""
 
@@ -192,7 +236,7 @@ class TestAgainstLoopOracles:
     @given(flood_inputs())
     def test_flood_matches_tuple_heap(self, inputs):
         dist, domain, seeds = inputs
-        got = _flood(dist, domain, seeds)
+        got = _flood(dist, domain, seed_raster(seeds, dist.shape))
         want = brute_flood(dist, domain, seeds)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -207,9 +251,67 @@ class TestAgainstLoopOracles:
         sizes[0] = 0
         domain = components == int(np.argmax(sizes))
         dist = ndimage.distance_transform_edt(free, sampling=grid.resolution)
-        seeds = _seed_components(dist, domain, 0.6)
+        seeds = brute_seed_components(dist, domain, 0.6)
         assert len(seeds) > 1
-        assert np.array_equal(_flood(dist, domain, seeds), brute_flood(dist, domain, seeds))
+        got = _flood(dist, domain, seed_raster(seeds, dist.shape))
+        assert np.array_equal(got, brute_flood(dist, domain, seeds))
+        assert np.array_equal(_seed_labels(dist, domain, 0.6), seed_raster(seeds, dist.shape))
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed_inputs())
+    def test_seed_labels_match_seed_lists(self, inputs):
+        dist, domain, min_depth = inputs
+        got = _seed_labels(dist, domain, min_depth)
+        want = seed_raster(brute_seed_components(dist, domain, min_depth), dist.shape)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_seed_labels_narrow_fallback_is_first_deepest_cell(self):
+        dist = np.array([[0.0, 1.0, 0.5], [1.0, 0.2, 1.0]])
+        domain = np.ones(dist.shape, dtype=bool)
+        got = _seed_labels(dist, domain, 5.0)
+        assert np.array_equal(got, [[0, 1, 0], [0, 0, 0]])
+        assert np.array_equal(got, seed_raster(brute_seed_components(dist, domain, 5.0), (2, 3)))
+
+    def test_seed_labels_past_65535_seeds_do_not_wrap(self):
+        dist = np.zeros((600, 600))
+        dist[::2, ::2] = 5.0  # 90,000 isolated maxima
+        got = _seed_labels(dist, np.ones(dist.shape, dtype=bool), 1.0)
+        assert np.array_equal(got[::2, ::2].ravel(), np.arange(1, 90_001))
+        assert not got[1::2].any() and not got[:, 1::2].any()
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        region_grids(),
+        st.sampled_from([0.3, 0.85, 1.2, 1.7]),
+        st.sampled_from([0.05, 0.1, 0.3]),
+        st.integers(1, 30),
+    )
+    def test_region_fold_matches_raster_loops(self, labels, door_width_max, res, min_cells):
+        got = _merge_regions(labels, door_width_max, res, min_cells)
+        want = brute_compact_labels(
+            brute_absorb(brute_merge(labels, door_width_max, res), min_cells)
+        )
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_region_fold_survivor_decides_absorb_tie(self):
+        # 1 and 4 merge (the smaller label survives); 5 then ties between the
+        # merged region and 3, both 12 cells, and goes to the smaller label, 1
+        labels = np.array(
+            [[1, 1, 4, 4, 0, 3, 3, 3, 3], [1, 1, 4, 4, 5, 3, 3, 3, 3], [1, 1, 4, 4, 0, 3, 3, 3, 3]],
+            dtype=np.int32,
+        )
+        got = _merge_regions(labels, 2.5, 1.0, 2)
+        assert np.array_equal(got, brute_compact_labels(brute_absorb(brute_merge(labels, 2.5, 1.0), 2)))
+        assert np.array_equal(got[1], [1, 1, 1, 1, 1, 2, 2, 2, 2])
+
+    def test_region_fold_threshold_is_count_times_resolution(self):
+        # 17 * 0.1 > 1.7 in floats, while 17 > 1.7 / 0.1 is false
+        labels = np.repeat([[1, 1, 2, 2]], 17, axis=0).astype(np.int32)
+        want = brute_compact_labels(brute_merge(labels, 1.7, 0.1))
+        assert np.array_equal(want, np.ones_like(labels))
+        assert np.array_equal(_merge_regions(labels, 1.7, 0.1, 1), want)
 
     @settings(max_examples=200, deadline=None)
     @given(label_grids(6, np.int32))
