@@ -19,8 +19,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import requests
-
 from .errors import ConfigError, DiscoveryFailedError, OracleParseError, ValidationError
 from .graph import GoalQuery, normalize_label
 from .metric import read_text_lines
@@ -152,8 +150,10 @@ class HttpOracle:
 
     Transport failures, 5xx and 429 replies are retried with exponential
     backoff before giving up; any other 4xx reply or request error (a
-    malformed URL, say) fails at once. Every request is timeboxed so planning
-    latency stays bounded.
+    malformed URL, say) fails at once. `timeout` is one deadline for the whole
+    `rank()` call: each attempt gets the time left, and a backoff sleep that
+    would cross the deadline ends the call. The time left bounds each socket
+    wait of an attempt, so a reply trickled in byte by byte can still overrun.
     """
 
     def __init__(
@@ -174,6 +174,8 @@ class HttpOracle:
         self.backoff = backoff
 
     def rank(self, contexts: list[RoomContext], goal: GoalQuery) -> DiscoveryResponse:
+        import requests  # about 80 ms to import, and only this client needs it
+
         payload = {
             "goal": normalize_label(goal.text),
             "rooms": [
@@ -184,14 +186,16 @@ class HttpOracle:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
+        deadline = time.monotonic() + self.timeout
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+            pause = self.backoff * (2 ** (attempt - 1)) if attempt else 0.0
+            left = deadline - time.monotonic() - pause  # for this attempt, after its backoff
+            if left <= 0:
+                break
+            time.sleep(pause)
             try:
-                resp = requests.post(
-                    self.url, json=payload, headers=headers, timeout=self.timeout
-                )
+                resp = requests.post(self.url, json=payload, headers=headers, timeout=left)
                 if 400 <= resp.status_code < 500 and resp.status_code != 429:
                     raise DiscoveryFailedError(f"oracle refused the request: {resp.status_code}")
                 resp.raise_for_status()
@@ -201,8 +205,12 @@ class HttpOracle:
                 log.warning("oracle request attempt %d failed: %s", attempt + 1, exc)
             except requests.RequestException as exc:
                 raise DiscoveryFailedError(f"oracle request failed: {exc}") from exc
+        else:
+            raise DiscoveryFailedError(
+                f"oracle transport failed after {self.retries + 1} attempts: {last_error}"
+            )
         raise DiscoveryFailedError(
-            f"oracle transport failed after {self.retries + 1} attempts: {last_error}"
+            f"oracle deadline of {self.timeout} s passed after {attempt} attempts: {last_error}"
         )
 
     @staticmethod

@@ -20,7 +20,6 @@ robot could never reach keep label 0.
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -36,6 +35,7 @@ from .metric import SQRT2, CostmapGrid, GridIndex, factor_table, read_text_lines
 DEFAULT_DOOR_WIDTH_MAX = 1.2  # meters
 DEFAULT_MIN_ROOM_AREA = 4.0  # square meters
 
+MAX_ROOM_LABEL = 2**16 - 1  # room labels are stored as uint16
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
@@ -52,7 +52,12 @@ class RoomLabelRaster:
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        labels = np.ascontiguousarray(self.labels, dtype=np.uint16)
+        labels = np.asarray(self.labels)
+        # a uint8/uint16 raster (any PGM) fits as it is; others are checked before the cast
+        if labels.size and not np.can_cast(labels.dtype, np.uint16):
+            if not (0 <= labels.min() and labels.max() <= MAX_ROOM_LABEL):
+                raise ValidationError(f"room labels must lie in 0..{MAX_ROOM_LABEL}")
+        labels = np.ascontiguousarray(labels, dtype=np.uint16)
         if labels.shape != (self.height, self.width):
             raise ValidationError(
                 f"label raster shape {labels.shape} != ({self.height}, {self.width})"
@@ -161,12 +166,13 @@ def _seed_labels(dist: np.ndarray, domain: np.ndarray, min_depth: float) -> np.n
 def _flood(dist: np.ndarray, domain: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Grow the seed raster's regions over the domain, deepest cells first, 4-connected.
 
-    A priority flood whose keys never change: each domain cell is ranked once
-    by (-distance, row, col) and the heap holds plain int ranks. A cell is
-    queued once, when first offered a label, and until it pops it keeps the
-    smallest seed label offered to it. Seed cells take the ranks below all
-    others, so every seed expands before any other cell pops; they offer
-    labels only to non-seed cells, so their order among themselves is free.
+    A priority flood with fixed keys (-distance, row, col), seed cells first:
+    a cell keeps the smallest label offered to it until it pops. A cursor over
+    that rank order pops each offered cell it reaches. A pocket is a cell first
+    offered after the cursor passed it (a basin deeper than its ridge, or a
+    plateau entered from its row-major end). Pockets pop before the cursor
+    moves on, as from one heap; each passes on the label of the cell the
+    cursor popped, so their order among themselves changes no label.
     """
     h, w = dist.shape
     width = w + 2  # one closed cell of padding on each side: no bounds checks
@@ -177,31 +183,30 @@ def _flood(dist: np.ndarray, domain: np.ndarray, seeds: np.ndarray) -> np.ndarra
     # row-major cells, so the stable sort breaks distance ties by (row, col)
     cells = cells[np.argsort(-dist.ravel()[cells], kind="stable")]
     cells += 2 * (cells // w) + width + 1
-    rank = np.zeros(seeded.size, dtype=np.intc)
-    rank[cells] = np.arange(seed_cells.size, seed_cells.size + cells.size, dtype=np.intc)
     is_open = np.zeros(seeded.shape, dtype=np.uint8)
     is_open.ravel()[cells] = 1
 
     # typed buffers: their items read as Python ints, at a fraction of a list's memory
     labels = array(label_type.char, seeded.tobytes())
-    open_ = bytearray(is_open.tobytes())
-    rank_ = array("i", rank.tobytes())
+    open_ = bytearray(is_open.tobytes())  # 1: ahead of the cursor, 2: passed
     order_ = array("i", np.concatenate([seed_cells, cells]).astype(np.intc).tobytes())
-    heap = list(range(seed_cells.size))
-    del seeded, seed_cells, cells, rank, is_open  # not needed during the loop
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        i = order_[pop(heap)]
-        open_[i] = 0
-        k = labels[i]
-        for n in (i - width, i - 1, i + 1, i + width):
-            if open_[n]:
-                pending = labels[n]
-                if not pending:
-                    labels[n] = k
-                    push(heap, rank_[n])
-                elif k < pending:
-                    labels[n] = k
+    del seeded, seed_cells, cells, is_open  # not needed during the loop
+    pockets = []
+    for i in order_:
+        open_[i] = 2  # passed: an offer from now on makes it a pocket
+        while labels[i]:  # until i is 0, a padding cell
+            open_[i] = 0
+            k = labels[i]
+            for n in (i - width, i - 1, i + 1, i + width):
+                if open_[n]:
+                    pending = labels[n]
+                    if not pending:
+                        labels[n] = k
+                        if open_[n] == 2:
+                            pockets.append(n)
+                    elif k < pending:
+                        labels[n] = k
+            i = pockets.pop() if pockets else 0
     out = np.frombuffer(labels, dtype=label_type).reshape(h + 2, width)
     return out[1:-1, 1:-1].astype(np.int32)
 
@@ -267,6 +272,8 @@ def _merge_regions(
             break
         neighbours = [b if a == victim else a for a, b in pairs if victim in (a, b)]
         fold(victim, max(neighbours, key=lambda k: (size[k], -k), default=0))
+    if len(size) > MAX_ROOM_LABEL:
+        raise ValidationError(f"{len(size)} rooms: a room raster holds at most {MAX_ROOM_LABEL}")
     number = np.zeros(region.size, dtype=np.uint16)
     number[sorted(size, key=start.get)] = np.arange(1, len(size) + 1)
     return number[region][labels]

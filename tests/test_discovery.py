@@ -1,7 +1,11 @@
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -186,6 +190,7 @@ class TestResponseFiltering:
 class _StubHandler(BaseHTTPRequestHandler):
     payload: bytes = b"{}"
     status: int = 200
+    delay: float = 0.0  # seconds to wait before replying
     seen: list = []
     lock = threading.Lock()
 
@@ -196,6 +201,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             type(self).seen.append(
                 {"body": json.loads(body), "auth": self.headers.get("Authorization")}
             )
+        time.sleep(type(self).delay)
         self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -212,6 +218,7 @@ def stub_server():
     thread.start()
     _StubHandler.seen = []
     _StubHandler.status = 200
+    _StubHandler.delay = 0.0
     yield server, f"http://127.0.0.1:{server.server_address[1]}/rank"
     server.shutdown()
 
@@ -274,6 +281,26 @@ class TestHttpOracle:
             oracle.rank([OFFICE], GoalQuery("mug"))
         assert len(_StubHandler.seen) == 2
 
+    def test_timeout_bounds_the_whole_call(self, stub_server):
+        _, url = stub_server
+        _StubHandler.delay = 1.0  # every attempt outlasts the deadline
+        oracle = HttpOracle(url=url, timeout=0.4, retries=2, backoff=0.01)
+        start = time.monotonic()
+        with pytest.raises(DiscoveryFailedError, match="deadline"):
+            oracle.rank([OFFICE], GoalQuery("mug"))
+        assert time.monotonic() - start < 0.8  # one attempt per socket wait would take 1.2 s
+        assert len(_StubHandler.seen) == 1
+
+    def test_backoff_past_the_deadline_ends_the_call(self, stub_server):
+        _, url = stub_server
+        _StubHandler.status = 500
+        oracle = HttpOracle(url=url, timeout=1.0, retries=2, backoff=5.0)
+        start = time.monotonic()
+        with pytest.raises(DiscoveryFailedError, match="after 1 attempts"):
+            oracle.rank([OFFICE], GoalQuery("mug"))
+        assert time.monotonic() - start < 1.0
+        assert len(_StubHandler.seen) == 1
+
     def test_env_var_configuration(self, stub_server, monkeypatch):
         _, url = stub_server
         _StubHandler.payload = json.dumps(
@@ -302,3 +329,15 @@ class TestHttpOracle:
         with ThreadPoolExecutor(max_workers=6) as pool:
             results = list(pool.map(run, range(12)))
         assert results == ["office_1"] * 12
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    import semnav
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(semnav.__file__))}
+    probe = "import sys, semnav.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -257,6 +257,44 @@ class TestAgainstLoopOracles:
         assert np.array_equal(got, brute_flood(dist, domain, seeds))
         assert np.array_equal(_seed_labels(dist, domain, 0.6), seed_raster(seeds, dist.shape))
 
+    def test_flood_pockets_match_tuple_heap(self):
+        # Row 1: a basin of depth 3 reached only over ridges of depth 1, so
+        # the sweep passes it before any offer. Rows 3-4: a plateau of depth 2
+        # entered only at (4, 5), its last cell in row-major order.
+        dist = np.array(
+            [
+                [0, 0, 0, 0, 0, 0, 0, 0],
+                [0, 5, 1, 3, 3, 1, 5, 0],
+                [0, 1, 0, 0, 0, 0, 0, 0],
+                [0, 2, 2, 2, 2, 2, 0, 0],
+                [0, 2, 2, 2, 2, 2, 4, 0],
+                [0, 0, 0, 0, 0, 0, 0, 0],
+            ],
+            dtype=float,
+        )
+        domain = dist > 0
+        seeds = [np.array([[1, 6]]), np.array([[1, 1]]), np.array([[4, 6]])]
+        got = _flood(dist, domain, seed_raster(seeds, dist.shape))
+        want = brute_flood(dist, domain, seeds)
+        assert np.array_equal(got, want)
+        # the basin pops right after the first ridge in row-major order, before label 1 reaches it
+        assert np.array_equal(want[1], [0, 2, 2, 2, 2, 1, 1, 0])
+        assert (want[3:5, 1:6] == 3).all()
+
+    def test_flood_matches_tuple_heap_on_build_deck_map(self):
+        from scipy import ndimage
+
+        grid, _, _ = envgen.generate(envgen.EnvSpec(seed=7, n_rooms=12, resolution=0.05))
+        free = grid.cells < 253
+        components, _ = ndimage.label(free, structure=FOUR_CONNECTED)
+        sizes = np.bincount(components.ravel())
+        sizes[0] = 0
+        domain = components == int(np.argmax(sizes))
+        dist = ndimage.distance_transform_edt(free, sampling=grid.resolution)
+        seeds = _seed_labels(dist, domain, 0.6)
+        want = brute_flood(dist, domain, [np.argwhere(seeds == k) for k in range(1, seeds.max() + 1)])
+        assert np.array_equal(_flood(dist, domain, seeds), want)
+
     @settings(max_examples=400, deadline=None)
     @given(seed_inputs())
     def test_seed_labels_match_seed_lists(self, inputs):
@@ -279,6 +317,12 @@ class TestAgainstLoopOracles:
         got = _seed_labels(dist, np.ones(dist.shape, dtype=bool), 1.0)
         assert np.array_equal(got[::2, ::2].ravel(), np.arange(1, 90_001))
         assert not got[1::2].any() and not got[:, 1::2].any()
+
+    def test_region_fold_past_65535_rooms_raises(self):
+        labels = np.zeros((600, 600), dtype=np.int32)
+        labels[::2, ::2] = np.arange(1, 90_001).reshape(300, 300)  # 90,000 one-cell regions
+        with pytest.raises(ValidationError, match="65535"):
+            _merge_regions(labels, 1.2, 0.05, 1)
 
     @settings(max_examples=600, deadline=None)
     @given(
@@ -336,6 +380,20 @@ class TestAgainstLoopOracles:
         raster = RoomLabelRaster(width=2, height=1, labels=np.array([[1, 0]]))
         with pytest.raises(KeyError):
             raster.centroid_cells[2]
+
+
+class TestRoomLabelRaster:
+    @pytest.mark.parametrize("value", [65_536, -1])
+    def test_labels_outside_uint16_rejected(self, value):
+        labels = np.array([[1, 0], [value, 2]], dtype=np.int32)
+        with pytest.raises(ValidationError, match="0..65535"):
+            RoomLabelRaster(width=2, height=2, labels=labels)
+
+    def test_wide_dtype_in_range_kept(self):
+        labels = np.array([[65_535, 0]], dtype=np.int64)
+        raster = RoomLabelRaster(width=2, height=1, labels=labels)
+        assert raster.labels.dtype == np.uint16
+        assert raster.labels.tolist() == [[65_535, 0]]
 
 
 class TestAdjacency:
