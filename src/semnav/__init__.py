@@ -12,11 +12,9 @@ from .discovery import (
     DiscoveryResponse,
     HttpOracle,
     MockOracle,
-    NullOracle,
     RoomContext,
     goal_llm_response,
     load_cooccurrence_table,
-    mock_rank,
 )
 from .envgen import EnvSpec, GroundTruth, generate, load_env_spec
 from .errors import (

@@ -37,7 +37,7 @@ def load_objects(path) -> list[ObjectPlacement]:
     """Read an objects JSON file: [{"class", "position": [x, y], "id"?}, ...]."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (RecursionError, ValueError) as exc:  # deep nesting; bad JSON, UTF-8 or long int
         raise MapFormatError(f"{path}: corrupt objects file: {exc}") from exc
     if not isinstance(doc, list):
         raise ConfigError(f"{path}: expected a JSON array of objects")

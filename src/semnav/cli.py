@@ -106,7 +106,7 @@ def cmd_gen(args) -> int:
     mapio.save_map(m, out)
 
     pixels = metric.costs_to_pixels(grid.cells)
-    metric.write_pgm(out / "occupancy.pgm", pixels, maxval=255)
+    metric.write_pgm(out / "occupancy.pgm", pixels)
     (out / "occupancy.meta").write_text(
         f"resolution: {grid.resolution!r}\n"
         f"origin_x: {grid.origin_x!r}\n"

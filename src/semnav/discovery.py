@@ -30,6 +30,8 @@ ORACLE_TOKEN_ENV = "INTELLIMOVE_ORACLE_TOKEN"
 
 CO_OBJECT_WEIGHT = 0.1
 
+_READ_SIZE = 65536  # most bytes one read of an oracle reply takes
+
 
 @dataclass(frozen=True)
 class RoomContext:
@@ -96,35 +98,6 @@ def load_cooccurrence_table(path) -> CooccurrenceTable:
     return CooccurrenceTable(entries=entries)
 
 
-def mock_rank(
-    table: CooccurrenceTable, contexts: list[RoomContext], goal: GoalQuery
-) -> DiscoveryResponse:
-    """Deterministic ranking from the co-occurrence table.
-
-    score(room) = affinity(goal, category)
-                + 0.1 * sum over room attributes a of affinity(goal, a)
-
-    Scores are normalized by the maximum into [0, 1]; an all-zero table
-    degenerates to uniform confidence 1/n. Ties order by ascending room id.
-    """
-    goal_label = normalize_label(goal.text)
-    scores = []
-    for ctx in contexts:
-        s = table.affinity(goal_label, ctx.category)
-        for attr in ctx.attributes:
-            s += table.affinity(goal_label, attr) * CO_OBJECT_WEIGHT
-        scores.append((ctx.room_id, s))
-    top = max(s for _, s in scores) if scores else 0.0
-    if top <= 0.0:
-        uniform = 1.0 / len(scores) if scores else 0.0
-        ranked = tuple((rid, uniform) for rid, _ in sorted(scores))
-    else:
-        ranked = tuple(
-            (rid, s / top) for rid, s in sorted(scores, key=lambda t: (-t[1], t[0]))
-        )
-    return DiscoveryResponse(ranked_rooms=ranked, rationale="co-occurrence table ranking")
-
-
 class MockOracle:
     """Pure, shareable oracle over a fixed co-occurrence table."""
 
@@ -132,14 +105,30 @@ class MockOracle:
         self.table = table
 
     def rank(self, contexts: list[RoomContext], goal: GoalQuery) -> DiscoveryResponse:
-        return mock_rank(self.table, contexts, goal)
+        """Deterministic ranking from the co-occurrence table.
 
+        score(room) = affinity(goal, category)
+                    + 0.1 * sum over room attributes a of affinity(goal, a)
 
-class NullOracle:
-    """Configured-off oracle: every discovery attempt fails."""
-
-    def rank(self, contexts, goal) -> DiscoveryResponse:
-        raise DiscoveryFailedError("no discovery oracle configured")
+        Scores are normalized by the maximum into [0, 1]; an all-zero table
+        degenerates to uniform confidence 1/n. Ties order by ascending room id.
+        """
+        goal_label = normalize_label(goal.text)
+        scores = []
+        for ctx in contexts:
+            s = self.table.affinity(goal_label, ctx.category)
+            for attr in ctx.attributes:
+                s += self.table.affinity(goal_label, attr) * CO_OBJECT_WEIGHT
+            scores.append((ctx.room_id, s))
+        top = max(s for _, s in scores) if scores else 0.0
+        if top <= 0.0:
+            uniform = 1.0 / len(scores) if scores else 0.0
+            ranked = tuple((rid, uniform) for rid, _ in sorted(scores))
+        else:
+            ranked = tuple(
+                (rid, s / top) for rid, s in sorted(scores, key=lambda t: (-t[1], t[0]))
+            )
+        return DiscoveryResponse(ranked_rooms=ranked, rationale="co-occurrence table ranking")
 
 
 class HttpOracle:
@@ -151,9 +140,9 @@ class HttpOracle:
     Transport failures, 5xx and 429 replies are retried with exponential
     backoff before giving up; any other 4xx reply or request error (a
     malformed URL, say) fails at once. `timeout` is one deadline for the whole
-    `rank()` call: each attempt gets the time left, and a backoff sleep that
-    would cross the deadline ends the call. The time left bounds each socket
-    wait of an attempt, so a reply trickled in byte by byte can still overrun.
+    `rank()` call, reply body included: each attempt gets the time left, a
+    backoff sleep that would cross the deadline ends the call, and the body is
+    read in pieces with the deadline checked after each one.
     """
 
     def __init__(
@@ -175,6 +164,7 @@ class HttpOracle:
 
     def rank(self, contexts: list[RoomContext], goal: GoalQuery) -> DiscoveryResponse:
         import requests  # about 80 ms to import, and only this client needs it
+        from urllib3.exceptions import HTTPError as Urllib3Error  # raised by raw body reads
 
         payload = {
             "goal": normalize_label(goal.text),
@@ -195,12 +185,22 @@ class HttpOracle:
                 break
             time.sleep(pause)
             try:
-                resp = requests.post(self.url, json=payload, headers=headers, timeout=left)
-                if 400 <= resp.status_code < 500 and resp.status_code != 429:
-                    raise DiscoveryFailedError(f"oracle refused the request: {resp.status_code}")
-                resp.raise_for_status()
-                return self._parse(resp.text)
-            except (requests.ConnectionError, requests.Timeout, requests.HTTPError) as exc:
+                with requests.post(
+                    self.url, json=payload, headers=headers, timeout=left, stream=True
+                ) as resp:
+                    if 400 <= resp.status_code < 500 and resp.status_code != 429:
+                        raise DiscoveryFailedError(
+                            f"oracle refused the request: {resp.status_code}"
+                        )
+                    resp.raise_for_status()
+                    body = self._read_body(resp, deadline)
+                return self._parse(body)
+            except (
+                requests.ConnectionError,
+                requests.Timeout,
+                requests.HTTPError,
+                Urllib3Error,
+            ) as exc:
                 last_error = exc
                 log.warning("oracle request attempt %d failed: %s", attempt + 1, exc)
             except requests.RequestException as exc:
@@ -213,16 +213,29 @@ class HttpOracle:
             f"oracle deadline of {self.timeout} s passed after {attempt} attempts: {last_error}"
         )
 
+    def _read_body(self, resp, deadline: float) -> bytes:
+        """The reply body, one socket read at a time, checked against the deadline."""
+        chunks = []
+        while chunk := resp.raw.read1(_READ_SIZE, decode_content=True):
+            chunks.append(chunk)
+            if time.monotonic() > deadline:
+                raise DiscoveryFailedError(
+                    f"oracle deadline of {self.timeout} s passed while reading the reply"
+                )
+        return b"".join(chunks)
+
     @staticmethod
-    def _parse(text: str) -> DiscoveryResponse:
+    def _parse(body: bytes) -> DiscoveryResponse:
         try:
-            doc = json.loads(text)
+            doc = json.loads(body)
             ranking = doc["ranking"]
             ranked = tuple((str(e["id"]), float(e["confidence"])) for e in ranking)
             rationale = str(doc.get("rationale", ""))
             return DiscoveryResponse(ranked_rooms=ranked, rationale=rationale)
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            log.error("malformed oracle payload: %r", text)
+        except (
+            KeyError, OverflowError, RecursionError, TypeError, ValueError, ValidationError
+        ) as exc:
+            log.error("malformed oracle payload: %r", body)
             raise OracleParseError(f"malformed oracle payload: {exc}") from exc
 
 

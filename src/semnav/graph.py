@@ -13,10 +13,6 @@ from dataclasses import dataclass, field, replace
 from .errors import ConflictError, ValidationError
 from .metric import GridIndex, MetricPoint
 
-KIND_NODE_ID = "node-id"
-KIND_ROOM_CATEGORY = "room-category"
-KIND_OBJECT_CLASS = "object-class"
-
 UNCATEGORIZED = "uncategorized"
 
 
@@ -61,7 +57,6 @@ class ContainmentEdge:
 @dataclass(frozen=True)
 class GoalQuery:
     text: str
-    kind: str | None = None  # inferred when None; see SemanticGraph.goal_kind
 
 
 @dataclass(frozen=True)
@@ -132,8 +127,10 @@ class SemanticGraph:
         for rid in (edge.room_a, edge.room_b):
             if rid not in self.rooms:
                 raise ValidationError(f"edge references unknown room {rid!r}")
-        if edge.weight < 0:
-            raise ValidationError(f"edge {edge.room_a!r}-{edge.room_b!r} has negative weight")
+        if edge.weight < 0 or not _finite(edge.weight):
+            raise ValidationError(
+                f"edge {edge.room_a!r}-{edge.room_b!r} weight {edge.weight} not a finite >= 0"
+            )
         key = _edge_key(edge.room_a, edge.room_b)
         if key in self._edge_index:
             raise ConflictError(f"edge {edge.room_a!r}-{edge.room_b!r} already present")
@@ -168,42 +165,20 @@ class SemanticGraph:
     def get_edge(self, room_a: str, room_b: str) -> RoomEdge | None:
         return self._edge_index.get(_edge_key(room_a, room_b))
 
-    def categories(self) -> set[str]:
-        return {normalize_label(r.category) for r in self.rooms.values()}
-
-    def goal_kind(self, text: str) -> str:
-        """Resolve what a bare goal string refers to.
-
-        Precedence: an existing node id wins, then a room category present in
-        the graph, else the text is taken as an object class.
-        """
-        label = normalize_label(text)
-        if label in self.rooms or label in self.objects:
-            return KIND_NODE_ID
-        if label in self.categories():
-            return KIND_ROOM_CATEGORY
-        return KIND_OBJECT_CLASS
-
     def find_goal_state(self, goal: GoalQuery) -> GoalState:
         """All nodes matching a goal query, in ascending id order.
 
-        An empty result is a valid state (it routes the planner into
-        Discovery Mode), so no error is raised for unmatched goals.
+        Precedence: an existing node id wins, then the rooms of that
+        category, else the objects of that class. An empty result is a valid
+        state (it routes the planner into Discovery Mode), so no error is
+        raised for unmatched goals.
         """
         label = normalize_label(goal.text)
-        kind = goal.kind or self.goal_kind(goal.text)
-        if kind == KIND_NODE_ID:
-            if label in self.rooms or label in self.objects:
-                return GoalState(nodes=(label,))
-            return GoalState(nodes=())
-        if kind == KIND_ROOM_CATEGORY:
-            ids = [r.id for r in self.rooms.values() if normalize_label(r.category) == label]
-        elif kind == KIND_OBJECT_CLASS:
-            ids = [
-                o.id for o in self.objects.values() if normalize_label(o.class_label) == label
-            ]
-        else:
-            raise ValidationError(f"unknown goal kind {kind!r}")
+        if label in self.rooms or label in self.objects:
+            return GoalState(nodes=(label,))
+        ids = [r.id for r in self.rooms.values() if normalize_label(r.category) == label]
+        if not ids:
+            ids = [o.id for o in self.objects.values() if normalize_label(o.class_label) == label]
         return GoalState(nodes=tuple(sorted(ids)))
 
     # -- validation --------------------------------------------------------

@@ -186,14 +186,14 @@ def save_map(m: SemanticMap, path) -> None:
     _refuse_violations(m, "map failed validation")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    write_pgm(root / "costmap.pgm", m.costmap.cells, maxval=255)
+    write_pgm(root / "costmap.pgm", m.costmap.cells)
     (root / "costmap.meta").write_text(
         f"resolution: {m.costmap.resolution!r}\n"
         f"origin_x: {m.costmap.origin_x!r}\n"
         f"origin_y: {m.costmap.origin_y!r}\n",
         encoding="utf-8",
     )
-    write_pgm(root / "rooms.pgm", m.raster.labels, maxval=65535)
+    write_pgm(root / "rooms.pgm", m.raster.labels)
     (root / "graph.json").write_text(graph_to_json(m.graph), encoding="utf-8")
     meta = {
         "version": m.meta.version,
@@ -217,7 +217,7 @@ def load_map(path) -> SemanticMap:
             raise MapFormatError(f"{root}: missing {name}")
     try:
         meta_doc = json.loads((root / "meta.json").read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (RecursionError, ValueError) as exc:  # deep nesting; bad JSON, UTF-8 or long int
         raise MapFormatError(f"{root}/meta.json: corrupt: {exc}") from exc
     if not isinstance(meta_doc, dict) or not isinstance(meta_doc.get("labels", {}), dict):
         raise MapFormatError(f"{root}/meta.json: expected an object with a \"labels\" object")
@@ -314,7 +314,9 @@ def graph_from_json(text: str) -> SemanticGraph:
     """
     try:
         return _graph_from_doc(json.loads(text))
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (
+        AttributeError, IndexError, KeyError, OverflowError, RecursionError, TypeError, ValueError
+    ) as exc:
         raise MapFormatError(f"corrupt: {exc!r}") from exc
 
 

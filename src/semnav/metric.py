@@ -110,11 +110,6 @@ class CostmapGrid:
     def in_bounds(self, index: GridIndex) -> bool:
         return 0 <= index.col < self.width and 0 <= index.row < self.height
 
-    def cost_at(self, index: GridIndex) -> int:
-        if not self.in_bounds(index):
-            raise GridBoundsError(f"index {index} outside {self.width}x{self.height} grid")
-        return int(self.cells[index.row, index.col])
-
     def world_to_grid(self, p: MetricPoint) -> GridIndex:
         """Map a world point to the grid cell containing it."""
         fx = (p.x - self.origin_x) / self.resolution
@@ -183,13 +178,13 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return arr.astype(np.uint8 if bytes_per == 1 else np.uint16), maxval
 
 
-def write_pgm(path, array: np.ndarray, maxval: int | None = None) -> None:
-    """Write a binary (P5) PGM; uint8 data for maxval <= 255, else big-endian 16-bit."""
+def write_pgm(path, array: np.ndarray) -> None:
+    """Write a binary (P5) PGM: uint8 data with maxval 255, else big-endian
+    16-bit with maxval 65535."""
     arr = np.asarray(array)
-    if maxval is None:
-        maxval = 255 if arr.dtype == np.uint8 else 65535
+    maxval, dtype = (255, np.uint8) if arr.dtype == np.uint8 else (65535, np.dtype(">u2"))
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
-    payload = arr.astype(np.uint8 if maxval < 256 else np.dtype(">u2")).tobytes()
+    payload = arr.astype(dtype).tobytes()
     with open(path, "wb") as f:
         f.write(header + payload)
 
@@ -276,20 +271,16 @@ def pixels_to_costs(pixels: np.ndarray, *, free_thresh: int, lethal_thresh: int)
     return out.astype(np.uint8)
 
 
-def costs_to_pixels(
-    costs: np.ndarray,
-    *,
-    free_thresh: int = DEFAULT_FREE_THRESH,
-    lethal_thresh: int = DEFAULT_LETHAL_THRESH,
-) -> np.ndarray:
+def costs_to_pixels(costs: np.ndarray) -> np.ndarray:
     """Render cost values as grayscale occupancy pixels (for external tools).
 
     Exact for free (255) and lethal/inscribed (0) cells; graded costs are
-    squeezed into the open threshold interval (lossy: the interval has fewer
-    pixel values than there are graded costs). Unknown maps to 205.
+    squeezed into the open interval between the default thresholds (lossy:
+    it has fewer pixel values than there are graded costs). Unknown maps to
+    205.
     """
     c = costs.astype(np.int64)
-    lo, hi = lethal_thresh + 1, free_thresh - 1
+    lo, hi = DEFAULT_LETHAL_THRESH + 1, DEFAULT_FREE_THRESH - 1
     span = max(1, hi - lo)
     ramp = hi - ((c - 1) * span + 125) // 251
     ramp = np.clip(ramp, lo, hi)
@@ -386,7 +377,7 @@ def grid_shortest_path(
     inside = _octile(rows - start.row, cols - start.col)
     inside += _octile(rows - goal.row, cols - goal.col)
     inside = inside <= span
-    r0, r1, c0, c1 = bounding_box(inside)
+    r0, r1, c0, c1 = _bounding_box(inside)
     ellipse = (top + r0, top + r1, left + c0, left + c1)
     rows_covered = box[0] <= ellipse[0] and ellipse[1] <= box[1]
     if rows_covered and box[2] <= ellipse[2] and ellipse[3] <= box[3]:
@@ -394,7 +385,7 @@ def grid_shortest_path(
     return search(ellipse, inside[r0:r1, c0:c1])
 
 
-def bounding_box(m: np.ndarray) -> tuple[int, int, int, int]:
+def _bounding_box(m: np.ndarray) -> tuple[int, int, int, int]:
     """(top, bottom, left, right) half-open box around the True cells of m."""
     rows = np.flatnonzero(m.any(axis=1))
     cols = np.flatnonzero(m.any(axis=0))

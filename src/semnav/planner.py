@@ -9,9 +9,8 @@ Planning dispatches on how many graph nodes match the goal:
               candidate, silently skipping unreachable candidates.
 
 Each plan runs one room-graph search, whatever the mode. Path length means
-accumulated edge weight by default; hop count is available for ablation.
-Planning is read-only over a frozen map, so any number of concurrent plans
-may share one SemanticMap.
+accumulated edge weight. Planning is read-only over a frozen map, so any
+number of concurrent plans may share one SemanticMap.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ FAIL_NO_ROUTE = "no-route"
 FAIL_DISCOVERY = "discovery-failed"
 FAIL_INVALID_START = "invalid-start"
 
-LENGTH_WEIGHT = "weight"
-LENGTH_HOPS = "hops"
-
 
 @dataclass(frozen=True)
 class PlanRequest:
@@ -51,11 +47,6 @@ class PlanRequest:
     goal: GoalQuery
     allow_inscribed: bool = False
     refine_metric: bool = False
-    length_metric: str = LENGTH_WEIGHT
-
-    def __post_init__(self):
-        if self.length_metric not in (LENGTH_WEIGHT, LENGTH_HOPS):
-            raise ValidationError(f"unknown length metric {self.length_metric!r}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +70,7 @@ class PlanOutcome:
         return self.result is not None
 
 
-def dijkstra(
-    graph: SemanticGraph,
-    start_room: str,
-    *goal_nodes: str,
-    length_metric: str = LENGTH_WEIGHT,
-) -> SemanticPath | None:
+def dijkstra(graph: SemanticGraph, start_room: str, *goal_nodes: str) -> SemanticPath | None:
     """Room path to the nearest goal; None when no goal is reachable.
 
     One heap search from start_room, stopped once every goal's room is
@@ -92,13 +78,11 @@ def dijkstra(
     id is appended as the terminal node (objects are leaves with no edges).
     Equal-cost paths tie-break to the lexicographically smallest node-id
     sequence, as heap entries carry the path tuple; so no goal's path depends
-    on the other goals. The goal whose path is shortest by length_metric
-    wins, ties going to the earliest in goal_nodes.
+    on the other goals. The goal with the cheapest path wins, ties going to
+    the earliest in goal_nodes.
     """
     if start_room not in graph.rooms:
         raise ValidationError(f"start {start_room!r} is not a room node")
-    if length_metric not in (LENGTH_WEIGHT, LENGTH_HOPS):
-        raise ValidationError(f"unknown length metric {length_metric!r}")
     targets: list[tuple[str, tuple[str, ...]]] = []  # (goal room, tail)
     for node in goal_nodes:
         if node in graph.objects:
@@ -127,8 +111,7 @@ def dijkstra(
         for room, tail in targets
         if room in settled
     ]
-    by_hops = length_metric == LENGTH_HOPS
-    return min(reached, key=lambda p: len(p.nodes) if by_hops else p.graph_cost, default=None)
+    return min(reached, key=lambda p: p.graph_cost, default=None)
 
 
 def resolve_start(m: SemanticMap, start: str | MetricPoint) -> tuple[str, MetricPoint] | None:
@@ -197,14 +180,12 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
         mode = MODE_TARGETED if len(goal_state) == 1 else MODE_MULTI_TARGET
         candidates = goal_state.nodes
 
-    best = dijkstra(m.graph, start_room, *candidates, length_metric=request.length_metric)
+    best = dijkstra(m.graph, start_room, *candidates)
     if best is None:
         return done(failure=FAIL_NO_ROUTE)
     best = replace(best, mode=mode)
     if request.refine_metric:
-        waypoints = refine_to_metric(
-            m, best, start_point=start_point, allow_inscribed=request.allow_inscribed
-        )
+        waypoints = refine_to_metric(m, best, start_point, allow_inscribed=request.allow_inscribed)
         best = replace(best, waypoints=waypoints)
     return done(result=best)
 
@@ -212,7 +193,7 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
 def refine_to_metric(
     m: SemanticMap,
     path: SemanticPath,
-    start_point: MetricPoint | None = None,
+    start_point: MetricPoint,
     *,
     allow_inscribed: bool = False,
 ) -> tuple[MetricPoint, ...]:
@@ -234,8 +215,6 @@ def refine_to_metric(
         goal_point = graph.objects[goal_node].position
     else:
         goal_point = graph.rooms[goal_node].centroid
-    if start_point is None:
-        start_point = graph.rooms[rooms[0]].centroid
 
     anchors: list[GridIndex] = [m.costmap.world_to_grid(MetricPoint(*start_point))]
     for a, b in zip(rooms, rooms[1:]):

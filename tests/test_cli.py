@@ -98,6 +98,16 @@ class TestValidate:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("name", ["meta.json", "graph.json"])
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5_000], ids=["deep", "long-int"])
+    def test_validate_unparsable_json_exits_2(self, map_dir, tmp_path, name, text):
+        broken = tmp_path / "broken"
+        shutil.copytree(map_dir, broken)
+        (broken / name).write_text(text, encoding="utf-8")
+        result = run_cli("validate", "--map", str(broken))
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_validate_non_finite_origin_exits_2(self, map_dir, tmp_path):
         broken = tmp_path / "broken"
         shutil.copytree(map_dir, broken)
@@ -127,8 +137,8 @@ def _cut_rooms_row(map_dir, broken):
     from semnav.metric import read_pgm, write_pgm
 
     shutil.copytree(map_dir, broken)
-    labels, maxval = read_pgm(broken / "rooms.pgm")
-    write_pgm(broken / "rooms.pgm", labels[:-1], maxval=maxval)
+    labels, _ = read_pgm(broken / "rooms.pgm")
+    write_pgm(broken / "rooms.pgm", labels[:-1])
 
 
 class TestLayerShapes:

@@ -16,11 +16,9 @@ from semnav.discovery import (
     DiscoveryResponse,
     HttpOracle,
     MockOracle,
-    NullOracle,
     RoomContext,
     goal_llm_response,
     load_cooccurrence_table,
-    mock_rank,
 )
 from semnav.errors import (
     ConfigError,
@@ -40,13 +38,13 @@ LOUNGE = RoomContext(room_id="lounge_1", category="lounge", attributes=("sofa",)
 class TestMockRank:
     def test_all_zero_table_degenerates_to_uniform(self):
         table = CooccurrenceTable()
-        resp = mock_rank(table, [LOUNGE, OFFICE, KITCHEN], GoalQuery("coffee_machine"))
+        resp = MockOracle(table).rank([LOUNGE, OFFICE, KITCHEN], GoalQuery("coffee_machine"))
         assert [rid for rid, _ in resp.ranked_rooms] == ["kitchen_1", "lounge_1", "office_1"]
         assert all(conf == pytest.approx(1 / 3) for _, conf in resp.ranked_rooms)
 
     def test_single_entry_table_pins_winner(self):
         table = CooccurrenceTable(entries={("printer", "office"): 1.0})
-        resp = mock_rank(table, [OFFICE, KITCHEN, LOUNGE], GoalQuery("printer"))
+        resp = MockOracle(table).rank([OFFICE, KITCHEN, LOUNGE], GoalQuery("printer"))
         assert resp.ranked_rooms[0] == ("office_1", 1.0)
         assert all(conf == 0.0 for _, conf in resp.ranked_rooms[1:])
 
@@ -54,7 +52,7 @@ class TestMockRank:
         table = CooccurrenceTable(
             entries={("coffee_machine", "sink"): 1.0, ("coffee_machine", "fridge"): 2.0}
         )
-        resp = mock_rank(table, [OFFICE, KITCHEN], GoalQuery("coffee_machine"))
+        resp = MockOracle(table).rank([OFFICE, KITCHEN], GoalQuery("coffee_machine"))
         assert resp.top_room == "kitchen_1"
         # kitchen score = 0.1*1 + 0.1*2 = 0.3; office = 0 -> normalized 1.0 / 0.0
         assert resp.ranked_rooms[0][1] == 1.0
@@ -78,7 +76,7 @@ class TestMockRank:
                 )
                 for i in range(rng.randint(1, 5))
             ]
-            resp = mock_rank(table, contexts, GoalQuery("goalobj"))
+            resp = MockOracle(table).rank(contexts, GoalQuery("goalobj"))
             raw = brute_discovery_scores(entries, contexts, "goalobj")
             expected_order = sorted(raw, key=lambda rid: (-raw[rid], rid))
             if max(raw.values()) <= 0:
@@ -93,16 +91,16 @@ class TestMockRank:
             ("widget", "sink"): 3.0,
         }
         contexts = [OFFICE, KITCHEN, LOUNGE]
-        base = mock_rank(CooccurrenceTable(entries=entries), contexts, GoalQuery("widget"))
+        base = MockOracle(CooccurrenceTable(entries=entries)).rank(contexts, GoalQuery("widget"))
         for _ in range(5):
             k = rng.uniform(0.1, 25.0)
             scaled = CooccurrenceTable(entries={key: v * k for key, v in entries.items()})
-            resp = mock_rank(scaled, contexts, GoalQuery("widget"))
+            resp = MockOracle(scaled).rank(contexts, GoalQuery("widget"))
             assert resp.top_room == base.top_room
 
     def test_single_room_ranked_first_regardless_of_goal(self):
         table = CooccurrenceTable()
-        resp = mock_rank(table, [OFFICE], GoalQuery("anything_at_all"))
+        resp = MockOracle(table).rank([OFFICE], GoalQuery("anything_at_all"))
         assert resp.top_room == "office_1"
         assert resp.ranked_rooms[0][1] == 1.0
 
@@ -174,11 +172,7 @@ class TestResponseFiltering:
 
     def test_empty_contexts_rejected(self):
         with pytest.raises(ValidationError):
-            goal_llm_response([], GoalQuery("mug"), NullOracle())
-
-    def test_null_oracle_always_fails(self):
-        with pytest.raises(DiscoveryFailedError):
-            goal_llm_response([OFFICE], GoalQuery("mug"), NullOracle())
+            goal_llm_response([], GoalQuery("mug"), MockOracle(CooccurrenceTable()))
 
     def test_confidences_must_be_monotone(self):
         with pytest.raises(ValidationError):
@@ -191,6 +185,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     payload: bytes = b"{}"
     status: int = 200
     delay: float = 0.0  # seconds to wait before replying
+    trickle: bool = False  # send the body 8 bytes every 0.2 s
     seen: list = []
     lock = threading.Lock()
 
@@ -205,7 +200,16 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
-        self.wfile.write(type(self).payload)
+        payload = type(self).payload
+        if not type(self).trickle:
+            self.wfile.write(payload)
+            return
+        try:
+            for i in range(0, len(payload), 8):
+                self.wfile.write(payload[i : i + 8])
+                time.sleep(0.2)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client gave up
 
     def log_message(self, *args):
         pass
@@ -219,6 +223,7 @@ def stub_server():
     _StubHandler.seen = []
     _StubHandler.status = 200
     _StubHandler.delay = 0.0
+    _StubHandler.trickle = False
     yield server, f"http://127.0.0.1:{server.server_address[1]}/rank"
     server.shutdown()
 
@@ -248,6 +253,21 @@ class TestHttpOracle:
     def test_malformed_payload_is_parse_error(self, stub_server):
         _, url = stub_server
         _StubHandler.payload = b'{"rankings": "oops"}'
+        oracle = HttpOracle(url=url, timeout=5, retries=0)
+        with pytest.raises(OracleParseError):
+            oracle.rank([OFFICE], GoalQuery("mug"))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"ranking": [{"id": "office_1", "confidence": 1' + b"0" * 400 + b"}]}",
+            b"[" * 100_000,
+        ],
+        ids=["float-overflow", "deep-nesting"],
+    )
+    def test_unreadable_payload_is_parse_error(self, stub_server, payload):
+        _, url = stub_server
+        _StubHandler.payload = payload
         oracle = HttpOracle(url=url, timeout=5, retries=0)
         with pytest.raises(OracleParseError):
             oracle.rank([OFFICE], GoalQuery("mug"))
@@ -300,6 +320,28 @@ class TestHttpOracle:
             oracle.rank([OFFICE], GoalQuery("mug"))
         assert time.monotonic() - start < 1.0
         assert len(_StubHandler.seen) == 1
+
+    def test_trickled_reply_cannot_outrun_the_deadline(self, stub_server):
+        _, url = stub_server
+        _StubHandler.payload = json.dumps(
+            {"ranking": [{"id": "office_1", "confidence": 1.0}], "rationale": "trickled"}
+        ).encode()
+        _StubHandler.trickle = True  # the whole body takes about 2 s
+        oracle = HttpOracle(url=url, timeout=0.5, retries=0)
+        start = time.monotonic()
+        with pytest.raises(DiscoveryFailedError, match="deadline"):
+            oracle.rank([OFFICE], GoalQuery("mug"))
+        assert time.monotonic() - start < 0.9
+
+    def test_trickled_reply_inside_the_deadline_is_read_whole(self, stub_server):
+        _, url = stub_server
+        _StubHandler.payload = json.dumps(
+            {"ranking": [{"id": "office_1", "confidence": 1.0}], "rationale": "trickled"}
+        ).encode()
+        _StubHandler.trickle = True
+        resp = HttpOracle(url=url, timeout=5, retries=0).rank([OFFICE], GoalQuery("mug"))
+        assert resp.ranked_rooms == (("office_1", 1.0),)
+        assert resp.rationale == "trickled"
 
     def test_env_var_configuration(self, stub_server, monkeypatch):
         _, url = stub_server

@@ -125,7 +125,7 @@ class TestGroundTruthConsistency:
     def test_occupancy_export_reimports_with_exact_wall_count(self, small_env, tmp_path):
         grid, gt, _ = small_env
         pixels = metric.costs_to_pixels(grid.cells)
-        metric.write_pgm(tmp_path / "occ.pgm", pixels, maxval=255)
+        metric.write_pgm(tmp_path / "occ.pgm", pixels)
         (tmp_path / "occ.meta").write_text(
             f"resolution: {grid.resolution!r}\n"
             f"origin_x: 0.0\norigin_y: 0.0\n"

@@ -124,7 +124,7 @@ class TestPgmLoading:
     def test_16bit_pgm_roundtrip(self, tmp_path):
         path = tmp_path / "w.pgm"
         data = np.array([[0, 500], [65535, 7]], dtype=np.uint16)
-        write_pgm(path, data, maxval=65535)
+        write_pgm(path, data)
         arr, maxval = read_pgm(path)
         assert maxval == 65535
         assert np.array_equal(arr, data)
@@ -262,7 +262,7 @@ class TestGridShortestPath:
             """
         )
         path, _ = grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 4))
-        assert all(g.cost_at(c) < 253 for c in path)
+        assert all(g.cells[c.row, c.col] < 253 for c in path)
 
     def test_untraversable_endpoint_raises_validation(self):
         g = grid_from_ascii("..#")
@@ -437,7 +437,7 @@ class TestWindowedSearchExactness:
             for a, b in zip(path, path[1:]):
                 assert max(abs(a.col - b.col), abs(a.row - b.row)) == 1
             limit = 253 if allow_inscribed else 252
-            assert all(g.cost_at(c) <= limit for c in path)
+            assert all(g.cells[c.row, c.col] <= limit for c in path)
 
     def test_long_detour_grows_box_then_takes_ellipse_pass(self, monkeypatch):
         g = long_detour_grid()

@@ -200,24 +200,6 @@ class TestPlanDispatch:
         assert out.result.nodes[-1] == "desk_2"
         assert out.result.graph_cost == 3.0
 
-    def test_hop_count_metric_option(self):
-        # weight picks the 2-hop cheap route; hop count picks the 1-hop dear one
-        m = strip_map(
-            rooms=[("start", "x"), ("mid", "x"), ("a", "x"), ("b", "x")],
-            objects=[("desk_1", "desk", "a"), ("desk_2", "desk", "b")],
-            edges=[("mid", "start", 1.0), ("a", "mid", 1.0), ("b", "start", 10.0)],
-        )
-        by_weight = plan(m, PlanRequest(start="start", goal=GoalQuery("desk")))
-        assert by_weight.result.nodes[-1] == "desk_1"
-        by_hops = plan(
-            m, PlanRequest(start="start", goal=GoalQuery("desk"), length_metric="hops")
-        )
-        assert by_hops.result.nodes[-1] == "desk_2"
-
-    def test_bad_length_metric_rejected(self):
-        with pytest.raises(ValidationError):
-            PlanRequest(start="a", goal=GoalQuery("b"), length_metric="furlongs")
-
 
 class TestStartResolution:
     def test_start_as_object_id(self, fig_map):
@@ -280,19 +262,15 @@ class TestPlanProperties:
             start = rng.choice(ids)
             singles = [dijkstra(m.graph, start, oid) for oid in sorted(o for o, _, _ in objects)]
             reached = [p for p in singles if p is not None]
-            for metric in ("weight", "hops"):
-                request = PlanRequest(start=start, goal=GoalQuery("desk"), length_metric=metric)
-                out = plan(m, request)
-                if not reached:
-                    assert out.failure_reason == FAIL_NO_ROUTE
-                    continue
-                expected = min(
-                    reached, key=lambda p: p.graph_cost if metric == "weight" else len(p.nodes)
-                )
-                assert (out.result.nodes, out.result.graph_cost) == (
-                    expected.nodes,
-                    expected.graph_cost,
-                )
+            out = plan(m, PlanRequest(start=start, goal=GoalQuery("desk")))
+            if not reached:
+                assert out.failure_reason == FAIL_NO_ROUTE
+                continue
+            expected = min(reached, key=lambda p: p.graph_cost)
+            assert (out.result.nodes, out.result.graph_cost) == (
+                expected.nodes,
+                expected.graph_cost,
+            )
 
     def test_scaling_edge_weights_preserves_routes(self):
         rng = random.Random(909)
@@ -375,7 +353,7 @@ class TestRefine:
         assert out.ok
         cells = [gt_map.costmap.world_to_grid(p) for p in out.result.waypoints]
         for c in cells:
-            assert gt_map.costmap.cost_at(c) < 253
+            assert gt_map.costmap.cells[c.row, c.col] < 253
         for a, b in zip(cells, cells[1:]):
             assert max(abs(a.col - b.col), abs(a.row - b.row)) == 1
 
@@ -425,7 +403,7 @@ class TestRefine:
         )
         path = dijkstra(broken.graph, "office_1", "desk_1")
         with pytest.raises(MapConsistencyError):
-            refine_to_metric(broken, path)
+            refine_to_metric(broken, path, broken.graph.rooms["office_1"].centroid)
 
     def test_wall_time_recorded(self, fig_map):
         out = plan(fig_map, PlanRequest(start="office_1", goal=GoalQuery("desk")))
@@ -457,8 +435,6 @@ class TestRefine:
             plan(pinched, blocked)
         out = plan(pinched, replace(blocked, allow_inscribed=True))
         assert out.ok and out.result.waypoints
-        crossed = [
-            p for p in out.result.waypoints
-            if pinched.costmap.cost_at(pinched.costmap.world_to_grid(p)) == 253
-        ]
+        cells = [pinched.costmap.world_to_grid(p) for p in out.result.waypoints]
+        crossed = [c for c in cells if pinched.costmap.cells[c.row, c.col] == 253]
         assert crossed
