@@ -18,6 +18,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
+from urllib.parse import urlsplit
 
 from .errors import ConfigError, DiscoveryFailedError, OracleParseError, ValidationError
 from .graph import GoalQuery, normalize_label
@@ -138,11 +139,11 @@ class HttpOracle:
     Response: {"ranking": [{"id", "confidence"}], "rationale": str}
 
     Transport failures, 5xx and 429 replies are retried with exponential
-    backoff before giving up; any other 4xx reply or request error (a
-    malformed URL, say) fails at once. `timeout` is one deadline for the whole
+    backoff; any other reply outside 2xx (redirects too) or a URL that is not
+    http(s)://host/... fails at once. `timeout` is one deadline for the whole
     `rank()` call, reply body included: each attempt gets the time left, a
-    backoff sleep that would cross the deadline ends the call, and the body is
-    read in pieces with the deadline checked after each one.
+    backoff sleep that would cross the deadline ends the call, and every
+    socket wait is bounded by the time left when it starts.
     """
 
     def __init__(
@@ -163,20 +164,36 @@ class HttpOracle:
         self.backoff = backoff
 
     def rank(self, contexts: list[RoomContext], goal: GoalQuery) -> DiscoveryResponse:
-        import requests  # about 80 ms to import, and only this client needs it
-        from urllib3.exceptions import HTTPError as Urllib3Error  # raised by raw body reads
+        from http.client import HTTPConnection, HTTPException, HTTPSConnection  # 12 ms with ssl
 
-        payload = {
+        try:
+            url = urlsplit(self.url)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError("need http(s)://host/...")
+            url.hostname.encode("idna")  # as the resolver will: no label may be empty or too long
+            connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
+            conn = connection(url.hostname, url.port or connection.default_port)
+        except (ValueError, HTTPException) as exc:  # a bad port, IPv6 literal or host character
+            raise DiscoveryFailedError(f"bad oracle URL {self.url!r}: {exc}") from exc
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        body = json.dumps({
             "goal": normalize_label(goal.text),
             "rooms": [
                 {"id": c.room_id, "category": c.category, "objects": list(c.attributes)}
                 for c in contexts
             ],
-        }
+        }).encode()
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         deadline = time.monotonic() + self.timeout
+
+        def time_left() -> float:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("timed out")
+            return left
+
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             pause = self.backoff * (2 ** (attempt - 1)) if attempt else 0.0
@@ -184,27 +201,33 @@ class HttpOracle:
             if left <= 0:
                 break
             time.sleep(pause)
+            conn.timeout = left  # the next request opens a connection with it
             try:
-                with requests.post(
-                    self.url, json=payload, headers=headers, timeout=left, stream=True
-                ) as resp:
-                    if 400 <= resp.status_code < 500 and resp.status_code != 429:
-                        raise DiscoveryFailedError(
-                            f"oracle refused the request: {resp.status_code}"
-                        )
-                    resp.raise_for_status()
-                    body = self._read_body(resp, deadline)
-                return self._parse(body)
-            except (
-                requests.ConnectionError,
-                requests.Timeout,
-                requests.HTTPError,
-                Urllib3Error,
-            ) as exc:
+                conn.request("POST", target, body, headers)
+                sock = conn.sock  # getresponse() detaches it when the reply will close
+                sock.settimeout(time_left())
+                with conn.getresponse() as resp:
+                    if resp.status == 429 or resp.status >= 500:
+                        raise HTTPException(f"oracle replied {resp.status}")
+                    if not 200 <= resp.status < 300:
+                        raise DiscoveryFailedError(f"oracle replied {resp.status}, not retried")
+                    chunks = []
+                    while True:
+                        sock.settimeout(time_left())
+                        if not (chunk := resp.read1(_READ_SIZE)):
+                            break
+                        chunks.append(chunk)
+            except TimeoutError as exc:  # every socket wait ends at the deadline
+                raise DiscoveryFailedError(
+                    f"oracle deadline of {self.timeout} s passed in attempt {attempt + 1}"
+                ) from exc
+            except (OSError, HTTPException) as exc:
                 last_error = exc
                 log.warning("oracle request attempt %d failed: %s", attempt + 1, exc)
-            except requests.RequestException as exc:
-                raise DiscoveryFailedError(f"oracle request failed: {exc}") from exc
+                continue
+            finally:
+                conn.close()
+            return self._parse(b"".join(chunks))
         else:
             raise DiscoveryFailedError(
                 f"oracle transport failed after {self.retries + 1} attempts: {last_error}"
@@ -212,17 +235,6 @@ class HttpOracle:
         raise DiscoveryFailedError(
             f"oracle deadline of {self.timeout} s passed after {attempt} attempts: {last_error}"
         )
-
-    def _read_body(self, resp, deadline: float) -> bytes:
-        """The reply body, one socket read at a time, checked against the deadline."""
-        chunks = []
-        while chunk := resp.raw.read1(_READ_SIZE, decode_content=True):
-            chunks.append(chunk)
-            if time.monotonic() > deadline:
-                raise DiscoveryFailedError(
-                    f"oracle deadline of {self.timeout} s passed while reading the reply"
-                )
-        return b"".join(chunks)
 
     @staticmethod
     def _parse(body: bytes) -> DiscoveryResponse:

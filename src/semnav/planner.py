@@ -21,10 +21,9 @@ from dataclasses import dataclass, replace
 
 from .discovery import RoomContext, goal_llm_response
 from .errors import (
-    DiscoveryFailedError,
     GridBoundsError,
     MapConsistencyError,
-    OracleParseError,
+    SemnavError,
     UnreachableError,
     ValidationError,
 )
@@ -143,9 +142,9 @@ def resolve_start(m: SemanticMap, start: str | MetricPoint) -> tuple[str, Metric
 def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
     """Run the full mode-dispatch plan over a frozen semantic map.
 
-    An oracle that fails or returns a malformed payload gives a
-    "discovery-failed" PlanOutcome, like any other planning failure, rather
-    than an exception.
+    An oracle that fails, returns a malformed payload or breaks the
+    DiscoveryResponse contract gives a "discovery-failed" PlanOutcome, like
+    any other planning failure, rather than an exception.
     """
     t0 = time.perf_counter()
 
@@ -173,7 +172,7 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
         ]
         try:
             response = goal_llm_response(contexts, goal, oracle)
-        except (DiscoveryFailedError, OracleParseError):
+        except SemnavError:
             return done(failure=FAIL_DISCOVERY)
         candidates = (response.top_room,)
     else:

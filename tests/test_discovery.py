@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -186,6 +187,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     status: int = 200
     delay: float = 0.0  # seconds to wait before replying
     trickle: bool = False  # send the body 8 bytes every 0.2 s
+    stall: bool = False  # send 10 body bytes at 0.45 s, then nothing for 2 s
     seen: list = []
     lock = threading.Lock()
 
@@ -201,6 +203,11 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.end_headers()
         payload = type(self).payload
+        if type(self).stall:
+            time.sleep(0.45)
+            self.wfile.write(payload[:10])
+            time.sleep(2.0)
+            return
         if not type(self).trickle:
             self.wfile.write(payload)
             return
@@ -224,8 +231,10 @@ def stub_server():
     _StubHandler.status = 200
     _StubHandler.delay = 0.0
     _StubHandler.trickle = False
+    _StubHandler.stall = False
     yield server, f"http://127.0.0.1:{server.server_address[1]}/rank"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpOracle:
@@ -343,6 +352,37 @@ class TestHttpOracle:
         assert resp.ranked_rooms == (("office_1", 1.0),)
         assert resp.rationale == "trickled"
 
+    def test_stalled_reply_fails_by_the_deadline(self, stub_server):
+        _, url = stub_server
+        _StubHandler.payload = json.dumps(
+            {"ranking": [{"id": "office_1", "confidence": 1.0}], "rationale": "stalled"}
+        ).encode()
+        _StubHandler.stall = True
+        oracle = HttpOracle(url=url, timeout=0.5, retries=0)
+        start = time.monotonic()
+        with pytest.raises(DiscoveryFailedError, match="deadline"):
+            oracle.rank([OFFICE], GoalQuery("mug"))
+        assert time.monotonic() - start < 0.6  # a read starting at 0.45 s may wait 0.05 s only
+
+    def test_redirect_fails_without_being_followed(self, stub_server):
+        _, url = stub_server
+        _StubHandler.status = 302
+        oracle = HttpOracle(url=url, timeout=5, retries=2, backoff=0.01)
+        with pytest.raises(DiscoveryFailedError, match="302"):
+            oracle.rank([OFFICE], GoalQuery("mug"))
+        assert len(_StubHandler.seen) == 1
+
+    @pytest.mark.parametrize(
+        "url", ["ftp://127.0.0.1/rank", "http:///rank", "http://127.0.0.1:99999/rank"]
+    )
+    def test_bad_url_fails_before_connecting(self, url, monkeypatch):
+        opened = []
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **k: opened.append(a))
+        oracle = HttpOracle(url=url, timeout=5, retries=2, backoff=0.01)
+        with pytest.raises(DiscoveryFailedError, match="bad oracle URL"):
+            oracle.rank([OFFICE], GoalQuery("mug"))
+        assert opened == []
+
     def test_env_var_configuration(self, stub_server, monkeypatch):
         _, url = stub_server
         _StubHandler.payload = json.dumps(
@@ -373,13 +413,37 @@ class TestHttpOracle:
         assert results == ["office_1"] * 12
 
 
-def test_importing_the_cli_leaves_requests_unloaded():
+def _probe(code: str) -> str:
+    """Run code in a fresh interpreter that imports semnav from this tree; its stdout."""
     import semnav
 
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(semnav.__file__))}
-    probe = "import sys, semnav.cli; print('requests' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    probe = (
+        "import sys, semnav.cli\n"
+        "print([m in sys.modules for m in ('requests', 'http.client', 'ssl')])"
+    )
+    assert _probe(probe) == "[False, False, False]"
+
+
+def test_http_oracle_runs_without_requests(stub_server):
+    _, url = stub_server
+    _StubHandler.payload = json.dumps(
+        {"ranking": [{"id": "office_1", "confidence": 1.0}], "rationale": ""}
+    ).encode()
+    probe = (
+        "import sys\n"
+        "from semnav.discovery import HttpOracle, RoomContext\n"
+        "from semnav.graph import GoalQuery\n"
+        "room = RoomContext('office_1', 'office', ('desk',))\n"
+        f"resp = HttpOracle(url={url!r}, timeout=5, retries=0).rank([room], GoalQuery('mug'))\n"
+        "print(resp.top_room, [m in sys.modules for m in ('requests', 'urllib3')])"
+    )
+    assert _probe(probe) == "office_1 [False, False]"

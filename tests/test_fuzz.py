@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semnav.builder import load_objects
-from semnav.discovery import load_cooccurrence_table
+from semnav.discovery import DiscoveryResponse, HttpOracle, load_cooccurrence_table
 from semnav.envgen import _SPEC_KEYS, EnvSpec, load_env_spec
-from semnav.errors import SemnavError
+from semnav.errors import OracleParseError, SemnavError
 from semnav.graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph
 from semnav.mapio import graph_from_json, graph_to_json
 from semnav.metric import GridIndex, MetricPoint, read_pgm
@@ -138,6 +138,37 @@ def test_load_cooccurrence_table(scratch, data):
     table = parses_or_refuses(load_cooccurrence_table, scratch, data)
     if table is not None:
         assert all(math.isfinite(s) and s >= 0 for s in table.entries.values())
+
+
+oracle_replies = st.fixed_dictionaries(
+    {
+        "ranking": json_values
+        | st.lists(
+            st.fixed_dictionaries(
+                {
+                    "id": st.text(max_size=8) | json_values,
+                    "confidence": st.floats() | st.floats(0, 1).map(str) | json_values,
+                }
+            ),
+            max_size=4,
+        )
+    },
+    optional={"rationale": st.text(max_size=8) | json_values},
+)
+
+
+@FUZZ
+@given(data=any_bytes | (json_values | oracle_replies).map(lambda v: json.dumps(v).encode()))
+@example(data=DEEP)
+@example(data=LONG_INT)
+@example(data=b'{"ranking": [{"id": "a", "confidence": NaN}]}')
+def test_oracle_reply(data):
+    try:
+        resp = HttpOracle._parse(data)
+    except OracleParseError:
+        return
+    assert isinstance(resp, DiscoveryResponse)
+    assert all(0.0 <= c <= 1.0 for _, c in resp.ranked_rooms)
 
 
 spec_lines = st.lists(

@@ -151,8 +151,19 @@ class TestPlanDispatch:
         )
         assert not out.ok and out.failure_reason == FAIL_DISCOVERY
 
+    def test_oracle_breaking_the_response_contract_is_discovery_failure(self, fig_map):
+        class RisingOracle:
+            def rank(self, contexts, goal):
+                rooms = [c.room_id for c in contexts]
+                return DiscoveryResponse(ranked_rooms=((rooms[0], 0.1), (rooms[1], 0.9)))
+
+        out = plan(
+            fig_map, PlanRequest(start="office_1", goal=GoalQuery("unicorn")), RisingOracle()
+        )
+        assert not out.ok and out.failure_reason == FAIL_DISCOVERY
+
     def test_malformed_oracle_url_is_discovery_failure(self, fig_map):
-        # requests rejects the URL before it opens any connection
+        # the oracle rejects a URL with no scheme or host before it opens any connection
         oracle = HttpOracle(url="notaurl", retries=0)
         out = plan(fig_map, PlanRequest(start="office_1", goal=GoalQuery("unicorn")), oracle)
         assert not out.ok and out.failure_reason == FAIL_DISCOVERY
