@@ -19,6 +19,9 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
+import numpy as np
+import scipy
+
 from .discovery import DiscoveryResponse
 from .errors import ValidationError
 from .graph import GoalQuery
@@ -248,8 +251,8 @@ def run_bench(
         )
         for name, v in per_mode.items()
     }
-    hardware = f"{platform.platform()} / {platform.processor() or 'unknown cpu'} / " \
-               f"python {platform.python_version()}"
+    hardware = f"{platform.platform()} / {platform.processor() or 'unknown cpu'} / python " \
+               f"{platform.python_version()} / numpy {np.__version__} / scipy {scipy.__version__}"
     return BenchReport(
         n_trials=trials,
         seed=seed,

@@ -140,10 +140,10 @@ class HttpOracle:
 
     Transport failures, 5xx and 429 replies are retried with exponential
     backoff; any other reply outside 2xx (redirects too) or a URL that is not
-    http(s)://host/... fails at once. `timeout` is one deadline for the whole
-    `rank()` call, reply body included: each attempt gets the time left, a
-    backoff sleep that would cross the deadline ends the call, and every
-    socket wait is bounded by the time left when it starts.
+    http(s)://host/... with a printable-ASCII path fails at once. `timeout`
+    bounds the whole `rank()` call, reply body included: each attempt gets
+    the time left, a backoff sleep that would cross the deadline ends the
+    call, and every socket wait is bounded by the time left when it starts.
     """
 
     def __init__(
@@ -168,14 +168,15 @@ class HttpOracle:
 
         try:
             url = urlsplit(self.url)
-            if url.scheme not in ("http", "https") or not url.hostname:
-                raise ValueError("need http(s)://host/...")
+            target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+            printable = all("!" <= ch <= "~" for ch in target)  # http.client checks on send
+            if url.scheme not in ("http", "https") or not url.hostname or not printable:
+                raise ValueError("need http(s)://host/... with a printable-ASCII path and query")
             url.hostname.encode("idna")  # as the resolver will: no label may be empty or too long
             connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
             conn = connection(url.hostname, url.port or connection.default_port)
         except (ValueError, HTTPException) as exc:  # a bad port, IPv6 literal or host character
             raise DiscoveryFailedError(f"bad oracle URL {self.url!r}: {exc}") from exc
-        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         body = json.dumps({
             "goal": normalize_label(goal.text),
             "rooms": [

@@ -21,6 +21,8 @@ resolution*sqrt(2) for the 4 diagonal moves.
 grid_shortest_path runs scipy.sparse.csgraph.dijkstra on a CSR graph that
 each call builds over a window of the grid; its docstring says why the window
 gives the same cost as a whole-grid search. Nothing is cached on the grid.
+The window graph has a fixed degree, a node per cell and 8 moves per node; a
+move at a closed cell or off the window weighs inf, and Dijkstra never takes it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
@@ -351,7 +354,8 @@ def grid_shortest_path(
         f = factors[g.cells[top:bottom, left:right]]
         if keep is not None:
             f[~keep] = -1.0
-        return _window_search(f, top, left, g.resolution, start, goal)
+        flat = [(p.row - top) * (right - left) + p.col - left for p in (start, goal)]
+        return _window_search(f, top, left, g.resolution, *flat)
 
     whole = (0, g.height, 0, g.width)
     margin = _FIRST_MARGIN
@@ -410,64 +414,54 @@ def _clip_box(g: CostmapGrid, a: GridIndex, b: GridIndex, row_margin: int, col_m
 def window_costs(f: np.ndarray, resolution: float, source: tuple[int, int]) -> np.ndarray:
     """Cheapest-path cost, summed from window cell source (row, col), to every
     window cell; f is as for _window_search, and unreached cells read inf."""
-    graph, node = _window_graph(f, resolution)
-    if node[source] < 0:
+    if f[source] < 0:
         return np.full(f.shape, np.inf)
-    dist = dijkstra(graph, indices=node[source])
-    return np.where(node >= 0, dist[node], np.inf)
+    flat = np.ravel_multi_index(source, f.shape)
+    return dijkstra(_window_graph(f, resolution), indices=flat).reshape(f.shape)
 
 
 def _window_graph(f, resolution):
-    """CSR graph of the 8-connected moves between a window's open cells (f >= 0),
-    and node[r, c]: cell (r, c)'s graph node in row-major order, -1 where closed."""
-    height, width = f.shape
-    open_ = f >= 0
-    n = int(open_.sum())
-    node = np.full((height + 2, width + 2), -1, dtype=np.int32)
-    node[1:-1, 1:-1][open_] = np.arange(n, dtype=np.int32)
-    fnode = f[open_]
+    """CSR graph of the 8-connected moves over every cell of a window.
 
-    def neighbours(drow, dcol):
-        return node[1 + drow : 1 + drow + height, 1 + dcol : 1 + dcol + width][open_]
-
-    degree = np.zeros(n, dtype=np.int32)
-    for drow, dcol in _MOVES:
-        degree += neighbours(drow, dcol) >= 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(degree, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    weights = np.empty(indptr[-1])
-    fill = indptr[:-1].copy()
-    straight, diagonal = resolution, resolution * SQRT2
-    for drow, dcol in _MOVES:
-        other = neighbours(drow, dcol)
-        has = other >= 0
-        other = other[has]
-        at = fill[has]
-        step = diagonal if drow and dcol else straight
-        indices[at] = other
-        weights[at] = step * (0.5 * (fnode[has] + fnode[other]))
-        fill[has] += 1
-    return csr_array((weights, indices, indptr), shape=(n, n)), node[1:-1, 1:-1]
-
-
-def _window_search(f, top, left, resolution, start, goal):
-    """Dijkstra from start to goal over the cells of a grid window.
-
-    f holds the window's per-cell factors (< 0 = untraversable) and (top,
-    left) is its first cell in the grid. Returns (path, cost) or None.
+    Node r * width + c is cell (r, c); row v lists v's 8 moves in _MOVES order.
+    A move weighs step * (0.5 * (f_a + f_b)), or inf at a closed cell (f < 0)
+    and off the window, where it points back at v. csgraph never relaxes an inf
+    edge, and open cells list their open neighbours in the same order as in a
+    graph of the open cells alone: the search matches that graph's bit for bit.
     """
-    graph, node = _window_graph(f, resolution)
-    source = node[start.row - top, start.col - left]
-    target = node[goal.row - top, goal.col - left]
-    dist, pred = dijkstra(graph, indices=source, return_predecessors=True)
+    height, width = f.shape
+    n = height * width
+    # halved factors, inf at closed cells and on a ring of closed cells around the window;
+    # halving is exact, so 0.5 * f_a + 0.5 * f_b == 0.5 * (f_a + f_b) bit for bit
+    half = np.pad(np.where(f >= 0, 0.5 * f, np.inf), 1, constant_values=np.inf)
+    half = sliding_window_view(half, f.shape)  # half[1 + drow, 1 + dcol]: each cell's neighbour
+    node = np.arange(n, dtype=np.int32).reshape(height, width)
+    weights = np.empty((height, width, len(_MOVES)))
+    indices = np.empty((height, width, len(_MOVES)), dtype=np.int32)
+    for k, (drow, dcol) in enumerate(_MOVES):
+        step = resolution * SQRT2 if drow and dcol else resolution
+        np.multiply(half[1, 1] + half[1 + drow, 1 + dcol], step, out=weights[..., k])
+        np.add(node, drow * width + dcol, out=indices[..., k])
+        if drow:
+            indices[0 if drow < 0 else -1, :, k] = node[0 if drow < 0 else -1]
+        if dcol:
+            indices[:, 0 if dcol < 0 else -1, k] = node[:, 0 if dcol < 0 else -1]
+    indptr = np.arange(0, len(_MOVES) * n + 1, len(_MOVES), dtype=np.int32)
+    return csr_array((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
+
+
+def _window_search(f, top, left, resolution, source, target):
+    """Dijkstra between cells source and target, flat row-major indices into
+    f, the per-cell factors (< 0 = untraversable) of a grid window whose first
+    cell is (top, left) in the grid. Returns (path, cost) or None."""
+    dist, pred = dijkstra(_window_graph(f, resolution), indices=source, return_predecessors=True)
     if not np.isfinite(dist[target]):
         return None
-    rows, cols = np.nonzero(node >= 0)
     path = []
     v = target
     while v >= 0:
-        path.append(GridIndex(int(cols[v]) + left, int(rows[v]) + top))
-        v = pred[v]
+        row, col = divmod(v, f.shape[1])
+        path.append(GridIndex(col + left, row + top))
+        v = int(pred[v])
     path.reverse()
     return path, float(dist[target])

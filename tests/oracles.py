@@ -14,6 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
 
 def cell_factor(cost: int, allow_inscribed: bool = False):
@@ -346,3 +348,72 @@ def brute_adjacency(labels: np.ndarray, grid):
             total += cost
         edges.append((la, lb, portal, total))
     return edges
+
+
+# (drow, dcol) of the 8 moves, in the order each node's CSR row lists them.
+_MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def open_cell_graph(f, resolution):
+    """CSR graph of the 8-connected moves between a window's open cells (f >= 0),
+    and node[r, c]: cell (r, c)'s graph node in row-major order, -1 where closed.
+
+    Reference for metric._window_graph: the open-cell builder it replaced,
+    which lists only the moves between open cells, so its rows vary in length.
+    """
+    height, width = f.shape
+    open_ = f >= 0
+    n = int(open_.sum())
+    node = np.full((height + 2, width + 2), -1, dtype=np.int32)
+    node[1:-1, 1:-1][open_] = np.arange(n, dtype=np.int32)
+    fnode = f[open_]
+
+    def neighbours(drow, dcol):
+        return node[1 + drow : 1 + drow + height, 1 + dcol : 1 + dcol + width][open_]
+
+    degree = np.zeros(n, dtype=np.int32)
+    for drow, dcol in _MOVES:
+        degree += neighbours(drow, dcol) >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    weights = np.empty(indptr[-1])
+    fill = indptr[:-1].copy()
+    straight, diagonal = resolution, resolution * math.sqrt(2.0)
+    for drow, dcol in _MOVES:
+        other = neighbours(drow, dcol)
+        has = other >= 0
+        other = other[has]
+        at = fill[has]
+        step = diagonal if drow and dcol else straight
+        indices[at] = other
+        weights[at] = step * (0.5 * (fnode[has] + fnode[other]))
+        fill[has] += 1
+    return csr_array((weights, indices, indptr), shape=(n, n)), node[1:-1, 1:-1]
+
+
+def open_cell_search(f, top, left, resolution, start, goal):
+    """metric._window_search over open_cell_graph; start/goal are GridIndex."""
+    graph, node = open_cell_graph(f, resolution)
+    source = node[start.row - top, start.col - left]
+    target = node[goal.row - top, goal.col - left]
+    dist, pred = dijkstra(graph, indices=source, return_predecessors=True)
+    if not np.isfinite(dist[target]):
+        return None
+    rows, cols = np.nonzero(node >= 0)
+    path = []
+    v = target
+    while v >= 0:
+        path.append((int(cols[v]) + left, int(rows[v]) + top))
+        v = pred[v]
+    path.reverse()
+    return path, float(dist[target])
+
+
+def open_cell_costs(f, resolution, source):
+    """metric.window_costs over open_cell_graph."""
+    graph, node = open_cell_graph(f, resolution)
+    if node[source] < 0:
+        return np.full(f.shape, np.inf)
+    dist = dijkstra(graph, indices=node[source])
+    return np.where(node >= 0, dist[node], np.inf)

@@ -1,7 +1,9 @@
 import json
 import random
 
+import numpy as np
 import pytest
+import scipy
 
 from semnav.bench import (
     AdversarialOracle,
@@ -72,6 +74,8 @@ class TestReportShape:
         doc = json.loads(report.to_json())
         assert doc["n_trials"] == 10
         assert doc["hardware"]
+        assert f"numpy {np.__version__}" in doc["hardware"]
+        assert f"scipy {scipy.__version__}" in doc["hardware"]
         assert doc["wall_time_ms"]["max"] >= doc["wall_time_ms"]["p50"]
 
     def test_report_reproducible_modulo_wall_time(self, multi_map):

@@ -383,6 +383,20 @@ class TestHttpOracle:
             oracle.rank([OFFICE], GoalQuery("mug"))
         assert opened == []
 
+    @pytest.mark.parametrize(
+        "url",
+        ["http://127.0.0.1:1/a b", "http://127.0.0.1:1/rank?q=\x01", "http://127.0.0.1:1/caf\u00e9"],
+    )
+    def test_bad_path_fails_before_the_first_attempt(self, url, monkeypatch, caplog):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        oracle = HttpOracle(url=url, timeout=5, retries=2, backoff=1.0)
+        with caplog.at_level(logging.WARNING):
+            with pytest.raises(DiscoveryFailedError, match="bad oracle URL"):
+                oracle.rank([OFFICE], GoalQuery("mug"))
+        assert not [rec for rec in caplog.records if "attempt" in rec.message]
+        assert sleeps == []
+
     def test_env_var_configuration(self, stub_server, monkeypatch):
         _, url = stub_server
         _StubHandler.payload = json.dumps(

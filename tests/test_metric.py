@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semnav.errors import (
     ConfigError,
@@ -27,7 +27,7 @@ from semnav.metric import (
 )
 
 from conftest import grid_from_ascii
-from oracles import brute_grid_dijkstra
+from oracles import brute_grid_dijkstra, open_cell_costs, open_cell_search
 
 
 def write_meta(path, extra=""):
@@ -458,3 +458,90 @@ class TestWindowedSearchExactness:
         assert len(windows) == 3 and windows[0] is None
         assert windows[2] == cost < windows[1]
         assert GridIndex(12, 20) in path
+
+
+# Two cell mixes: mostly open, and almost all closed (most of those have no route).
+_WINDOW_MIXES = (
+    [0] * 6 + [7, 64, 200, 252, 253, 254, 255],
+    [254] * 10 + [255, 253, 0, 31],
+)
+
+
+@st.composite
+def window_cases(draw):
+    """(f, resolution, source, target): window factors, which may be 1xN or
+    Nx1, and two (row, col) cells, often on the window's first or last row
+    and column. Either cell may be closed."""
+    shape = draw(st.sampled_from(["row", "column", "box"]))
+    height = 1 if shape == "row" else draw(st.integers(1, 12))
+    width = 1 if shape == "column" else draw(st.integers(1, 12))
+    mix = draw(st.sampled_from(_WINDOW_MIXES))
+    n = height * width
+    cells = np.array(draw(st.lists(st.sampled_from(mix), min_size=n, max_size=n)), dtype=np.uint8)
+    f = metric.factor_table(draw(st.booleans()))[cells.reshape(height, width)]
+
+    def cell():
+        return tuple(
+            draw(st.one_of(st.sampled_from([0, size - 1]), st.integers(0, size - 1)))
+            for size in (height, width)
+        )
+
+    return f, draw(st.sampled_from([0.05, 0.1, 1.0])), cell(), cell()
+
+
+class TestFixedDegreeWindowGraph:
+    """metric._window_graph against the open-cell builder it replaced
+    (oracles.open_cell_graph): the same search results, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(window_cases(), st.integers(0, 5), st.integers(0, 5))
+    @example(  # a closed column splits the window: no route
+        (np.array([[1.0, -1.0, 1.0], [1.0, -1.0, 1.0]]), 1.0, (0, 0), (1, 2)), 2, 3
+    )
+    def test_search_matches_open_cell_graph(self, case, top, left):
+        f, resolution, source, target = case
+        for cell in (source, target):  # the search's endpoints are open
+            f[cell] = max(f[cell], 1.0)
+        width = f.shape[1]
+        found = metric._window_search(
+            f, top, left, resolution, source[0] * width + source[1], target[0] * width + target[1]
+        )
+        start, goal = (GridIndex(c + left, r + top) for r, c in (source, target))
+        expected = open_cell_search(f, top, left, resolution, start, goal)
+        if expected is None:
+            assert found is None
+        else:
+            path, cost = found
+            assert [tuple(c) for c in path] == expected[0] and cost == expected[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(window_cases())
+    def test_costs_match_open_cell_graph(self, case):
+        f, resolution, source, _ = case
+        costs = metric.window_costs(f, resolution, source)
+        assert costs.shape == f.shape
+        assert (costs == open_cell_costs(f, resolution, source)).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(window_cases())
+    def test_csr_layout(self, case):
+        f, resolution, _, _ = case
+        height, width = f.shape
+        n = f.size
+        graph = metric._window_graph(f, resolution)
+        assert graph.shape == (n, n)
+        assert (np.diff(graph.indptr) == 8).all()
+        rows = np.repeat(np.arange(n), 8)
+        cols, weights = graph.indices, graph.data
+        # A move out of the window points back at its own node with weight
+        # inf; every other column appears at most once in a row.
+        loop = cols == rows
+        assert np.isinf(weights[loop]).all()
+        pairs = rows[~loop] * n + cols[~loop]
+        assert len(np.unique(pairs)) == len(pairs)
+        (r0, c0), (r1, c1) = np.divmod(rows[~loop], width), np.divmod(cols[~loop], width)
+        assert (np.maximum(abs(r1 - r0), abs(c1 - c0)) == 1).all()  # an 8-neighbour, no wrap
+        # no step costs less than its length, and an edge at a closed cell is never taken
+        assert (np.isinf(weights) | (weights >= resolution)).all()
+        closed = (f < 0).reshape(-1)
+        assert np.isinf(weights[closed[rows] | closed[cols]]).all()
