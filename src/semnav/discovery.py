@@ -167,11 +167,13 @@ class HttpOracle:
         from http.client import HTTPConnection, HTTPException, HTTPSConnection  # 12 ms with ssl
 
         try:
+            # http.client checks the path on send, and urlsplit drops tabs, CR and LF
+            if not all("!" <= ch <= "~" for ch in self.url):
+                raise ValueError("need a printable-ASCII URL")
             url = urlsplit(self.url)
             target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-            printable = all("!" <= ch <= "~" for ch in target)  # http.client checks on send
-            if url.scheme not in ("http", "https") or not url.hostname or not printable:
-                raise ValueError("need http(s)://host/... with a printable-ASCII path and query")
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError("need http(s)://host/...")
             url.hostname.encode("idna")  # as the resolver will: no label may be empty or too long
             connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
             conn = connection(url.hostname, url.port or connection.default_port)

@@ -19,7 +19,8 @@ length. step_length is resolution for the 4 straight moves and
 resolution*sqrt(2) for the 4 diagonal moves.
 
 grid_shortest_path runs scipy.sparse.csgraph.dijkstra on a CSR graph that
-each call builds over a window of the grid; its docstring says why the window
+each call builds over an octile ellipse with foci start and goal, grown until
+it holds every path no dearer than the one found; its docstring says why that
 gives the same cost as a whole-grid search. Nothing is cached on the grid.
 The window graph has a fixed degree, a node per cell and 8 moves per node; a
 move at a closed cell or off the window weighs inf, and Dijkstra never takes it.
@@ -301,8 +302,9 @@ def costs_to_pixels(costs: np.ndarray) -> np.ndarray:
 # (drow, dcol) of the 8 moves, in the order each node's CSR row lists them.
 _MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
-# Side margin, in cells, of the first search box around start and goal.
-_FIRST_MARGIN = 8
+# Slack, in cells, of the first search ellipse beyond the octile distance
+# from start to goal.
+_FIRST_SLACK = 2.0
 
 
 def factor_table(allow_inscribed: bool = False) -> np.ndarray:
@@ -323,11 +325,17 @@ def grid_shortest_path(
 ) -> tuple[list[GridIndex], float]:
     """Minimum-cost 8-connected path between two traversable cells.
 
-    The search runs on a box around start and goal, grown until it holds a
-    path of some cost C, then (unless the box already covers it) once more
-    on the cells v with resolution * (octile(start, v) + octile(v, goal)) <= C
-    plus one cell. Every step costs at least its length, so that set holds
-    every path of cost <= C and the result equals a whole-grid search.
+    The search runs on the octile ellipse E(span), the cells v with
+    octile(start, v) + octile(v, goal) <= span in cells, from
+    span = direct + 2, direct = octile(start, goal). Every step costs at
+    least resolution times its length, so E(C / resolution) holds every path
+    of cost <= C: a path found of cost C is exact once
+    C / resolution + 1 <= span (the extra cell absorbs float rounding).
+    Otherwise the search runs again with span = C / resolution + 1, or, if it
+    found no path, with four times the slack span - direct, until E(span)
+    covers the grid. The result equals a whole-grid search. E(span) lies in
+    the start-goal box widened by ceil((span - direct) / (2 * (sqrt(2) - 1)))
+    + 1 cells per side (see _ellipse).
 
     The cost is the exact minimum, bit for bit. Among equal-cost paths the
     one returned is csgraph's deterministic choice for the window searched.
@@ -349,66 +357,49 @@ def grid_shortest_path(
     if start == goal:
         return [start], 0.0
 
-    def search(box, keep=None):
-        top, bottom, left, right = box
-        f = factors[g.cells[top:bottom, left:right]]
-        if keep is not None:
-            f[~keep] = -1.0
-        flat = [(p.row - top) * (right - left) + p.col - left for p in (start, goal)]
-        return _window_search(f, top, left, g.resolution, *flat)
-
-    whole = (0, g.height, 0, g.width)
-    margin = _FIRST_MARGIN
+    direct = float(_octile(start.row - goal.row, start.col - goal.col))
+    span = direct + _FIRST_SLACK
     while True:
-        box = _clip_box(g, start, goal, margin, margin)
-        found = search(box)
+        top, left, inside = _ellipse(g, start, goal, direct, span)
+        f = factors[g.cells[top : top + inside.shape[0], left : left + inside.shape[1]]]
+        f[~inside] = -1.0
+        flat = [(p.row - top) * f.shape[1] + p.col - left for p in (start, goal)]
+        found = _window_search(f, top, left, g.resolution, *flat)
         if found is not None:
-            break
-        if box == whole:
+            if found[1] / g.resolution + 1.0 <= span:
+                return found
+            span = found[1] / g.resolution + 1.0
+        elif inside.size == g.cells.size and inside.all():
             raise UnreachableError(f"no traversable route from {start} to {goal}")
-        margin *= 2
-    cost = found[1]
+        else:
+            span = direct + 4.0 * (span - direct)
 
-    # Octile ellipse with foci start and goal and "length" cost/resolution
-    # plus one cell of slack. A cell `reach` rows (columns) beyond both foci
-    # is at octile distance >= 2*reach + |drow| (|dcol|) from them.
-    span = cost / g.resolution + 1.0
-    row_reach = math.ceil((span - abs(start.row - goal.row)) / 2)
-    col_reach = math.ceil((span - abs(start.col - goal.col)) / 2)
-    top, _, left, _ = loose = _clip_box(g, start, goal, row_reach, col_reach)
-    rows = np.arange(loose[0], loose[1])[:, None]
-    cols = np.arange(loose[2], loose[3])[None, :]
+
+def _ellipse(g: CostmapGrid, start: GridIndex, goal: GridIndex, direct: float, span: float):
+    """(top, left, inside): E(span) as a mask over its bounding box, whose
+    first cell is (top, left) in the grid; direct = octile(start, goal).
+
+    The mask is built over the start-goal box widened by `reach` cells per
+    side: a cell k rows or columns outside the start-goal box has an octile
+    sum of at least direct + 2 * (sqrt(2) - 1) * k, as each term grows by at
+    least sqrt(2) - 1 per step away from both foci. The + 1 absorbs rounding.
+    """
+    reach = math.ceil((span - direct) / (2.0 * (SQRT2 - 1.0))) + 1
+    top = max(0, min(start.row, goal.row) - reach)
+    left = max(0, min(start.col, goal.col) - reach)
+    rows = np.arange(top, min(g.height, max(start.row, goal.row) + reach + 1))[:, None]
+    cols = np.arange(left, min(g.width, max(start.col, goal.col) + reach + 1))[None, :]
     inside = _octile(rows - start.row, cols - start.col)
     inside += _octile(rows - goal.row, cols - goal.col)
     inside = inside <= span
-    r0, r1, c0, c1 = _bounding_box(inside)
-    ellipse = (top + r0, top + r1, left + c0, left + c1)
-    rows_covered = box[0] <= ellipse[0] and ellipse[1] <= box[1]
-    if rows_covered and box[2] <= ellipse[2] and ellipse[3] <= box[3]:
-        return found
-    return search(ellipse, inside[r0:r1, c0:c1])
-
-
-def _bounding_box(m: np.ndarray) -> tuple[int, int, int, int]:
-    """(top, bottom, left, right) half-open box around the True cells of m."""
-    rows = np.flatnonzero(m.any(axis=1))
-    cols = np.flatnonzero(m.any(axis=0))
-    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    r = np.flatnonzero(inside.any(axis=1))
+    c = np.flatnonzero(inside.any(axis=0))
+    return top + int(r[0]), left + int(c[0]), inside[r[0] : r[-1] + 1, c[0] : c[-1] + 1]
 
 
 def _octile(drow: np.ndarray, dcol: np.ndarray) -> np.ndarray:
     drow, dcol = np.abs(drow), np.abs(dcol)
     return np.maximum(drow, dcol) + (SQRT2 - 1.0) * np.minimum(drow, dcol)
-
-
-def _clip_box(g: CostmapGrid, a: GridIndex, b: GridIndex, row_margin: int, col_margin: int):
-    """(top, bottom, left, right) half-open box around a and b, clipped to the grid."""
-    return (
-        max(0, min(a.row, b.row) - row_margin),
-        min(g.height, max(a.row, b.row) + row_margin + 1),
-        max(0, min(a.col, b.col) - col_margin),
-        min(g.width, max(a.col, b.col) + col_margin + 1),
-    )
 
 
 def window_costs(f: np.ndarray, resolution: float, source: tuple[int, int]) -> np.ndarray:

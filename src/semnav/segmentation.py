@@ -263,7 +263,9 @@ def _merge_regions(
                 moved[a, b] = moved.get((a, b), 0) + count
         pairs = moved
 
-    while wide := [(-n, a, b) for (a, b), n in pairs.items() if n * res > door_width_max]:
+    # n * res rounds up (24 * 0.05 > 1.2): a merge needs more than rounding's excess
+    door = door_width_max * (1.0 + 1e-9)
+    while wide := [(-n, a, b) for (a, b), n in pairs.items() if n * res > door]:
         _, a, b = min(wide)
         fold(b, a)
     while len(size) > 1:

@@ -228,7 +228,7 @@ def brute_merge(labels: np.ndarray, door_width_max: float, res: float) -> np.nda
         wide = [
             (cnt, la, lb)
             for (la, lb), cnt in pairs.items()
-            if cnt * res > door_width_max
+            if cnt * res > door_width_max * (1.0 + 1e-9)  # not 24 * 0.05 > 1.2
         ]
         if not wide:
             return labels

@@ -385,7 +385,13 @@ class TestHttpOracle:
 
     @pytest.mark.parametrize(
         "url",
-        ["http://127.0.0.1:1/a b", "http://127.0.0.1:1/rank?q=\x01", "http://127.0.0.1:1/caf\u00e9"],
+        [
+            "http://127.0.0.1:1/a b",
+            "http://127.0.0.1:1/rank?q=\x01",
+            "http://127.0.0.1:1/caf\u00e9",
+            "http://127.0.0.1:1/a\tb\nc",
+            "http://127.0.0.1:1/rank\r",
+        ],
     )
     def test_bad_path_fails_before_the_first_attempt(self, url, monkeypatch, caplog):
         sleeps = []

@@ -420,13 +420,13 @@ def long_detour_grid():
 
 class TestWindowedSearchExactness:
     @settings(max_examples=200, deadline=None)
-    @given(search_cases(), st.integers(1, 4))
-    def test_matches_brute_force_with_small_windows(self, case, first_margin):
+    @given(search_cases(), st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+    def test_matches_brute_force_with_small_windows(self, case, first_slack):
         g, start, goal, allow_inscribed = case
         expected = brute_grid_dijkstra(g, start, goal, allow_inscribed)
-        # Small first boxes make most searches grow and take the ellipse pass.
+        # Thin first ellipses make most searches grow, by slack or by cost.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metric, "_FIRST_MARGIN", first_margin)
+            mp.setattr(metric, "_FIRST_SLACK", first_slack)
             try:
                 path, cost = grid_shortest_path(g, start, goal, allow_inscribed=allow_inscribed)
             except UnreachableError:
@@ -439,7 +439,7 @@ class TestWindowedSearchExactness:
             limit = 253 if allow_inscribed else 252
             assert all(g.cells[c.row, c.col] <= limit for c in path)
 
-    def test_long_detour_grows_box_then_takes_ellipse_pass(self, monkeypatch):
+    def test_long_detour_grows_ellipse_then_takes_exact_pass(self, monkeypatch):
         g = long_detour_grid()
         start, goal = GridIndex(5, 2), GridIndex(19, 2)
         windows = []
@@ -450,14 +450,49 @@ class TestWindowedSearchExactness:
             windows.append(None if found is None else found[1])
             return found
 
+        monkeypatch.setattr(metric, "_FIRST_SLACK", 1.0)
         monkeypatch.setattr(metric, "_window_search", spy)
         path, cost = grid_shortest_path(g, start, goal)
         assert cost == brute_grid_dijkstra(g, start, goal)
-        # First box: no tunnel, no path. Grown box: only the costly tunnel.
-        # Ellipse pass: the free tunnel outside the grown box.
-        assert len(windows) == 3 and windows[0] is None
-        assert windows[2] == cost < windows[1]
+        # First ellipse and its fourfold slack: no tunnel, no path. The next
+        # grown ellipse takes the costly tunnel; the exact pass, wide enough
+        # for any path that cheap, takes the free tunnel.
+        assert len(windows) == 4 and windows[:2] == [None, None]
+        assert windows[3] == cost < windows[2]
         assert GridIndex(12, 20) in path
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.data(),
+        st.floats(0.0, 60.0, allow_nan=False),
+    )
+    def test_ellipse_box_holds_every_cell_within_span(self, width, height, data, slack):
+        g = CostmapGrid(
+            width=width,
+            height=height,
+            resolution=1.0,
+            origin_x=0,
+            origin_y=0,
+            cells=np.zeros((height, width), dtype=np.uint8),
+        )
+        start, goal = (
+            GridIndex(data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1)))
+            for _ in range(2)
+        )
+        direct = float(metric._octile(start.row - goal.row, start.col - goal.col))
+        span = direct + slack
+        top, left, inside = metric._ellipse(g, start, goal, direct, span)
+        rows = np.arange(height)[:, None]
+        cols = np.arange(width)[None, :]
+        total = metric._octile(rows - start.row, cols - start.col)
+        total += metric._octile(rows - goal.row, cols - goal.col)
+        # the whole grid's ellipse equals the mask, and lies inside its box
+        placed = np.zeros((height, width), dtype=bool)
+        placed[top : top + inside.shape[0], left : left + inside.shape[1]] = inside
+        assert np.array_equal(placed, total <= span)
+        assert inside[0].any() and inside[-1].any() and inside[:, 0].any() and inside[:, -1].any()
 
 
 # Two cell mixes: mostly open, and almost all closed (most of those have no route).

@@ -351,11 +351,14 @@ class TestAgainstLoopOracles:
         assert np.array_equal(got[1], [1, 1, 1, 1, 1, 2, 2, 2, 2])
 
     def test_region_fold_threshold_is_count_times_resolution(self):
-        # 17 * 0.1 > 1.7 in floats, while 17 > 1.7 / 0.1 is false
-        labels = np.repeat([[1, 1, 2, 2]], 17, axis=0).astype(np.int32)
-        want = brute_compact_labels(brute_merge(labels, 1.7, 0.1))
-        assert np.array_equal(want, np.ones_like(labels))
-        assert np.array_equal(_merge_regions(labels, 1.7, 0.1, 1), want)
+        # 24 * 0.05 > 1.2 and 17 * 0.1 > 1.7 in floats, yet such a boundary is
+        # exactly as wide as the doorway and must not merge; one cell more must
+        for door_width_max, res, cells in ((1.2, 0.05, 24), (1.7, 0.1, 17)):
+            for extra, rooms in ((0, 2), (1, 1)):
+                labels = np.repeat([[1, 1, 2, 2]], cells + extra, axis=0).astype(np.int32)
+                want = brute_compact_labels(brute_merge(labels, door_width_max, res))
+                assert int(want.max()) == rooms
+                assert np.array_equal(_merge_regions(labels, door_width_max, res, 1), want)
 
     @settings(max_examples=200, deadline=None)
     @given(label_grids(6, np.int32))
