@@ -16,6 +16,9 @@ A map is read one way for every command. A malformed file, or a room or
 object id listed twice in graph.json, raises MapFormatError (CLI exit 2).
 A well-formed map that breaks an invariant of validate_semantic_map raises
 MapConsistencyError carrying every violation (CLI exit 3).
+
+Reading, judging and rendering a map need numpy only: room boxes and room
+component counts come from RoomLabelRaster's row runs, not scipy.ndimage.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridBoundsError, MapConsistencyError, MapFormatError, ValidationError
 from .graph import (
@@ -38,7 +40,7 @@ from .graph import (
     Violation,
 )
 from .metric import CostmapGrid, GridIndex, MetricPoint, read_key_value_file, read_pgm, write_pgm
-from .segmentation import FOUR_CONNECTED, RoomLabelRaster
+from .segmentation import RoomLabelRaster
 
 FORMAT_VERSION = 1
 
@@ -104,7 +106,7 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
         )
         return out  # positional checks below assume matching dims
 
-    labels, boxes = m.raster.labels, m.raster.boxes
+    labels = m.raster.labels
     present = set(m.raster.room_labels())
     mapped = set(m.room_labels)
     for label in sorted(present - mapped):
@@ -130,9 +132,7 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
         out.append(Violation("raster", "labeled-free", f"{n} labeled cell(s) not free"))
 
     for label in sorted(present & mapped):
-        # the bounding box holds every cell of the region and every path between them
-        region = labels[boxes[label - 1]] == label
-        _, n_comp = ndimage.label(region, structure=FOUR_CONNECTED)
+        n_comp = m.raster.components[label]
         if n_comp != 1:
             out.append(
                 Violation(
@@ -484,7 +484,7 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
         if label is None:
             continue
         parts.append(f'<g class="room"><title>{_esc(room.id)}</title>\n')
-        # a label outside find_objects' range (e.g. 0) is drawn from the whole grid
+        # a label outside the boxes' range (e.g. 0) is drawn from the whole grid
         box = boxes[label - 1] if 0 < label <= len(boxes) else np.s_[0:, 0:]
         runs = () if box is None else _rect_runs(m.raster.labels[box] == label)
         for _, col, row, w, h in runs:

@@ -24,6 +24,7 @@ it holds every path no dearer than the one found; its docstring says why that
 gives the same cost as a whole-grid search. Nothing is cached on the grid.
 The window graph has a fixed degree, a node per cell and 8 moves per node; a
 move at a closed cell or off the window weighs inf, and Dijkstra never takes it.
+scipy is imported by the functions that search, so loading a map needs numpy only.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     ConfigError,
@@ -405,6 +404,8 @@ def _octile(drow: np.ndarray, dcol: np.ndarray) -> np.ndarray:
 def window_costs(f: np.ndarray, resolution: float, source: tuple[int, int]) -> np.ndarray:
     """Cheapest-path cost, summed from window cell source (row, col), to every
     window cell; f is as for _window_search, and unreached cells read inf."""
+    from scipy.sparse.csgraph import dijkstra
+
     if f[source] < 0:
         return np.full(f.shape, np.inf)
     flat = np.ravel_multi_index(source, f.shape)
@@ -420,6 +421,8 @@ def _window_graph(f, resolution):
     edge, and open cells list their open neighbours in the same order as in a
     graph of the open cells alone: the search matches that graph's bit for bit.
     """
+    from scipy.sparse import csr_array
+
     height, width = f.shape
     n = height * width
     # halved factors, inf at closed cells and on a ring of closed cells around the window;
@@ -445,6 +448,8 @@ def _window_search(f, top, left, resolution, source, target):
     """Dijkstra between cells source and target, flat row-major indices into
     f, the per-cell factors (< 0 = untraversable) of a grid window whose first
     cell is (top, left) in the grid. Returns (path, cost) or None."""
+    from scipy.sparse.csgraph import dijkstra
+
     dist, pred = dijkstra(_window_graph(f, resolution), indices=source, return_predecessors=True)
     if not np.isfinite(dist[target]):
         return None

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, MapConsistencyError, ValidationError
 from .graph import RoomEdge, UNCATEGORIZED, normalize_label
@@ -45,6 +44,10 @@ class RoomLabelRaster:
 
     Label 0 marks non-room cells (walls, unknown, unreachable pockets);
     label k > 0 marks room k's cells.
+
+    boxes and components come from one table of the raster's row runs. A run
+    is a maximal stretch of one nonzero label within one row, held as its
+    label and its flat [start, end) range in the row-major raster.
     """
 
     width: int
@@ -80,10 +83,78 @@ class RoomLabelRaster:
     def label_at(self, index: GridIndex) -> int:
         return int(self.labels[index.row, index.col])
 
-    @cached_property
+    @property
     def boxes(self) -> list[tuple[slice, slice] | None]:
-        """find_objects of the labels: item k - 1 is label k's box, None if absent."""
-        return ndimage.find_objects(self.labels)
+        """Item k - 1 is label k's (rows, cols) bounding box, None if k is absent.
+
+        The list ends at the largest label, as ndimage.find_objects' does.
+        """
+        return self._room_summary[0]
+
+    @property
+    def components(self) -> dict[int, int]:
+        """Each present label's number of 4-connected components."""
+        return self._room_summary[1]
+
+    @cached_property
+    def _room_summary(self) -> tuple[list[tuple[slice, slice] | None], dict[int, int]]:
+        """boxes and components, from the row runs; the runs are not kept.
+
+        A run touches the runs of the row above that overlap its range shifted
+        up a row, [start - width, end - width). Runs are sorted and disjoint, so
+        two searchsorted calls give each run the index range of those runs.
+        Same-label pairs are joined in a union-find, and a label's component
+        count is the number of its runs left as roots.
+        """
+        flat, width = self.labels.reshape(-1), self.width
+        if not flat.any():
+            return [], {}
+        cut = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=cut[1:])
+        cut[::width] = True  # a run never spans two rows
+        starts = np.flatnonzero(cut)
+        ends = np.append(starts[1:], flat.size)
+        label = flat[starts]
+        keep = label > 0
+        starts, ends, label = starts[keep], ends[keep], label[keep].astype(np.intp)
+
+        order = np.argsort(label, kind="stable")  # by label, then row-major
+        sorted_label = label[order]
+        first = np.flatnonzero(np.diff(sorted_label, prepend=0))  # labels are > 0
+        last = np.append(first[1:], label.size) - 1
+        present = sorted_label[first]
+        rows = starts // width
+        top, bottom = rows[order[first]], rows[order[last]] + 1
+        left = np.minimum.reduceat((starts - rows * width)[order], first)
+        right = np.maximum.reduceat((ends - rows * width)[order], first)
+        boxes = [None] * int(present[-1])
+        for k, r0, r1, c0, c1 in zip(*(a.tolist() for a in (present, top, bottom, left, right))):
+            boxes[k - 1] = (slice(r0, r1), slice(c0, c1))
+
+        lo = np.searchsorted(ends, starts - width, side="right")
+        count = np.searchsorted(starts, ends - width, side="left") - lo
+        run = np.repeat(np.arange(label.size), count)  # run i once per run it touches above
+        above = np.arange(run.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+        same = label[run] == label[above]
+        run, above = run[same], above[same]
+        # a run's first pair joins it, still a lone run, to the tree above it
+        first_pair = np.diff(run, prepend=-1) != 0
+        parent = np.arange(label.size)
+        parent[run[first_pair]] = above[first_pair]
+        while not np.array_equal(root := parent[parent], parent):  # pointer jumping
+            parent = root
+        # any further pair (a U joined below its arms) may join two trees
+        parent = parent.tolist()
+        for a, b in zip(run[~first_pair].tolist(), above[~first_pair].tolist()):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]  # path halving
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[max(a, b)] = min(a, b)
+        roots = label[np.array(parent) == np.arange(label.size)]
+        counts = np.bincount(roots, minlength=label.max() + 1)[present]
+        components = dict(zip(present.tolist(), counts.tolist()))
+        return boxes, components
 
     @cached_property
     def centroid_cells(self) -> dict[int, GridIndex]:
@@ -124,6 +195,8 @@ def segment_rooms(
         raise ConfigError(f"door width must be finite and > 0, got {door_width_max}")
     if min_room_cells is None:
         min_room_cells = default_min_room_cells(g.resolution)
+    from scipy import ndimage  # only a build segments; reading a map needs numpy only
+
     free = g.cells < 253
     if not free.any():
         raise ValidationError("costmap has no free cells to segment")
@@ -143,6 +216,8 @@ def segment_rooms(
 
 def _seed_labels(dist: np.ndarray, domain: np.ndarray, min_depth: float) -> np.ndarray:
     """Distance local maxima as 8-connected seeds, numbered by first cell in row-major scan."""
+    from scipy import ndimage
+
     h, w = dist.shape
     padded = np.full((h + 2, w + 2), -1.0)
     padded[1:-1, 1:-1] = np.where(domain, dist, -1.0)

@@ -135,6 +135,23 @@ def brute_rect_runs(values):
             yield int(v), c, r, c1 - c, r1 - r
 
 
+def ndimage_room_summary(labels: np.ndarray):
+    """(boxes, components) of a room raster from scipy.ndimage.
+
+    Reference for RoomLabelRaster.boxes and .components: find_objects gives
+    the boxes, and one 4-connected ndimage.label per present label, over its
+    box, gives the component counts.
+    """
+    boxes = ndimage.find_objects(labels)
+    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    components = {}
+    for label, box in enumerate(boxes, start=1):
+        if box is not None:
+            # the bounding box holds every cell of the region and every path between them
+            components[label] = ndimage.label(labels[box] == label, structure=four)[1]
+    return boxes, components
+
+
 def brute_flood(dist: np.ndarray, domain: np.ndarray, seeds: list[np.ndarray]) -> np.ndarray:
     """Grow seed regions over the domain, deepest cells first, 4-connected.
 

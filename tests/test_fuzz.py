@@ -2,18 +2,23 @@
 
 import json
 import math
+import shutil
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semnav.builder import load_objects
 from semnav.discovery import DiscoveryResponse, HttpOracle, load_cooccurrence_table
-from semnav.envgen import _SPEC_KEYS, EnvSpec, load_env_spec
-from semnav.errors import OracleParseError, SemnavError
+from semnav.envgen import _SPEC_KEYS, EnvSpec, generate, load_env_spec
+from semnav.errors import MapConsistencyError, MapFormatError, OracleParseError, SemnavError
 from semnav.graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph
-from semnav.mapio import graph_from_json, graph_to_json
-from semnav.metric import GridIndex, MetricPoint, read_pgm
-from semnav.segmentation import parse_rules
+from semnav.mapio import assemble_map, graph_from_json, graph_to_json, load_map, save_map
+from semnav.metric import GridIndex, MetricPoint, read_pgm, write_pgm
+from semnav.segmentation import RoomLabelRaster, parse_rules
+
+from oracles import ndimage_room_summary
 
 FUZZ = settings(max_examples=300, deadline=None)
 
@@ -220,3 +225,75 @@ def test_env_spec(kwargs):
     except SemnavError:
         return
     assert not non_finite, "a non-finite spec value was accepted"
+
+
+@pytest.fixture(scope="module")
+def saved_map(tmp_path_factory):
+    """A saved generated map to edit, with its room raster and meta.json as read."""
+    grid, gt, graph = generate(EnvSpec(seed=3, n_rooms=4, resolution=0.1))
+    root = tmp_path_factory.mktemp("map")
+    save_map(assemble_map(grid, gt.raster, graph, gt.label_to_room), root / "saved")
+    shutil.copytree(root / "saved", root / "edited")
+    labels, _ = read_pgm(root / "saved" / "rooms.pgm")
+    meta = json.loads((root / "saved" / "meta.json").read_text(encoding="utf-8"))
+    return root / "edited", labels, meta
+
+
+def _edit_layers(data, labels: np.ndarray, names: dict) -> np.ndarray:
+    """Apply one drawn edit to the room raster and meta.json's label map together."""
+    edit = data.draw(st.sampled_from(["split", "paint", "merge", "map-absent", "unmap", "reshape"]))
+    present = sorted(set(np.unique(labels).tolist()) - {0})
+    if edit == "paint" and present:  # a block of one room's label, anywhere
+        top, left = (data.draw(st.integers(0, n - 1)) for n in labels.shape)
+        h, w = (data.draw(st.integers(1, 12)) for _ in range(2))
+        labels[top : top + h, left : left + w] = data.draw(st.sampled_from(present))
+    elif edit == "split" and present:  # zero a band across one room
+        label = data.draw(st.sampled_from(present))
+        axis = data.draw(st.integers(0, 1))
+        cells = np.nonzero(labels == label)[axis]
+        at = data.draw(st.integers(int(cells.min()), int(cells.max())))
+        band = [slice(None), slice(None)]
+        band[axis] = slice(at, at + data.draw(st.integers(1, 3)))
+        labels[tuple(band)][labels[tuple(band)] == label] = 0
+    elif edit == "merge" and len(present) > 1:  # two rooms, one label
+        a, b = data.draw(st.lists(st.sampled_from(present), min_size=2, max_size=2, unique=True))
+        labels[labels == b] = a
+        if data.draw(st.booleans()):
+            names.pop(str(b), None)
+    elif edit == "map-absent":
+        label = data.draw(st.sampled_from([0, -1, max(present, default=0) + 1, 65_535]))
+        room = data.draw(st.sampled_from([*names.values(), "ghost"]))
+        names[str(label)] = room
+    elif edit == "unmap" and names:
+        names.pop(data.draw(st.sampled_from(sorted(names))))
+    elif edit == "reshape":  # crop or pad with zeros, rows and columns
+        h, w = (max(1, n + data.draw(st.integers(-3, 3))) for n in labels.shape)
+        grown = np.zeros((h, w), dtype=labels.dtype)
+        grown[: labels.shape[0], : labels.shape[1]] = labels[:h, :w]
+        labels = grown
+    return labels
+
+
+def _load_outcome(root):
+    """None for a loaded map, else the refusal's type and its violations."""
+    try:
+        load_map(root)
+    except (MapFormatError, MapConsistencyError) as exc:
+        return type(exc), getattr(exc, "violations", None)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_map_with_rooms_and_labels_varied_together(saved_map, data):
+    root, labels, meta = saved_map
+    labels, names = labels.copy(), dict(meta["labels"])
+    for _ in range(data.draw(st.integers(1, 3))):
+        labels = _edit_layers(data, labels, names)
+    write_pgm(root / "rooms.pgm", labels)
+    (root / "meta.json").write_text(json.dumps({**meta, "labels": names}), encoding="utf-8")
+
+    got = _load_outcome(root)  # any other exception fails the test
+    oracle = property(lambda raster: ndimage_room_summary(raster.labels))
+    with patch.object(RoomLabelRaster, "_room_summary", oracle):
+        assert got == _load_outcome(root)

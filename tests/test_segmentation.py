@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csgraph
 
-from semnav import envgen, metric
+from semnav import envgen
 from semnav.errors import ConfigError, MapConsistencyError, ValidationError
 from semnav.metric import CostmapGrid
 from semnav.segmentation import (
@@ -31,6 +32,7 @@ from oracles import (
     brute_flood,
     brute_merge,
     brute_seed_components,
+    ndimage_room_summary,
 )
 
 
@@ -187,6 +189,29 @@ def label_grids(max_label: int, dtype):
             st.integers(0, max_label), min_size=hw[0] * hw[1], max_size=hw[0] * hw[1]
         ).map(lambda v: np.array(v, dtype=dtype).reshape(hw))
     )
+
+
+@st.composite
+def room_rasters(draw):
+    """uint16 room rasters: blocks of up to 4x4 cells of up to three labels,
+    drawn with gaps and 65535 among them, plus stray cells; some are 1xN or Nx1."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    h, w = draw(st.sampled_from([(h, w), (1, w), (h, 1)]))
+    bh, bw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = [0, *draw(st.sets(st.sampled_from([1, 2, 3, 7, 65535]), max_size=3))]
+    ch, cw = -(-h // bh), -(-w // bw)
+    coarse = np.array(draw(st.lists(st.sampled_from(values), min_size=ch * cw, max_size=ch * cw)))
+    labels = np.kron(coarse.reshape(ch, cw), np.ones((bh, bw), dtype=int))[:h, :w]
+    for _ in range(draw(st.integers(0, 6))):
+        r, c = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        labels[r, c] = draw(st.sampled_from(values))
+    return labels.astype(np.uint16)
+
+
+U_JOINED_BELOW = np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]])
+RING = np.array([[2, 2, 2, 2], [2, 0, 0, 2], [2, 0, 0, 2], [2, 2, 2, 2]])
+DIAGONAL_ONLY = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
+COMB = np.array([[3, 0, 3, 0, 3], [3, 3, 3, 3, 3], [3, 0, 3, 0, 3]])
 
 
 def seed_raster(seeds: list[np.ndarray], shape) -> np.ndarray:
@@ -398,6 +423,45 @@ class TestRoomLabelRaster:
         assert raster.labels.dtype == np.uint16
         assert raster.labels.tolist() == [[65_535, 0]]
 
+    @settings(max_examples=500, deadline=None)
+    @given(room_rasters())
+    @example(np.zeros((3, 4), dtype=np.uint16))
+    @example(np.array([[0, 65_535, 65_535]], dtype=np.uint16))
+    @example(np.array([[1], [0], [1], [1]], dtype=np.uint16))
+    @example(np.array([[1, 0, 1, 1, 0, 1, 1, 1]], dtype=np.uint16))
+    @example(DIAGONAL_ONLY.astype(np.uint16))
+    @example(U_JOINED_BELOW.astype(np.uint16))
+    @example(RING.astype(np.uint16))
+    @example(COMB.astype(np.uint16))
+    @example(np.where(RING > 0, 7, 1).astype(np.uint16))
+    def test_boxes_and_components_match_ndimage(self, labels):
+        h, w = labels.shape
+        raster = RoomLabelRaster(width=w, height=h, labels=labels)
+        boxes, components = ndimage_room_summary(raster.labels)
+        assert raster.boxes == boxes
+        assert raster.components == components
+
+    @pytest.mark.parametrize(
+        "labels, components",
+        [
+            (DIAGONAL_ONLY, {1: 2}),  # diagonal contact does not connect
+            (U_JOINED_BELOW, {1: 1}),  # the arms meet only on the last row
+            (RING, {2: 1}),
+            (COMB, {3: 1}),
+            (np.array([[1, 0, 1], [0, 0, 0], [0, 0, 4]]), {1: 2, 4: 1}),
+        ],
+    )
+    def test_component_counts(self, labels, components):
+        h, w = labels.shape
+        assert RoomLabelRaster(width=w, height=h, labels=labels).components == components
+
+    def test_boxes_skip_absent_labels(self):
+        raster = RoomLabelRaster(width=4, height=2, labels=np.array([[0, 3, 3, 0], [0, 0, 3, 3]]))
+        assert raster.boxes == [None, None, (slice(0, 2), slice(1, 4))]
+        assert raster.room_labels() == [3]
+        empty = RoomLabelRaster(width=2, height=1, labels=np.zeros((1, 2)))
+        assert empty.boxes == [] and empty.components == {}
+
 
 class TestAdjacency:
     def test_two_rooms_one_door_one_edge(self):
@@ -558,13 +622,13 @@ class TestAdjacencyAgainstLoopOracle:
         grid, _, _ = small_env
         raster = segment_rooms(grid)
         sources = []
-        search = metric.dijkstra
+        search = csgraph.dijkstra
 
         def spy(graph, *args, **kwargs):
             sources.append(kwargs["indices"])
             return search(graph, *args, **kwargs)
 
-        monkeypatch.setattr(metric, "dijkstra", spy)
+        monkeypatch.setattr(csgraph, "dijkstra", spy)
         edges = extract_adjacency(raster, grid)
         rooms = raster.room_labels()
         assert len(rooms) > 2
