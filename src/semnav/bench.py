@@ -20,7 +20,6 @@ import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .discovery import DiscoveryResponse
 from .errors import ValidationError
@@ -251,6 +250,8 @@ def run_bench(
         )
         for name, v in per_mode.items()
     }
+    import scipy  # for its version only, so importing the CLI loads no scipy
+
     hardware = f"{platform.platform()} / {platform.processor() or 'unknown cpu'} / python " \
                f"{platform.python_version()} / numpy {np.__version__} / scipy {scipy.__version__}"
     return BenchReport(

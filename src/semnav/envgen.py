@@ -171,9 +171,7 @@ def generate(spec: EnvSpec) -> tuple[CostmapGrid, GroundTruth, SemanticGraph]:
                 f"room width {w} cells cannot hold a {door}-cell door with margins"
             )
 
-    if spec.n_rooms == 1:
-        layout = _layout_single(sizes[0], wt, m)
-    elif spec.layout == "spine":
+    if spec.layout == "spine" and spec.n_rooms > 1:
         layout = _layout_spine(sizes, cells(spec.corridor_width), wt, door, m, rng)
     else:
         layout = _layout_chain(sizes, wt, door, m, rng)
@@ -208,14 +206,6 @@ def generate(spec: EnvSpec) -> tuple[CostmapGrid, GroundTruth, SemanticGraph]:
 
     gt, graph = _furnish(spec, rng, grid, room_rects, corridor_rect, door_rects, wall_cells)
     return grid, gt, graph
-
-
-def _layout_single(size, wt, m):
-    w, h = size
-    grid_w = m + wt + w + wt + m
-    grid_h = m + wt + h + wt + m
-    room = (m + wt, m + wt, w, h)
-    return grid_w, grid_h, [room], None, []
 
 
 def _layout_spine(sizes, ch, wt, door, m, rng):
@@ -255,7 +245,8 @@ def _layout_spine(sizes, ch, wt, door, m, rng):
 
 
 def _layout_chain(sizes, wt, door, m, rng):
-    """Rooms in a row; one door through each shared wall."""
+    """Rooms in a row; one door through each shared wall. One room is one
+    walled room, with no door and no random draw, whatever the spec's layout."""
     dmax = max(d for _, d in sizes)
     col0 = m + wt
     row0 = m + wt
@@ -410,54 +401,42 @@ def _object_cells(rect, count, rng) -> list[tuple[int, int]]:
     return rng.sample(candidates, count)
 
 
-_SPEC_KEYS = {
-    "seed",
-    "n_rooms",
-    "room_size_range",
-    "corridor_width",
-    "object_density",
-    "vocabulary",
-    "resolution",
-    "layout",
-    "door_width",
-    "wall_thickness",
+def _pair(cast):
+    """Parser of "lo, hi" into (cast(lo), cast(hi))."""
+
+    def parse(text):
+        lo, hi = text.split(",")
+        return cast(lo), cast(hi)
+
+    return parse
+
+
+def _vocabulary(text):
+    pairs = (item.split(":") for item in text.split(",") if item.strip())
+    return tuple((cls.strip(), cat.strip()) for cls, cat in pairs)
+
+
+# spec file key -> parser of its value; a bad value raises ValueError or TypeError
+_SPEC_PARSERS = {
+    "seed": int,
+    "n_rooms": int,
+    "room_size_range": _pair(float),
+    "corridor_width": float,
+    "object_density": _pair(int),
+    "vocabulary": _vocabulary,
+    "resolution": float,
+    "layout": str,
+    "door_width": float,
+    "wall_thickness": float,
 }
+_SPEC_KEYS = set(_SPEC_PARSERS)
 
 
 def load_env_spec(path) -> EnvSpec:
     """Read an EnvSpec from a `key: value` file; every key is optional."""
     raw = read_key_value_file(path, required=set(), allowed=_SPEC_KEYS)
-    kwargs = {}
     try:
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        if "n_rooms" in raw:
-            kwargs["n_rooms"] = int(raw["n_rooms"])
-        if "room_size_range" in raw:
-            lo, hi = raw["room_size_range"].split(",")
-            kwargs["room_size_range"] = (float(lo), float(hi))
-        if "corridor_width" in raw:
-            kwargs["corridor_width"] = float(raw["corridor_width"])
-        if "object_density" in raw:
-            lo, hi = raw["object_density"].split(",")
-            kwargs["object_density"] = (int(lo), int(hi))
-        if "vocabulary" in raw:
-            pairs = []
-            for item in raw["vocabulary"].split(","):
-                item = item.strip()
-                if not item:
-                    continue
-                cls, cat = item.split(":")
-                pairs.append((cls.strip(), cat.strip()))
-            kwargs["vocabulary"] = tuple(pairs)
-        if "resolution" in raw:
-            kwargs["resolution"] = float(raw["resolution"])
-        if "layout" in raw:
-            kwargs["layout"] = raw["layout"]
-        if "door_width" in raw:
-            kwargs["door_width"] = float(raw["door_width"])
-        if "wall_thickness" in raw:
-            kwargs["wall_thickness"] = float(raw["wall_thickness"])
+        kwargs = {key: parse(raw[key]) for key, parse in _SPEC_PARSERS.items() if key in raw}
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"{path}: bad spec value: {exc}") from exc
     return EnvSpec(**kwargs)

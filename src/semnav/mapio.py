@@ -39,7 +39,9 @@ from .graph import (
     SemanticGraph,
     Violation,
 )
-from .metric import CostmapGrid, GridIndex, MetricPoint, read_key_value_file, read_pgm, write_pgm
+from .metric import (
+    COST_INSCRIBED, CostmapGrid, GridIndex, MetricPoint, read_key_value_file, read_pgm, write_pgm
+)
 from .segmentation import RoomLabelRaster
 
 FORMAT_VERSION = 1
@@ -126,9 +128,8 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
             )
         )
 
-    free = m.costmap.cells < 253
-    if bool((labels > 0)[~free].any()):
-        n = int(((labels > 0) & ~free).sum())
+    n = np.count_nonzero(labels[m.costmap.cells >= COST_INSCRIBED])
+    if n:
         out.append(Violation("raster", "labeled-free", f"{n} labeled cell(s) not free"))
 
     for label in sorted(present & mapped):
@@ -162,7 +163,7 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
         col, row = e.portal
         if not (0 <= col < m.costmap.width and 0 <= row < m.costmap.height):
             out.append(Violation(f"edge {e.room_a}-{e.room_b}", "portal", "portal outside grid"))
-        elif int(m.costmap.cells[row, col]) >= 253:
+        elif m.costmap.cells[row, col] >= COST_INSCRIBED:
             out.append(
                 Violation(f"edge {e.room_a}-{e.room_b}", "portal", "portal cell untraversable")
             )
@@ -246,9 +247,7 @@ def load_map(path) -> SemanticMap:
         raise MapFormatError(f"{root}/costmap.meta: bad geometry: {exc}") from exc
 
     labels, _ = read_pgm(root / "rooms.pgm")
-    raster = RoomLabelRaster(
-        width=labels.shape[1], height=labels.shape[0], labels=labels.astype(np.uint16)
-    )
+    raster = RoomLabelRaster(width=labels.shape[1], height=labels.shape[0], labels=labels)
 
     try:
         graph = graph_from_json((root / "graph.json").read_text(encoding="utf-8"))
@@ -369,12 +368,9 @@ def _by_id(nodes) -> dict:
 # ---------------------------------------------------------------------------
 # SVG rendering
 
-_COST_COLORS = (
-    (254, 255, "#1a1a1a"),  # lethal
-    (253, 254, "#6e6e6e"),  # inscribed
-    (255, 256, "#d9d9d9"),  # unknown
-    (1, 253, "#b5b5b5"),  # graded
-)
+# cell cost -> class: free 0 (not drawn), graded 1, inscribed 2, lethal 3, unknown 4
+_COST_CLASS = np.array([0] + [1] * 252 + [2, 3, 4], dtype=np.uint8)
+_COST_COLORS = (None, "#b5b5b5", "#6e6e6e", "#1a1a1a", "#d9d9d9")  # by class
 
 _ROOM_PALETTE = (
     "#4e79a7",
@@ -461,14 +457,10 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
         f'height="{height_px:.2f}" fill="#ffffff"/>\n',
     ]
 
-    cost_classes = np.zeros_like(g.cells, dtype=np.int32)
-    for i, (lo, hi, _) in enumerate(_COST_COLORS, start=1):
-        sel = (g.cells >= lo) & (g.cells < hi)
-        cost_classes[sel] = i
     parts.append('<g class="costmap">\n')
-    for v, col, row, w, h in _rect_runs(cost_classes):
+    for v, col, row, w, h in _rect_runs(_COST_CLASS[g.cells]):
         x, y, rw, rh = cell_rect(col, row, w, h)
-        color = _COST_COLORS[v - 1][2]
+        color = _COST_COLORS[v]
         parts.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{rw:.2f}" height="{rh:.2f}" '
             f'fill="{color}"/>\n'
@@ -478,17 +470,17 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
     rooms_sorted = sorted(m.graph.rooms.values(), key=lambda r: r.id)
     colors = {r.id: _ROOM_PALETTE[i % len(_ROOM_PALETTE)] for i, r in enumerate(rooms_sorted)}
     id_to_label = {rid: label for label, rid in m.room_labels.items()}
-    boxes = m.raster.boxes
+    # one label's greedy rectangles depend only on its own cells
+    fills: dict[int, list] = {}
+    for label, *rect in _rect_runs(m.raster.labels):
+        fills.setdefault(label, []).append(rect)
     for room in rooms_sorted:
         label = id_to_label.get(room.id)
         if label is None:
             continue
         parts.append(f'<g class="room"><title>{_esc(room.id)}</title>\n')
-        # a label outside the boxes' range (e.g. 0) is drawn from the whole grid
-        box = boxes[label - 1] if 0 < label <= len(boxes) else np.s_[0:, 0:]
-        runs = () if box is None else _rect_runs(m.raster.labels[box] == label)
-        for _, col, row, w, h in runs:
-            x, y, rw, rh = cell_rect(col + box[1].start, row + box[0].start, w, h)
+        for col, row, w, h in fills.get(label, ()):
+            x, y, rw, rh = cell_rect(col, row, w, h)
             parts.append(
                 f'<rect x="{x:.2f}" y="{y:.2f}" width="{rw:.2f}" height="{rh:.2f}" '
                 f'fill="{colors[room.id]}" fill-opacity="0.35"/>\n'

@@ -173,11 +173,11 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     pos += 1  # single whitespace byte after maxval
     bytes_per = 1 if maxval < 256 else 2
     need = width * height * bytes_per
-    raster = data[pos : pos + need]
-    if len(raster) < need:
-        raise MapFormatError(f"{path}: truncated PGM raster ({len(raster)}/{need} bytes)")
+    got = max(0, len(data) - pos)
+    if got < need:
+        raise MapFormatError(f"{path}: truncated PGM raster ({got}/{need} bytes)")
     dtype = np.uint8 if bytes_per == 1 else np.dtype(">u2")
-    arr = np.frombuffer(raster, dtype=dtype).reshape(height, width)
+    arr = np.frombuffer(data, dtype, count=width * height, offset=pos).reshape(height, width)
     return arr.astype(np.uint8 if bytes_per == 1 else np.uint16), maxval
 
 
@@ -353,21 +353,24 @@ def grid_shortest_path(
         if factors[g.cells[idx.row, idx.col]] < 0:
             raise ValidationError(f"{name} cell {idx} is untraversable")
 
-    if start == goal:
-        return [start], 0.0
-
     direct = float(_octile(start.row - goal.row, start.col - goal.col))
     span = direct + _FIRST_SLACK
     while True:
         top, left, inside = _ellipse(g, start, goal, direct, span)
         f = factors[g.cells[top : top + inside.shape[0], left : left + inside.shape[1]]]
         f[~inside] = -1.0
-        flat = [(p.row - top) * f.shape[1] + p.col - left for p in (start, goal)]
-        found = _window_search(f, top, left, g.resolution, *flat)
-        if found is not None:
-            if found[1] / g.resolution + 1.0 <= span:
-                return found
-            span = found[1] / g.resolution + 1.0
+        dist, pred = window_search(f, g.resolution, (start.row - top, start.col - left))
+        row, col = goal.row - top, goal.col - left
+        cost = float(dist[row, col])
+        if cost / g.resolution + 1.0 <= span:
+            path = []
+            while row >= 0:  # pred is negative at the start
+                path.append(GridIndex(col + left, row + top))
+                row, col = divmod(int(pred[row, col]), f.shape[1])
+            path.reverse()
+            return path, cost
+        if cost < math.inf:
+            span = cost / g.resolution + 1.0
         elif inside.size == g.cells.size and inside.all():
             raise UnreachableError(f"no traversable route from {start} to {goal}")
         else:
@@ -401,15 +404,19 @@ def _octile(drow: np.ndarray, dcol: np.ndarray) -> np.ndarray:
     return np.maximum(drow, dcol) + (SQRT2 - 1.0) * np.minimum(drow, dcol)
 
 
-def window_costs(f: np.ndarray, resolution: float, source: tuple[int, int]) -> np.ndarray:
-    """Cheapest-path cost, summed from window cell source (row, col), to every
-    window cell; f is as for _window_search, and unreached cells read inf."""
+def window_search(f: np.ndarray, resolution: float, source: tuple[int, int]):
+    """Dijkstra over a grid window from its open cell source (row, col).
+
+    f holds the window's per-cell factors (< 0 = untraversable). Returns
+    (dist, pred), both shaped like f: dist[r, c] is the cheapest-path cost to
+    cell (r, c), inf where unreached; pred[r, c] is the flat row-major index
+    of the cell before it on that path, negative at source and where unreached.
+    """
     from scipy.sparse.csgraph import dijkstra
 
-    if f[source] < 0:
-        return np.full(f.shape, np.inf)
     flat = np.ravel_multi_index(source, f.shape)
-    return dijkstra(_window_graph(f, resolution), indices=flat).reshape(f.shape)
+    dist, pred = dijkstra(_window_graph(f, resolution), indices=flat, return_predecessors=True)
+    return dist.reshape(f.shape), pred.reshape(f.shape)
 
 
 def _window_graph(f, resolution):
@@ -442,22 +449,3 @@ def _window_graph(f, resolution):
             indices[:, 0 if dcol < 0 else -1, k] = node[:, 0 if dcol < 0 else -1]
     indptr = np.arange(0, len(_MOVES) * n + 1, len(_MOVES), dtype=np.int32)
     return csr_array((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
-
-
-def _window_search(f, top, left, resolution, source, target):
-    """Dijkstra between cells source and target, flat row-major indices into
-    f, the per-cell factors (< 0 = untraversable) of a grid window whose first
-    cell is (top, left) in the grid. Returns (path, cost) or None."""
-    from scipy.sparse.csgraph import dijkstra
-
-    dist, pred = dijkstra(_window_graph(f, resolution), indices=source, return_predecessors=True)
-    if not np.isfinite(dist[target]):
-        return None
-    path = []
-    v = target
-    while v >= 0:
-        row, col = divmod(v, f.shape[1])
-        path.append(GridIndex(col + left, row + top))
-        v = int(pred[v])
-    path.reverse()
-    return path, float(dist[target])

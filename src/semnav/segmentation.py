@@ -29,7 +29,9 @@ import numpy as np
 
 from .errors import ConfigError, MapConsistencyError, ValidationError
 from .graph import RoomEdge, UNCATEGORIZED, normalize_label
-from .metric import SQRT2, CostmapGrid, GridIndex, factor_table, read_text_lines, window_costs
+from .metric import (
+    COST_INSCRIBED, SQRT2, CostmapGrid, GridIndex, factor_table, read_text_lines, window_search
+)
 
 DEFAULT_DOOR_WIDTH_MAX = 1.2  # meters
 DEFAULT_MIN_ROOM_AREA = 4.0  # square meters
@@ -197,7 +199,7 @@ def segment_rooms(
         min_room_cells = default_min_room_cells(g.resolution)
     from scipy import ndimage  # only a build segments; reading a map needs numpy only
 
-    free = g.cells < 253
+    free = g.cells < COST_INSCRIBED
     if not free.any():
         raise ValidationError("costmap has no free cells to segment")
 
@@ -415,7 +417,10 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
         centroid = raster.centroid_cells[label]
         f = factors[np.pad(g.cells[box], 2)]
         f[~room] = -1.0
-        dist = window_costs(f, g.resolution, (centroid.row - top, centroid.col - left))
+        source = (centroid.row - top, centroid.col - left)
+        dist = window_search(f, g.resolution, source)[0]
+        if f[source] < 0:  # a closed centroid reaches nothing
+            dist[:] = np.inf
         for i in ids:
             portal = edges[i][2]
             near = np.s_[portal.row - top - 1 :, portal.col - left - 1 :]

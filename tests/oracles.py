@@ -410,7 +410,9 @@ def open_cell_graph(f, resolution):
 
 
 def open_cell_search(f, top, left, resolution, start, goal):
-    """metric._window_search over open_cell_graph; start/goal are GridIndex."""
+    """(path, cost) from start to goal over open_cell_graph, or None if goal is
+    unreached; start/goal are GridIndex. Reference for the path walked from
+    metric.window_search's predecessors."""
     graph, node = open_cell_graph(f, resolution)
     source = node[start.row - top, start.col - left]
     target = node[goal.row - top, goal.col - left]
@@ -428,7 +430,8 @@ def open_cell_search(f, top, left, resolution, start, goal):
 
 
 def open_cell_costs(f, resolution, source):
-    """metric.window_costs over open_cell_graph."""
+    """Cost from window cell source to every cell over open_cell_graph, inf
+    where unreached. Reference for metric.window_search's dist."""
     graph, node = open_cell_graph(f, resolution)
     if node[source] < 0:
         return np.full(f.shape, np.inf)

@@ -457,9 +457,9 @@ def test_importing_the_cli_leaves_scipy_submodules_unloaded():
     # reading a map needs numpy only; segmentation and the metric search import scipy
     probe = (
         "import sys, semnav.cli\n"
-        "print([m in sys.modules for m in ('scipy.ndimage', 'scipy.sparse')])"
+        "print([m in sys.modules for m in ('scipy', 'scipy.ndimage', 'scipy.sparse')])"
     )
-    assert _probe(probe) == "[False, False]"
+    assert _probe(probe) == "[False, False, False]"
 
 
 def test_http_oracle_runs_without_requests(stub_server):

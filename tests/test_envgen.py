@@ -57,6 +57,15 @@ class TestBasicLayouts:
             degrees[e.room_b] = degrees.get(e.room_b, 0) + 1
         assert sorted(degrees.values()) == [1, 1, 2, 2]
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_one_room_spine_equals_one_room_chain(self, seed):
+        spine = generate(EnvSpec(seed=seed, n_rooms=1, resolution=0.1, layout="spine"))
+        chain = generate(EnvSpec(seed=seed, n_rooms=1, resolution=0.1, layout="chain"))
+        assert spine[0] == chain[0]  # costmap
+        assert spine[1].raster == chain[1].raster
+        assert spine[1] == chain[1]
+        assert spine[2] == chain[2]
+
     def test_same_seed_byte_identical(self):
         spec = EnvSpec(seed=42, n_rooms=3, resolution=0.1)
         g1, gt1, _ = generate(spec)
@@ -221,6 +230,46 @@ class TestSpecFile:
         assert spec.n_rooms == 3
         assert spec.room_size_range == (3.5, 4.5)
         assert spec.vocabulary == (("desk", "office"), ("sink", "kitchen"))
+
+    def test_every_key_parsed(self, tmp_path):
+        path = tmp_path / "env.spec"
+        path.write_text(
+            "seed: 4\nn_rooms: 2\nroom_size_range: 3, 4\ncorridor_width: 2.5\n"
+            "object_density: 0, 2\nvocabulary: desk : office,, sofa:lounge ,\n"
+            "resolution: 0.1\nlayout: chain\ndoor_width: 0.9\nwall_thickness: 0.3\n",
+            encoding="utf-8",
+        )
+        assert load_env_spec(path) == EnvSpec(
+            seed=4,
+            n_rooms=2,
+            room_size_range=(3.0, 4.0),
+            corridor_width=2.5,
+            object_density=(0, 2),
+            vocabulary=(("desk", "office"), ("sofa", "lounge")),
+            resolution=0.1,
+            layout="chain",
+            door_width=0.9,
+            wall_thickness=0.3,
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "seed: 1.5",
+            "n_rooms: three",
+            "room_size_range: 3",
+            "object_density: 1, 2, 3",
+            "vocabulary: desk",
+            "vocabulary: desk:office:kitchen",
+            "resolution: fine",
+            "layout: ring",
+        ],
+    )
+    def test_bad_value_rejected(self, tmp_path, line):
+        path = tmp_path / "env.spec"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError):
+            load_env_spec(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "env.spec"

@@ -329,6 +329,19 @@ class TestRenderSvg:
         for obj in gt_map.graph.objects.values():
             assert obj.class_label in svg
 
+    def test_room_mapped_to_label_zero_draws_no_fill(self, gt_map):
+        # load_map refuses such a map; render_svg draws the room's group
+        # without fill rectangles, as label 0 marks no room's cells
+        zero_id = gt_map.room_labels[1]
+        labels = {k: v for k, v in gt_map.room_labels.items() if k != 1}
+        svg = render_svg(dataclasses.replace(gt_map, room_labels={0: zero_id, **labels}))
+        groups = {
+            g.split("</title>")[0]: g.count("<rect")
+            for g in svg.split('<g class="room"><title>')[1:]
+        }
+        assert groups[zero_id] == 0
+        assert all(n > 0 for rid, n in groups.items() if rid != zero_id)
+
     def test_costmap_layer_draws_obstacles(self, gt_map):
         svg = render_svg(gt_map)
         assert '<g class="costmap">' in svg

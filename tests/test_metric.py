@@ -443,15 +443,17 @@ class TestWindowedSearchExactness:
         g = long_detour_grid()
         start, goal = GridIndex(5, 2), GridIndex(19, 2)
         windows = []
-        search = metric._window_search
+        search = metric.window_search
 
-        def spy(f, *args):
-            found = search(f, *args)
-            windows.append(None if found is None else found[1])
-            return found
+        def spy(f, resolution, source):
+            dist, pred = search(f, resolution, source)
+            # the window's first cell lies at start - source in the grid
+            cost = float(dist[goal.row - start.row + source[0], goal.col - start.col + source[1]])
+            windows.append(cost if cost < math.inf else None)
+            return dist, pred
 
         monkeypatch.setattr(metric, "_FIRST_SLACK", 1.0)
-        monkeypatch.setattr(metric, "_window_search", spy)
+        monkeypatch.setattr(metric, "window_search", spy)
         path, cost = grid_shortest_path(g, start, goal)
         assert cost == brute_grid_dijkstra(g, start, goal)
         # First ellipse and its fourfold slack: no tunnel, no path. The next
@@ -537,10 +539,14 @@ class TestFixedDegreeWindowGraph:
         f, resolution, source, target = case
         for cell in (source, target):  # the search's endpoints are open
             f[cell] = max(f[cell], 1.0)
-        width = f.shape[1]
-        found = metric._window_search(
-            f, top, left, resolution, source[0] * width + source[1], target[0] * width + target[1]
-        )
+        dist, pred = metric.window_search(f, resolution, source)
+        found = None
+        if dist[target] < math.inf:  # walk the predecessors back from target
+            path, (row, col) = [], target
+            while row >= 0:
+                path.append(GridIndex(col + left, row + top))
+                row, col = divmod(int(pred[row, col]), f.shape[1])
+            found = path[::-1], float(dist[target])
         start, goal = (GridIndex(c + left, r + top) for r, c in (source, target))
         expected = open_cell_search(f, top, left, resolution, start, goal)
         if expected is None:
@@ -553,7 +559,8 @@ class TestFixedDegreeWindowGraph:
     @given(window_cases())
     def test_costs_match_open_cell_graph(self, case):
         f, resolution, source, _ = case
-        costs = metric.window_costs(f, resolution, source)
+        f[source] = max(f[source], 1.0)  # the search starts at an open cell
+        costs = metric.window_search(f, resolution, source)[0]
         assert costs.shape == f.shape
         assert (costs == open_cell_costs(f, resolution, source)).all()
 

@@ -618,6 +618,23 @@ class TestAdjacencyAgainstLoopOracle:
         with pytest.raises(MapConsistencyError):
             extract_adjacency(raster, grid)
 
+    def test_closed_centroid_raises(self):
+        # room 1's centroid cell (1, 1) is lethal: it reaches nothing, not
+        # even the portal (2, 1) next to it
+        grid = grid_from_ascii(
+            """
+            ......
+            .#....
+            ......
+            """
+        )
+        labels = np.array([[1, 1, 1, 2, 2, 2]] * 3, dtype=np.uint16)
+        raster = RoomLabelRaster(width=6, height=3, labels=labels)
+        assert raster.centroid_cells[1] == (1, 1)
+        assert brute_adjacency(labels, grid) == [(1, 2, (2, 1), None)]
+        with pytest.raises(MapConsistencyError, match="room label 1: centroid cannot reach"):
+            extract_adjacency(raster, grid)
+
     def test_one_search_per_room(self, small_env, monkeypatch):
         grid, _, _ = small_env
         raster = segment_rooms(grid)
