@@ -2,7 +2,7 @@
 
 Runs room segmentation, assigns objects to rooms through the label raster,
 categorizes each room from its contents, extracts weighted adjacency, and
-mints stable room ids (category_1, category_2, ... in label order).
+hands the layers to graph.assemble_graph, which numbers the ids.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, MapFormatError, ValidationError
-from .graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph, UNCATEGORIZED, normalize_label
+from .graph import assemble_graph, normalize_label
 from .mapio import SemanticMap, assemble_map
 from .metric import CostmapGrid, GridBoundsError, MetricPoint
 from .segmentation import (
@@ -69,67 +69,36 @@ def build_semantic_map(
     """Segment, categorize, and wire up the full three-layer map."""
     raster = segment_rooms(costmap, min_room_cells=min_room_cells, door_width_max=door_width_max)
     labels = raster.room_labels()
+    index = {label: i for i, label in enumerate(labels)}
 
-    placements: dict[int, list[ObjectPlacement]] = {k: [] for k in labels}
+    placed = []  # (room index, class, position, id or None)
     for obj in objects:
         try:
-            cell = costmap.world_to_grid(obj.position)
-        except GridBoundsError as exc:
-            raise ValidationError(
-                f"object {obj.id or obj.class_label!r} at {tuple(obj.position)} "
-                f"is outside the costmap"
-            ) from exc
-        label = raster.label_at(cell)
+            label = raster.label_at(costmap.world_to_grid(obj.position))
+            where = "does not land in any room"
+        except GridBoundsError:
+            label, where = 0, "is outside the costmap"
         if label == 0:
             raise ValidationError(
-                f"object {obj.id or obj.class_label!r} at {tuple(obj.position)} "
-                f"does not land in any room"
+                f"object {obj.id or obj.class_label!r} at {tuple(obj.position)} {where}"
             )
-        placements[label].append(obj)
+        placed.append((index[label], obj.class_label, obj.position, obj.id))
 
-    categories = {}
-    for label in labels:
-        attrs = {normalize_label(o.class_label) for o in placements[label]}
-        categories[label] = categorize_room(attrs, rules)
-
-    room_ids: dict[int, str] = {}
-    counters: dict[str, int] = {}
-    for label in labels:
-        base = "room" if categories[label] == UNCATEGORIZED else categories[label]
-        counters[base] = counters.get(base, 0) + 1
-        room_ids[label] = f"{base}_{counters[base]}"
-
-    graph = SemanticGraph()
+    classes: list[set[str]] = [set() for _ in labels]
+    for i, cls, _, _ in placed:
+        classes[i].add(normalize_label(cls))
     cell_counts = np.bincount(raster.labels.ravel())
-    for label in labels:
-        graph.add_room(
-            RoomNode(
-                id=room_ids[label],
-                category=categories[label],
-                centroid=costmap.grid_to_world(raster.centroid_cells[label]),
-                cell_count=int(cell_counts[label]),
-            )
+    rooms = [
+        (
+            categorize_room(classes[i], rules),
+            costmap.grid_to_world(raster.centroid_cells[label]),
+            int(cell_counts[label]),
         )
-    class_counters: dict[str, int] = {}
-    for label in labels:
-        for obj in placements[label]:
-            cls = normalize_label(obj.class_label)
-            if obj.id is not None:
-                oid = obj.id
-            else:
-                class_counters[cls] = class_counters.get(cls, 0) + 1
-                oid = f"{cls}_{class_counters[cls]}"
-            graph.add_object(
-                ObjectNode(id=oid, class_label=cls, position=obj.position, room_id=room_ids[label])
-            )
-    for edge in extract_adjacency(raster, costmap):
-        graph.add_room_edge(
-            RoomEdge(
-                room_a=room_ids[int(edge.room_a)],
-                room_b=room_ids[int(edge.room_b)],
-                weight=edge.weight,
-                portal=edge.portal,
-            )
-        )
-    graph.freeze()
-    return assemble_map(costmap, raster, graph, room_ids, name=name)
+        for i, label in enumerate(labels)
+    ]
+    edges = [
+        (index[int(e.room_a)], index[int(e.room_b)], e.weight, e.portal)
+        for e in extract_adjacency(raster, costmap)
+    ]
+    graph, room_ids = assemble_graph(rooms, placed, edges)
+    return assemble_map(costmap, raster, graph, dict(zip(labels, room_ids)), name=name)

@@ -23,14 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, ValidationError
-from .graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph, UNCATEGORIZED, normalize_label
+from .graph import ObjectNode, SemanticGraph, UNCATEGORIZED, assemble_graph, normalize_label
 from .metric import (
     COST_FREE,
     COST_LETHAL,
     COST_UNKNOWN,
     CostmapGrid,
     GridIndex,
-    MetricPoint,
     read_key_value_file,
 )
 from .segmentation import DEFAULT_DOOR_WIDTH_MAX, RoomLabelRaster
@@ -108,10 +107,6 @@ class GroundTruthRoom:
     width: int
     height: int
 
-    @property
-    def cell_count(self) -> int:
-        return self.width * self.height
-
 
 @dataclass(frozen=True)
 class GroundTruthDoor:
@@ -122,24 +117,12 @@ class GroundTruthDoor:
     width: int
     height: int
 
-    @property
-    def center(self) -> GridIndex:
-        return GridIndex(self.col0 + self.width // 2, self.row0 + self.height // 2)
-
-
-@dataclass(frozen=True)
-class GroundTruthObject:
-    id: str
-    class_label: str
-    position: MetricPoint
-    room_id: str
-
 
 @dataclass(frozen=True)
 class GroundTruth:
     rooms: tuple[GroundTruthRoom, ...]
     doors: tuple[GroundTruthDoor, ...]
-    objects: tuple[GroundTruthObject, ...]
+    objects: tuple[ObjectNode, ...]  # the graph's object nodes
     raster: RoomLabelRaster
     label_to_room: dict[int, str] = field(default_factory=dict)
     wall_cells: int = 0
@@ -281,111 +264,69 @@ def _furnish(spec, rng, grid, room_rects, corridor_rect, door_rects, wall_cells)
     for cls, cat in vocab:
         by_category.setdefault(cat, []).append(cls)
 
-    labels = np.zeros((grid.height, grid.width), dtype=np.uint16)
-    rooms: list[GroundTruthRoom] = []
-    cat_counter: dict[str, int] = {}
-    dmin, dmax = spec.object_density
-
-    # sample object counts first so ids/categories are settled before placement
-    planned: list[tuple[int, str, int]] = []  # (room index, assigned category, n objects)
     rects = list(room_rects)
-    assigned = []
-    for i in range(len(rects)):
-        cat = categories[i % len(categories)] if categories else UNCATEGORIZED
-        assigned.append(cat)
+    assigned = [
+        categories[i % len(categories)] if categories else UNCATEGORIZED
+        for i in range(len(rects))
+    ]
     if corridor_rect is not None:
         rects.append(corridor_rect)
         assigned.append(CORRIDOR_CATEGORY)
 
-    for i, cat in enumerate(assigned):
+    # sample every room's object count before any placement
+    dmin, dmax = spec.object_density
+    planned: list[tuple[str, int]] = []  # (category, n objects)
+    for cat in assigned:
         n_objects = rng.randint(dmin, dmax)
         if not by_category.get(cat):
             n_objects = 0
-        if n_objects == 0:
-            cat = UNCATEGORIZED
-        planned.append((i, cat, n_objects))
+        planned.append((cat if n_objects else UNCATEGORIZED, n_objects))
 
-    for i, cat, _ in planned:
-        c0, r0, w, h = rects[i]
-        label = i + 1
-        labels[r0 : r0 + h, c0 : c0 + w] = label
-        base = "room" if cat == UNCATEGORIZED else cat
-        cat_counter[base] = cat_counter.get(base, 0) + 1
-        rooms.append(
-            GroundTruthRoom(
-                id=f"{base}_{cat_counter[base]}",
-                category=cat,
-                label=label,
-                col0=c0,
-                row0=r0,
-                width=w,
-                height=h,
-            )
-        )
-
-    raster = RoomLabelRaster(width=grid.width, height=grid.height, labels=labels)
-    label_to_room = {room.label: room.id for room in rooms}
-
-    graph = SemanticGraph()
-    for room in rooms:
-        centroid = grid.grid_to_world(
-            GridIndex(room.col0 + room.width // 2, room.row0 + room.height // 2)
-        )
-        graph.add_room(
-            RoomNode(
-                id=room.id,
-                category=room.category,
-                centroid=centroid,
-                cell_count=room.cell_count,
-            )
-        )
-
-    objects: list[GroundTruthObject] = []
-    class_counter: dict[str, int] = {}
-    for i, cat, n_objects in planned:
+    objects = []  # (room index, class, position, id)
+    for i, (cat, n_objects) in enumerate(planned):
         if n_objects == 0:
             continue
-        room = rooms[i]
         classes = by_category[cat]
         # first object is the category's signature class; extras sampled freely
         picks = [classes[0]] + [rng.choice(classes) for _ in range(n_objects - 1)]
         spots = _object_cells(rects[i], n_objects, rng)
         for cls, (col, row) in zip(picks, spots):
-            class_counter[cls] = class_counter.get(cls, 0) + 1
-            oid = f"{cls}_{class_counter[cls]}"
-            position = grid.grid_to_world(GridIndex(col, row))
-            obj = GroundTruthObject(id=oid, class_label=cls, position=position, room_id=room.id)
-            objects.append(obj)
-            graph.add_object(
-                ObjectNode(id=oid, class_label=cls, position=position, room_id=room.id)
-            )
+            objects.append((i, cls, grid.grid_to_world(GridIndex(col, row)), None))
 
-    doors: list[GroundTruthDoor] = []
-    if corridor_rect is not None:
-        corridor_id = rooms[-1].id
-        for i, rect in enumerate(door_rects):
-            doors.append(GroundTruthDoor(rooms[i].id, corridor_id, *rect))
-    else:
-        for i, rect in enumerate(door_rects):
-            doors.append(GroundTruthDoor(rooms[i].id, rooms[i + 1].id, *rect))
+    # a spine door joins room i to the corridor (the last rect); a chain door, rooms i and i + 1
+    last = len(rects) - 1
+    pairs = [(i, last if corridor_rect is not None else i + 1) for i in range(len(door_rects))]
+    centroids = [grid.grid_to_world(_center(rect)) for rect in rects]
+    edges = []
+    for (a, b), rect in zip(pairs, door_rects):
+        portal = _center(rect)
+        pw = grid.grid_to_world(portal)
+        edges.append((a, b, math.dist(centroids[a], pw) + math.dist(pw, centroids[b]), portal))
+    rooms = [(cat, c, w * h) for (cat, _), c, (_, _, w, h) in zip(planned, centroids, rects)]
+    graph, ids = assemble_graph(rooms, objects, edges)
 
-    for d in doors:
-        ca = graph.rooms[d.room_a].centroid
-        cb = graph.rooms[d.room_b].centroid
-        pw = grid.grid_to_world(d.center)
-        weight = math.dist(ca, pw) + math.dist(pw, cb)
-        graph.add_room_edge(RoomEdge(room_a=d.room_a, room_b=d.room_b, weight=weight, portal=d.center))
-    graph.freeze()
-
+    labels = np.zeros((grid.height, grid.width), dtype=np.uint16)
+    for label, (c0, r0, w, h) in enumerate(rects, start=1):
+        labels[r0 : r0 + h, c0 : c0 + w] = label
     gt = GroundTruth(
-        rooms=tuple(rooms),
-        doors=tuple(doors),
-        objects=tuple(objects),
-        raster=raster,
-        label_to_room=label_to_room,
+        rooms=tuple(
+            GroundTruthRoom(rid, cat, i + 1, *rect)
+            for i, (rid, (cat, _), rect) in enumerate(zip(ids, planned, rects))
+        ),
+        doors=tuple(
+            GroundTruthDoor(ids[a], ids[b], *rect) for (a, b), rect in zip(pairs, door_rects)
+        ),
+        objects=tuple(graph.objects.values()),
+        raster=RoomLabelRaster(width=grid.width, height=grid.height, labels=labels),
+        label_to_room={i + 1: rid for i, rid in enumerate(ids)},
         wall_cells=wall_cells,
     )
     return gt, graph
+
+
+def _center(rect) -> GridIndex:
+    c0, r0, w, h = rect
+    return GridIndex(c0 + w // 2, r0 + h // 2)
 
 
 def _object_cells(rect, count, rng) -> list[tuple[int, int]]:

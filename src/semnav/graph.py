@@ -8,6 +8,7 @@ build phase; freeze() makes it immutable and safe for concurrent readers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConflictError, ValidationError
@@ -127,7 +128,7 @@ class SemanticGraph:
         for rid in (edge.room_a, edge.room_b):
             if rid not in self.rooms:
                 raise ValidationError(f"edge references unknown room {rid!r}")
-        if edge.weight < 0 or not _finite(edge.weight):
+        if edge.weight < 0 or not math.isfinite(edge.weight):
             raise ValidationError(
                 f"edge {edge.room_a!r}-{edge.room_b!r} weight {edge.weight} not a finite >= 0"
             )
@@ -211,7 +212,7 @@ class SemanticGraph:
             for rid in (e.room_a, e.room_b):
                 if rid not in self.rooms:
                     out.append(Violation(name, "dangling-edge", f"room {rid!r} does not exist"))
-            if e.weight < 0 or not _finite(e.weight):
+            if e.weight < 0 or not math.isfinite(e.weight):
                 out.append(Violation(name, "edge-weight", f"weight {e.weight} not a finite >= 0"))
             key = _edge_key(e.room_a, e.room_b)
             if key in edge_keys:
@@ -306,13 +307,46 @@ class SemanticGraph:
         return g
 
 
+def assemble_graph(rooms, objects, edges) -> tuple[SemanticGraph, list[str]]:
+    """The frozen graph and its room ids by room index; the one place ids are numbered.
+
+    rooms: (category, centroid, cell_count), numbered in list order.
+    objects: (room index, class, position, id or None), inserted by room
+    index, then in list order.
+    edges: (room index, room index, weight, portal).
+
+    A room is `{category}_{n}` (`room_{n}` when uncategorized) and an object
+    without an id is `{class}_{n}`: n counts up from 1 on one counter per
+    prefix, shared by rooms and objects, and skips every id an object
+    supplies. Classes and supplied ids are normalized.
+    """
+    taken = {normalize_label(oid) for *_, oid in objects if oid is not None}
+    counters: dict[str, int] = {}
+
+    def mint(prefix: str) -> str:
+        n = counters.get(prefix, 0) + 1
+        while f"{prefix}_{n}" in taken:
+            n += 1
+        counters[prefix] = n
+        return f"{prefix}_{n}"
+
+    graph = SemanticGraph()
+    room_ids = []
+    for category, centroid, cell_count in rooms:
+        room_ids.append(mint("room" if category == UNCATEGORIZED else category))
+        graph.add_room(RoomNode(room_ids[-1], category, centroid, cell_count))
+    for i, cls, position, oid in sorted(objects, key=lambda o: o[0]):
+        cls = normalize_label(cls)
+        oid = mint(cls) if oid is None else normalize_label(oid)
+        graph.add_object(ObjectNode(oid, cls, position, room_ids[i]))
+    for a, b, weight, portal in edges:
+        graph.add_room_edge(RoomEdge(room_ids[a], room_ids[b], weight, portal))
+    return graph.freeze(), room_ids
+
+
 def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
 def _edge_sort_key(e: RoomEdge):
     return (_edge_key(e.room_a, e.room_b), e.weight)
-
-
-def _finite(x: float) -> bool:
-    return x == x and x not in (float("inf"), float("-inf"))

@@ -4,7 +4,8 @@ import pytest
 
 from semnav import envgen
 from semnav.builder import ObjectPlacement, build_semantic_map, load_objects
-from semnav.errors import ConfigError, ValidationError
+from semnav.errors import ConfigError, ConflictError, ValidationError
+from semnav.graph import GoalQuery
 from semnav.mapio import save_map
 from semnav.metric import MetricPoint
 
@@ -77,6 +78,44 @@ class TestBuildSemanticMap:
             for name in ("rooms.pgm", "graph.json")
         }
         assert digest == {"rooms.pgm": rooms_pgm, "graph.json": graph_json}
+
+    @staticmethod
+    def _desk(gt):
+        return next(o.position for o in gt.objects if o.class_label == "desk")
+
+    def test_minted_id_skips_a_room_id(self, small_env, default_rules):
+        # a class named like a room category would mint that room's id
+        grid, gt, _ = small_env
+        p = self._desk(gt)
+        m = build_semantic_map(
+            grid, [ObjectPlacement("desk", p), ObjectPlacement("office", p)], default_rules
+        )
+        office = m.graph.objects["desk_1"].room_id
+        assert office == "office_1"
+        assert m.graph.objects["office_2"].room_id == office
+        assert not set(m.graph.objects) & set(m.graph.rooms)
+
+    def test_minted_id_skips_a_supplied_id(self, small_env, default_rules):
+        grid, gt, _ = small_env
+        p = self._desk(gt)
+        objects = [ObjectPlacement("desk", p), ObjectPlacement("desk", p, "desk_1")]
+        m = build_semantic_map(grid, objects, default_rules)
+        assert sorted(m.graph.objects) == ["desk_1", "desk_2"]
+
+    def test_supplied_ids_are_normalized(self, small_env, default_rules):
+        grid, gt, _ = small_env
+        p = self._desk(gt)
+        m = build_semantic_map(grid, [ObjectPlacement("desk", p, "My Desk")], default_rules)
+        assert list(m.graph.objects) == ["my_desk"]
+        for text in ("My Desk", "my_desk"):
+            assert m.graph.find_goal_state(GoalQuery(text)).nodes == ("my_desk",)
+
+    def test_supplied_ids_equal_after_normalizing_conflict(self, small_env, default_rules):
+        grid, gt, _ = small_env
+        p = self._desk(gt)
+        objects = [ObjectPlacement("desk", p, "My Desk"), ObjectPlacement("desk", p, "my_desk")]
+        with pytest.raises(ConflictError):
+            build_semantic_map(grid, objects, default_rules)
 
     def test_object_in_wall_rejected(self, small_env, default_rules):
         grid, _, _ = small_env

@@ -362,6 +362,28 @@ class TestRender:
 
 
 class TestBuildFromOccupancy:
+    def test_supplied_id_is_a_plannable_goal(self, map_dir, tmp_path):
+        desk = next(
+            o for o in json.loads((map_dir / "objects.json").read_text()) if o["class"] == "desk"
+        )
+        objfile = tmp_path / "objects.json"
+        objfile.write_text(json.dumps([{**desk, "id": "My Desk"}]), encoding="utf-8")
+        out = tmp_path / "m2"
+        result = run_cli(
+            "build",
+            "--costmap", str(map_dir / "occupancy.pgm"),
+            "--meta", str(map_dir / "occupancy.meta"),
+            "--objects", str(objfile),
+            "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        start = json.loads((out / "graph.json").read_text())["rooms"][0]["id"]
+        result = run_cli(
+            "plan", "--map", str(out), "--start", start, "--goal", "My Desk", "--oracle", "none"
+        )
+        assert result.returncode == 0, result.stderr
+        assert "mode: targeted" in result.stdout
+
     def test_gen_then_build_pipeline(self, map_dir, tmp_path):
         out = tmp_path / "rebuilt"
         result = run_cli(

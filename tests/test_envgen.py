@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import ndimage
 from semnav import envgen, metric
 from semnav.envgen import MAX_GRID_CELLS, MAX_ROOMS, EnvSpec, generate, load_env_spec
 from semnav.errors import ConfigError, GenerationError, ValidationError
+from semnav.mapio import graph_to_json
 from semnav.metric import COST_FREE, COST_LETHAL, GridIndex
 from semnav.segmentation import FOUR_CONNECTED
 
@@ -288,3 +290,54 @@ class TestSpecFile:
         path.write_text("", encoding="utf-8")
         spec = load_env_spec(path)
         assert spec == EnvSpec()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize(
+        "spec, costmap, raster, graph",
+        [
+            (
+                dict(n_rooms=24, resolution=0.05),
+                "ec82e6ef4c34f7d0b3ed7dbc934ff0dbcc2aa65ae5039993761a832b685f1dd8",
+                "7c3d742ce1bf9571b88015084bc7084b9b2472be9197315dd65ddec845cb46d2",
+                "56e5fe0381fc168a38a084302e5e230b28ff9f1f29b25bd73c567ea8b677c67a",
+            ),
+            (
+                dict(n_rooms=64, layout="chain", object_density=(2, 5)),
+                "ce6376c138ecfdd045b67b0d4a5b8257dbab8dcaca7f2a667272294a9b13dd06",
+                "1657bcd7a378896d36c8b8a58f97c3114702dd0046c4539518e76c8ce36708ed",
+                "b6a85788cd9ef6468d81e3f61feadb47ceaea0f81ec47e02bd7ebd77a53d278a",
+            ),
+            (
+                dict(n_rooms=12, resolution=0.025),
+                "d9d8067017bb87e0a9db1c33a4d2db4799817e57542cdd876417987289465394",
+                "99b7150b27677fecab5bec0c778acb360d93763d6c0ef559b0300159294a5e61",
+                "ce6a7418e8a997a7364cafd9519a2b1bd9c392d9c2687f8db83a7b631ae45979",
+            ),
+            (
+                dict(n_rooms=12, resolution=0.05),
+                "e490448a06dde36e19940ad33e7d2dd7e69c75ba7deb8f01e309db18e00673f8",
+                "5ca9ac72f399c49257d01ea46da2f61360a9ad15265238057cbad3998bec212d",
+                "08460552b1c093be49dd5d384069c5d280d3aa2b0c8d903d3234199271cb57d5",
+            ),
+        ],
+    )
+    def test_benchmark_maps_are_pinned(self, spec, costmap, raster, graph):
+        # the maps the benchmark workloads generate, all seed 7
+        grid, gt, g = generate(EnvSpec(seed=7, **spec))
+        digest = [
+            hashlib.sha256(b).hexdigest()
+            for b in (grid.cells.tobytes(), gt.raster.labels.tobytes(), graph_to_json(g).encode())
+        ]
+        assert digest == [costmap, raster, graph]
+
+
+class TestObjectIds:
+    def test_object_class_named_like_a_category(self):
+        vocabulary = (("office", "office"), ("desk", "office"))
+        _, gt, graph = generate(EnvSpec(seed=7, n_rooms=4, resolution=0.1, vocabulary=vocabulary))
+        rooms = {r.id for r in gt.rooms}
+        assert {"office_1", "office_4"} <= rooms
+        assert "office_5" in graph.objects
+        assert not rooms & set(graph.objects)
+        assert graph.validate() == []

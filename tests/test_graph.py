@@ -10,6 +10,7 @@ from semnav.graph import (
     RoomEdge,
     RoomNode,
     SemanticGraph,
+    assemble_graph,
     normalize_label,
 )
 from semnav.metric import MetricPoint
@@ -209,3 +210,54 @@ class TestEquality:
         g = office_graph.copy()
         g.room_edges[0].weight += 1e-12
         assert g != office_graph
+
+
+P = MetricPoint(0.5, 0.5)
+
+
+def assemble(categories, objects, edges=()):
+    return assemble_graph([(c, P, 4) for c in categories], objects, list(edges))
+
+
+class TestAssembleGraph:
+    def test_counters_run_per_prefix(self):
+        g, ids = assemble(
+            ["office", "kitchen", "office"],
+            [(2, "desk", P, None), (0, "desk", P, None), (1, "sink", P, None)],
+        )
+        assert ids == ["office_1", "kitchen_1", "office_2"]
+        # objects are numbered by room index, then input order
+        assert list(g.objects) == ["desk_1", "sink_1", "desk_2"]
+        assert g.objects["desk_1"].room_id == "office_1"
+        assert g.objects["desk_2"].room_id == "office_2"
+
+    def test_uncategorized_rooms_are_room_n(self):
+        _, ids = assemble(["uncategorized", "office", "uncategorized"], [])
+        assert ids == ["room_1", "office_1", "room_2"]
+
+    def test_edges_join_rooms_by_index(self):
+        g, ids = assemble(["office", "corridor"], [], [(0, 1, 2.5, GridIndex(3, 4))])
+        assert g.room_edges == [RoomEdge("office_1", "corridor_1", 2.5, GridIndex(3, 4))]
+        assert g.neighbors("corridor_1") == [("office_1", 2.5)]
+
+    def test_minted_object_skips_room_ids(self):
+        g, ids = assemble(["office"], [(0, "office", P, None), (0, "desk", P, None)])
+        assert ids == ["office_1"]
+        assert sorted(g.objects) == ["desk_1", "office_2"]
+
+    def test_minted_ids_skip_supplied_ids(self):
+        g, ids = assemble(
+            ["office", "office"],
+            [(0, "desk", P, None), (1, "desk", P, "desk_1"), (0, "desk", P, "office_2")],
+        )
+        assert ids == ["office_1", "office_3"]
+        assert g.objects["desk_2"].room_id == "office_1"
+        assert g.objects["desk_1"].room_id == "office_3"
+        assert g.objects["office_2"].class_label == "desk"
+
+    def test_supplied_ids_and_classes_are_normalized(self):
+        g, _ = assemble(["office"], [(0, "Coffee Table", P, " My Desk ")])
+        assert list(g.objects) == ["my_desk"]
+        assert g.objects["my_desk"].class_label == "coffee_table"
+        assert g.rooms["office_1"].attributes == ["coffee_table"]
+        assert g.find_goal_state(GoalQuery("My Desk")).nodes == ("my_desk",)
