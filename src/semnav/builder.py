@@ -50,6 +50,8 @@ def load_objects(path) -> list[ObjectPlacement]:
                 raise ValueError(f"position must be [x, y] numbers, got {position!r}")
             if not (isinstance(label, str) and isinstance(oid, str)):
                 raise ValueError("class and id must be strings")
+            if not normalize_label(label) or ("id" in entry and not normalize_label(oid)):
+                raise ValueError("class and a supplied id must not be blank")
             x, y = float(position[0]), float(position[1])
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad object entry #{i}: {exc}") from exc

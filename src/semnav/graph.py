@@ -195,6 +195,9 @@ class SemanticGraph:
             if nid in seen:
                 out.append(Violation(nid, "unique-id", "node id appears more than once"))
             seen.add(nid)
+            # a goal is normalized before lookup, so any other id can never be named
+            if not nid or nid != normalize_label(nid):
+                out.append(Violation(nid, "normalized-id", "node id is blank or not normalized"))
         for rid, room in self.rooms.items():
             if rid != room.id:
                 out.append(Violation(rid, "unique-id", f"room keyed as {rid!r} has id {room.id!r}"))

@@ -8,7 +8,9 @@ transform of free space:
      threshold;
   3. flood seeds outward (4-connected), claiming cells in the order
      (-distance, row, col); each cell takes the smallest seed label
-     offered to it by an already-claimed neighbour;
+     offered to it by an already-claimed neighbour. The flood runs as two
+     frontier relaxations over the raster, not a loop over its cells: one
+     gives each cell the time it is claimed at, the other its label;
   4. merge regions whose shared boundary is wider than the doorway
      threshold (they are halves of one space, not two rooms);
   5. absorb regions smaller than the minimum room size into their largest
@@ -21,7 +23,6 @@ robot could never reach keep label 0.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -244,48 +245,98 @@ def _flood(dist: np.ndarray, domain: np.ndarray, seeds: np.ndarray) -> np.ndarra
     """Grow the seed raster's regions over the domain, deepest cells first, 4-connected.
 
     A priority flood with fixed keys (-distance, row, col), seed cells first:
-    a cell keeps the smallest label offered to it until it pops. A cursor over
-    that rank order pops each offered cell it reaches. A pocket is a cell first
-    offered after the cursor passed it (a basin deeper than its ridge, or a
-    plateau entered from its row-major end). Pockets pop before the cursor
-    moves on, as from one heap; each passes on the label of the cell the
-    cursor popped, so their order among themselves changes no label.
+    a cell keeps the smallest label offered to it until it pops, and offers
+    its label to its 4-neighbours when it pops. Run as a loop, a cursor walks
+    that rank order and pops each offered cell it reaches; a pocket, a cell
+    first offered after the cursor passed it (a basin deeper than its ridge,
+    or a plateau entered from its row-major end), pops before the cursor
+    moves on. Here the flood is two frontier relaxations instead:
+
+      1. pop time: t(seed) = 0 and t(v) = max(rank(v), min t(n)) over v's
+         4-neighbours n; v is a pocket exactly when t(v) > rank(v). This is a
+         bottleneck path value: the least, over paths from a seed, of the
+         largest rank on the path.
+      2. label: label(v) = min label(n) over 4-neighbours n with t(n) <= t(v),
+         from the seed labels through the other domain cells: the smallest
+         seed label over the paths along which t never falls.
+
+    Why this is the loop's output. Number the cursor's steps by rank, so t(v)
+    is the step in which v pops. A non-pocket pops at its rank and takes the
+    smallest label among the neighbours that popped in earlier steps; a
+    neighbour with equal t is a pocket it set off and carries its label. A
+    pocket pops in the step of its first offerer and takes that step's label,
+    which every cell popped in the step carries; no neighbour of a pocket
+    pops in an earlier step, so the neighbours in its minimum are all of its
+    own step. So the loop's labels solve rule 2 and are at most the path
+    minimum; and each was handed down a path of pops in non-decreasing steps
+    from a seed, so it is at least that minimum. The seeds' own row-major
+    order changes nothing: every seed pops before any other cell, and no
+    seed takes an offer.
     """
     h, w = dist.shape
     width = w + 2  # one closed cell of padding on each side: no bounds checks
-    label_type = np.min_scalar_type(int(seeds.max()))
-    seeded = np.pad(seeds.astype(label_type), 1)
+    never = np.iinfo(np.int32).max
+    seeded = np.pad(seeds, 1).ravel()
     seed_cells = np.flatnonzero(seeded)
     cells = np.flatnonzero(domain & (seeds == 0))
     # row-major cells, so the stable sort breaks distance ties by (row, col)
     cells = cells[np.argsort(-dist.ravel()[cells], kind="stable")]
     cells += 2 * (cells // w) + width + 1
-    is_open = np.zeros(seeded.shape, dtype=np.uint8)
-    is_open.ravel()[cells] = 1
+    rank = np.full(seeded.size, never, dtype=np.int32)  # closed cells never pop
+    rank[seed_cells] = 0
+    rank[cells] = np.arange(1, cells.size + 1, dtype=np.int32)
+    del cells
 
-    # typed buffers: their items read as Python ints, at a fraction of a list's memory
-    labels = array(label_type.char, seeded.tobytes())
-    open_ = bytearray(is_open.tobytes())  # 1: ahead of the cursor, 2: passed
-    order_ = array("i", np.concatenate([seed_cells, cells]).astype(np.intc).tobytes())
-    del seeded, seed_cells, cells, is_open  # not needed during the loop
-    pockets = []
-    for i in order_:
-        open_[i] = 2  # passed: an offer from now on makes it a pocket
-        while labels[i]:  # until i is 0, a padding cell
-            open_[i] = 0
-            k = labels[i]
-            for n in (i - width, i - 1, i + 1, i + width):
-                if open_[n]:
-                    pending = labels[n]
-                    if not pending:
-                        labels[n] = k
-                        if open_[n] == 2:
-                            pockets.append(n)
-                    elif k < pending:
-                        labels[n] = k
-            i = pockets.pop() if pockets else 0
-    out = np.frombuffer(labels, dtype=label_type).reshape(h + 2, width)
-    return out[1:-1, 1:-1].astype(np.int32)
+    pop = np.full(seeded.size, never, dtype=np.int32)
+    pop[seed_cells] = 0
+
+    def earlier_pop(n, t):
+        t = np.maximum(rank[n], t)
+        return t < pop[n], t
+
+    _relax(seed_cells, (pop[seed_cells],), lambda f: (pop[f],), earlier_pop, pop, width)
+    del rank
+
+    # seeds and closed cells hold 0, so no update reaches them; the seeds'
+    # own labels come in through the first round's sources
+    label_type = np.min_scalar_type(int(seeds.max()) + 1)
+    labels = np.where(pop < never, np.iinfo(label_type).max, 0).astype(label_type)
+    labels[seed_cells] = 0
+
+    def smaller_label(n, k, t):
+        return (k < labels[n]) & (t <= pop[n]), k
+
+    first = (seeded[seed_cells].astype(label_type), pop[seed_cells])
+    _relax(seed_cells, first, lambda f: (labels[f], pop[f]), smaller_label, labels, width)
+    labels[seed_cells] = seeded[seed_cells]
+    return labels.reshape(h + 2, width)[1:-1, 1:-1].astype(np.int32)
+
+
+def _relax(frontier, first, read, update, value, width) -> None:
+    """Relax value over 4-neighbours in rounds from frontier until no cell changes.
+
+    first holds the frontier's source arrays for round one, and read(cells)
+    gives them for later rounds. update(neighbours, *sources) -> (better,
+    new) covers one move. The 4 moves run one after another, so each reads
+    the previous one's writes; within one move the neighbours are distinct,
+    so one fancy assignment applies every update exactly. The cells a round
+    lowers, each once through the fresh mask, are the next frontier.
+    """
+    sources = first
+    fresh = np.ones(value.size, dtype=bool)  # False: already in the next frontier
+    while frontier.size:
+        changed = []
+        for move in (-width, -1, 1, width):
+            n = frontier + move
+            better, new = update(n, *sources)
+            n = n[better]
+            value[n] = new[better]
+            n = n[fresh[n]]
+            fresh[n] = False
+            changed.append(n)
+        frontier = np.concatenate(changed)
+        fresh[frontier] = True
+        sources = read(frontier)
 
 
 def _boundary_pairs(labels: np.ndarray) -> dict[tuple[int, int], int]:

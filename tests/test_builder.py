@@ -172,6 +172,8 @@ class TestObjectsFile:
             '{"class": 7, "position": [1.0, 2.0]}',
             '{"class": "desk", "position": [1.0, 2.0], "id": 3}',
             '{"class": "desk", "position": [1.0, 2.0], "id": null}',
+            '{"class": "desk", "position": [1.0, 2.0], "id": " "}',
+            '{"class": "", "position": [1.0, 2.0]}',
             '"desk"',
         ],
     )

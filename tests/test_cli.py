@@ -137,6 +137,24 @@ class TestValidate:
         result = run_cli("validate", "--map", str(broken))
         assert result.returncode == 3
 
+    def test_unnormalized_object_id_exits_3(self, map_dir, tmp_path):
+        # the planner normalizes every goal, so "My Desk" could never be named
+        broken = tmp_path / "broken"
+        shutil.copytree(map_dir, broken)
+        doc = json.loads((broken / "graph.json").read_text())
+        desk = next(o for o in doc["objects"] if o["class"] == "desk")
+        desk["id"] = "My Desk"
+        (broken / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
+        result = run_cli("validate", "--map", str(broken))
+        assert result.returncode == 3, result.stderr
+        assert result.stdout.startswith("My Desk: normalized-id: ")
+        start = doc["rooms"][0]["id"]
+        result = run_cli(
+            "plan", "--map", str(broken), "--start", start, "--goal", "My Desk", "--oracle", "none"
+        )
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr
+
 
 def _cut_rooms_row(map_dir, broken):
     """Copy the map with the last row of rooms.pgm cut off."""
@@ -416,6 +434,26 @@ class TestBuildFromOccupancy:
             "--out", str(tmp_path / "m2"),
         )
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "entry", [{"class": "desk", "id": ""}, {"class": " "}], ids=["blank-id", "blank-class"]
+    )
+    def test_build_rejects_blank_object_label(self, map_dir, tmp_path, entry):
+        desk = next(
+            o for o in json.loads((map_dir / "objects.json").read_text()) if o["class"] == "desk"
+        )
+        objfile = tmp_path / "objects.json"
+        objfile.write_text(json.dumps([{"position": desk["position"], **entry}]), encoding="utf-8")
+        result = run_cli(
+            "build",
+            "--costmap", str(map_dir / "occupancy.pgm"),
+            "--meta", str(map_dir / "occupancy.meta"),
+            "--objects", str(objfile),
+            "--out", str(tmp_path / "m2"),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "must not be blank" in result.stderr
+        assert not (tmp_path / "m2").exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_build_rejects_non_finite_object_position(self, map_dir, tmp_path, value):

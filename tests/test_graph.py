@@ -192,6 +192,12 @@ class TestValidate:
         g.containment.append(g.containment[0])
         assert any(v.rule == "containment-function" for v in g.validate())
 
+    @pytest.mark.parametrize("oid", ["", "My Desk", "Desk_1", " desk_1"])
+    def test_unnormalized_id_detected(self, office_graph, oid):
+        g = office_graph.copy()
+        g.add_object(obj(oid, "desk", "office_3"))
+        assert [v.rule for v in g.validate()] == ["normalized-id"]
+
     def test_fuzzed_corruptions_each_violate(self, office_graph):
         from mutations import corrupt_graph
 

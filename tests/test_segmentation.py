@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -319,6 +321,30 @@ class TestAgainstLoopOracles:
         seeds = _seed_labels(dist, domain, 0.6)
         want = brute_flood(dist, domain, [np.argwhere(seeds == k) for k in range(1, seeds.max() + 1)])
         assert np.array_equal(_flood(dist, domain, seeds), want)
+
+    @pytest.mark.parametrize(
+        "resolution, digest",
+        [
+            (0.05, "8d6ff0584d758c060fafb37dc8ad749baf5b11b39c9b26fe33fe386fe98d70a5"),
+            (0.025, "3bf832954e0494278a46604b07cc7740a74a610c25e64641f0b263841f7d5ee2"),
+        ],
+        ids=["build-deck-seed-7", "0.025m"],
+    )
+    def test_flood_rasters_are_pinned(self, resolution, digest):
+        # digests of the int32 rasters from the sequential (cursor) flood, at
+        # 121k and 480k cells: exactness at real map size, past the oracle's grids
+        from scipy import ndimage
+
+        spec = envgen.EnvSpec(seed=7, n_rooms=12, resolution=resolution)
+        free = envgen.generate(spec)[0].cells < 253
+        components, _ = ndimage.label(free, structure=FOUR_CONNECTED)
+        sizes = np.bincount(components.ravel())
+        sizes[0] = 0
+        domain = components == int(np.argmax(sizes))
+        dist = ndimage.distance_transform_edt(free, sampling=resolution)
+        labels = _flood(dist, domain, _seed_labels(dist, domain, 0.6))
+        assert labels.dtype == np.int32
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
 
     @settings(max_examples=400, deadline=None)
     @given(seed_inputs())
