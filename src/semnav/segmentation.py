@@ -31,7 +31,8 @@ import numpy as np
 from .errors import ConfigError, MapConsistencyError, ValidationError
 from .graph import RoomEdge, UNCATEGORIZED, normalize_label
 from .metric import (
-    COST_INSCRIBED, SQRT2, CostmapGrid, GridIndex, factor_table, read_text_lines, window_search
+    COST_INSCRIBED, SQRT2, CostmapGrid, GridIndex, ellipse, factor_table, next_span,
+    read_text_lines, window_search,
 )
 
 DEFAULT_DOOR_WIDTH_MAX = 1.2  # meters
@@ -433,8 +434,23 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
     room ids).
 
     Weight is the grid shortest-path cost centroid_a -> portal -> centroid_b,
-    each leg within its own room (plus the portal cell), from one search per
-    room. Raises MapConsistencyError for a leg with no route.
+    each leg within its own room (plus the portal cell): the minimum, over
+    the portal's 3x3, of a cell's cost from the centroid plus the last step
+    (none from the portal itself, for a portal in the room).
+
+    Each room runs one csgraph search from its centroid for all its legs.
+    The window is the bounding box, plus one ring for the portals' 3x3, of
+    the union of the legs' octile ellipses E(span) with foci centroid and
+    portal (metric.ellipse), cropped to the room's box and the ring around
+    it that holds its portals. Cells outside the room or outside that union
+    are closed. metric.next_span gives each leg its first span and judges
+    it after the search, by metric.grid_shortest_path's argument with the
+    portal as goal: a leg of cost C is exact once C / resolution + 1 <= span.
+    Undecided legs grow their spans by the same rule, and only their
+    ellipses form the room's next window. A leg has no route when its
+    ellipse covers the room's box and it still finds none. Raises
+    MapConsistencyError for the first leg in the room's edge order that has
+    no route or a closed centroid or portal.
     """
     labels = raster.labels
     width, base = labels.shape[1], int(labels.max()) + 1
@@ -461,26 +477,54 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
     steps = g.resolution * np.array([[SQRT2, 1.0, SQRT2], [1.0, 0.0, 1.0], [SQRT2, 1.0, SQRT2]])
     weights = [0.0] * len(edges)
     for label, ids in legs.items():
-        # the room's box plus two closed cells: a portal outside it has all 8 neighbours
         box = raster.boxes[label - 1]
-        top, left = box[0].start - 2, box[1].start - 2
-        room = np.pad(labels[box] == label, 2)
         centroid = raster.centroid_cells[label]
-        f = factors[np.pad(g.cells[box], 2)]
-        f[~room] = -1.0
-        source = (centroid.row - top, centroid.col - left)
-        dist = window_search(f, g.resolution, source)[0]
-        if f[source] < 0:  # a closed centroid reaches nothing
-            dist[:] = np.inf
+        closed = factors[g.cells[centroid.row, centroid.col]] < 0
+        spans, failed = {}, []  # spans: undecided leg -> span of its next ellipse
         for i in ids:
             portal = edges[i][2]
-            near = np.s_[portal.row - top - 1 :, portal.col - left - 1 :]
-            fp = factors[g.cells[portal.row, portal.col]]
-            # a portal in the room keeps its own cost: no neighbour's route undercuts it
-            cost = (dist[near][:3, :3] + steps * (0.5 * (f[near][:3, :3] + fp))).min()
-            if fp < 0 or cost == np.inf:
-                raise MapConsistencyError(f"room label {label}: centroid cannot reach {portal}")
-            weights[i] += float(cost)
+            if closed or factors[g.cells[portal.row, portal.col]] < 0:
+                failed.append(i)
+            else:
+                spans[i] = next_span(centroid, portal, box, g.resolution)
+        while spans:
+            ellipses = [ellipse(g, centroid, edges[i][2], span) for i, span in spans.items()]
+            top = min(t for t, _, _ in ellipses)
+            left = min(c for _, c, _ in ellipses)
+            bottom = max(t + e.shape[0] for t, _, e in ellipses)
+            right = max(c + e.shape[1] for _, c, e in ellipses)
+            union = np.zeros((bottom - top, right - left), dtype=bool)
+            for t, c, e in ellipses:
+                union[t - top : t - top + e.shape[0], c - left : c - left + e.shape[1]] |= e
+            # crop to the room's box and the ring around it, which holds its portals
+            r0, r1 = max(top, box[0].start - 1), min(bottom, box[0].stop + 1)
+            c0, c1 = max(left, box[1].start - 1), min(right, box[1].stop + 1)
+            union = union[r0 - top : r1 - top, c0 - left : c1 - left]
+            f = factors[g.cells[r0:r1, c0:c1]]
+            f[~(union & (labels[r0:r1, c0:c1] == label))] = -1.0
+            f = np.pad(f, 1, constant_values=-1.0)  # the ring of each portal's 3x3
+            top, left = r0 - 1, c0 - 1
+            dist = window_search(f, g.resolution, (centroid.row - top, centroid.col - left))[0]
+            for i, span in list(spans.items()):
+                portal = edges[i][2]
+                near = np.s_[
+                    portal.row - top - 1 : portal.row - top + 2,
+                    portal.col - left - 1 : portal.col - left + 2,
+                ]
+                fp = factors[g.cells[portal.row, portal.col]]
+                # a portal in the room keeps its own cost: no neighbour's route undercuts it
+                cost = float((dist[near] + steps * (0.5 * (f[near] + fp))).min())
+                spans[i] = next_span(centroid, portal, box, g.resolution, span, cost)
+                if spans[i] is None:
+                    weights[i] += cost
+                elif spans[i] == math.inf:
+                    failed.append(i)
+                else:
+                    continue
+                del spans[i]
+        if failed:  # the first failing leg in edge order, as a whole-room search would report
+            portal = edges[min(failed)][2]
+            raise MapConsistencyError(f"room label {label}: centroid cannot reach {portal}")
     return [RoomEdge(str(la), str(lb), w, p) for (la, lb, p), w in zip(edges, weights)]
 
 

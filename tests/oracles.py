@@ -17,6 +17,10 @@ from scipy import ndimage
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
+from semnav.errors import MapConsistencyError
+from semnav.graph import RoomEdge
+from semnav.metric import SQRT2, GridIndex, factor_table, window_search
+
 
 def cell_factor(cost: int, allow_inscribed: bool = False):
     """Traversal factor per the documented convention; None = untraversable."""
@@ -365,6 +369,63 @@ def brute_adjacency(labels: np.ndarray, grid):
             total += cost
         edges.append((la, lb, portal, total))
     return edges
+
+
+def whole_room_adjacency(raster, g):
+    """Room adjacency edges from one search per room over the room's whole box.
+
+    Reference for segmentation.extract_adjacency: its body before the
+    searches were bounded by the legs' octile ellipses. Each room's window is
+    its box plus two closed cells, and every leg is read from that one
+    distance array. Returns RoomEdges; raises MapConsistencyError for the
+    first leg, in the room's edge order, with no route.
+    """
+    labels = raster.labels
+    width, base = labels.shape[1], int(labels.max()) + 1
+    keys = []  # pair code * cells + flat index, for both cells of each boundary pair
+    for a, b, offset in ((labels[:, :-1], labels[:, 1:], 1), (labels[:-1], labels[1:], width)):
+        both = (a > 0) & (b > 0) & (a != b)
+        rows, cols = np.nonzero(both)
+        a, b = a[both].astype(np.int64), b[both].astype(np.int64)
+        key = (np.minimum(a, b) * base + np.maximum(a, b)) * labels.size + rows * width + cols
+        keys += [key, key + offset]
+    codes, cells = np.divmod(np.unique(np.concatenate(keys)), labels.size)
+    codes, first = np.unique(codes, return_index=True)
+    edges, legs = [], {}  # legs: room label -> indices of its edges
+    for i, (code, flat) in enumerate(zip(codes.tolist(), np.split(cells, first[1:]))):
+        arr = np.stack(np.divmod(flat, width), axis=1)  # row-major
+        d2 = ((arr - arr.mean(axis=0)) ** 2).sum(axis=1)
+        pr, pc = arr[np.argmin(d2)]
+        edges.append((*divmod(code, base), GridIndex(int(pc), int(pr))))
+        for label in edges[-1][:2]:
+            legs.setdefault(label, []).append(i)
+
+    factors = factor_table()
+    # step length to a portal from each of its 8 neighbours, and 0 from itself
+    steps = g.resolution * np.array([[SQRT2, 1.0, SQRT2], [1.0, 0.0, 1.0], [SQRT2, 1.0, SQRT2]])
+    weights = [0.0] * len(edges)
+    for label, ids in legs.items():
+        # the room's box plus two closed cells: a portal outside it has all 8 neighbours
+        box = raster.boxes[label - 1]
+        top, left = box[0].start - 2, box[1].start - 2
+        room = np.pad(labels[box] == label, 2)
+        centroid = raster.centroid_cells[label]
+        f = factors[np.pad(g.cells[box], 2)]
+        f[~room] = -1.0
+        source = (centroid.row - top, centroid.col - left)
+        dist = window_search(f, g.resolution, source)[0]
+        if f[source] < 0:  # a closed centroid reaches nothing
+            dist[:] = np.inf
+        for i in ids:
+            portal = edges[i][2]
+            near = np.s_[portal.row - top - 1 :, portal.col - left - 1 :]
+            fp = factors[g.cells[portal.row, portal.col]]
+            # a portal in the room keeps its own cost: no neighbour's route undercuts it
+            cost = (dist[near][:3, :3] + steps * (0.5 * (f[near][:3, :3] + fp))).min()
+            if fp < 0 or cost == np.inf:
+                raise MapConsistencyError(f"room label {label}: centroid cannot reach {portal}")
+            weights[i] += float(cost)
+    return [RoomEdge(str(la), str(lb), w, p) for (la, lb, p), w in zip(edges, weights)]
 
 
 # (drow, dcol) of the 8 moves, in the order each node's CSR row lists them.

@@ -485,7 +485,7 @@ class TestWindowedSearchExactness:
         )
         direct = float(metric._octile(start.row - goal.row, start.col - goal.col))
         span = direct + slack
-        top, left, inside = metric._ellipse(g, start, goal, direct, span)
+        top, left, inside = metric.ellipse(g, start, goal, span)
         rows = np.arange(height)[:, None]
         cols = np.arange(width)[None, :]
         total = metric._octile(rows - start.row, cols - start.col)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csgraph
 
-from semnav import envgen
+from semnav import envgen, segmentation
 from semnav.errors import ConfigError, MapConsistencyError, ValidationError
-from semnav.metric import CostmapGrid
+from semnav.metric import CostmapGrid, GridIndex
 from semnav.segmentation import (
     CategoryRule,
     FOUR_CONNECTED,
@@ -35,6 +35,7 @@ from oracles import (
     brute_merge,
     brute_seed_components,
     ndimage_room_summary,
+    whole_room_adjacency,
 )
 
 
@@ -677,6 +678,97 @@ class TestAdjacencyAgainstLoopOracle:
         assert len(rooms) > 2
         assert {int(k) for e in edges for k in (e.room_a, e.room_b)} == set(rooms)
         assert len(sources) == len(rooms)
+
+
+def paint_blobs(grid, rng, count):
+    """grid with count discs of graded (60, 150, 252), inscribed (253) and
+    lethal (254) cost painted over its traversable cells."""
+    cells = grid.cells.copy()
+    rows, cols = np.ogrid[: grid.height, : grid.width]
+    for _ in range(count):
+        r, c, radius = rng.integers(grid.height), rng.integers(grid.width), rng.integers(2, 12)
+        disc = (rows - r) ** 2 + (cols - c) ** 2 <= radius * radius
+        cells[disc & (cells < 254)] = rng.choice([60, 150, 252, 253, 254])
+    return CostmapGrid(
+        width=grid.width, height=grid.height, resolution=grid.resolution,
+        origin_x=grid.origin_x, origin_y=grid.origin_y, cells=cells,
+    )
+
+
+def adjacency_or_error(adjacency, raster, grid):
+    try:
+        return adjacency(raster, grid)
+    except MapConsistencyError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def window_sizes(monkeypatch):
+    """The cell count of each window extract_adjacency searches, in order."""
+    sizes = []
+    search = segmentation.window_search
+
+    def spy(f, resolution, source):
+        sizes.append(f.size)
+        return search(f, resolution, source)
+
+    monkeypatch.setattr(segmentation, "window_search", spy)
+    return sizes
+
+
+class TestAdjacencyEllipses:
+    """Legs searched inside their octile ellipses against whole-room searches."""
+
+    def test_matches_whole_room_search_on_painted_maps(self, window_sizes):
+        grew = errors = 0
+        for seed in range(15):
+            rng = np.random.default_rng(seed)
+            spec = envgen.EnvSpec(seed=seed, n_rooms=int(rng.integers(3, 7)), resolution=0.1)
+            grid = envgen.generate(spec)[0]
+            raster = segment_rooms(grid)
+            grid = paint_blobs(grid, rng, int(rng.integers(1, 12)))
+            window_sizes.clear()
+            got = adjacency_or_error(extract_adjacency, raster, grid)
+            # the same edges and weights bit for bit, or the same room and portal named
+            assert got == adjacency_or_error(whole_room_adjacency, raster, grid), seed
+            errors += isinstance(got, str)
+            grew += isinstance(got, list) and len(window_sizes) > len(raster.room_labels())
+        assert grew > 0 and 0 < errors < 15
+
+    def test_first_failing_leg_in_edge_order_is_named(self):
+        # Room 1 is a 40x40 block with a 2-row arm out to column 99, so its
+        # centroid lies in the block. Walls cut both its portals off: the one
+        # to room 2 just above the block, and the one to room 3 at the arm's
+        # end. Room 3's leg is known to fail first, as its ellipse covers the
+        # room's box at a smaller span; the error still names room 2's portal,
+        # the first in edge order.
+        labels = np.zeros((43, 103), dtype=np.uint16)
+        labels[:40, :40] = 1
+        labels[19:21, 40:100] = 1
+        labels[40:43, 20:26] = 2
+        labels[19:21, 100:103] = 3
+        cells = np.zeros(labels.shape, dtype=np.uint8)
+        cells[38, 18:28] = cells[39, [18, 27]] = 254  # a pocket under room 2
+        cells[19:21, 97] = 254  # a pocket at the arm's end
+        grid = CostmapGrid(
+            width=103, height=43, resolution=1.0, origin_x=0, origin_y=0, cells=cells
+        )
+        raster = RoomLabelRaster(width=103, height=43, labels=labels)
+        want = brute_adjacency(labels, grid)
+        assert [(la, lb, weight) for la, lb, _, weight in want] == [(1, 2, None), (1, 3, None)]
+        message = f"room label 1: centroid cannot reach {GridIndex(*want[0][2])}"
+        assert adjacency_or_error(whole_room_adjacency, raster, grid) == message
+        assert adjacency_or_error(extract_adjacency, raster, grid) == message
+
+    def test_windows_are_smaller_than_room_boxes(self, window_sizes):
+        grid, _, _ = envgen.generate(envgen.EnvSpec(seed=7, n_rooms=12, resolution=0.05))
+        raster = segment_rooms(grid)
+        extract_adjacency(raster, grid)
+        boxes = [box for box in raster.boxes if box is not None]
+        # the whole-room search's window: each room's box plus two cells per side
+        padded = sum((r.stop - r.start + 4) * (c.stop - c.start + 4) for r, c in boxes)
+        assert len(window_sizes) == len(boxes) == 13
+        assert sum(window_sizes) < 0.5 * padded
 
 
 OFFICE_RULES = [
