@@ -21,9 +21,10 @@ resolution*sqrt(2) for the 4 diagonal moves.
 grid_shortest_path runs scipy.sparse.csgraph.dijkstra on a CSR graph that
 each call builds over an octile ellipse with foci start and goal, grown until
 it holds every path no dearer than the one found; its docstring says why that
-gives the same cost as a whole-grid search. next_span holds that growth and
-stop rule; segmentation.extract_adjacency bounds its per-room searches by it
-too, with the room's centroid and a portal as foci. Nothing is cached on the grid.
+gives the same cost as a whole-grid search. segmentation.extract_adjacency
+bounds its per-room searches by the same ellipses, with the room's centroid
+and a portal as foci and a span read off a path known to be open, so it needs
+no second search. Nothing is cached on the grid.
 The window graph has a fixed degree, a node per cell and 8 moves per node; a
 move at a closed cell or off the window weighs inf, and Dijkstra never takes it.
 scipy is imported by the functions that search, so loading a map needs numpy only.
@@ -334,10 +335,9 @@ def grid_shortest_path(
     C / resolution + 1 <= span (the extra cell absorbs float rounding).
     Otherwise the search runs again with span = C / resolution + 1, or, if it
     found no path, with four times the slack span - direct, until E(span)
-    covers the grid (next_span holds this rule). The result equals a
-    whole-grid search. E(span) lies in the start-goal box widened by
-    ceil((span - direct) / (2 * (sqrt(2) - 1))) + 1 cells per side (see
-    ellipse).
+    covers the grid. The result equals a whole-grid search. E(span) lies in
+    the start-goal box widened by ceil((span - direct) / (2 * (sqrt(2) - 1)))
+    + 1 cells per side (see ellipse).
 
     The cost is the exact minimum, bit for bit. Among equal-cost paths the
     one returned is csgraph's deterministic choice for the window searched.
@@ -356,65 +356,36 @@ def grid_shortest_path(
         if factors[g.cells[idx.row, idx.col]] < 0:
             raise ValidationError(f"{name} cell {idx} is untraversable")
 
+    direct = float(_octile(start.row - goal.row, start.col - goal.col))
+    span = direct + _FIRST_SLACK
     grid = (slice(0, g.height), slice(0, g.width))
-    span = next_span(start, goal, grid, g.resolution)
     while True:
-        top, left, inside = ellipse(g, start, goal, span)
+        top, left, inside = ellipse(grid, start, goal, span)
         f = factors[g.cells[top : top + inside.shape[0], left : left + inside.shape[1]]]
         f[~inside] = -1.0
         dist, pred = window_search(f, g.resolution, (start.row - top, start.col - left))
         row, col = goal.row - top, goal.col - left
         cost = float(dist[row, col])
-        span = next_span(start, goal, grid, g.resolution, span, cost)
-        if span is None:
+        if cost / g.resolution + 1.0 <= span:
             path = []
             while row >= 0:  # pred is negative at the start
                 path.append(GridIndex(col + left, row + top))
                 row, col = divmod(int(pred[row, col]), f.shape[1])
             path.reverse()
             return path, cost
-        if span == math.inf:
+        if cost < math.inf:
+            span = cost / g.resolution + 1.0
+        elif inside.size == g.cells.size and inside.all():
             raise UnreachableError(f"no traversable route from {start} to {goal}")
+        else:
+            span = direct + 4.0 * (span - direct)
 
 
-def next_span(
-    a: GridIndex, b: GridIndex, box: tuple[slice, slice], resolution: float,
-    span: float | None = None, cost: float = math.inf,
-) -> float | None:
-    """The growth and stop rule of a search from a to b bounded by E(span).
-
-    E(span) holds the cells v with octile(a, v) + octile(v, b) <= span, in
-    cells; box, a (rows, cols) pair of slices, holds every cell the search
-    may use. Without span, returns the first span, direct + 2 with
-    direct = octile(a, b). After a search of E(span) that found cost (inf if
-    it found no path) it returns:
-
-    - None: the cost is exact, as C / resolution + 1 <= span (see
-      grid_shortest_path);
-    - C / resolution + 1, when a path was found but a cheaper one may leave E(span);
-    - inf, when there is no path and E(span) already covers the box. The
-      octile sum is convex, so the box's 4 corners decide; they must lie one
-      cell inside E(span), as rounding may differ between cells;
-    - else direct + 4 * (span - direct): four times the slack.
-    """
-    direct = float(_octile(a.row - b.row, a.col - b.col))
-    if span is None:
-        return direct + _FIRST_SLACK
-    if cost / resolution + 1.0 <= span:
-        return None
-    if cost < math.inf:
-        return cost / resolution + 1.0
-    rows = np.array([box[0].start, box[0].stop - 1])[:, None]
-    cols = np.array([box[1].start, box[1].stop - 1])[None, :]
-    corners = _octile(rows - a.row, cols - a.col) + _octile(rows - b.row, cols - b.col)
-    if (corners + 1.0 <= span).all():
-        return math.inf
-    return direct + 4.0 * (span - direct)
-
-
-def ellipse(g: CostmapGrid, start: GridIndex, goal: GridIndex, span: float):
-    """(top, left, inside): E(span) as a mask over its bounding box, whose
-    first cell is (top, left) in the grid; see next_span for E.
+def ellipse(box: tuple[slice, slice], start: GridIndex, goal: GridIndex, span: float):
+    """(top, left, inside): E(span), the cells v with
+    octile(start, v) + octile(v, goal) <= span in cells, cut to box (a pair
+    of row and column slices of the grid, holding start and goal) and given
+    as a mask over its bounding box, whose first cell is (top, left).
 
     The mask is built over the start-goal box widened by `reach` cells per
     side: a cell k rows or columns outside the start-goal box has an octile
@@ -423,10 +394,10 @@ def ellipse(g: CostmapGrid, start: GridIndex, goal: GridIndex, span: float):
     """
     direct = float(_octile(start.row - goal.row, start.col - goal.col))
     reach = math.ceil((span - direct) / (2.0 * (SQRT2 - 1.0))) + 1
-    top = max(0, min(start.row, goal.row) - reach)
-    left = max(0, min(start.col, goal.col) - reach)
-    rows = np.arange(top, min(g.height, max(start.row, goal.row) + reach + 1))[:, None]
-    cols = np.arange(left, min(g.width, max(start.col, goal.col) + reach + 1))[None, :]
+    top = max(box[0].start, min(start.row, goal.row) - reach)
+    left = max(box[1].start, min(start.col, goal.col) - reach)
+    rows = np.arange(top, min(box[0].stop, max(start.row, goal.row) + reach + 1))[:, None]
+    cols = np.arange(left, min(box[1].stop, max(start.col, goal.col) + reach + 1))[None, :]
     inside = _octile(rows - start.row, cols - start.col)
     inside += _octile(rows - goal.row, cols - goal.col)
     inside = inside <= span

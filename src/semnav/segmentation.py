@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, MapConsistencyError, ValidationError
 from .graph import RoomEdge, UNCATEGORIZED, normalize_label
 from .metric import (
-    COST_INSCRIBED, SQRT2, CostmapGrid, GridIndex, ellipse, factor_table, next_span,
+    COST_INSCRIBED, SQRT2, CostmapGrid, GridIndex, ellipse, factor_table,
     read_text_lines, window_search,
 )
 
@@ -438,19 +438,20 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
     the portal's 3x3, of a cell's cost from the centroid plus the last step
     (none from the portal itself, for a portal in the room).
 
-    Each room runs one csgraph search from its centroid for all its legs.
-    The window is the bounding box, plus one ring for the portals' 3x3, of
-    the union of the legs' octile ellipses E(span) with foci centroid and
-    portal (metric.ellipse), cropped to the room's box and the ring around
-    it that holds its portals. Cells outside the room or outside that union
-    are closed. metric.next_span gives each leg its first span and judges
-    it after the search, by metric.grid_shortest_path's argument with the
-    portal as goal: a leg of cost C is exact once C / resolution + 1 <= span.
-    Undecided legs grow their spans by the same rule, and only their
-    ellipses form the room's next window. A leg has no route when its
-    ellipse covers the room's box and it still finds none. Raises
-    MapConsistencyError for the first leg in the room's edge order that has
-    no route or a closed centroid or portal.
+    Each room runs one csgraph search from its centroid for all its legs, in
+    a window no larger than the room's box plus two cells per side. A leg's
+    cost is at most that of its cheaper open bent path (_leg_spans), so by
+    metric.grid_shortest_path's argument, with the portal as goal, every path
+    no dearer lies in an octile ellipse E(span) with foci centroid and portal
+    (metric.ellipse). The window is the bounding box, plus one ring for the
+    portals' 3x3, of the union of the legs' ellipses, cut to the room's box
+    and the ring around it that holds its portals; cells outside the room or
+    outside that union are closed. When no bent path of some leg stays open
+    and in the room, the window is that whole box and ring. Each leg's cost
+    then equals a whole-room search's bit for bit, and a leg the one search
+    does not reach has no route.
+    Raises MapConsistencyError for the first leg in the room's edge order
+    that has no route or a closed centroid or portal.
     """
     labels = raster.labels
     width, base = labels.shape[1], int(labels.max()) + 1
@@ -478,54 +479,83 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
     weights = [0.0] * len(edges)
     for label, ids in legs.items():
         box = raster.boxes[label - 1]
+        # the room's box and the ring around it, which holds its portals
+        region = (
+            slice(max(box[0].start - 1, 0), min(box[0].stop + 1, g.height)),
+            slice(max(box[1].start - 1, 0), min(box[1].stop + 1, g.width)),
+        )
         centroid = raster.centroid_cells[label]
         closed = factors[g.cells[centroid.row, centroid.col]] < 0
-        spans, failed = {}, []  # spans: undecided leg -> span of its next ellipse
-        for i in ids:
-            portal = edges[i][2]
-            if closed or factors[g.cells[portal.row, portal.col]] < 0:
-                failed.append(i)
+        failed = [
+            i for i in ids if closed or factors[g.cells[edges[i][2].row, edges[i][2].col]] < 0
+        ]
+        found = [i for i in ids if i not in failed]
+        portals = [edges[i][2] for i in found]
+        if found:
+            spans = _leg_spans(factors, g, labels, label, centroid, portals)
+            if math.inf in spans:  # no bent path bounds a leg: search the whole region
+                top, left = region[0].start, region[1].start
+                inside = labels[region] == label
             else:
-                spans[i] = next_span(centroid, portal, box, g.resolution)
-        while spans:
-            ellipses = [ellipse(g, centroid, edges[i][2], span) for i, span in spans.items()]
-            top = min(t for t, _, _ in ellipses)
-            left = min(c for _, c, _ in ellipses)
-            bottom = max(t + e.shape[0] for t, _, e in ellipses)
-            right = max(c + e.shape[1] for _, c, e in ellipses)
-            union = np.zeros((bottom - top, right - left), dtype=bool)
-            for t, c, e in ellipses:
-                union[t - top : t - top + e.shape[0], c - left : c - left + e.shape[1]] |= e
-            # crop to the room's box and the ring around it, which holds its portals
-            r0, r1 = max(top, box[0].start - 1), min(bottom, box[0].stop + 1)
-            c0, c1 = max(left, box[1].start - 1), min(right, box[1].stop + 1)
-            union = union[r0 - top : r1 - top, c0 - left : c1 - left]
-            f = factors[g.cells[r0:r1, c0:c1]]
-            f[~(union & (labels[r0:r1, c0:c1] == label))] = -1.0
+                ellipses = [ellipse(region, centroid, p, span) for p, span in zip(portals, spans)]
+                top = min(t for t, _, _ in ellipses)
+                left = min(c for _, c, _ in ellipses)
+                bottom = max(t + e.shape[0] for t, _, e in ellipses)
+                right = max(c + e.shape[1] for _, c, e in ellipses)
+                inside = labels[top:bottom, left:right] == label
+                union = np.zeros(inside.shape, dtype=bool)
+                for t, c, e in ellipses:
+                    union[t - top : t - top + e.shape[0], c - left : c - left + e.shape[1]] |= e
+                inside &= union
+            f = factors[g.cells[top : top + inside.shape[0], left : left + inside.shape[1]]]
+            f[~inside] = -1.0
             f = np.pad(f, 1, constant_values=-1.0)  # the ring of each portal's 3x3
-            top, left = r0 - 1, c0 - 1
+            top, left = top - 1, left - 1
             dist = window_search(f, g.resolution, (centroid.row - top, centroid.col - left))[0]
-            for i, span in list(spans.items()):
-                portal = edges[i][2]
-                near = np.s_[
-                    portal.row - top - 1 : portal.row - top + 2,
-                    portal.col - left - 1 : portal.col - left + 2,
-                ]
-                fp = factors[g.cells[portal.row, portal.col]]
-                # a portal in the room keeps its own cost: no neighbour's route undercuts it
-                cost = float((dist[near] + steps * (0.5 * (f[near] + fp))).min())
-                spans[i] = next_span(centroid, portal, box, g.resolution, span, cost)
-                if spans[i] is None:
-                    weights[i] += cost
-                elif spans[i] == math.inf:
-                    failed.append(i)
-                else:
-                    continue
-                del spans[i]
-        if failed:  # the first failing leg in edge order, as a whole-room search would report
+        for i, portal in zip(found, portals):
+            near = np.s_[
+                portal.row - top - 1 : portal.row - top + 2,
+                portal.col - left - 1 : portal.col - left + 2,
+            ]
+            fp = factors[g.cells[portal.row, portal.col]]
+            # a portal in the room keeps its own cost: no neighbour's route undercuts it
+            cost = float((dist[near] + steps * (0.5 * (f[near] + fp))).min())
+            if cost == math.inf:
+                failed.append(i)
+            weights[i] += cost
+        if failed:  # the first failing leg in edge order
             portal = edges[min(failed)][2]
             raise MapConsistencyError(f"room label {label}: centroid cannot reach {portal}")
     return [RoomEdge(str(la), str(lb), w, p) for (la, lb, p), w in zip(edges, weights)]
+
+
+def _leg_spans(factors, g, labels, label, a: GridIndex, portals) -> np.ndarray:
+    """Per portal b, the span of an octile ellipse with foci a and b that
+    holds the cheapest path from a to b through room label (b itself may lie
+    outside it).
+
+    The bound is the cheaper of the two bent paths from a to b, with the
+    diagonal run first or last; both are shortest in free space. A path of
+    cost C lies in E(C / resolution + 1) (see metric.grid_shortest_path), and
+    one more cell absorbs the rounding of the bent path's sum. inf where both
+    bent paths cross a closed cell, or leave the room before b.
+    """
+    d = np.array([(b.row - a.row, b.col - a.col) for b in portals])
+    short, long = np.abs(d).min(axis=1)[:, None], np.abs(d).max(axis=1)[:, None]
+    diagonal = np.sign(d)
+    straight = diagonal * (np.abs(d) == long)
+    k = np.minimum(np.arange(long.max() + 1), long)  # moves made; b repeats past its end
+    # of those, the diagonal ones: on the path with the diagonal run first, and last
+    n = np.stack([np.minimum(k, short), np.maximum(k - long + short, 0)], axis=1)
+    m = k[:, None] - n
+    rows = a.row + n * diagonal[:, None, None, 0] + m * straight[:, None, None, 0]
+    cols = a.col + n * diagonal[:, None, None, 1] + m * straight[:, None, None, 1]
+    f = factors[g.cells[rows, cols]]
+    usable = (f >= 0).all(axis=2)
+    usable &= ((labels[rows, cols] == label) | (k == long)[:, None]).all(axis=2)
+    length = SQRT2 * np.diff(n, axis=2) + np.diff(m, axis=2)
+    cost = (length * (0.5 * (f[..., :-1] + f[..., 1:]))).sum(axis=2)
+    return np.where(usable, cost, np.inf).min(axis=1) + 2.0
 
 
 # ---------------------------------------------------------------------------

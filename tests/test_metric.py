@@ -471,29 +471,31 @@ class TestWindowedSearchExactness:
         st.floats(0.0, 60.0, allow_nan=False),
     )
     def test_ellipse_box_holds_every_cell_within_span(self, width, height, data, slack):
-        g = CostmapGrid(
-            width=width,
-            height=height,
-            resolution=1.0,
-            origin_x=0,
-            origin_y=0,
-            cells=np.zeros((height, width), dtype=np.uint8),
-        )
         start, goal = (
             GridIndex(data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1)))
             for _ in range(2)
         )
+        # a box of the grid that holds start and goal
+        box = tuple(
+            slice(
+                data.draw(st.integers(0, min(a, b))),
+                data.draw(st.integers(max(a, b) + 1, size)),
+            )
+            for a, b, size in ((start.row, goal.row, height), (start.col, goal.col, width))
+        )
         direct = float(metric._octile(start.row - goal.row, start.col - goal.col))
         span = direct + slack
-        top, left, inside = metric.ellipse(g, start, goal, span)
+        top, left, inside = metric.ellipse(box, start, goal, span)
         rows = np.arange(height)[:, None]
         cols = np.arange(width)[None, :]
         total = metric._octile(rows - start.row, cols - start.col)
         total += metric._octile(rows - goal.row, cols - goal.col)
-        # the whole grid's ellipse equals the mask, and lies inside its box
+        within = np.zeros((height, width), dtype=bool)
+        within[box] = True
+        # the box's part of the ellipse equals the mask, and lies inside its box
         placed = np.zeros((height, width), dtype=bool)
         placed[top : top + inside.shape[0], left : left + inside.shape[1]] = inside
-        assert np.array_equal(placed, total <= span)
+        assert np.array_equal(placed, (total <= span) & within)
         assert inside[0].any() and inside[-1].any() and inside[:, 0].any() and inside[:, -1].any()
 
 

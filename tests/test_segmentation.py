@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -719,8 +720,19 @@ def window_sizes(monkeypatch):
 class TestAdjacencyEllipses:
     """Legs searched inside their octile ellipses against whole-room searches."""
 
-    def test_matches_whole_room_search_on_painted_maps(self, window_sizes):
-        grew = errors = 0
+    def test_matches_whole_room_search_on_painted_maps(self, monkeypatch, window_sizes):
+        slacks = []  # each leg's span beyond its octile distance, in cells
+        leg_spans = segmentation._leg_spans
+
+        def spy(factors, g, labels, label, a, portals):
+            spans = leg_spans(factors, g, labels, label, a, portals)
+            for b, span in zip(portals, spans):
+                drow, dcol = sorted((abs(a.row - b.row), abs(a.col - b.col)))
+                slacks.append(span - dcol - (math.sqrt(2) - 1) * drow)
+            return spans
+
+        monkeypatch.setattr(segmentation, "_leg_spans", spy)
+        errors = 0
         for seed in range(15):
             rng = np.random.default_rng(seed)
             spec = envgen.EnvSpec(seed=seed, n_rooms=int(rng.integers(3, 7)), resolution=0.1)
@@ -732,16 +744,23 @@ class TestAdjacencyEllipses:
             # the same edges and weights bit for bit, or the same room and portal named
             assert got == adjacency_or_error(whole_room_adjacency, raster, grid), seed
             errors += isinstance(got, str)
-            grew += isinstance(got, list) and len(window_sizes) > len(raster.room_labels())
-        assert grew > 0 and 0 < errors < 15
+            # at most one search per room, none wider than the whole-room search's
+            boxes = [box for box in raster.boxes if box is not None]
+            padded = sum((r.stop - r.start + 4) * (c.stop - c.start + 4) for r, c in boxes)
+            assert len(window_sizes) <= len(boxes) and sum(window_sizes) <= padded
+        assert 0 < errors < 15
+        # legs bound by bent paths over free cells and over graded cost, and legs
+        # no bent path bounds, whose rooms are searched whole
+        assert min(slacks) == pytest.approx(2.0)
+        assert any(2.5 < slack < math.inf for slack in slacks)
+        assert math.inf in slacks
 
     def test_first_failing_leg_in_edge_order_is_named(self):
         # Room 1 is a 40x40 block with a 2-row arm out to column 99, so its
         # centroid lies in the block. Walls cut both its portals off: the one
-        # to room 2 just above the block, and the one to room 3 at the arm's
-        # end. Room 3's leg is known to fail first, as its ellipse covers the
-        # room's box at a smaller span; the error still names room 2's portal,
-        # the first in edge order.
+        # to room 2 just below the block, and the one to room 3 at the arm's
+        # end. Both legs fail in the room's one search; the error names room
+        # 2's portal, the first in edge order.
         labels = np.zeros((43, 103), dtype=np.uint16)
         labels[:40, :40] = 1
         labels[19:21, 40:100] = 1
