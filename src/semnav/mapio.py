@@ -24,6 +24,7 @@ component counts come from RoomLabelRaster's row runs, not scipy.ndimage.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -431,11 +432,13 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
 
     Pure function of its inputs: identical map and path yield byte-identical
     output. Layer order: costmap, room fills + category labels, objects,
-    route polyline with start/goal markers.
+    route polyline with start/goal markers. scale is pixels per metre.
     """
     g = m.costmap
     width_px = g.width * g.resolution * scale
     height_px = g.height * g.resolution * scale
+    if not (scale > 0 and math.isfinite(width_px) and math.isfinite(height_px)):
+        raise ValidationError(f"scale must be > 0 and give a finite canvas, got {scale!r}")
 
     def cell_rect(col, row, w, h):
         x = col * g.resolution * scale

@@ -38,6 +38,7 @@ MODE_MULTI_TARGET = "multi-target"
 FAIL_NO_ROUTE = "no-route"
 FAIL_DISCOVERY = "discovery-failed"
 FAIL_INVALID_START = "invalid-start"
+FAIL_INVALID_GOAL = "invalid-goal"
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,9 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
     goal = request.goal
     if isinstance(goal, str):
         goal = GoalQuery(text=goal)
+    if not normalize_label(goal.text):
+        # a blank goal names nothing, so discovery would only guess a room
+        return done(failure=FAIL_INVALID_GOAL)
     goal_state = m.graph.find_goal_state(goal)
 
     if goal_state.empty:

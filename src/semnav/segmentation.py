@@ -222,17 +222,9 @@ def _seed_labels(dist: np.ndarray, domain: np.ndarray, min_depth: float) -> np.n
     """Distance local maxima as 8-connected seeds, numbered by first cell in row-major scan."""
     from scipy import ndimage
 
-    h, w = dist.shape
-    padded = np.full((h + 2, w + 2), -1.0)
-    padded[1:-1, 1:-1] = np.where(domain, dist, -1.0)
-    center = padded[1:-1, 1:-1]
-    is_max = center > min_depth
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            is_max &= center >= padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-    is_max &= domain
+    center = np.where(domain, dist, -1.0)
+    peak = ndimage.maximum_filter(center, size=3, mode="constant", cval=-1.0)
+    is_max = domain & (center > min_depth) & (center >= peak)
     if not is_max.any():
         # Narrow map: fall back to the single deepest cell, first in scan order.
         flat = np.where(domain.ravel(), dist.ravel(), -1.0)

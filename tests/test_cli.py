@@ -290,6 +290,12 @@ class TestPlan:
         assert "mode: discovery" in result.stdout
         assert "kitchen_1" in result.stdout
 
+    def test_plan_blank_goal_exits_2(self, map_dir):
+        result = run_cli("plan", "--map", str(map_dir), "--start", "corridor_1",
+                         "--goal", "   ")
+        assert result.returncode == 2, result.stdout
+        assert "invalid-goal" in result.stderr
+
     def test_plan_bad_start_exits_2(self, map_dir):
         result = run_cli("plan", "--map", str(map_dir), "--start", "mars", "--goal", "desk")
         assert result.returncode == 2
@@ -350,6 +356,11 @@ class TestBench:
         assert result.returncode == 0, result.stderr
         assert '"modes": {}' in result.stdout
 
+    def test_bench_unknown_mode_exits_2(self, map_dir):
+        result = run_cli("bench", "--map", str(map_dir), "--trials", "1", "--mode", "teleport")
+        assert result.returncode == 2, result.stderr
+        assert "invalid input" in result.stderr
+
 
 class TestRender:
     def test_render_map_only(self, map_dir, tmp_path):
@@ -370,6 +381,14 @@ class TestRender:
         )
         assert result.returncode == 0, result.stderr
         assert out.read_text().count("<polyline") == 1
+
+    @pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf", "1e308"])
+    def test_render_bad_scale_exits_2(self, map_dir, tmp_path, scale):
+        out = tmp_path / "map.svg"
+        result = run_cli("render", "--map", str(map_dir), "--out", str(out), f"--scale={scale}")
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
     def test_render_deterministic_bytes(self, map_dir, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -462,6 +462,23 @@ def test_importing_the_cli_leaves_scipy_submodules_unloaded():
     assert _probe(probe) == "[False, False, False]"
 
 
+def test_importing_the_package_root_loads_no_submodule():
+    probe = (
+        "import sys, semnav\n"
+        "print(sorted(m for m in sys.modules if m.startswith('semnav.')), 'numpy' in sys.modules)"
+    )
+    assert _probe(probe) == "[] False"
+
+
+def test_importing_the_cli_leaves_generation_build_and_bench_unloaded():
+    # each of these is imported by the one command that runs it
+    probe = (
+        "import sys, semnav.cli\n"
+        "print([m in sys.modules for m in ('semnav.envgen', 'semnav.builder', 'semnav.bench')])"
+    )
+    assert _probe(probe) == "[False, False, False]"
+
+
 def test_http_oracle_runs_without_requests(stub_server):
     _, url = stub_server
     _StubHandler.payload = json.dumps(

@@ -11,6 +11,7 @@ from semnav.graph import GoalQuery
 from semnav.metric import MetricPoint
 from semnav.planner import (
     FAIL_DISCOVERY,
+    FAIL_INVALID_GOAL,
     FAIL_INVALID_START,
     FAIL_NO_ROUTE,
     MODE_DISCOVERY,
@@ -240,6 +241,16 @@ class TestStartResolution:
         # cell (0,0) is the unknown margin of generated maps
         out = plan(gt_map, PlanRequest(start=MetricPoint(0.01, 0.01), goal=GoalQuery("desk")))
         assert not out.ok and out.failure_reason == FAIL_INVALID_START
+
+
+class TestGoalResolution:
+    @pytest.mark.parametrize("goal", ["", "   ", GoalQuery(""), GoalQuery(" \t ")])
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    def test_blank_goal_invalid(self, fig_map, goal, with_oracle):
+        # the mock oracle would score every room 0 and fall back to the first room
+        oracle = MockOracle(CooccurrenceTable(entries={})) if with_oracle else None
+        out = plan(fig_map, PlanRequest(start="office_1", goal=goal), oracle)
+        assert not out.ok and out.failure_reason == FAIL_INVALID_GOAL
 
 
 class TestPlanProperties:
