@@ -82,20 +82,17 @@ class CooccurrenceTable:
 def load_cooccurrence_table(path) -> CooccurrenceTable:
     """Parse `object_class, room_category, score` lines."""
     entries: dict[tuple[str, str], float] = {}
-    for lineno, line in enumerate(read_text_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in read_text_lines(path):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
-            raise ConfigError(f"{path}:{lineno}: expected 'class, category, score'")
+            raise ConfigError(f"{where}: expected 'class, category, score'")
         key = (normalize_label(parts[0]), normalize_label(parts[1]))
         if key in entries:
-            raise ConfigError(f"{path}:{lineno}: duplicate entry {key}")
+            raise ConfigError(f"{where}: duplicate entry {key}")
         try:
             entries[key] = float(parts[2])
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: non-numeric score {parts[2]!r}") from exc
+            raise ConfigError(f"{where}: non-numeric score {parts[2]!r}") from exc
     return CooccurrenceTable(entries=entries)
 
 

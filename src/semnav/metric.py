@@ -195,30 +195,29 @@ def write_pgm(path, array: np.ndarray) -> None:
         f.write(header + payload)
 
 
-def read_text_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; bytes that do not decode raise ConfigError."""
+def read_text_lines(path) -> list[tuple[str, str]]:
+    """(where, line), where = "path:lineno", for each stripped line of a UTF-8
+    text file that is neither blank nor a # comment; undecodable bytes raise ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return f.readlines()
+            lines = [line.strip() for line in f]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    return [(f"{path}:{n}", line) for n, line in enumerate(lines, 1) if line and line[0] != "#"]
 
 
 def read_key_value_file(path, *, required: set[str], allowed: set[str]) -> dict[str, str]:
     """Parse a UTF-8 `key: value` per line file, rejecting unknown keys."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(read_text_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in read_text_lines(path):
         if ":" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key: value', got {line!r}")
+            raise ConfigError(f"{where}: expected 'key: value', got {line!r}")
         key, value = line.split(":", 1)
         key = key.strip()
         if key not in allowed:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{where}: duplicate key {key!r}")
         values[key] = value.strip()
     missing = required - values.keys()
     if missing:

@@ -16,6 +16,7 @@ number of concurrent plans may share one SemanticMap.
 from __future__ import annotations
 
 import heapq
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -118,8 +119,8 @@ def resolve_start(m: SemanticMap, start: str | MetricPoint) -> tuple[str, Metric
     """Start room id plus the metric point refinement should begin from.
 
     Accepts a room id, an object id (its containing room), or a world point
-    resolved through the room raster. None means the start is invalid; a
-    point in an unlabeled cell is invalid rather than snapped.
+    (a tuple or list of two real numbers) resolved through the room raster.
+    None means the start is invalid; a point in an unlabeled cell is not snapped.
     """
     if isinstance(start, str):
         label = normalize_label(start)
@@ -128,6 +129,9 @@ def resolve_start(m: SemanticMap, start: str | MetricPoint) -> tuple[str, Metric
         if label in m.graph.objects:
             obj = m.graph.objects[label]
             return obj.room_id, obj.position
+        return None
+    pair = isinstance(start, (tuple, list)) and len(start) == 2
+    if not (pair and all(isinstance(v, numbers.Real) for v in start)):
         return None
     point = MetricPoint(*start)
     try:
@@ -161,8 +165,9 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
     goal = request.goal
     if isinstance(goal, str):
         goal = GoalQuery(text=goal)
-    if not normalize_label(goal.text):
-        # a blank goal names nothing, so discovery would only guess a room
+    text = goal.text if isinstance(goal, GoalQuery) else None
+    if not (isinstance(text, str) and normalize_label(text)):
+        # a blank or non-text goal names nothing, so discovery would only guess a room
         return done(failure=FAIL_INVALID_GOAL)
     goal_state = m.graph.find_goal_state(goal)
 

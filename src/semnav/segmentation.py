@@ -171,10 +171,15 @@ class RoomLabelRaster:
         for label, box in enumerate(self.boxes, start=1):
             if box is not None:
                 cells = np.argwhere(self.labels[box] == label) + (box[0].start, box[1].start)
-                d2 = ((cells - cells.mean(axis=0)) ** 2).sum(axis=1)
-                r, c = cells[np.argmin(d2)]  # row-major, so the first of equals
-                out[label] = GridIndex(int(c), int(r))
+                out[label] = _nearest_to_mean(cells)
         return out
+
+
+def _nearest_to_mean(cells: np.ndarray) -> GridIndex:
+    """Of (row, col) cells in row-major order, the one nearest their mean; ties to the first."""
+    d2 = ((cells - cells.mean(axis=0)) ** 2).sum(axis=1)
+    r, c = cells[np.argmin(d2)]
+    return GridIndex(int(c), int(r))
 
 
 def default_min_room_cells(resolution: float, area_m2: float = DEFAULT_MIN_ROOM_AREA) -> int:
@@ -332,22 +337,23 @@ def _relax(frontier, first, read, update, value, width) -> None:
         sources = read(frontier)
 
 
+def _boundary_sides(labels: np.ndarray, base: int):
+    """The 4-adjacent cell pairs that join two distinct positive labels, one
+    direction (across, then down) at a time: (mask over the pairs' first
+    cells, each pair's code min * base + max, flat step to its second cell)."""
+    width = labels.shape[1]
+    for a, b, step in ((labels[:, :-1], labels[:, 1:], 1), (labels[:-1], labels[1:], width)):
+        both = (a > 0) & (b > 0) & (a != b)
+        a, b = a[both].astype(np.int64), b[both].astype(np.int64)
+        yield both, np.minimum(a, b) * base + np.maximum(a, b), step
+
+
 def _boundary_pairs(labels: np.ndarray) -> dict[tuple[int, int], int]:
     """Count 4-adjacent cell pairs joining two distinct positive labels."""
     base = int(labels.max()) + 1
-    codes = []
-    for a, b in (
-        (labels[:, :-1], labels[:, 1:]),
-        (labels[:-1, :], labels[1:, :]),
-    ):
-        both = (a > 0) & (b > 0) & (a != b)
-        a, b = a[both].astype(np.int64), b[both].astype(np.int64)
-        codes.append(np.minimum(a, b) * base + np.maximum(a, b))
+    codes = [code for _, code, _ in _boundary_sides(labels, base)]
     codes, counts = np.unique(np.concatenate(codes), return_counts=True)
-    return {
-        (code // base, code % base): count
-        for code, count in zip(codes.tolist(), counts.tolist())
-    }
+    return {divmod(code, base): count for code, count in zip(codes.tolist(), counts.tolist())}
 
 
 def _merge_regions(
@@ -438,36 +444,34 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
     (metric.ellipse). The window is the bounding box, plus one ring for the
     portals' 3x3, of the union of the legs' ellipses, cut to the room's box
     and the ring around it that holds its portals; cells outside the room or
-    outside that union are closed. When no bent path of some leg stays open
-    and in the room, the window is that whole box and ring. Each leg's cost
-    then equals a whole-room search's bit for bit, and a leg the one search
-    does not reach has no route.
+    outside that union are closed. A leg that no bent path bounds (both
+    cross a closed cell or leave the room) gets the span 2 * (width +
+    height), whose ellipse covers the whole box and ring; there is no
+    separate whole-room path. Each leg's cost equals a whole-room search's
+    bit for bit, and a leg the one search does not reach has no route.
     Raises MapConsistencyError for the first leg in the room's edge order
     that has no route or a closed centroid or portal.
     """
     labels = raster.labels
     width, base = labels.shape[1], int(labels.max()) + 1
     keys = []  # pair code * cells + flat index, for both cells of each boundary pair
-    for a, b, offset in ((labels[:, :-1], labels[:, 1:], 1), (labels[:-1], labels[1:], width)):
-        both = (a > 0) & (b > 0) & (a != b)
+    for both, code, step in _boundary_sides(labels, base):
         rows, cols = np.nonzero(both)
-        a, b = a[both].astype(np.int64), b[both].astype(np.int64)
-        key = (np.minimum(a, b) * base + np.maximum(a, b)) * labels.size + rows * width + cols
-        keys += [key, key + offset]
+        key = code * labels.size + rows * width + cols
+        keys += [key, key + step]
     codes, cells = np.divmod(np.unique(np.concatenate(keys)), labels.size)
     codes, first = np.unique(codes, return_index=True)
     edges, legs = [], {}  # legs: room label -> indices of its edges
     for i, (code, flat) in enumerate(zip(codes.tolist(), np.split(cells, first[1:]))):
-        arr = np.stack(np.divmod(flat, width), axis=1)  # row-major
-        d2 = ((arr - arr.mean(axis=0)) ** 2).sum(axis=1)
-        pr, pc = arr[np.argmin(d2)]
-        edges.append((*divmod(code, base), GridIndex(int(pc), int(pr))))
+        portal = _nearest_to_mean(np.stack(np.divmod(flat, width), axis=1))
+        edges.append((*divmod(code, base), portal))
         for label in edges[-1][:2]:
             legs.setdefault(label, []).append(i)
 
     factors = factor_table()
     # step length to a portal from each of its 8 neighbours, and 0 from itself
     steps = g.resolution * np.array([[SQRT2, 1.0, SQRT2], [1.0, 0.0, 1.0], [SQRT2, 1.0, SQRT2]])
+    cover = 2.0 * (g.width + g.height)  # a span whose ellipse covers the whole grid
     weights = [0.0] * len(edges)
     for label, ids in legs.items():
         box = raster.boxes[label - 1]
@@ -477,47 +481,31 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
             slice(max(box[1].start - 1, 0), min(box[1].stop + 1, g.width)),
         )
         centroid = raster.centroid_cells[label]
-        closed = factors[g.cells[centroid.row, centroid.col]] < 0
-        failed = [
-            i for i in ids if closed or factors[g.cells[edges[i][2].row, edges[i][2].col]] < 0
-        ]
-        found = [i for i in ids if i not in failed]
-        portals = [edges[i][2] for i in found]
-        if found:
-            spans = _leg_spans(factors, g, labels, label, centroid, portals)
-            if math.inf in spans:  # no bent path bounds a leg: search the whole region
-                top, left = region[0].start, region[1].start
-                inside = labels[region] == label
-            else:
-                ellipses = [ellipse(region, centroid, p, span) for p, span in zip(portals, spans)]
-                top = min(t for t, _, _ in ellipses)
-                left = min(c for _, c, _ in ellipses)
-                bottom = max(t + e.shape[0] for t, _, e in ellipses)
-                right = max(c + e.shape[1] for _, c, e in ellipses)
-                inside = labels[top:bottom, left:right] == label
-                union = np.zeros(inside.shape, dtype=bool)
-                for t, c, e in ellipses:
-                    union[t - top : t - top + e.shape[0], c - left : c - left + e.shape[1]] |= e
-                inside &= union
-            f = factors[g.cells[top : top + inside.shape[0], left : left + inside.shape[1]]]
-            f[~inside] = -1.0
-            f = np.pad(f, 1, constant_values=-1.0)  # the ring of each portal's 3x3
-            top, left = top - 1, left - 1
-            dist = window_search(f, g.resolution, (centroid.row - top, centroid.col - left))[0]
-        for i, portal in zip(found, portals):
-            near = np.s_[
-                portal.row - top - 1 : portal.row - top + 2,
-                portal.col - left - 1 : portal.col - left + 2,
-            ]
+        portals = [edges[i][2] for i in ids]
+        spans = np.minimum(_leg_spans(factors, g, labels, label, centroid, portals), cover)
+        ellipses = [ellipse(region, centroid, p, span) for p, span in zip(portals, spans)]
+        top = min(t for t, _, _ in ellipses)
+        left = min(c for _, c, _ in ellipses)
+        bottom = max(t + e.shape[0] for t, _, e in ellipses)
+        right = max(c + e.shape[1] for _, c, e in ellipses)
+        union = np.zeros((bottom - top, right - left), dtype=bool)
+        for t, c, e in ellipses:
+            union[t - top : t - top + e.shape[0], c - left : c - left + e.shape[1]] |= e
+        f = factors[g.cells[top:bottom, left:right]]
+        f[~(union & (labels[top:bottom, left:right] == label))] = -1.0
+        f = np.pad(f, 1, constant_values=-1.0)  # the ring of each portal's 3x3
+        top, left = top - 1, left - 1
+        source = (centroid.row - top, centroid.col - left)
+        dist = window_search(f, g.resolution, source)[0]
+        for i, portal in zip(ids, portals):  # in edge order: the first failing leg is named
+            r, c = portal.row - top, portal.col - left
+            near = np.s_[r - 1 : r + 2, c - 1 : c + 2]
             fp = factors[g.cells[portal.row, portal.col]]
             # a portal in the room keeps its own cost: no neighbour's route undercuts it
             cost = float((dist[near] + steps * (0.5 * (f[near] + fp))).min())
-            if cost == math.inf:
-                failed.append(i)
+            if f[source] < 0 or fp < 0 or cost == math.inf:
+                raise MapConsistencyError(f"room label {label}: centroid cannot reach {portal}")
             weights[i] += cost
-        if failed:  # the first failing leg in edge order
-            portal = edges[min(failed)][2]
-            raise MapConsistencyError(f"room label {label}: centroid cannot reach {portal}")
     return [RoomEdge(str(la), str(lb), w, p) for (la, lb, p), w in zip(edges, weights)]
 
 
@@ -597,16 +585,13 @@ def parse_rules(path) -> list[CategoryRule]:
     """Parse a rules file: one `category: required=a,b; weights=a:2,b:1` per line."""
     rules = []
     seen = set()
-    for lineno, line in enumerate(read_text_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in read_text_lines(path):
         if ":" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'category: clauses'")
+            raise ConfigError(f"{where}: expected 'category: clauses'")
         category, rest = line.split(":", 1)
         category = normalize_label(category)
         if category in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate category {category!r}")
+            raise ConfigError(f"{where}: duplicate category {category!r}")
         seen.add(category)
         required: frozenset[str] = frozenset()
         weights: dict[str, float] = {}
@@ -615,7 +600,7 @@ def parse_rules(path) -> list[CategoryRule]:
             if not clause:
                 continue
             if "=" not in clause:
-                raise ConfigError(f"{path}:{lineno}: bad clause {clause!r}")
+                raise ConfigError(f"{where}: bad clause {clause!r}")
             key, value = clause.split("=", 1)
             key = key.strip()
             if key == "required":
@@ -628,23 +613,21 @@ def parse_rules(path) -> list[CategoryRule]:
                     if not item:
                         continue
                     if ":" not in item:
-                        raise ConfigError(f"{path}:{lineno}: bad weight {item!r}")
+                        raise ConfigError(f"{where}: bad weight {item!r}")
                     cls, wgt = item.split(":", 1)
                     cls = normalize_label(cls)
                     if cls in weights:
-                        raise ConfigError(f"{path}:{lineno}: duplicate class {cls!r}")
+                        raise ConfigError(f"{where}: duplicate class {cls!r}")
                     try:
                         weights[cls] = float(wgt)
                     except ValueError as exc:
-                        raise ConfigError(
-                            f"{path}:{lineno}: non-numeric weight {wgt!r}"
-                        ) from exc
+                        raise ConfigError(f"{where}: non-numeric weight {wgt!r}") from exc
             else:
-                raise ConfigError(f"{path}:{lineno}: unknown clause {key!r}")
+                raise ConfigError(f"{where}: unknown clause {key!r}")
         try:
             rules.append(
                 CategoryRule(category=category, required=required, score_weights=weights)
             )
         except ValidationError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
     return rules

@@ -252,6 +252,23 @@ class TestGoalResolution:
         out = plan(fig_map, PlanRequest(start="office_1", goal=goal), oracle)
         assert not out.ok and out.failure_reason == FAIL_INVALID_GOAL
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param(field, value, id=f"{field}={value!r}")
+            for field, values in (
+                ("start", (None, 7, ("a", "b"), (1, 2, 3), b"office_1")),
+                ("goal", (7, None, GoalQuery(None), GoalQuery(7))),
+            )
+            for value in values
+        ],
+    )
+    def test_unreadable_start_or_goal_refused_not_raised(self, gt_map, field, value):
+        request = PlanRequest(start=sorted(gt_map.graph.rooms)[0], goal="desk")
+        out = plan(gt_map, replace(request, **{field: value}))
+        reason = FAIL_INVALID_START if field == "start" else FAIL_INVALID_GOAL
+        assert not out.ok and out.failure_reason == reason
+
 
 class TestPlanProperties:
     def test_multi_target_cost_is_min_over_candidates(self):

@@ -8,7 +8,7 @@ from scipy.sparse import csgraph
 
 from semnav import envgen, segmentation
 from semnav.errors import ConfigError, MapConsistencyError, ValidationError
-from semnav.metric import CostmapGrid, GridIndex
+from semnav.metric import CostmapGrid, GridIndex, factor_table
 from semnav.segmentation import (
     CategoryRule,
     FOUR_CONNECTED,
@@ -778,6 +778,52 @@ class TestAdjacencyEllipses:
         message = f"room label 1: centroid cannot reach {GridIndex(*want[0][2])}"
         assert adjacency_or_error(whole_room_adjacency, raster, grid) == message
         assert adjacency_or_error(extract_adjacency, raster, grid) == message
+
+    def test_lethal_portal_before_unreachable_portal_is_named(self):
+        # Room 1 (rows 0-5, cols 0-7) meets room 2 below it and room 3 to its
+        # right. Its portal to room 2, the first edge, is lethal; its portal
+        # to room 3 is free, but a wall down column 6 cuts it off. The error
+        # names the lethal portal, the first failing leg in edge order.
+        labels = np.zeros((10, 12), dtype=np.uint16)
+        labels[:6, :8] = 1
+        labels[6:, :8] = 2
+        labels[:6, 8:] = 3
+        cells = np.zeros(labels.shape, dtype=np.uint8)
+        cells[5, 3] = 254  # room 2's portal, on room 1's side
+        cells[:6, 6] = 254
+        grid = CostmapGrid(width=12, height=10, resolution=1.0, origin_x=0, origin_y=0, cells=cells)
+        raster = RoomLabelRaster(width=12, height=10, labels=labels)
+        want = brute_adjacency(labels, grid)
+        # (col, row) portals: row 5 col 3 is lethal, row 2 col 7 is walled off
+        assert want == [(1, 2, (3, 5), None), (1, 3, (7, 2), None)]
+        assert raster.centroid_cells[1] == (3, 2)
+        message = f"room label 1: centroid cannot reach {GridIndex(3, 5)}"
+        assert adjacency_or_error(whole_room_adjacency, raster, grid) == message
+        assert adjacency_or_error(extract_adjacency, raster, grid) == message
+
+    def test_leg_no_bent_path_bounds_searches_box_ring_and_pad(self, window_sizes):
+        # Room 1 (rows 2-11, cols 2-9) has one leg, from its centroid (row 6,
+        # col 5) to the portal (row 3, col 9) it shares with room 2. A wall
+        # down column 7, open only at row 2, cuts both bent paths, so the
+        # leg's span is inf and its ellipse must cover the room's box and the
+        # ring holding the portal; the search pads that with one more closed
+        # ring.
+        labels = np.zeros((14, 20), dtype=np.uint16)
+        labels[2:12, 2:10] = 1
+        labels[2:6, 10:18] = 2
+        cells = np.zeros(labels.shape, dtype=np.uint8)
+        cells[3:12, 7] = 254
+        grid = CostmapGrid(width=20, height=14, resolution=1.0, origin_x=0, origin_y=0, cells=cells)
+        raster = RoomLabelRaster(width=20, height=14, labels=labels)
+        centroid, portal = raster.centroid_cells[1], GridIndex(9, 3)
+        assert centroid == (5, 6)
+        spans = segmentation._leg_spans(factor_table(), grid, labels, 1, centroid, [portal])
+        assert spans.tolist() == [math.inf]
+        edges = extract_adjacency(raster, grid)
+        assert [(e.room_a, e.room_b, e.portal) for e in edges] == [("1", "2", portal)]
+        assert edges == whole_room_adjacency(raster, grid)
+        # room 1's box is 10 x 8 cells; the ring and the pad add two per side
+        assert window_sizes[0] == (10 + 4) * (8 + 4)
 
     def test_windows_are_smaller_than_room_boxes(self, window_sizes):
         grid, _, _ = envgen.generate(envgen.EnvSpec(seed=7, n_rooms=12, resolution=0.05))
