@@ -217,7 +217,7 @@ def run_bench(
     *,
     allow_inscribed: bool = False,
 ) -> BenchReport:
-    """Run sampled plan trials over a frozen map and aggregate a report."""
+    """Run sampled plan trials over a map and aggregate a report."""
     if mode not in MODE_CHOICES:
         raise ValidationError(f"mode must be one of {MODE_CHOICES}, got {mode!r}")
     if trials < 0:

@@ -23,7 +23,7 @@ class ValidationError(SemnavError):
 
 
 class ConflictError(ValidationError):
-    """Insertion would collide with an existing id or edge."""
+    """Two rooms, or two objects, share an id."""
 
 
 class GridBoundsError(SemnavError):

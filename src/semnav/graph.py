@@ -2,8 +2,9 @@
 
 Rooms are nodes connected by weighted, undirected edges (one per doorway,
 stored once and queried both ways). Objects are leaf nodes tied to exactly
-one room by a containment edge. The graph is mutable during a single-owner
-build phase; freeze() makes it immutable and safe for concurrent readers.
+one room by a containment edge. A graph is built whole by its constructor
+and can be searched at once; validate() reports every broken invariant.
+Searching only reads the graph, so any number of planners can share one.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ConflictError, ValidationError
+from .errors import ConflictError
 from .metric import GridIndex, MetricPoint
 
 UNCATEGORIZED = "uncategorized"
@@ -28,8 +29,8 @@ class RoomNode:
     category: str
     centroid: MetricPoint
     cell_count: int
-    # Deduplicated, sorted class labels of contained objects; maintained by
-    # SemanticGraph on insertion.
+    # Deduplicated, sorted class labels of contained objects; validate()
+    # checks them against the objects.
     attributes: list[str] = field(default_factory=list)
 
 
@@ -61,18 +62,6 @@ class GoalQuery:
 
 
 @dataclass(frozen=True)
-class GoalState:
-    nodes: tuple[str, ...]
-
-    def __len__(self):
-        return len(self.nodes)
-
-    @property
-    def empty(self) -> bool:
-        return not self.nodes
-
-
-@dataclass(frozen=True)
 class Violation:
     subject: str
     rule: str
@@ -83,91 +72,42 @@ class Violation:
 
 
 class SemanticGraph:
-    """Rooms, objects, room-room edges, and room-object containment."""
+    """Rooms, objects, room-room edges, and room-object containment.
 
-    def __init__(self):
-        self.rooms: dict[str, RoomNode] = {}
-        self.objects: dict[str, ObjectNode] = {}
-        self.room_edges: list[RoomEdge] = []
-        self.containment: list[ContainmentEdge] = []
-        self._edge_index: dict[tuple[str, str], RoomEdge] = {}
-        self._frozen = False
-        self._adjacency: dict[str, list[tuple[str, float]]] | None = None
+    The constructor builds the whole graph: nodes keyed by id, one
+    containment edge per object, and the planner's sorted adjacency lists.
+    It refuses only a room or object id listed twice; validate() judges
+    every other invariant.
+    """
 
-    # -- build phase -------------------------------------------------------
-
-    def _check_mutable(self):
-        if self._frozen:
-            raise ValidationError("graph is frozen; mutation is not allowed")
-
-    def add_room(self, room: RoomNode) -> None:
-        self._check_mutable()
-        if room.id in self.rooms or room.id in self.objects:
-            raise ConflictError(f"node id {room.id!r} already present")
-        self.rooms[room.id] = room
-
-    def add_object(self, obj: ObjectNode) -> None:
-        """Insert an object, its containment edge, and refresh the room's attributes."""
-        self._check_mutable()
-        if obj.id in self.objects or obj.id in self.rooms:
-            raise ConflictError(f"node id {obj.id!r} already present")
-        room = self.rooms.get(obj.room_id)
-        if room is None:
-            raise ValidationError(f"object {obj.id!r} references unknown room {obj.room_id!r}")
-        self.objects[obj.id] = obj
-        self.containment.append(ContainmentEdge(room_id=obj.room_id, object_id=obj.id))
-        label = normalize_label(obj.class_label)
-        if label not in room.attributes:
-            room.attributes.append(label)
-            room.attributes.sort()
-
-    def add_room_edge(self, edge: RoomEdge) -> None:
-        self._check_mutable()
-        if edge.room_a == edge.room_b:
-            raise ValidationError(f"self-loop edge on room {edge.room_a!r}")
-        for rid in (edge.room_a, edge.room_b):
-            if rid not in self.rooms:
-                raise ValidationError(f"edge references unknown room {rid!r}")
-        if edge.weight < 0 or not math.isfinite(edge.weight):
-            raise ValidationError(
-                f"edge {edge.room_a!r}-{edge.room_b!r} weight {edge.weight} not a finite >= 0"
-            )
-        key = _edge_key(edge.room_a, edge.room_b)
-        if key in self._edge_index:
-            raise ConflictError(f"edge {edge.room_a!r}-{edge.room_b!r} already present")
-        self.room_edges.append(edge)
-        self._edge_index[key] = edge
-
-    def freeze(self) -> "SemanticGraph":
-        """Seal the graph and precompute the planner's adjacency lists and edge index.
-
-        Dangling edge endpoints do not crash the freeze; validate() is the
-        place that reports them.
-        """
-        self._frozen = True
+    def __init__(self, rooms=(), objects=(), edges=()):
+        self.rooms: dict[str, RoomNode] = _by_id(rooms)
+        self.objects: dict[str, ObjectNode] = _by_id(objects)
+        self.room_edges: list[RoomEdge] = list(edges)
+        self.containment: list[ContainmentEdge] = [
+            ContainmentEdge(o.room_id, o.id) for o in self.objects.values()
+        ]
         self._edge_index = {_edge_key(e.room_a, e.room_b): e for e in self.room_edges}
+        # dangling edge endpoints get a list too; validate() reports them
         adj: dict[str, list[tuple[str, float]]] = {rid: [] for rid in self.rooms}
         for e in self.room_edges:
             adj.setdefault(e.room_a, []).append((e.room_b, e.weight))
             adj.setdefault(e.room_b, []).append((e.room_a, e.weight))
-        for rid in adj:
-            adj[rid].sort()
+        for pairs in adj.values():
+            pairs.sort()
         self._adjacency = adj
-        return self
 
     # -- queries -----------------------------------------------------------
 
     def neighbors(self, room_id: str) -> list[tuple[str, float]]:
-        """Sorted (room, weight) pairs; only a frozen graph answers this."""
-        if self._adjacency is None:
-            raise ValidationError("graph is not frozen; freeze() it before searching")
+        """Sorted (room, weight) pairs."""
         return self._adjacency[room_id]
 
     def get_edge(self, room_a: str, room_b: str) -> RoomEdge | None:
         return self._edge_index.get(_edge_key(room_a, room_b))
 
-    def find_goal_state(self, goal: GoalQuery) -> GoalState:
-        """All nodes matching a goal query, in ascending id order.
+    def find_goal_state(self, goal: GoalQuery) -> tuple[str, ...]:
+        """The ids of all nodes matching a goal query, in ascending order.
 
         Precedence: an existing node id wins, then the rooms of that
         category, else the objects of that class. An empty result is a valid
@@ -176,11 +116,11 @@ class SemanticGraph:
         """
         label = normalize_label(goal.text)
         if label in self.rooms or label in self.objects:
-            return GoalState(nodes=(label,))
+            return (label,)
         ids = [r.id for r in self.rooms.values() if normalize_label(r.category) == label]
         if not ids:
             ids = [o.id for o in self.objects.values() if normalize_label(o.class_label) == label]
-        return GoalState(nodes=tuple(sorted(ids)))
+        return tuple(sorted(ids))
 
     # -- validation --------------------------------------------------------
 
@@ -223,6 +163,7 @@ class SemanticGraph:
             edge_keys.add(key)
 
         contained: dict[str, list[str]] = {}
+        classes: dict[str, set[str]] = {}  # each room's derived attributes
         for c in self.containment:
             contained.setdefault(c.object_id, []).append(c.room_id)
             if c.room_id not in self.rooms:
@@ -242,6 +183,7 @@ class SemanticGraph:
                     )
                 )
         for obj in self.objects.values():
+            classes.setdefault(obj.room_id, set()).add(normalize_label(obj.class_label))
             rooms = contained.get(obj.id, [])
             if len(rooms) != 1:
                 out.append(
@@ -265,13 +207,7 @@ class SemanticGraph:
                     Violation(obj.id, "dangling-room-ref", f"room {obj.room_id!r} does not exist")
                 )
         for room in self.rooms.values():
-            derived = sorted(
-                {
-                    normalize_label(o.class_label)
-                    for o in self.objects.values()
-                    if o.room_id == room.id
-                }
-            )
+            derived = sorted(classes.get(room.id, ()))
             if list(room.attributes) != derived:
                 out.append(
                     Violation(
@@ -296,22 +232,18 @@ class SemanticGraph:
         )
 
     def copy(self) -> "SemanticGraph":
-        """Deep, unfrozen copy (useful for mutation testing)."""
-        g = SemanticGraph()
-        for room in self.rooms.values():
-            g.rooms[room.id] = replace(room, attributes=list(room.attributes))
-        for obj in self.objects.values():
-            g.objects[obj.id] = replace(obj)
-        for e in self.room_edges:
-            e2 = replace(e)
-            g.room_edges.append(e2)
-            g._edge_index[_edge_key(e2.room_a, e2.room_b)] = e2
+        """Deep copy (useful for mutation testing); containment is copied as it stands."""
+        g = SemanticGraph(
+            [replace(r, attributes=list(r.attributes)) for r in self.rooms.values()],
+            [replace(o) for o in self.objects.values()],
+            [replace(e) for e in self.room_edges],
+        )
         g.containment = list(self.containment)
         return g
 
 
 def assemble_graph(rooms, objects, edges) -> tuple[SemanticGraph, list[str]]:
-    """The frozen graph and its room ids by room index; the one place ids are numbered.
+    """The graph and its room ids by room index; the one place ids are numbered.
 
     rooms: (category, centroid, cell_count), numbered in list order.
     objects: (room index, class, position, id or None), inserted by room
@@ -333,18 +265,33 @@ def assemble_graph(rooms, objects, edges) -> tuple[SemanticGraph, list[str]]:
         counters[prefix] = n
         return f"{prefix}_{n}"
 
-    graph = SemanticGraph()
-    room_ids = []
-    for category, centroid, cell_count in rooms:
-        room_ids.append(mint("room" if category == UNCATEGORIZED else category))
-        graph.add_room(RoomNode(room_ids[-1], category, centroid, cell_count))
+    room_ids = [mint("room" if category == UNCATEGORIZED else category) for category, *_ in rooms]
+    placed = []
+    classes: dict[str, set[str]] = {}
     for i, cls, position, oid in sorted(objects, key=lambda o: o[0]):
         cls = normalize_label(cls)
         oid = mint(cls) if oid is None else normalize_label(oid)
-        graph.add_object(ObjectNode(oid, cls, position, room_ids[i]))
-    for a, b, weight, portal in edges:
-        graph.add_room_edge(RoomEdge(room_ids[a], room_ids[b], weight, portal))
-    return graph.freeze(), room_ids
+        placed.append(ObjectNode(oid, cls, position, room_ids[i]))
+        classes.setdefault(room_ids[i], set()).add(cls)
+    graph = SemanticGraph(
+        [
+            RoomNode(rid, category, centroid, cell_count, sorted(classes.get(rid, ())))
+            for rid, (category, centroid, cell_count) in zip(room_ids, rooms)
+        ],
+        placed,
+        [RoomEdge(room_ids[a], room_ids[b], weight, portal) for a, b, weight, portal in edges],
+    )
+    return graph, room_ids
+
+
+def _by_id(nodes) -> dict:
+    """Nodes keyed by id; an id listed twice would silently drop a node."""
+    out = {}
+    for node in nodes:
+        if node.id in out:
+            raise ConflictError(f"node id {node.id!r} listed more than once")
+        out[node.id] = node
+    return out
 
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:

@@ -31,15 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridBoundsError, MapConsistencyError, MapFormatError, ValidationError
-from .graph import (
-    ContainmentEdge,
-    ObjectNode,
-    RoomEdge,
-    RoomNode,
-    SemanticGraph,
-    Violation,
+from .errors import (
+    ConfigError,
+    ConflictError,
+    GridBoundsError,
+    MapConsistencyError,
+    MapFormatError,
+    ValidationError,
 )
+from .graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph, Violation
 from .metric import (
     COST_INSCRIBED, CostmapGrid, GridIndex, MetricPoint, read_key_value_file, read_pgm, write_pgm
 )
@@ -227,15 +227,15 @@ def load_map(path) -> SemanticMap:
     if version != FORMAT_VERSION:
         raise MapFormatError(f"{root}: unsupported map version {version!r}")
 
-    geometry = read_key_value_file(
-        root / "costmap.meta",
-        required={"resolution", "origin_x", "origin_y"},
-        allowed={"resolution", "origin_x", "origin_y"},
-    )
     costs, maxval = read_pgm(root / "costmap.pgm")
     if maxval != 255:
         raise MapFormatError(f"{root}/costmap.pgm: expected 8-bit PGM, maxval {maxval}")
     try:
+        geometry = read_key_value_file(
+            root / "costmap.meta",
+            required={"resolution", "origin_x", "origin_y"},
+            allowed={"resolution", "origin_x", "origin_y"},
+        )
         costmap = CostmapGrid(
             width=costs.shape[1],
             height=costs.shape[0],
@@ -244,7 +244,7 @@ def load_map(path) -> SemanticMap:
             origin_y=float(geometry["origin_y"]),
             cells=costs,
         )
-    except (ValueError, ValidationError) as exc:
+    except (ConfigError, ValueError, ValidationError) as exc:
         raise MapFormatError(f"{root}/costmap.meta: bad geometry: {exc}") from exc
 
     labels, _ = read_pgm(root / "rooms.pgm")
@@ -314,6 +314,8 @@ def graph_from_json(text: str) -> SemanticGraph:
     """
     try:
         return _graph_from_doc(json.loads(text))
+    except ConflictError as exc:
+        raise MapFormatError(str(exc)) from exc
     except (
         AttributeError, IndexError, KeyError, OverflowError, RecursionError, TypeError, ValueError
     ) as exc:
@@ -323,47 +325,36 @@ def graph_from_json(text: str) -> SemanticGraph:
 def _graph_from_doc(doc: dict) -> SemanticGraph:
     if doc.get("version") != FORMAT_VERSION:
         raise MapFormatError(f"unsupported graph version {doc.get('version')!r}")
-    graph = SemanticGraph()
-    graph.rooms = _by_id(
-        RoomNode(
-            id=str(r["id"]),
-            category=str(r["category"]),
-            centroid=MetricPoint(float(r["centroid"][0]), float(r["centroid"][1])),
-            cell_count=int(r["cell_count"]),
-            attributes=[str(a) for a in r["attributes"]],
-        )
-        for r in doc["rooms"]
+    return SemanticGraph(
+        rooms=(
+            RoomNode(
+                id=str(r["id"]),
+                category=str(r["category"]),
+                centroid=MetricPoint(float(r["centroid"][0]), float(r["centroid"][1])),
+                cell_count=int(r["cell_count"]),
+                attributes=[str(a) for a in r["attributes"]],
+            )
+            for r in doc["rooms"]
+        ),
+        objects=(
+            ObjectNode(
+                id=str(o["id"]),
+                class_label=str(o["class"]),
+                position=MetricPoint(float(o["position"][0]), float(o["position"][1])),
+                room_id=str(o["room"]),
+            )
+            for o in doc["objects"]
+        ),
+        edges=(
+            RoomEdge(
+                room_a=str(e["a"]),
+                room_b=str(e["b"]),
+                weight=float(e["weight"]),
+                portal=GridIndex(int(e["portal"][0]), int(e["portal"][1])),
+            )
+            for e in doc["edges"]
+        ),
     )
-    graph.objects = _by_id(
-        ObjectNode(
-            id=str(o["id"]),
-            class_label=str(o["class"]),
-            position=MetricPoint(float(o["position"][0]), float(o["position"][1])),
-            room_id=str(o["room"]),
-        )
-        for o in doc["objects"]
-    )
-    graph.containment = [ContainmentEdge(o.room_id, o.id) for o in graph.objects.values()]
-    graph.room_edges = [
-        RoomEdge(
-            room_a=str(e["a"]),
-            room_b=str(e["b"]),
-            weight=float(e["weight"]),
-            portal=GridIndex(int(e["portal"][0]), int(e["portal"][1])),
-        )
-        for e in doc["edges"]
-    ]
-    return graph.freeze()
-
-
-def _by_id(nodes) -> dict:
-    """Nodes keyed by id; an id listed twice would silently drop a node."""
-    out = {}
-    for node in nodes:
-        if node.id in out:
-            raise MapFormatError(f"node id {node.id!r} listed more than once")
-        out[node.id] = node
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ Planning dispatches on how many graph nodes match the goal:
               candidate, silently skipping unreachable candidates.
 
 Each plan runs one room-graph search, whatever the mode. Path length means
-accumulated edge weight. Planning is read-only over a frozen map, so any
-number of concurrent plans may share one SemanticMap.
+accumulated edge weight. Planning only reads the map, so any number of
+concurrent plans may share one SemanticMap.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def resolve_start(m: SemanticMap, start: str | MetricPoint) -> tuple[str, Metric
 
 
 def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
-    """Run the full mode-dispatch plan over a frozen semantic map.
+    """Run the full mode-dispatch plan over a semantic map, which it only reads.
 
     An oracle that fails, returns a malformed payload or breaks the
     DiscoveryResponse contract gives a "discovery-failed" PlanOutcome, like
@@ -169,9 +169,9 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
     if not (isinstance(text, str) and normalize_label(text)):
         # a blank or non-text goal names nothing, so discovery would only guess a room
         return done(failure=FAIL_INVALID_GOAL)
-    goal_state = m.graph.find_goal_state(goal)
+    goal_nodes = m.graph.find_goal_state(goal)
 
-    if goal_state.empty:
+    if not goal_nodes:
         mode = MODE_DISCOVERY
         if oracle is None:
             return done(failure=FAIL_DISCOVERY)
@@ -185,8 +185,8 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
             return done(failure=FAIL_DISCOVERY)
         candidates = (response.top_room,)
     else:
-        mode = MODE_TARGETED if len(goal_state) == 1 else MODE_MULTI_TARGET
-        candidates = goal_state.nodes
+        mode = MODE_TARGETED if len(goal_nodes) == 1 else MODE_MULTI_TARGET
+        candidates = goal_nodes
 
     best = dijkstra(m.graph, start_room, *candidates)
     if best is None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from semnav.graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph
+from semnav.graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph, normalize_label
 from semnav.mapio import SemanticMap, assemble_map
 from semnav.metric import CostmapGrid, GridIndex
 from semnav.segmentation import RoomLabelRaster
@@ -31,29 +31,27 @@ def strip_map(rooms, objects=(), edges=(), name="strip") -> SemanticMap:
         labels[:, i * BLOCK : (i + 1) * BLOCK] = i + 1
     raster = RoomLabelRaster(width=width, height=height, labels=labels)
 
-    graph = SemanticGraph()
-    room_labels = {}
-    centers = {}
-    for i, (rid, category) in enumerate(rooms):
-        center = GridIndex(i * BLOCK + BLOCK // 2, BLOCK // 2)
-        centers[rid] = center
-        graph.add_room(
-            RoomNode(
-                id=rid,
-                category=category,
-                centroid=grid.grid_to_world(center),
-                cell_count=BLOCK * BLOCK,
-            )
-        )
-        room_labels[i + 1] = rid
     index_of = {rid: i for i, (rid, _) in enumerate(rooms)}
+    centers = {rid: GridIndex(i * BLOCK + BLOCK // 2, BLOCK // 2) for rid, i in index_of.items()}
+    graph_rooms = [
+        RoomNode(
+            id=rid,
+            category=category,
+            centroid=grid.grid_to_world(centers[rid]),
+            cell_count=BLOCK * BLOCK,
+            attributes=sorted({normalize_label(cls) for _, cls, r in objects if r == rid}),
+        )
+        for rid, category in rooms
+    ]
+    room_labels = {i + 1: rid for rid, i in index_of.items()}
     per_room_count: dict[str, int] = {}
+    graph_objects = []
     for oid, cls, rid in objects:
         k = per_room_count.get(rid, 0)
         per_room_count[rid] = k + 1
         col = index_of[rid] * BLOCK + (k % (BLOCK - 1))
         row = k // (BLOCK - 1)
-        graph.add_object(
+        graph_objects.append(
             ObjectNode(
                 id=oid,
                 class_label=cls,
@@ -61,9 +59,11 @@ def strip_map(rooms, objects=(), edges=(), name="strip") -> SemanticMap:
                 room_id=rid,
             )
         )
-    for a, b, weight in edges:
-        graph.add_room_edge(RoomEdge(room_a=a, room_b=b, weight=weight, portal=centers[a]))
-    graph.freeze()
+    graph = SemanticGraph(
+        graph_rooms,
+        graph_objects,
+        [RoomEdge(room_a=a, room_b=b, weight=w, portal=centers[a]) for a, b, w in edges],
+    )
     return assemble_map(grid, raster, graph, room_labels, name=name)
 
 
@@ -113,14 +113,13 @@ def random_graph_edges(rng, n_nodes, extra_edges=None):
 def graph_from_edges(ids, edges) -> SemanticGraph:
     from semnav.metric import MetricPoint
 
-    graph = SemanticGraph()
-    for rid in ids:
-        graph.add_room(
+    return SemanticGraph(
+        [
             RoomNode(id=rid, category="uncategorized", centroid=MetricPoint(0.5, 0.5), cell_count=1)
-        )
-    for a, b, w in edges:
-        graph.add_room_edge(RoomEdge(room_a=a, room_b=b, weight=w, portal=GridIndex(0, 0)))
-    return graph.freeze()
+            for rid in ids
+        ],
+        edges=[RoomEdge(room_a=a, room_b=b, weight=w, portal=GridIndex(0, 0)) for a, b, w in edges],
+    )
 
 
 def adjacency_dict(edges):

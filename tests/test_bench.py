@@ -117,7 +117,7 @@ class TestDiscoveryTrials:
             state = multi_map.graph.find_goal_state
             from semnav.graph import GoalQuery
 
-            assert state(GoalQuery(trial.goal)).empty
+            assert state(GoalQuery(trial.goal)) == ()
 
     def test_discovery_without_oracle_generates_no_paths(self, multi_map):
         report = run_bench(multi_map, trials=10, mode="discovery", seed=3, oracle=None)

@@ -108,7 +108,7 @@ class TestBuildSemanticMap:
         m = build_semantic_map(grid, [ObjectPlacement("desk", p, "My Desk")], default_rules)
         assert list(m.graph.objects) == ["my_desk"]
         for text in ("My Desk", "my_desk"):
-            assert m.graph.find_goal_state(GoalQuery(text)).nodes == ("my_desk",)
+            assert m.graph.find_goal_state(GoalQuery(text)) == ("my_desk",)
 
     def test_supplied_ids_equal_after_normalizing_conflict(self, small_env, default_rules):
         grid, gt, _ = small_env

@@ -1,5 +1,6 @@
 """Fuzzers for every input parser: whatever the input, only a SemnavError comes out."""
 
+import copy
 import json
 import math
 import shutil
@@ -77,11 +78,14 @@ def test_read_pgm(scratch, data):
 
 def _graph_doc_with_one_value_replaced():
     """graph_to_json of a small valid graph with one value swapped for arbitrary JSON."""
-    g = SemanticGraph()
-    g.add_room(RoomNode("office_1", "office", MetricPoint(1.0, 1.0), 4))
-    g.add_room(RoomNode("corridor_1", "corridor", MetricPoint(3.0, 1.0), 6))
-    g.add_object(ObjectNode("desk_1", "desk", MetricPoint(1.5, 1.0), "office_1"))
-    g.add_room_edge(RoomEdge("corridor_1", "office_1", 2.0, GridIndex(2, 1)))
+    g = SemanticGraph(
+        [
+            RoomNode("office_1", "office", MetricPoint(1.0, 1.0), 4, ["desk"]),
+            RoomNode("corridor_1", "corridor", MetricPoint(3.0, 1.0), 6),
+        ],
+        [ObjectNode("desk_1", "desk", MetricPoint(1.5, 1.0), "office_1")],
+        [RoomEdge("corridor_1", "office_1", 2.0, GridIndex(2, 1))],
+    )
     text = graph_to_json(g)
 
     @st.composite
@@ -229,14 +233,30 @@ def test_env_spec(kwargs):
 
 @pytest.fixture(scope="module")
 def saved_map(tmp_path_factory):
-    """A saved generated map to edit, with its room raster and meta.json as read."""
+    """A saved generated map to edit, each of its five files as read, and its key cells.
+
+    The key cells are the portals, room centroids and object positions: a
+    cost painted there can make a planning landmark untraversable.
+    """
     grid, gt, graph = generate(EnvSpec(seed=3, n_rooms=4, resolution=0.1))
     root = tmp_path_factory.mktemp("map")
     save_map(assemble_map(grid, gt.raster, graph, gt.label_to_room), root / "saved")
     shutil.copytree(root / "saved", root / "edited")
-    labels, _ = read_pgm(root / "saved" / "rooms.pgm")
-    meta = json.loads((root / "saved" / "meta.json").read_text(encoding="utf-8"))
-    return root / "edited", labels, meta
+    saved = root / "saved"
+    layers = {
+        "costs": read_pgm(saved / "costmap.pgm")[0],
+        "geometry": [
+            line.split(": ", 1)
+            for line in (saved / "costmap.meta").read_text(encoding="utf-8").splitlines()
+        ],
+        "labels": read_pgm(saved / "rooms.pgm")[0],
+        "graph": json.loads((saved / "graph.json").read_text(encoding="utf-8")),
+        "meta": json.loads((saved / "meta.json").read_text(encoding="utf-8")),
+    }
+    points = [r.centroid for r in graph.rooms.values()]
+    points += [o.position for o in graph.objects.values()]
+    cells = [e.portal for e in graph.room_edges] + [grid.world_to_grid(p) for p in points]
+    return root / "edited", layers, sorted({(c.row, c.col) for c in cells})
 
 
 def _edit_layers(data, labels: np.ndarray, names: dict) -> np.ndarray:
@@ -266,12 +286,90 @@ def _edit_layers(data, labels: np.ndarray, names: dict) -> np.ndarray:
         names[str(label)] = room
     elif edit == "unmap" and names:
         names.pop(data.draw(st.sampled_from(sorted(names))))
-    elif edit == "reshape":  # crop or pad with zeros, rows and columns
-        h, w = (max(1, n + data.draw(st.integers(-3, 3))) for n in labels.shape)
-        grown = np.zeros((h, w), dtype=labels.dtype)
-        grown[: labels.shape[0], : labels.shape[1]] = labels[:h, :w]
-        labels = grown
+    elif edit == "reshape":
+        labels = _reshape(data, labels)
     return labels
+
+
+def _reshape(data, grid: np.ndarray) -> np.ndarray:
+    """Crop or pad a raster with zeros, rows and columns."""
+    h, w = (max(1, n + data.draw(st.integers(-3, 3))) for n in grid.shape)
+    grown = np.zeros((h, w), dtype=grid.dtype)
+    grown[: grid.shape[0], : grid.shape[1]] = grid[:h, :w]
+    return grown
+
+
+GEOMETRY_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "-0.1", "1e-300", "1e300", "0.05", "x", ""]
+BAD_NUMBERS = [-1.0, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e308, 2.5, "x", None]
+
+
+def _edit_costmap(data, layers: dict, key_cells) -> None:
+    """Apply one drawn edit to costmap.pgm or costmap.meta."""
+    edit = data.draw(st.sampled_from(["paint", "reshape", "geometry"]))
+    costs, geometry = layers["costs"], layers["geometry"]
+    if edit == "paint":  # a block of one cost over a portal, centroid, object or any cell
+        anywhere = st.tuples(*(st.integers(0, n - 1) for n in costs.shape))
+        cell = data.draw(st.sampled_from(key_cells) | anywhere)
+        size = data.draw(st.integers(1, 3))
+        cost = data.draw(st.sampled_from([0, 128, 252, 253, 254, 255]))
+        costs[cell[0] : cell[0] + size, cell[1] : cell[1] + size] = cost
+    elif edit == "reshape":
+        layers["costs"] = _reshape(data, costs)
+    elif geometry:  # a value changed, or a key dropped, repeated or not allowed
+        line = data.draw(st.sampled_from(geometry))
+        change = data.draw(st.sampled_from(["set", "drop", "repeat", "unknown"]))
+        if change == "set":
+            line[1] = data.draw(st.sampled_from(GEOMETRY_VALUES))
+        elif change == "drop":
+            geometry.remove(line)
+        else:
+            geometry.append([line[0] if change == "repeat" else "free_thresh", line[1]])
+
+
+def _edit_graph(data, doc: dict, shape) -> None:
+    """Apply one drawn edit to graph.json's rooms, objects or edges."""
+    edit = data.draw(
+        st.sampled_from(["portal", "weight", "drop", "repeat-edge", "repeat-id", "rename", "move"])
+    )
+    rooms, objects, edges = doc["rooms"], doc["objects"], doc["edges"]
+    if edit == "portal" and edges:  # moved, off-grid or not an index
+        e = data.draw(st.sampled_from(edges))
+        near = [st.integers(-2, n + 2) for n in reversed(shape)]
+        bad = st.lists(st.sampled_from(BAD_NUMBERS), min_size=2, max_size=2)
+        e["portal"] = data.draw(st.tuples(*near).map(list) | bad)
+    elif edit == "weight" and edges:
+        data.draw(st.sampled_from(edges))["weight"] = data.draw(st.sampled_from(BAD_NUMBERS))
+    elif edit == "drop" and edges:
+        edges.remove(data.draw(st.sampled_from(edges)))
+    elif edit == "repeat-edge" and edges:  # as stored, or with its ends swapped
+        e = dict(data.draw(st.sampled_from(edges)))
+        if data.draw(st.booleans()):
+            e["a"], e["b"] = e["b"], e["a"]
+        edges.append(e)
+    elif edit == "repeat-id":  # a room or object listed twice
+        nodes = data.draw(st.sampled_from([rooms, objects]))
+        if nodes:
+            nodes.append(dict(data.draw(st.sampled_from(nodes))))
+    elif edit == "rename":  # an id, an object's room or an edge end now names another node
+        node = data.draw(st.sampled_from([*rooms, *objects, *edges]))
+        field = data.draw(st.sampled_from([k for k in ("id", "room", "a", "b") if k in node]))
+        ids = [n["id"] for n in rooms + objects]
+        node[field] = data.draw(st.sampled_from([*ids, "ghost", ""]))
+    elif edit == "move":  # a centroid or position anywhere, or not finite
+        node = data.draw(st.sampled_from([*rooms, *objects]))
+        field = "centroid" if "centroid" in node else "position"
+        coord = st.floats(-1.0, 13.0) | st.sampled_from([math.nan, math.inf])
+        node[field] = [data.draw(coord), data.draw(coord)]
+
+
+def _write_layers(root, layers: dict) -> None:
+    write_pgm(root / "costmap.pgm", layers["costs"])
+    (root / "costmap.meta").write_text(
+        "".join(f"{k}: {v}\n" for k, v in layers["geometry"]), encoding="utf-8"
+    )
+    write_pgm(root / "rooms.pgm", layers["labels"])
+    (root / "graph.json").write_text(json.dumps(layers["graph"]), encoding="utf-8")
+    (root / "meta.json").write_text(json.dumps(layers["meta"]), encoding="utf-8")
 
 
 def _load_outcome(root):
@@ -283,15 +381,21 @@ def _load_outcome(root):
     return None
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_load_map_with_rooms_and_labels_varied_together(saved_map, data):
-    root, labels, meta = saved_map
-    labels, names = labels.copy(), dict(meta["labels"])
+def test_load_map_with_all_layers_varied_together(saved_map, data):
+    root, saved, key_cells = saved_map
+    layers = copy.deepcopy(saved)
+    names = layers["meta"]["labels"]
     for _ in range(data.draw(st.integers(1, 3))):
-        labels = _edit_layers(data, labels, names)
-    write_pgm(root / "rooms.pgm", labels)
-    (root / "meta.json").write_text(json.dumps({**meta, "labels": names}), encoding="utf-8")
+        layer = data.draw(st.sampled_from(["rooms", "costmap", "graph"]))
+        if layer == "rooms":
+            layers["labels"] = _edit_layers(data, layers["labels"], names)
+        elif layer == "costmap":
+            _edit_costmap(data, layers, key_cells)
+        else:
+            _edit_graph(data, layers["graph"], saved["costs"].shape)
+    _write_layers(root, layers)
 
     got = _load_outcome(root)  # any other exception fails the test
     oracle = property(lambda raster: ndimage_room_summary(raster.labels))

@@ -2,170 +2,189 @@ import random
 
 import pytest
 
-from semnav.errors import ConflictError, ValidationError
+from semnav.errors import ConflictError
 from semnav.graph import (
+    ContainmentEdge,
     GoalQuery,
     GridIndex,
     ObjectNode,
     RoomEdge,
     RoomNode,
     SemanticGraph,
+    Violation,
     assemble_graph,
     normalize_label,
 )
 from semnav.metric import MetricPoint
 
 
-def room(rid, category="office"):
-    return RoomNode(id=rid, category=category, centroid=MetricPoint(0.5, 0.5), cell_count=4)
+P = MetricPoint(0.5, 0.5)
+
+
+def room(rid, category="office", attributes=()):
+    return RoomNode(
+        id=rid,
+        category=category,
+        centroid=P,
+        cell_count=4,
+        attributes=list(attributes),
+    )
 
 
 def obj(oid, cls, rid):
-    return ObjectNode(id=oid, class_label=cls, position=MetricPoint(0.5, 0.5), room_id=rid)
+    return ObjectNode(id=oid, class_label=cls, position=P, room_id=rid)
 
 
 def edge(a, b, w=1.0):
     return RoomEdge(room_a=a, room_b=b, weight=w, portal=GridIndex(0, 0))
 
 
+def office(rooms=(), objects=(), edges=()):
+    """Two offices off a corridor, desks in both, plus the given extra parts."""
+    return SemanticGraph(
+        [
+            room("office_1", attributes=["bookcase", "desk"]),
+            room("office_3", attributes=["desk"]),
+            room("corridor_1", "corridor"),
+            *rooms,
+        ],
+        [
+            obj("desk_1", "desk", "office_1"),
+            obj("desk_2", "desk", "office_3"),
+            obj("bookcase_1", "bookcase", "office_1"),
+            *objects,
+        ],
+        [edge("office_1", "corridor_1"), edge("office_3", "corridor_1"), *edges],
+    )
+
+
 @pytest.fixture
 def office_graph():
-    g = SemanticGraph()
-    g.add_room(room("office_1"))
-    g.add_room(room("office_3"))
-    g.add_room(room("corridor_1", "corridor"))
-    g.add_object(obj("desk_1", "desk", "office_1"))
-    g.add_object(obj("desk_2", "desk", "office_3"))
-    g.add_object(obj("bookcase_1", "bookcase", "office_1"))
-    g.add_room_edge(edge("office_1", "corridor_1"))
-    g.add_room_edge(edge("office_3", "corridor_1"))
-    return g
+    return office()
 
 
-class TestMutation:
-    def test_attributes_cache_tracks_objects(self, office_graph):
-        assert office_graph.rooms["office_1"].attributes == ["bookcase", "desk"]
-        assert office_graph.rooms["office_3"].attributes == ["desk"]
+class TestConstructor:
+    def test_containment_follows_objects(self, office_graph):
+        assert office_graph.containment == [
+            ContainmentEdge("office_1", "desk_1"),
+            ContainmentEdge("office_3", "desk_2"),
+            ContainmentEdge("office_1", "bookcase_1"),
+        ]
+        assert office_graph.validate() == []
 
-    def test_duplicate_node_id_conflicts(self, office_graph):
-        with pytest.raises(ConflictError):
-            office_graph.add_room(room("office_1"))
-        with pytest.raises(ConflictError):
-            office_graph.add_object(obj("desk_1", "desk", "office_1"))
-        with pytest.raises(ConflictError):
-            office_graph.add_room(room("desk_1"))  # ids are shared across node types
+    def test_duplicate_node_id_conflicts(self):
+        with pytest.raises(ConflictError, match="'office_1' listed more than once"):
+            office(rooms=[room("office_1")])
+        with pytest.raises(ConflictError, match="'desk_1' listed more than once"):
+            office(objects=[obj("desk_1", "desk", "office_1")])
 
-    def test_self_loop_rejected(self, office_graph):
-        with pytest.raises(ValidationError):
-            office_graph.add_room_edge(edge("office_1", "office_1"))
+    @pytest.mark.parametrize(
+        "parts, rules",
+        [
+            ({"edges": [edge("office_1", "office_1")]}, ["no-self-loop"]),
+            ({"edges": [edge("office_1", "office_9")]}, ["dangling-edge"]),
+            (
+                {"objects": [obj("chair_1", "chair", "office_9")]},
+                ["dangling-containment", "dangling-room-ref"],
+            ),
+            ({"edges": [edge("office_1", "office_3", -2.0)]}, ["edge-weight"]),
+            ({"edges": [edge("office_1", "office_3", float("nan"))]}, ["edge-weight"]),
+            ({"edges": [edge("office_1", "office_3", float("inf"))]}, ["edge-weight"]),
+            ({"edges": [edge("office_1", "corridor_1", 2.0)]}, ["duplicate-edge"]),
+            ({"edges": [edge("corridor_1", "office_1")]}, ["duplicate-edge"]),
+            ({"rooms": [room("desk_1")]}, ["unique-id"]),
+        ],
+        ids=[
+            "self-loop",
+            "edge-unknown-room",
+            "object-unknown-room",
+            "negative-weight",
+            "nan-weight",
+            "inf-weight",
+            "duplicate-edge",
+            "reversed-duplicate-edge",
+            "room-id-is-object-id",
+        ],
+    )
+    def test_each_broken_invariant_is_left_to_validate(self, parts, rules):
+        assert [v.rule for v in office(**parts).validate()] == rules
 
-    def test_dangling_references_rejected(self, office_graph):
-        with pytest.raises(ValidationError):
-            office_graph.add_object(obj("chair_1", "chair", "office_9"))
-        with pytest.raises(ValidationError):
-            office_graph.add_room_edge(edge("office_1", "office_9"))
+    def test_neighbors_sorted_and_symmetric(self):
+        g = SemanticGraph(
+            [room("office_1"), room("office_3"), room("corridor_1", "corridor")],
+            edges=[edge("office_3", "corridor_1", 0.5), edge("corridor_1", "office_1", 2.0)],
+        )
+        assert g.neighbors("corridor_1") == [("office_1", 2.0), ("office_3", 0.5)]
+        assert g.neighbors("office_1") == [("corridor_1", 2.0)]
+        assert g.neighbors("office_3") == [("corridor_1", 0.5)]
 
-    def test_duplicate_edge_rejected_either_direction(self, office_graph):
-        with pytest.raises(ConflictError):
-            office_graph.add_room_edge(edge("corridor_1", "office_1"))
-
-    def test_negative_weight_rejected(self, office_graph):
-        office_graph.add_room(room("office_5"))
-        with pytest.raises(ValidationError):
-            office_graph.add_room_edge(edge("office_5", "corridor_1", -2.0))
-
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_non_finite_weight_rejected(self, office_graph, weight):
-        office_graph.add_room(room("office_5"))
-        with pytest.raises(ValidationError, match="finite"):
-            office_graph.add_room_edge(edge("office_5", "corridor_1", weight))
-        assert office_graph.get_edge("office_5", "corridor_1") is None
-
-    def test_frozen_graph_rejects_mutation(self, office_graph):
-        office_graph.freeze()
-        with pytest.raises(ValidationError):
-            office_graph.add_room(room("office_7"))
-
-    def test_neighbors_sorted_and_symmetric(self, office_graph):
-        office_graph.freeze()
-        assert office_graph.neighbors("corridor_1") == [("office_1", 1.0), ("office_3", 1.0)]
-        assert office_graph.neighbors("office_1") == [("corridor_1", 1.0)]
-
-    def test_unfrozen_graph_refuses_neighbor_queries(self, office_graph):
-        with pytest.raises(ValidationError):
-            office_graph.neighbors("corridor_1")
-
-    def test_random_insertion_sequences_stay_valid(self):
+    def test_random_assembled_graphs_stay_valid(self):
         rng = random.Random(2024)
-        for trial in range(10):
-            g = SemanticGraph()
-            rooms, objects, edges = [], 0, set()
-            for i in range(100):
-                op = rng.random()
-                if op < 0.3 or not rooms:
-                    rid = f"room_{trial}_{len(rooms)}"
-                    g.add_room(room(rid, rng.choice(["office", "kitchen", "corridor"])))
-                    rooms.append(rid)
-                elif op < 0.7:
-                    objects += 1
-                    g.add_object(
-                        obj(f"obj_{trial}_{objects}", rng.choice(["desk", "chair", "mug"]),
-                            rng.choice(rooms))
-                    )
-                elif len(rooms) >= 2:
-                    a, b = rng.sample(rooms, 2)
-                    key = (min(a, b), max(a, b))
-                    if key not in edges:
-                        edges.add(key)
-                        g.add_room_edge(edge(a, b, rng.uniform(0.1, 5.0)))
+        for _ in range(10):
+            n = rng.randint(1, 12)
+            categories = [
+                rng.choice(["office", "kitchen", "corridor", "uncategorized"]) for _ in range(n)
+            ]
+            # supplied ids, some equal to a minted id once normalized
+            supplied = iter(rng.sample(["my_desk", "Office 2", "desk_1", "room_1"], 4))
+            objects = [
+                (
+                    rng.randrange(n),
+                    rng.choice(["desk", "Chair", "mug"]),
+                    P,
+                    next(supplied, None) if rng.random() < 0.2 else None,
+                )
+                for _ in range(rng.randint(0, 30))
+            ]
+            pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)} if n > 1 else set()
+            edges = [(a, b, rng.uniform(0.1, 5.0), GridIndex(0, 0)) for a, b in sorted(pairs)]
+            g, _ = assemble_graph([(c, P, 4) for c in categories], objects, edges)
             assert g.validate() == []
 
 
-class TestGoalState:
+class TestGoalLookup:
     def test_object_class_query_finds_all_instances(self, office_graph):
-        state = office_graph.find_goal_state(GoalQuery("desk"))
-        assert state.nodes == ("desk_1", "desk_2")
+        assert office_graph.find_goal_state(GoalQuery("desk")) == ("desk_1", "desk_2")
 
-    def test_absent_class_yields_empty_state(self, office_graph):
-        state = office_graph.find_goal_state(GoalQuery("unicorn"))
-        assert state.empty and len(state) == 0
+    def test_absent_class_yields_no_nodes(self, office_graph):
+        assert office_graph.find_goal_state(GoalQuery("unicorn")) == ()
 
     def test_room_category_query_finds_all_rooms(self, office_graph):
-        state = office_graph.find_goal_state(GoalQuery("office"))
-        assert state.nodes == ("office_1", "office_3")
+        assert office_graph.find_goal_state(GoalQuery("office")) == ("office_1", "office_3")
 
     def test_node_id_query_is_singleton(self, office_graph):
-        assert office_graph.find_goal_state(GoalQuery("office_3")).nodes == ("office_3",)
-        assert office_graph.find_goal_state(GoalQuery("desk_2")).nodes == ("desk_2",)
+        assert office_graph.find_goal_state(GoalQuery("office_3")) == ("office_3",)
+        assert office_graph.find_goal_state(GoalQuery("desk_2")) == ("desk_2",)
 
-    def test_node_id_outranks_class_and_category(self, office_graph):
-        office_graph.add_room(room("desk", "storage"))
-        assert office_graph.find_goal_state(GoalQuery("desk")).nodes == ("desk",)
+    def test_node_id_outranks_class_and_category(self):
+        g = office(rooms=[room("desk", "storage")])
+        assert g.find_goal_state(GoalQuery("desk")) == ("desk",)
         # category still outranks object class
-        office_graph.add_object(obj("office_prop", "office", "office_1"))
-        assert office_graph.find_goal_state(GoalQuery("office")).nodes == ("office_1", "office_3")
+        g = office(objects=[obj("office_prop", "office", "office_1")])
+        assert g.find_goal_state(GoalQuery("office")) == ("office_1", "office_3")
 
-    def test_matching_normalizes_case_and_spaces(self, office_graph):
-        assert office_graph.find_goal_state(GoalQuery("DESK")).nodes == ("desk_1", "desk_2")
-        office_graph.add_room(room("conf_1", "conference_room"))
-        assert office_graph.find_goal_state(GoalQuery("Conference Room")).nodes == ("conf_1",)
+    def test_matching_normalizes_case_and_spaces(self):
+        g = office(rooms=[room("conf_1", "conference_room")])
+        assert g.find_goal_state(GoalQuery("DESK")) == ("desk_1", "desk_2")
+        assert g.find_goal_state(GoalQuery("Conference Room")) == ("conf_1",)
         assert normalize_label("Conference Room") == "conference_room"
 
-    def test_insertion_is_monotone_for_unrelated_queries(self):
+    def test_added_nodes_keep_unrelated_matches(self):
         rng = random.Random(7)
-        g = SemanticGraph()
-        g.add_room(room("office_1"))
-        g.add_object(obj("desk_1", "desk", "office_1"))
         queries = [GoalQuery("desk"), GoalQuery("office"), GoalQuery("office_1")]
-        before = {q.text: g.find_goal_state(q).nodes for q in queries}
+        base = SemanticGraph([room("office_1")], [obj("desk_1", "desk", "office_1")])
+        before = {q.text: base.find_goal_state(q) for q in queries}
+        extra_rooms, extra_objects = [], []
         for i in range(30):
             if rng.random() < 0.5:
-                g.add_room(room(f"extra_room_{i}", "lab"))
+                extra_rooms.append(room(f"extra_room_{i}", "lab"))
             else:
-                g.add_object(obj(f"extra_obj_{i}", "widget", "office_1"))
-        after = {q.text: g.find_goal_state(q).nodes for q in queries}
-        for text, nodes in before.items():
-            assert set(nodes) <= set(after[text])
+                extra_objects.append(obj(f"extra_obj_{i}", "widget", "office_1"))
+        grown = SemanticGraph(
+            [room("office_1"), *extra_rooms], [obj("desk_1", "desk", "office_1"), *extra_objects]
+        )
+        for q in queries:
+            assert set(before[q.text]) <= set(grown.find_goal_state(q))
 
 
 class TestValidate:
@@ -187,6 +206,16 @@ class TestValidate:
         g.rooms["office_1"].attributes.append("phantom")
         assert any(v.rule == "attributes-cache" for v in g.validate())
 
+    def test_stale_attribute_caches_reported_in_room_order(self, office_graph):
+        office_graph.rooms["corridor_1"].attributes = ["mug"]
+        office_graph.rooms["office_1"].attributes = ["desk"]
+        assert office_graph.validate() == [
+            Violation(
+                "office_1", "attributes-cache", "cached ['desk'] != derived ['bookcase', 'desk']"
+            ),
+            Violation("corridor_1", "attributes-cache", "cached ['mug'] != derived []"),
+        ]
+
     def test_duplicate_containment_detected(self, office_graph):
         g = office_graph.copy()
         g.containment.append(g.containment[0])
@@ -194,8 +223,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("oid", ["", "My Desk", "Desk_1", " desk_1"])
     def test_unnormalized_id_detected(self, office_graph, oid):
-        g = office_graph.copy()
-        g.add_object(obj(oid, "desk", "office_3"))
+        g = office(objects=[obj(oid, "desk", "office_3")])
         assert [v.rule for v in g.validate()] == ["normalized-id"]
 
     def test_fuzzed_corruptions_each_violate(self, office_graph):
@@ -216,9 +244,6 @@ class TestEquality:
         g = office_graph.copy()
         g.room_edges[0].weight += 1e-12
         assert g != office_graph
-
-
-P = MetricPoint(0.5, 0.5)
 
 
 def assemble(categories, objects, edges=()):
@@ -266,4 +291,4 @@ class TestAssembleGraph:
         assert list(g.objects) == ["my_desk"]
         assert g.objects["my_desk"].class_label == "coffee_table"
         assert g.rooms["office_1"].attributes == ["coffee_table"]
-        assert g.find_goal_state(GoalQuery("My Desk")).nodes == ("my_desk",)
+        assert g.find_goal_state(GoalQuery("My Desk")) == ("my_desk",)

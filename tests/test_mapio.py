@@ -91,6 +91,22 @@ class TestRoundTrip:
         with pytest.raises(MapFormatError):
             load_map(tmp_path / "m")
 
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            "resolution: 0.1\norigin_x: 0.0\norigin_y: 0.0\nresolution: 0.1\n",
+            "resolution: 0.1\norigin_x: 0.0\norigin_y: 0.0\nfree_thresh: 200\n",
+            "origin_x: 0.0\norigin_y: 0.0\n",
+            "resolution 0.1\norigin_x: 0.0\norigin_y: 0.0\n",
+        ],
+        ids=["repeated-key", "unknown-key", "missing-key", "no-colon"],
+    )
+    def test_bad_costmap_meta_is_format_error(self, tmp_path, meta):
+        save_map(gt_semantic_map(1), tmp_path / "m")
+        (tmp_path / "m" / "costmap.meta").write_text(meta, encoding="utf-8")
+        with pytest.raises(MapFormatError, match="costmap.meta"):
+            load_map(tmp_path / "m")
+
     def test_newer_version_rejected(self, tmp_path):
         m = gt_semantic_map(1)
         save_map(m, tmp_path / "m")
@@ -178,7 +194,7 @@ class TestValidation:
         franken = SemanticMap(
             costmap=gt_map.costmap,
             raster=gt_map.raster,
-            graph=bad_graph.freeze(),
+            graph=bad_graph,
             room_labels=gt_map.room_labels,
             meta=gt_map.meta,
         )
