@@ -16,14 +16,11 @@ from pathlib import Path
 from . import discovery, mapio, metric, planner, segmentation
 from .errors import (
     ConfigError,
-    DiscoveryFailedError,
     GenerationError,
     GridBoundsError,
     MapConsistencyError,
     MapFormatError,
-    OracleParseError,
     SemnavError,
-    UnreachableError,
     ValidationError,
 )
 from .graph import GoalQuery
@@ -40,8 +37,6 @@ _INVALID_INPUT_ERRORS = (
     MapFormatError,
     GridBoundsError,
     GenerationError,
-    UnreachableError,
-    OracleParseError,
 )
 
 
@@ -299,9 +294,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DiscoveryFailedError as exc:
-        print(f"planning failed: discovery-failed: {exc}", file=sys.stderr)
-        return EXIT_PLAN_FAILURE
     except MapConsistencyError as exc:
         print(f"inconsistent map: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -33,8 +33,9 @@ class GridBoundsError(SemnavError):
 class UnreachableError(SemnavError):
     """No traversable route exists between two grid cells.
 
-    Kept distinct from ValidationError so a planner can skip an unreachable
-    candidate goal instead of treating it as a caller bug.
+    Kept distinct from ValidationError: an unreachable goal is a fact about
+    the costmap, not a caller bug. The planner's metric refinement reports it
+    as a MapConsistencyError, since the room graph promised a route.
     """
 
 

@@ -1,9 +1,10 @@
 """Object and room layers: a typed graph over rooms and objects.
 
 Rooms are nodes connected by weighted, undirected edges (one per doorway,
-stored once and queried both ways). Objects are leaf nodes tied to exactly
-one room by a containment edge. A graph is built whole by its constructor
-and can be searched at once; validate() reports every broken invariant.
+stored once and queried both ways). Objects are leaf nodes, each in exactly
+one room: the one its room_id names. A graph is built whole by its
+constructor and can be searched at once; validate() reports every broken
+invariant.
 Searching only reads the graph, so any number of planners can share one.
 """
 
@@ -51,12 +52,6 @@ class RoomEdge:
 
 
 @dataclass(frozen=True)
-class ContainmentEdge:
-    room_id: str
-    object_id: str
-
-
-@dataclass(frozen=True)
 class GoalQuery:
     text: str
 
@@ -72,21 +67,17 @@ class Violation:
 
 
 class SemanticGraph:
-    """Rooms, objects, room-room edges, and room-object containment.
+    """Rooms, objects and room-room edges; an object's room is its room_id.
 
-    The constructor builds the whole graph: nodes keyed by id, one
-    containment edge per object, and the planner's sorted adjacency lists.
-    It refuses only a room or object id listed twice; validate() judges
-    every other invariant.
+    The constructor builds the whole graph: nodes keyed by id and the
+    planner's sorted adjacency lists. It refuses only a room or object id
+    listed twice; validate() judges every other invariant.
     """
 
     def __init__(self, rooms=(), objects=(), edges=()):
         self.rooms: dict[str, RoomNode] = _by_id(rooms)
         self.objects: dict[str, ObjectNode] = _by_id(objects)
         self.room_edges: list[RoomEdge] = list(edges)
-        self.containment: list[ContainmentEdge] = [
-            ContainmentEdge(o.room_id, o.id) for o in self.objects.values()
-        ]
         self._edge_index = {_edge_key(e.room_a, e.room_b): e for e in self.room_edges}
         # dangling edge endpoints get a list too; validate() reports them
         adj: dict[str, list[tuple[str, float]]] = {rid: [] for rid in self.rooms}
@@ -162,46 +153,9 @@ class SemanticGraph:
                 out.append(Violation(name, "duplicate-edge", "room pair stored more than once"))
             edge_keys.add(key)
 
-        contained: dict[str, list[str]] = {}
         classes: dict[str, set[str]] = {}  # each room's derived attributes
-        for c in self.containment:
-            contained.setdefault(c.object_id, []).append(c.room_id)
-            if c.room_id not in self.rooms:
-                out.append(
-                    Violation(
-                        f"containment {c.room_id}-{c.object_id}",
-                        "dangling-containment",
-                        f"room {c.room_id!r} does not exist",
-                    )
-                )
-            if c.object_id not in self.objects:
-                out.append(
-                    Violation(
-                        f"containment {c.room_id}-{c.object_id}",
-                        "dangling-containment",
-                        f"object {c.object_id!r} does not exist",
-                    )
-                )
         for obj in self.objects.values():
             classes.setdefault(obj.room_id, set()).add(normalize_label(obj.class_label))
-            rooms = contained.get(obj.id, [])
-            if len(rooms) != 1:
-                out.append(
-                    Violation(
-                        obj.id,
-                        "containment-function",
-                        f"object has {len(rooms)} containment edges, expected exactly 1",
-                    )
-                )
-            elif rooms[0] != obj.room_id:
-                out.append(
-                    Violation(
-                        obj.id,
-                        "containment-consistency",
-                        f"containment names room {rooms[0]!r} but object.room_id is"
-                        f" {obj.room_id!r}",
-                    )
-                )
             if obj.room_id not in self.rooms:
                 out.append(
                     Violation(obj.id, "dangling-room-ref", f"room {obj.room_id!r} does not exist")
@@ -228,18 +182,15 @@ class SemanticGraph:
             and self.objects == other.objects
             and sorted(self.room_edges, key=_edge_sort_key)
             == sorted(other.room_edges, key=_edge_sort_key)
-            and set(self.containment) == set(other.containment)
         )
 
     def copy(self) -> "SemanticGraph":
-        """Deep copy (useful for mutation testing); containment is copied as it stands."""
-        g = SemanticGraph(
+        """Deep copy (useful for mutation testing)."""
+        return SemanticGraph(
             [replace(r, attributes=list(r.attributes)) for r in self.rooms.values()],
             [replace(o) for o in self.objects.values()],
             [replace(e) for e in self.room_edges],
         )
-        g.containment = list(self.containment)
-        return g
 
 
 def assemble_graph(rooms, objects, edges) -> tuple[SemanticGraph, list[str]]:

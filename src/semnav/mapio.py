@@ -308,9 +308,10 @@ def graph_to_json(graph: SemanticGraph) -> str:
 def graph_from_json(text: str) -> SemanticGraph:
     """Rebuild a graph from its JSON form, taking every node and edge as stored.
 
-    Malformed JSON, a missing, mistyped or too-short field, or a room or
-    object id listed twice raises MapFormatError. Invariants are not judged
-    here: SemanticGraph.validate() reports what is broken.
+    Malformed JSON, a missing field, a field not of its JSON type (a string,
+    an integer, a number that is not a bool, or a pair of exactly two), or a
+    room or object id listed twice raises MapFormatError. Invariants are not
+    judged here: SemanticGraph.validate() reports what is broken.
     """
     try:
         return _graph_from_doc(json.loads(text))
@@ -328,33 +329,58 @@ def _graph_from_doc(doc: dict) -> SemanticGraph:
     return SemanticGraph(
         rooms=(
             RoomNode(
-                id=str(r["id"]),
-                category=str(r["category"]),
-                centroid=MetricPoint(float(r["centroid"][0]), float(r["centroid"][1])),
-                cell_count=int(r["cell_count"]),
-                attributes=[str(a) for a in r["attributes"]],
+                id=_text(r["id"]),
+                category=_text(r["category"]),
+                centroid=MetricPoint(*_pair(r["centroid"], _real)),
+                cell_count=_count(r["cell_count"]),
+                attributes=[_text(a) for a in _typed(r["attributes"], (list,), "a list")],
             )
             for r in doc["rooms"]
         ),
         objects=(
             ObjectNode(
-                id=str(o["id"]),
-                class_label=str(o["class"]),
-                position=MetricPoint(float(o["position"][0]), float(o["position"][1])),
-                room_id=str(o["room"]),
+                id=_text(o["id"]),
+                class_label=_text(o["class"]),
+                position=MetricPoint(*_pair(o["position"], _real)),
+                room_id=_text(o["room"]),
             )
             for o in doc["objects"]
         ),
         edges=(
             RoomEdge(
-                room_a=str(e["a"]),
-                room_b=str(e["b"]),
-                weight=float(e["weight"]),
-                portal=GridIndex(int(e["portal"][0]), int(e["portal"][1])),
+                room_a=_text(e["a"]),
+                room_b=_text(e["b"]),
+                weight=_real(e["weight"]),
+                portal=GridIndex(*_pair(e["portal"], _count)),
             )
             for e in doc["edges"]
         ),
     )
+
+
+def _typed(value, types: tuple, what: str):
+    # type(), not isinstance(): JSON true and false are bools, never numbers
+    if type(value) not in types:
+        raise TypeError(f"expected {what}, got {value!r}")
+    return value
+
+
+def _text(value) -> str:
+    return _typed(value, (str,), "a string")
+
+
+def _count(value) -> int:
+    return _typed(value, (int,), "an integer")
+
+
+def _real(value) -> float:
+    return float(_typed(value, (int, float), "a number"))
+
+
+def _pair(value, item) -> tuple:
+    if type(value) is not list or len(value) != 2:
+        raise TypeError(f"expected a pair, got {value!r}")
+    return item(value[0]), item(value[1])
 
 
 # ---------------------------------------------------------------------------

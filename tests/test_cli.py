@@ -137,6 +137,27 @@ class TestValidate:
         result = run_cli("validate", "--map", str(broken))
         assert result.returncode == 3
 
+    def test_object_in_ghost_room_is_one_violation_per_fault(self, map_dir, tmp_path):
+        broken = tmp_path / "broken"
+        shutil.copytree(map_dir, broken)
+        doc = json.loads((broken / "graph.json").read_text())
+        # an object alone in its class in its room, so the room's attributes change
+        obj = next(
+            o
+            for o in doc["objects"]
+            if sum(p["room"] == o["room"] and p["class"] == o["class"] for p in doc["objects"])
+            == 1
+        )
+        home, obj["room"] = obj["room"], "ghost_room"
+        (broken / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
+        result = run_cli("validate", "--map", str(broken))
+        assert result.returncode == 3, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 2, lines
+        assert lines[0] == f"{obj['id']}: dangling-room-ref: room 'ghost_room' does not exist"
+        assert lines[1].startswith(f"{home}: attributes-cache: ")
+        assert result.stderr.strip() == "2 violation(s)"
+
     def test_unnormalized_object_id_exits_3(self, map_dir, tmp_path):
         # the planner normalizes every goal, so "My Desk" could never be named
         broken = tmp_path / "broken"

@@ -4,7 +4,6 @@ import pytest
 
 from semnav.errors import ConflictError
 from semnav.graph import (
-    ContainmentEdge,
     GoalQuery,
     GridIndex,
     ObjectNode,
@@ -64,14 +63,6 @@ def office_graph():
 
 
 class TestConstructor:
-    def test_containment_follows_objects(self, office_graph):
-        assert office_graph.containment == [
-            ContainmentEdge("office_1", "desk_1"),
-            ContainmentEdge("office_3", "desk_2"),
-            ContainmentEdge("office_1", "bookcase_1"),
-        ]
-        assert office_graph.validate() == []
-
     def test_duplicate_node_id_conflicts(self):
         with pytest.raises(ConflictError, match="'office_1' listed more than once"):
             office(rooms=[room("office_1")])
@@ -83,10 +74,7 @@ class TestConstructor:
         [
             ({"edges": [edge("office_1", "office_1")]}, ["no-self-loop"]),
             ({"edges": [edge("office_1", "office_9")]}, ["dangling-edge"]),
-            (
-                {"objects": [obj("chair_1", "chair", "office_9")]},
-                ["dangling-containment", "dangling-room-ref"],
-            ),
+            ({"objects": [obj("chair_1", "chair", "office_9")]}, ["dangling-room-ref"]),
             ({"edges": [edge("office_1", "office_3", -2.0)]}, ["edge-weight"]),
             ({"edges": [edge("office_1", "office_3", float("nan"))]}, ["edge-weight"]),
             ({"edges": [edge("office_1", "office_3", float("inf"))]}, ["edge-weight"]),
@@ -215,11 +203,6 @@ class TestValidate:
             ),
             Violation("corridor_1", "attributes-cache", "cached ['mug'] != derived []"),
         ]
-
-    def test_duplicate_containment_detected(self, office_graph):
-        g = office_graph.copy()
-        g.containment.append(g.containment[0])
-        assert any(v.rule == "containment-function" for v in g.validate())
 
     @pytest.mark.parametrize("oid", ["", "My Desk", "Desk_1", " desk_1"])
     def test_unnormalized_id_detected(self, office_graph, oid):

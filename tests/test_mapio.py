@@ -150,6 +150,45 @@ class TestRoundTrip:
         with pytest.raises(MapFormatError, match="listed more than once"):
             graph_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "layer, key, value",
+        [
+            ("rooms", "id", 7),
+            ("rooms", "category", None),
+            ("rooms", "centroid", ["1.5", 2.0]),
+            ("rooms", "centroid", [1.5, 2.0, 0.0]),
+            ("rooms", "cell_count", "17"),
+            ("rooms", "cell_count", 17.0),
+            ("rooms", "cell_count", True),
+            ("rooms", "attributes", "desk"),
+            ("rooms", "attributes", [3]),
+            ("objects", "class", 5),
+            ("objects", "position", [1.0, False]),
+            ("objects", "room", ["office_1"]),
+            ("edges", "a", 1),
+            ("edges", "weight", "7.77"),
+            ("edges", "weight", True),
+            ("edges", "portal", [353.6, 89]),
+            ("edges", "portal", ["3", 4]),
+            ("edges", "portal", [3, 4, 5]),
+            ("edges", "portal", "34"),
+        ],
+    )
+    def test_mistyped_field_is_format_error(self, layer, key, value):
+        doc = json.loads(graph_to_json(fig_office_map().graph))
+        doc[layer][0][key] = value
+        with pytest.raises(MapFormatError, match="expected"):
+            graph_from_json(json.dumps(doc))
+
+    def test_integral_numbers_load_as_floats(self):
+        doc = json.loads(graph_to_json(fig_office_map().graph))
+        doc["rooms"][0]["centroid"] = [1, 2]
+        doc["edges"][0]["weight"] = 3
+        graph = graph_from_json(json.dumps(doc))
+        room = graph.rooms[doc["rooms"][0]["id"]]
+        assert room.centroid == (1.0, 2.0) and type(room.centroid[0]) is float
+        assert type(graph.room_edges[0].weight) is float
+
     def test_loaded_graph_indexes_its_edges(self, tmp_path):
         m = gt_semantic_map(1)
         save_map(m, tmp_path / "m")
