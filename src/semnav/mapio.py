@@ -224,7 +224,7 @@ def load_map(path) -> SemanticMap:
     if not isinstance(meta_doc, dict) or not isinstance(meta_doc.get("labels", {}), dict):
         raise MapFormatError(f"{root}/meta.json: expected an object with a \"labels\" object")
     version = meta_doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
         raise MapFormatError(f"{root}: unsupported map version {version!r}")
 
     costs, maxval = read_pgm(root / "costmap.pgm")
@@ -256,11 +256,11 @@ def load_map(path) -> SemanticMap:
         raise MapFormatError(f"{root}/graph.json: {exc}") from exc
 
     try:
-        room_labels = {int(k): str(v) for k, v in meta_doc.get("labels", {}).items()}
+        room_labels = {int(k): _text(v) for k, v in meta_doc.get("labels", {}).items()}
         meta = MapMeta(
-            name=str(meta_doc["name"]), created=str(meta_doc["created"]), version=version
+            name=_text(meta_doc["name"]), created=_text(meta_doc["created"]), version=version
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"{root}/meta.json: corrupt: {exc}") from exc
 
     m = SemanticMap(
@@ -324,8 +324,9 @@ def graph_from_json(text: str) -> SemanticGraph:
 
 
 def _graph_from_doc(doc: dict) -> SemanticGraph:
-    if doc.get("version") != FORMAT_VERSION:
-        raise MapFormatError(f"unsupported graph version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
+        raise MapFormatError(f"unsupported graph version {version!r}")
     return SemanticGraph(
         rooms=(
             RoomNode(
@@ -411,37 +412,57 @@ def _esc(text: str) -> str:
 def _rect_runs(values: np.ndarray):
     """Greedy rectangle decomposition of the nonzero cells of an int array.
 
-    Yields (value, col, row, width, height) in full-grid coordinates, in the
-    order of a row-major scan: at each unvisited nonzero cell the rectangle
-    takes the longest run of equal unvisited cells to its right, then extends
-    down while every cell below that run is equal and unvisited.
+    Yields (value, col, row, width, height) in the order of a row-major scan:
+    at each unvisited nonzero cell the rectangle takes the longest run of
+    equal unvisited cells to its right, then extends down while every cell
+    below that run is equal.
     Reading a row's runs all at once is exact: a rectangle started in a row
     marks only columns that row's scan has passed, so the runs are those of
     the row with its visited cells zeroed.
+    The height test need not ask whether a cell below the run is visited:
+    none is yet, since an earlier rectangle covering one would also cover the
+    run's own cell in that row. The height so depends on the values alone,
+    so a row equal to the row above starts and ends no rectangle, and a
+    column equal to its left neighbour holds no rectangle edge. That is why
+    _squeezed_rect_runs may drop such rows and columns before the scan.
     """
-    nz_rows = np.flatnonzero(values.any(axis=1))
-    if nz_rows.size == 0:
-        return
-    nz_cols = np.flatnonzero(values.any(axis=0))
-    r0, c0 = int(nz_rows[0]), int(nz_cols[0])
-    vals = values[r0 : nz_rows[-1] + 1, c0 : nz_cols[-1] + 1]
-    visited = np.zeros(vals.shape, dtype=bool)
-    todo = np.count_nonzero(vals, axis=1)  # unvisited nonzero cells per row
+    visited = np.zeros(values.shape, dtype=bool)
+    todo = np.count_nonzero(values, axis=1)  # unvisited nonzero cells per row
     for r in np.flatnonzero(todo).tolist():
         if not todo[r]:
             continue
-        row = np.where(visited[r], 0, vals[r])
+        row = np.where(visited[r], 0, values[r])
         cuts = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), row.size]
         for c, c1 in zip(cuts[:-1], cuts[1:]):
             v = row[c]
             if v == 0:
                 continue
-            block = vals[r + 1 :, c:c1]
-            stop = ((block != v) | visited[r + 1 :, c:c1]).any(axis=1)
+            stop = (values[r + 1 :, c:c1] != v).any(axis=1)
             r1 = r + 1 + (int(stop.argmax()) if stop.any() else stop.size)
             visited[r:r1, c:c1] = True
             todo[r:r1] -= c1 - c
-            yield int(v), c0 + c, r0 + r, c1 - c, r1 - r
+            yield int(v), c, r, c1 - c, r1 - r
+
+
+def _squeezed_rect_runs(values: np.ndarray, classes: np.ndarray | None = None):
+    """_rect_runs of classes[values] (of values if classes is None), squeezed.
+
+    Each row equal to the row above and each column equal to the column to
+    its left is dropped, the greedy runs on what is left, and each rectangle
+    is mapped back through the kept rows' and columns' starts. Rows or
+    columns equal in values are equal in classes, so the class table is
+    applied to the squeezed array only. A band of zero rows or columns at
+    the border squeezes to one, so the greedy needs no crop to the nonzero
+    cells.
+    """
+    rows = np.flatnonzero(np.r_[True, (values[1:] != values[:-1]).any(axis=1)])
+    kept = values[rows]
+    cols = np.flatnonzero(np.r_[True, (kept[:, 1:] != kept[:, :-1]).any(axis=0)])
+    small = kept[:, cols]
+    row_at = [*rows.tolist(), values.shape[0]]
+    col_at = [*cols.tolist(), values.shape[1]]
+    for v, c, r, w, h in _rect_runs(small if classes is None else classes[small]):
+        yield v, col_at[c], row_at[r], col_at[c + w] - col_at[c], row_at[r + h] - row_at[r]
 
 
 def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
@@ -478,7 +499,7 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
     ]
 
     parts.append('<g class="costmap">\n')
-    for v, col, row, w, h in _rect_runs(_COST_CLASS[g.cells]):
+    for v, col, row, w, h in _squeezed_rect_runs(g.cells, _COST_CLASS):
         x, y, rw, rh = cell_rect(col, row, w, h)
         color = _COST_COLORS[v]
         parts.append(
@@ -492,7 +513,7 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
     id_to_label = {rid: label for label, rid in m.room_labels.items()}
     # one label's greedy rectangles depend only on its own cells
     fills: dict[int, list] = {}
-    for label, *rect in _rect_runs(m.raster.labels):
+    for label, *rect in _squeezed_rect_runs(m.raster.labels):
         fills.setdefault(label, []).append(rect)
     for room in rooms_sorted:
         label = id_to_label.get(room.id)

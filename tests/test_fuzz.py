@@ -291,9 +291,12 @@ def _edit_layers(data, labels: np.ndarray, names: dict) -> np.ndarray:
     return labels
 
 
-def _reshape(data, grid: np.ndarray) -> np.ndarray:
-    """Crop or pad a raster with zeros, rows and columns."""
-    h, w = (max(1, n + data.draw(st.integers(-3, 3))) for n in grid.shape)
+def _reshape(data, grid: np.ndarray, far: bool = False) -> np.ndarray:
+    """Crop or pad a raster with zeros, rows and columns; far: one axis by 4-40 cells."""
+    steps = [st.integers(-3, 3)] * 2
+    if far:
+        steps[data.draw(st.integers(0, 1))] = st.integers(4, 40) | st.integers(-40, -4)
+    h, w = (max(1, n + data.draw(step)) for n, step in zip(grid.shape, steps))
     grown = np.zeros((h, w), dtype=grid.dtype)
     grown[: grid.shape[0], : grid.shape[1]] = grid[:h, :w]
     return grown
@@ -301,11 +304,14 @@ def _reshape(data, grid: np.ndarray) -> np.ndarray:
 
 GEOMETRY_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "-0.1", "1e-300", "1e300", "0.05", "x", ""]
 BAD_NUMBERS = [-1.0, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e308, 2.5, "x", None]
+# another JSON type, blank, or not as normalize_label leaves it
+LABELS = st.sampled_from(["", " ", "Office", " desk", "desk ", "dining table", "DESK", "a\n"])
+LABELS = LABELS | st.text(max_size=6) | json_values
 
 
 def _edit_costmap(data, layers: dict, key_cells) -> None:
     """Apply one drawn edit to costmap.pgm or costmap.meta."""
-    edit = data.draw(st.sampled_from(["paint", "reshape", "geometry"]))
+    edit = data.draw(st.sampled_from(["paint", "reshape", "far-reshape", "geometry"]))
     costs, geometry = layers["costs"], layers["geometry"]
     if edit == "paint":  # a block of one cost over a portal, centroid, object or any cell
         anywhere = st.tuples(*(st.integers(0, n - 1) for n in costs.shape))
@@ -313,8 +319,8 @@ def _edit_costmap(data, layers: dict, key_cells) -> None:
         size = data.draw(st.integers(1, 3))
         cost = data.draw(st.sampled_from([0, 128, 252, 253, 254, 255]))
         costs[cell[0] : cell[0] + size, cell[1] : cell[1] + size] = cost
-    elif edit == "reshape":
-        layers["costs"] = _reshape(data, costs)
+    elif edit in ("reshape", "far-reshape"):
+        layers["costs"] = _reshape(data, costs, far=edit == "far-reshape")
     elif geometry:  # a value changed, or a key dropped, repeated or not allowed
         line = data.draw(st.sampled_from(geometry))
         change = data.draw(st.sampled_from(["set", "drop", "repeat", "unknown"]))
@@ -329,7 +335,9 @@ def _edit_costmap(data, layers: dict, key_cells) -> None:
 def _edit_graph(data, doc: dict, shape) -> None:
     """Apply one drawn edit to graph.json's rooms, objects or edges."""
     edit = data.draw(
-        st.sampled_from(["portal", "weight", "drop", "repeat-edge", "repeat-id", "rename", "move"])
+        st.sampled_from(
+            ["portal", "weight", "drop", "repeat-edge", "repeat-id", "rename", "move", "label"]
+        )
     )
     rooms, objects, edges = doc["rooms"], doc["objects"], doc["edges"]
     if edit == "portal" and edges:  # moved, off-grid or not an index
@@ -360,6 +368,12 @@ def _edit_graph(data, doc: dict, shape) -> None:
         field = "centroid" if "centroid" in node else "position"
         coord = st.floats(-1.0, 13.0) | st.sampled_from([math.nan, math.inf])
         node[field] = [data.draw(coord), data.draw(coord)]
+    elif edit == "label":  # a room's category or attributes
+        room = data.draw(st.sampled_from(rooms))
+        if data.draw(st.booleans()):
+            room["category"] = data.draw(LABELS)
+        else:
+            room["attributes"] = data.draw(st.lists(LABELS, max_size=3) | json_values)
 
 
 def _write_layers(root, layers: dict) -> None:

@@ -116,6 +116,40 @@ class TestRoundTrip:
         with pytest.raises(MapFormatError):
             load_map(tmp_path / "m")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("version", True),
+            ("version", 1.0),
+            ("name", 7),
+            ("name", None),
+            ("created", [1]),
+            ("created", 1.5),
+        ],
+    )
+    def test_mistyped_meta_field_is_format_error(self, tmp_path, key, value):
+        save_map(gt_semantic_map(1), tmp_path / "m")
+        meta = json.loads((tmp_path / "m" / "meta.json").read_text())
+        meta[key] = value
+        (tmp_path / "m" / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(MapFormatError, match="version|expected a string"):
+            load_map(tmp_path / "m")
+
+    def test_label_mapped_to_non_string_is_format_error(self, tmp_path):
+        save_map(gt_semantic_map(1), tmp_path / "m")
+        meta = json.loads((tmp_path / "m" / "meta.json").read_text())
+        label = sorted(meta["labels"])[0]
+        meta["labels"][label] = [meta["labels"][label]]
+        (tmp_path / "m" / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(MapFormatError, match="expected a string"):
+            load_map(tmp_path / "m")
+
+    def test_graph_version_true_is_format_error(self):
+        doc = json.loads(graph_to_json(fig_office_map().graph))
+        doc["version"] = True
+        with pytest.raises(MapFormatError, match="unsupported graph version"):
+            graph_from_json(json.dumps(doc))
+
     def test_cross_layer_tampering_rejected_on_load(self, tmp_path):
         m = gt_semantic_map(1)
         save_map(m, tmp_path / "m")
@@ -339,6 +373,28 @@ class TestRectRuns:
         else:
             values = _blocky(shape, n_values, data)
         assert list(mapio._rect_runs(values)) == list(brute_rect_runs(values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_squeezed_runs_match_oracle_on_full_array(self, data):
+        """Squeeze, greedy, map back: the cell-by-cell greedy on the unsqueezed classes."""
+        h, w = data.draw(
+            st.one_of(
+                st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                st.tuples(st.just(1), st.integers(1, 20)),
+                st.tuples(st.integers(1, 20), st.just(1)),
+            )
+        )
+        n_raw = data.draw(st.integers(1, 6))
+        base = np.array(_cells(data, h * w, n_raw)).reshape(h, w)
+        reps = [data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)) for n in (h, w)]
+        values = np.repeat(np.repeat(base, reps[0], axis=0), reps[1], axis=1)
+        if data.draw(st.booleans()):  # several raw values to one class, as _COST_CLASS does
+            classes = np.array(_cells(data, n_raw + 1, 2))
+            expected = brute_rect_runs(classes[values])
+        else:
+            classes, expected = None, brute_rect_runs(values)
+        assert list(mapio._squeezed_rect_runs(values, classes)) == list(expected)
 
     def test_svg_bytes_equal_oracle_render(self, gt_map, monkeypatch):
         rooms = sorted(gt_map.graph.rooms)
