@@ -256,7 +256,7 @@ def load_map(path) -> SemanticMap:
         raise MapFormatError(f"{root}/graph.json: {exc}") from exc
 
     try:
-        room_labels = {int(k): _text(v) for k, v in meta_doc.get("labels", {}).items()}
+        room_labels = {_label_key(k): _text(v) for k, v in meta_doc.get("labels", {}).items()}
         meta = MapMeta(
             name=_text(meta_doc["name"]), created=_text(meta_doc["created"]), version=version
         )
@@ -368,6 +368,14 @@ def _typed(value, types: tuple, what: str):
 
 def _text(value) -> str:
     return _typed(value, (str,), "a string")
+
+
+def _label_key(key: str) -> int:
+    # int() also takes " 01", "+1" and "1_0", so two keys could name one label
+    label = int(key)
+    if str(label) != key:
+        raise ValueError(f"label key {key!r} must be written {str(label)!r}")
+    return label
 
 
 def _count(value) -> int:

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -366,12 +366,14 @@ def grid_shortest_path(
         row, col = goal.row - top, goal.col - left
         cost = float(dist[row, col])
         if cost / g.resolution + 1.0 <= span:
-            path = []
-            while row >= 0:  # pred is negative at the start
-                path.append(GridIndex(col + left, row + top))
-                row, col = divmod(int(pred[row, col]), f.shape[1])
-            path.reverse()
-            return path, cost
+            flat, v = [], row * f.shape[1] + col
+            while v >= 0:  # pred is negative at the start
+                flat.append(v)
+                v = pred.item(v)
+            rows, cols = np.divmod(np.array(flat[::-1]), f.shape[1])
+            # tuple.__new__ skips the namedtuple's Python-level __new__ per cell
+            cells = zip((cols + left).tolist(), (rows + top).tolist())
+            return list(map(tuple.__new__, repeat(GridIndex), cells)), cost
         if cost < math.inf:
             span = cost / g.resolution + 1.0
         elif inside.size == g.cells.size and inside.all():
@@ -433,25 +435,31 @@ def _window_graph(f, resolution):
     and off the window, where it points back at v. csgraph never relaxes an inf
     edge, and open cells list their open neighbours in the same order as in a
     graph of the open cells alone: the search matches that graph's bit for bit.
+
+    Each move's weights are one add of two shifted slices of the halved factors,
+    held in an inf ring, and one multiply by the per-move steps scales all
+    eight; the targets are node + offset for all moves in one broadcast.
     """
     from scipy.sparse import csr_array
 
     height, width = f.shape
     n = height * width
-    # halved factors, inf at closed cells and on a ring of closed cells around the window;
     # halving is exact, so 0.5 * f_a + 0.5 * f_b == 0.5 * (f_a + f_b) bit for bit
-    half = np.pad(np.where(f >= 0, 0.5 * f, np.inf), 1, constant_values=np.inf)
-    half = sliding_window_view(half, f.shape)  # half[1 + drow, 1 + dcol]: each cell's neighbour
-    node = np.arange(n, dtype=np.int32).reshape(height, width)
+    half = np.full((height + 2, width + 2), np.inf)
+    inner = half[1:-1, 1:-1]
+    np.multiply(f, 0.5, out=inner)
+    inner[f < 0] = np.inf  # faster than a where= mask when closed cells are scattered
     weights = np.empty((height, width, len(_MOVES)))
-    indices = np.empty((height, width, len(_MOVES)), dtype=np.int32)
     for k, (drow, dcol) in enumerate(_MOVES):
-        step = resolution * SQRT2 if drow and dcol else resolution
-        np.multiply(half[1, 1] + half[1 + drow, 1 + dcol], step, out=weights[..., k])
-        np.add(node, drow * width + dcol, out=indices[..., k])
-        if drow:
-            indices[0 if drow < 0 else -1, :, k] = node[0 if drow < 0 else -1]
-        if dcol:
-            indices[:, 0 if dcol < 0 else -1, k] = node[:, 0 if dcol < 0 else -1]
+        moved = half[1 + drow : 1 + drow + height, 1 + dcol : 1 + dcol + width]
+        np.add(inner, moved, out=weights[..., k])
+    weights *= [resolution * SQRT2 if drow and dcol else resolution for drow, dcol in _MOVES]
+    node = np.arange(n, dtype=np.int32).reshape(height, width, 1)
+    indices = node + np.array([drow * width + dcol for drow, dcol in _MOVES], dtype=np.int32)
+    # the moves off the top, bottom, left and right edges (by _MOVES order) point back
+    indices[:1, :, :3] = node[:1]
+    indices[-1:, :, 5:] = node[-1:]
+    indices[:, :1, [0, 3, 5]] = node[:, :1]
+    indices[:, -1:, [2, 4, 7]] = node[:, -1:]
     indptr = np.arange(0, len(_MOVES) * n + 1, len(_MOVES), dtype=np.int32)
     return csr_array((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))

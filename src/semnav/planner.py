@@ -19,6 +19,9 @@ import heapq
 import numbers
 import time
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
+
+import numpy as np
 
 from .discovery import RoomContext, goal_llm_response
 from .errors import (
@@ -243,7 +246,13 @@ def refine_to_metric(
             raise MapConsistencyError(
                 f"room {room!r}: cannot realize graph path on the costmap: {exc}"
             ) from exc
-        if cells:
-            segment = segment[1:]
-        cells.extend(segment)
-    return tuple(m.costmap.grid_to_world(c) for c in cells)
+        cells.extend(segment[1:] if cells else segment)
+    # each cell's center as CostmapGrid.grid_to_world computes it, in the same
+    # float operations over arrays; every cell is on the grid, as the search found it.
+    # fromiter: np.array over a list of namedtuples is several times slower.
+    g = m.costmap
+    flat = np.fromiter(chain.from_iterable(cells), np.int64, 2 * len(cells))
+    cols, rows = flat.reshape(-1, 2).T
+    xs = (g.origin_x + (cols + 0.5) * g.resolution).tolist()
+    ys = (g.origin_y + (rows + 0.5) * g.resolution).tolist()
+    return tuple(map(tuple.__new__, repeat(MetricPoint), zip(xs, ys)))

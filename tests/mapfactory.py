@@ -12,19 +12,28 @@ from semnav.segmentation import RoomLabelRaster
 BLOCK = 4  # cells per room block
 
 
-def strip_map(rooms, objects=(), edges=(), name="strip") -> SemanticMap:
+def strip_map(
+    rooms, objects=(), edges=(), name="strip", *, resolution=1.0, origin=(0.0, 0.0), costs=None
+) -> SemanticMap:
     """A map whose rooms are consecutive free blocks on a one-row strip.
 
     rooms:   [(room_id, category), ...]
     objects: [(object_id, class_label, room_id), ...]
     edges:   [(room_a, room_b, weight), ...]  (graph-level; independent of
              block adjacency, which planning never consults)
+    costs:   the strip's cell costs, (BLOCK, len(rooms) * BLOCK) values of at
+             most 252 so every cell stays traversable; all free by default
     """
     n = len(rooms)
     width, height = n * BLOCK, BLOCK
-    cells = np.zeros((height, width), dtype=np.uint8)
+    cells = np.zeros((height, width), dtype=np.uint8) if costs is None else costs
     grid = CostmapGrid(
-        width=width, height=height, resolution=1.0, origin_x=0.0, origin_y=0.0, cells=cells
+        width=width,
+        height=height,
+        resolution=resolution,
+        origin_x=origin[0],
+        origin_y=origin[1],
+        cells=cells,
     )
     labels = np.zeros((height, width), dtype=np.uint16)
     for i in range(n):

@@ -19,7 +19,14 @@ from scipy.sparse.csgraph import dijkstra
 
 from semnav.errors import MapConsistencyError
 from semnav.graph import RoomEdge
-from semnav.metric import SQRT2, GridIndex, factor_table, window_search
+from semnav.metric import (
+    SQRT2,
+    GridIndex,
+    MetricPoint,
+    factor_table,
+    grid_shortest_path,
+    window_search,
+)
 
 
 def cell_factor(cost: int, allow_inscribed: bool = False):
@@ -498,3 +505,22 @@ def open_cell_costs(f, resolution, source):
         return np.full(f.shape, np.inf)
     dist = dijkstra(graph, indices=node[source])
     return np.where(node >= 0, dist[node], np.inf)
+
+
+def per_cell_refine(m, path, start_point, allow_inscribed: bool = False):
+    """Waypoints for a room path, one cell at a time. Reference for
+    planner.refine_to_metric's bulk conversion: the same legs through
+    grid_shortest_path (start -> portal -> ... -> goal, each joint cell kept
+    once), then CostmapGrid.grid_to_world on each cell."""
+    graph, g = m.graph, m.costmap
+    rooms = [node for node in path.nodes if node in graph.rooms]
+    last = path.nodes[-1]
+    goal = graph.objects[last].position if last in graph.objects else graph.rooms[last].centroid
+    anchors = [g.world_to_grid(MetricPoint(*start_point))]
+    anchors += [graph.get_edge(a, b).portal for a, b in zip(rooms, rooms[1:])]
+    anchors.append(g.world_to_grid(MetricPoint(*goal)))
+    cells = []
+    for src, dst in zip(anchors, anchors[1:]):
+        leg, _ = grid_shortest_path(g, src, dst, allow_inscribed=allow_inscribed)
+        cells.extend(leg[1:] if cells else leg)
+    return tuple(g.grid_to_world(cell) for cell in cells)

@@ -376,6 +376,27 @@ def _edit_graph(data, doc: dict, shape) -> None:
             room["attributes"] = data.draw(st.lists(LABELS, max_size=3) | json_values)
 
 
+def _edit_meta(data, meta: dict) -> None:
+    """Apply one drawn edit to meta.json: a label key, a label value or a top-level field."""
+    names = meta["labels"]
+    edit = data.draw(st.sampled_from(["key", "twin-key", "value", "field"]))
+    if edit in ("key", "twin-key") and names:  # a sign, blank, leading zero or non-digit
+        key = data.draw(st.sampled_from(sorted(names)))
+        spelled = data.draw(
+            st.sampled_from(["+", "-", " ", "0", "00", "\t", "x", "\u0661"]).map(lambda p: p + key)
+            | st.sampled_from([" ", "\n", ".0", "_0", "e0", "x"]).map(lambda s: key + s)
+            | st.text(alphabet="0123456789+-_ .", max_size=4)
+        )
+        # renamed, or added beside the key it respells
+        names[spelled] = names[key] if edit == "twin-key" else names.pop(key)
+    elif edit == "value" and names:
+        names[data.draw(st.sampled_from(sorted(names)))] = data.draw(json_values)
+    else:
+        meta[data.draw(st.sampled_from(["name", "created", "version", "labels"]))] = data.draw(
+            json_values
+        )
+
+
 def _write_layers(root, layers: dict) -> None:
     write_pgm(root / "costmap.pgm", layers["costs"])
     (root / "costmap.meta").write_text(
@@ -400,18 +421,23 @@ def _load_outcome(root):
 def test_load_map_with_all_layers_varied_together(saved_map, data):
     root, saved, key_cells = saved_map
     layers = copy.deepcopy(saved)
-    names = layers["meta"]["labels"]
     for _ in range(data.draw(st.integers(1, 3))):
-        layer = data.draw(st.sampled_from(["rooms", "costmap", "graph"]))
-        if layer == "rooms":
-            layers["labels"] = _edit_layers(data, layers["labels"], names)
+        layer = data.draw(st.sampled_from(["rooms", "costmap", "graph", "meta"]))
+        if layer == "rooms" and isinstance(layers["meta"]["labels"], dict):
+            layers["labels"] = _edit_layers(data, layers["labels"], layers["meta"]["labels"])
         elif layer == "costmap":
             _edit_costmap(data, layers, key_cells)
-        else:
+        elif layer == "graph":
             _edit_graph(data, layers["graph"], saved["costs"].shape)
+        elif isinstance(layers["meta"]["labels"], dict):
+            _edit_meta(data, layers["meta"])
     _write_layers(root, layers)
 
     got = _load_outcome(root)  # any other exception fails the test
+    if got is None:  # a map that loads writes back the meta.json it was read from
+        save_map(load_map(root), root.with_name("resaved"))
+        resaved = (root.with_name("resaved") / "meta.json").read_text(encoding="utf-8")
+        assert json.loads(resaved) == layers["meta"]
     oracle = property(lambda raster: ndimage_room_summary(raster.labels))
     with patch.object(RoomLabelRaster, "_room_summary", oracle):
         assert got == _load_outcome(root)

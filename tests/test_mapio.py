@@ -144,6 +144,16 @@ class TestRoundTrip:
         with pytest.raises(MapFormatError, match="expected a string"):
             load_map(tmp_path / "m")
 
+    @pytest.mark.parametrize("key", [" 1", "1 ", "01", "+1", "1_0", "١", "1.0", "0x1", "one", ""])
+    def test_label_key_not_written_as_saved_is_format_error(self, tmp_path, key):
+        # int() reads the first six keys (as 1, or 10 for "1_0"); save_map writes only str(label)
+        save_map(gt_semantic_map(1), tmp_path / "m")
+        meta = json.loads((tmp_path / "m" / "meta.json").read_text())
+        meta["labels"][key] = meta["labels"].pop("1")
+        (tmp_path / "m" / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(MapFormatError, match="meta.json"):
+            load_map(tmp_path / "m")
+
     def test_graph_version_true_is_format_error(self):
         doc = json.loads(graph_to_json(fig_office_map().graph))
         doc["version"] = True

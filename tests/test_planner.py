@@ -3,12 +3,15 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semnav.discovery import CooccurrenceTable, DiscoveryResponse, HttpOracle, MockOracle
 from semnav.errors import MapConsistencyError, OracleParseError, ValidationError
 from semnav.graph import GoalQuery
-from semnav.metric import MetricPoint
+from semnav.metric import GridIndex, MetricPoint, grid_shortest_path
 from semnav.planner import (
     FAIL_DISCOVERY,
     FAIL_INVALID_GOAL,
@@ -24,13 +27,14 @@ from semnav.planner import (
 )
 
 from mapfactory import (
+    BLOCK,
     adjacency_dict,
     fig_office_map,
     graph_from_edges,
     random_graph_edges,
     strip_map,
 )
-from oracles import enumerate_min_cost
+from oracles import enumerate_min_cost, per_cell_refine
 
 
 @pytest.fixture
@@ -477,3 +481,32 @@ class TestRefine:
         cells = [pinched.costmap.world_to_grid(p) for p in out.result.waypoints]
         crossed = [c for c in cells if pinched.costmap.cells[c.row, c.col] == 253]
         assert crossed
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        resolution=st.sampled_from([0.025, 0.05, 0.1, 1 / 3]),
+        origin=st.tuples(*[st.sampled_from([-3.7, 12.35, 0.0, -1000 / 3])] * 2),
+        data=st.data(),
+    )
+    def test_waypoints_equal_per_cell_oracle(self, n, resolution, origin, data):
+        rooms = [(f"room_{i}", "office") for i in range(n)]
+        objects = [(f"desk_{i}", "desk", f"room_{i}") for i in range(n)]
+        edges = [(f"room_{i}", f"room_{i + 1}", 1.0) for i in range(n - 1)]
+        costs = data.draw(arrays(np.uint8, (BLOCK, n * BLOCK), elements=st.integers(0, 252)))
+        m = strip_map(rooms, objects, edges, resolution=resolution, origin=origin, costs=costs)
+        start = data.draw(st.integers(0, n - 1))
+        goal = data.draw(st.sampled_from([*m.graph.rooms, *m.graph.objects]))
+        path = dijkstra(m.graph, f"room_{start}", goal)
+        cell = GridIndex(*(data.draw(st.integers(0, BLOCK - 1)) for _ in "cr"))
+        start_point = m.costmap.grid_to_world(cell._replace(col=cell.col + start * BLOCK))
+
+        got = refine_to_metric(m, path, start_point)
+        assert all(type(p) is MetricPoint and type(p.x) is type(p.y) is float for p in got)
+        want = per_cell_refine(m, path, start_point)
+        assert [(p.x.hex(), p.y.hex()) for p in got] == [(p.x.hex(), p.y.hex()) for p in want]
+
+        ends = [GridIndex(*(data.draw(st.integers(0, k - 1)) for k in (n * BLOCK, BLOCK)))]
+        ends.append(GridIndex(*(data.draw(st.integers(0, k - 1)) for k in (n * BLOCK, BLOCK))))
+        leg, _ = grid_shortest_path(m.costmap, *ends)
+        assert all(type(c) is GridIndex and type(c.col) is type(c.row) is int for c in leg)
