@@ -81,6 +81,8 @@ def _plan(m, args) -> tuple[planner.PlanOutcome, int]:
     print(f"planning failed: {outcome.failure_reason}", file=sys.stderr)
     if outcome.failure_reason in (planner.FAIL_INVALID_START, planner.FAIL_INVALID_GOAL):
         return outcome, EXIT_INVALID_INPUT
+    if outcome.failure_reason == planner.FAIL_NO_METRIC_ROUTE:
+        return outcome, EXIT_INCONSISTENT
     return outcome, EXIT_PLAN_FAILURE
 
 

@@ -28,6 +28,13 @@ no second search. Nothing is cached on the grid.
 The window graph has a fixed degree, a node per cell and 8 moves per node; a
 move at a closed cell or off the window weighs inf, and Dijkstra never takes it.
 scipy is imported by the functions that search, so loading a map needs numpy only.
+
+Per search, the set-up is small: the factor tables and their halves (inf at
+closed values) are built once, at import, and shared read-only, so a window's
+halved factors are one np.take; the start-goal distance is float math; the
+ellipse fills two preallocated buffers. What each call still pays is scipy's
+csr_array construction and dijkstra wrapper, about 60 us of a 4x5 window's
+130-140 us on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -302,19 +309,43 @@ def costs_to_pixels(costs: np.ndarray) -> np.ndarray:
 
 # (drow, dcol) of the 8 moves, in the order each node's CSR row lists them.
 _MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+_MOVE_ROWS = np.array([drow for drow, _ in _MOVES], dtype=np.int32)
+_MOVE_COLS = np.array([dcol for _, dcol in _MOVES], dtype=np.int32)
+_MOVE_STEPS = np.array([SQRT2 if drow and dcol else 1.0 for drow, dcol in _MOVES])
 
 # Slack, in cells, of the first search ellipse beyond the octile distance
 # from start to goal.
 _FIRST_SLACK = 2.0
 
 
-def factor_table(allow_inscribed: bool = False) -> np.ndarray:
-    """Traversal factor per cell value; -1 marks untraversable values."""
+def _tables(allow_inscribed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (factors, halves) per cell value: the traversal factor, -1
+    where untraversable, and half of it, inf where untraversable."""
     factors = np.full(256, -1.0)
     factors[:253] = 1.0 + np.arange(253) / 128.0
     if allow_inscribed:
         factors[COST_INSCRIBED] = INSCRIBED_FACTOR
-    return factors
+    # halving is exact, so 0.5 * f_a + 0.5 * f_b == 0.5 * (f_a + f_b) bit for bit
+    halves = np.where(factors < 0, np.inf, 0.5 * factors)
+    factors.setflags(write=False)
+    halves.setflags(write=False)
+    return factors, halves
+
+
+# each indexed by allow_inscribed
+_FACTOR_TABLES, _HALF_TABLES = zip(_tables(False), _tables(True))
+
+
+def factor_table(allow_inscribed: bool = False) -> np.ndarray:
+    """Traversal factor per cell value; -1 marks untraversable values. The
+    table is shared and read-only."""
+    return _FACTOR_TABLES[allow_inscribed]
+
+
+def _octile_distance(a: GridIndex, b: GridIndex) -> float:
+    """Octile distance in cells between two cells, in the float operations of _octile."""
+    drow, dcol = abs(a.row - b.row), abs(a.col - b.col)
+    return max(drow, dcol) + (SQRT2 - 1.0) * min(drow, dcol)
 
 
 def grid_shortest_path(
@@ -323,6 +354,7 @@ def grid_shortest_path(
     goal: GridIndex,
     *,
     allow_inscribed: bool = False,
+    as_arrays: bool = False,
 ) -> tuple[list[GridIndex], float]:
     """Minimum-cost 8-connected path between two traversable cells.
 
@@ -341,7 +373,8 @@ def grid_shortest_path(
     The cost is the exact minimum, bit for bit. Among equal-cost paths the
     one returned is csgraph's deterministic choice for the window searched.
 
-    Returns (path, cost) with path endpoints equal to start/goal. Raises
+    Returns (path, cost) with path endpoints equal to start/goal; with
+    as_arrays, path is (cols, rows), two int arrays, not a GridIndex list. Raises
     GridBoundsError for endpoints outside the grid, ValidationError for
     untraversable endpoints, and UnreachableError when no route exists.
     """
@@ -350,29 +383,40 @@ def grid_shortest_path(
     for name, idx in (("start", start), ("goal", goal)):
         if not g.in_bounds(idx):
             raise GridBoundsError(f"{name} {idx} outside {g.width}x{g.height} grid")
-    factors = factor_table(allow_inscribed)
+    halves = _HALF_TABLES[allow_inscribed]
     for name, idx in (("start", start), ("goal", goal)):
-        if factors[g.cells[idx.row, idx.col]] < 0:
+        if halves[g.cells[idx.row, idx.col]] == math.inf:
             raise ValidationError(f"{name} cell {idx} is untraversable")
 
-    direct = float(_octile(start.row - goal.row, start.col - goal.col))
+    direct = _octile_distance(start, goal)
     span = direct + _FIRST_SLACK
     grid = (slice(0, g.height), slice(0, g.width))
     while True:
         top, left, inside = ellipse(grid, start, goal, span)
-        f = factors[g.cells[top : top + inside.shape[0], left : left + inside.shape[1]]]
-        f[~inside] = -1.0
-        dist, pred = window_search(f, g.resolution, (start.row - top, start.col - left))
-        row, col = goal.row - top, goal.col - left
-        cost = float(dist[row, col])
+        height, width = inside.shape
+        # the window's halved factors in a ring of inf, inf outside the ellipse
+        half = np.full((height + 2, width + 2), np.inf)
+        inner = half[1:-1, 1:-1]
+        # clip never acts (a cell value indexes the 256 entries), but unlike
+        # the default it lets take write into out without a buffer
+        np.take(halves, g.cells[top : top + height, left : left + width], out=inner, mode="clip")
+        inner[~inside] = np.inf
+        source = (start.row - top) * width + start.col - left
+        dist, pred = _ring_search(half, g.resolution, source)
+        v = (goal.row - top) * width + goal.col - left
+        cost = float(dist[v])
         if cost / g.resolution + 1.0 <= span:
-            flat, v = [], row * f.shape[1] + col
+            flat = []
             while v >= 0:  # pred is negative at the start
                 flat.append(v)
                 v = pred.item(v)
-            rows, cols = np.divmod(np.array(flat[::-1]), f.shape[1])
+            rows, cols = np.divmod(np.array(flat[::-1]), width)
+            cols += left
+            rows += top
+            if as_arrays:
+                return (cols, rows), cost
             # tuple.__new__ skips the namedtuple's Python-level __new__ per cell
-            cells = zip((cols + left).tolist(), (rows + top).tolist())
+            cells = zip(cols.tolist(), rows.tolist())
             return list(map(tuple.__new__, repeat(GridIndex), cells)), cost
         if cost < math.inf:
             span = cost / g.resolution + 1.0
@@ -393,23 +437,27 @@ def ellipse(box: tuple[slice, slice], start: GridIndex, goal: GridIndex, span: f
     sum of at least direct + 2 * (sqrt(2) - 1) * k, as each term grows by at
     least sqrt(2) - 1 per step away from both foci. The + 1 absorbs rounding.
     """
-    direct = float(_octile(start.row - goal.row, start.col - goal.col))
+    direct = _octile_distance(start, goal)
     reach = math.ceil((span - direct) / (2.0 * (SQRT2 - 1.0))) + 1
     top = max(box[0].start, min(start.row, goal.row) - reach)
     left = max(box[1].start, min(start.col, goal.col) - reach)
     rows = np.arange(top, min(box[0].stop, max(start.row, goal.row) + reach + 1))[:, None]
-    cols = np.arange(left, min(box[1].stop, max(start.col, goal.col) + reach + 1))[None, :]
-    inside = _octile(rows - start.row, cols - start.col)
-    inside += _octile(rows - goal.row, cols - goal.col)
-    inside = inside <= span
+    cols = np.arange(left, min(box[1].stop, max(start.col, goal.col) + reach + 1))
+    total = np.empty((rows.size, cols.size))
+    term = np.empty_like(total)
+    _octile(rows - start.row, cols - start.col, total)
+    total += _octile(rows - goal.row, cols - goal.col, term)
+    inside = total <= span
     r = np.flatnonzero(inside.any(axis=1))
     c = np.flatnonzero(inside.any(axis=0))
     return top + int(r[0]), left + int(c[0]), inside[r[0] : r[-1] + 1, c[0] : c[-1] + 1]
 
 
-def _octile(drow: np.ndarray, dcol: np.ndarray) -> np.ndarray:
+def _octile(drow: np.ndarray, dcol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max + (sqrt(2) - 1) * min of |drow| and |dcol|, broadcast, as floats; into out if given."""
     drow, dcol = np.abs(drow), np.abs(dcol)
-    return np.maximum(drow, dcol) + (SQRT2 - 1.0) * np.minimum(drow, dcol)
+    low = np.multiply(np.minimum(drow, dcol, out=out, dtype=float), SQRT2 - 1.0, out=out)
+    return np.add(np.maximum(drow, dcol), low, out=out)
 
 
 def window_search(f: np.ndarray, resolution: float, source: tuple[int, int]):
@@ -420,46 +468,65 @@ def window_search(f: np.ndarray, resolution: float, source: tuple[int, int]):
     cell (r, c), inf where unreached; pred[r, c] is the flat row-major index
     of the cell before it on that path, negative at source and where unreached.
     """
-    from scipy.sparse.csgraph import dijkstra
-
-    flat = np.ravel_multi_index(source, f.shape)
-    dist, pred = dijkstra(_window_graph(f, resolution), indices=flat, return_predecessors=True)
+    dist, pred = _ring_search(_halved_ring(f), resolution, source[0] * f.shape[1] + source[1])
     return dist.reshape(f.shape), pred.reshape(f.shape)
 
 
-def _window_graph(f, resolution):
-    """CSR graph of the 8-connected moves over every cell of a window.
-
-    Node r * width + c is cell (r, c); row v lists v's 8 moves in _MOVES order.
-    A move weighs step * (0.5 * (f_a + f_b)), or inf at a closed cell (f < 0)
-    and off the window, where it points back at v. csgraph never relaxes an inf
-    edge, and open cells list their open neighbours in the same order as in a
-    graph of the open cells alone: the search matches that graph's bit for bit.
-
-    Each move's weights are one add of two shifted slices of the halved factors,
-    held in an inf ring, and one multiply by the per-move steps scales all
-    eight; the targets are node + offset for all moves in one broadcast.
-    """
-    from scipy.sparse import csr_array
-
-    height, width = f.shape
-    n = height * width
-    # halving is exact, so 0.5 * f_a + 0.5 * f_b == 0.5 * (f_a + f_b) bit for bit
-    half = np.full((height + 2, width + 2), np.inf)
+def _halved_ring(f: np.ndarray) -> np.ndarray:
+    """0.5 * f, inf at closed cells (f < 0), in a one-cell ring of inf."""
+    half = np.full((f.shape[0] + 2, f.shape[1] + 2), np.inf)
     inner = half[1:-1, 1:-1]
     np.multiply(f, 0.5, out=inner)
     inner[f < 0] = np.inf  # faster than a where= mask when closed cells are scattered
+    return half
+
+
+def _ring_search(half: np.ndarray, resolution: float, source: int):
+    """Flat (dist, pred) of window_search, from flat cell index source, over the
+    window whose halved factors half holds in its inf ring."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(_ring_graph(half, resolution), indices=source, return_predecessors=True)
+
+
+def _window_graph(f, resolution):
+    """CSR graph of the 8-connected moves over every cell of a window of factors f."""
+    return _ring_graph(_halved_ring(f), resolution)
+
+
+def _ring_graph(half, resolution):
+    """CSR graph of the 8-connected moves over every cell of a window, from the
+    window's halved factors (inf at closed cells) held in a one-cell inf ring.
+
+    Node r * width + c is cell (r, c); row v lists v's 8 moves in _MOVES order.
+    A move weighs step * (0.5 * (f_a + f_b)), or inf at a closed cell and off
+    the window, where it points back at v. csgraph never relaxes an inf edge,
+    and open cells list their open neighbours in the same order as in a graph
+    of the open cells alone: the search matches that graph's bit for bit.
+
+    Each move's weights are one add of two shifted slices of the ring, and one
+    multiply by the per-move steps scales all eight; the targets are
+    node + offset for all moves in one broadcast, and the moves off each edge
+    are pointed back by basic slices.
+    """
+    from scipy.sparse import csr_array
+
+    height, width = half.shape[0] - 2, half.shape[1] - 2
+    n = height * width
+    inner = half[1:-1, 1:-1]
     weights = np.empty((height, width, len(_MOVES)))
     for k, (drow, dcol) in enumerate(_MOVES):
         moved = half[1 + drow : 1 + drow + height, 1 + dcol : 1 + dcol + width]
         np.add(inner, moved, out=weights[..., k])
-    weights *= [resolution * SQRT2 if drow and dcol else resolution for drow, dcol in _MOVES]
+    weights *= resolution * _MOVE_STEPS
     node = np.arange(n, dtype=np.int32).reshape(height, width, 1)
-    indices = node + np.array([drow * width + dcol for drow, dcol in _MOVES], dtype=np.int32)
-    # the moves off the top, bottom, left and right edges (by _MOVES order) point back
-    indices[:1, :, :3] = node[:1]
-    indices[-1:, :, 5:] = node[-1:]
-    indices[:, :1, [0, 3, 5]] = node[:, :1]
-    indices[:, -1:, [2, 4, 7]] = node[:, -1:]
+    indices = node + (_MOVE_ROWS * width + _MOVE_COLS)
+    # the moves off the top and bottom rows, and the left and right columns
+    # (by _MOVES order), point back
+    indices[0, :, :3] = node[0]
+    indices[-1, :, 5:] = node[-1]
+    left, right = node[:, 0, 0], node[:, -1, 0]
+    indices[:, 0, 0] = indices[:, 0, 3] = indices[:, 0, 5] = left
+    indices[:, -1, 2] = indices[:, -1, 4] = indices[:, -1, 7] = right
     indptr = np.arange(0, len(_MOVES) * n + 1, len(_MOVES), dtype=np.int32)
     return csr_array((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))

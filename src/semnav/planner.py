@@ -19,7 +19,7 @@ import heapq
 import numbers
 import time
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -43,6 +43,9 @@ FAIL_NO_ROUTE = "no-route"
 FAIL_DISCOVERY = "discovery-failed"
 FAIL_INVALID_START = "invalid-start"
 FAIL_INVALID_GOAL = "invalid-goal"
+# the room route has no cell-level realization on the costmap: the map's
+# layers disagree, though each one loaded cleanly
+FAIL_NO_METRIC_ROUTE = "no-metric-route"
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,9 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
 
     An oracle that fails, returns a malformed payload or breaks the
     DiscoveryResponse contract gives a "discovery-failed" PlanOutcome, like
-    any other planning failure, rather than an exception.
+    any other planning failure, rather than an exception; so does a refined
+    route that refine_to_metric cannot realize on the costmap
+    ("no-metric-route").
     """
     t0 = time.perf_counter()
 
@@ -196,7 +201,12 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
         return done(failure=FAIL_NO_ROUTE)
     best = replace(best, mode=mode)
     if request.refine_metric:
-        waypoints = refine_to_metric(m, best, start_point, allow_inscribed=request.allow_inscribed)
+        try:
+            waypoints = refine_to_metric(
+                m, best, start_point, allow_inscribed=request.allow_inscribed
+            )
+        except MapConsistencyError:
+            return done(failure=FAIL_NO_METRIC_ROUTE)
         best = replace(best, waypoints=waypoints)
     return done(result=best)
 
@@ -235,24 +245,23 @@ def refine_to_metric(
         anchors.append(edge.portal)
     anchors.append(m.costmap.world_to_grid(MetricPoint(*goal_point)))
 
-    cells: list[GridIndex] = []
+    cols, rows = [], []
     for i, (src, dst) in enumerate(zip(anchors, anchors[1:])):
         room = rooms[min(i, len(rooms) - 1)]
         try:
-            segment, _ = grid_shortest_path(
-                m.costmap, src, dst, allow_inscribed=allow_inscribed
+            (c, r), _ = grid_shortest_path(
+                m.costmap, src, dst, allow_inscribed=allow_inscribed, as_arrays=True
             )
         except (UnreachableError, ValidationError) as exc:
             raise MapConsistencyError(
                 f"room {room!r}: cannot realize graph path on the costmap: {exc}"
             ) from exc
-        cells.extend(segment[1:] if cells else segment)
+        keep = slice(1 if cols else 0, None)  # each joint cell once
+        cols.append(c[keep])
+        rows.append(r[keep])
     # each cell's center as CostmapGrid.grid_to_world computes it, in the same
     # float operations over arrays; every cell is on the grid, as the search found it.
-    # fromiter: np.array over a list of namedtuples is several times slower.
     g = m.costmap
-    flat = np.fromiter(chain.from_iterable(cells), np.int64, 2 * len(cells))
-    cols, rows = flat.reshape(-1, 2).T
-    xs = (g.origin_x + (cols + 0.5) * g.resolution).tolist()
-    ys = (g.origin_y + (rows + 0.5) * g.resolution).tolist()
+    xs = (g.origin_x + (np.concatenate(cols) + 0.5) * g.resolution).tolist()
+    ys = (g.origin_y + (np.concatenate(rows) + 0.5) * g.resolution).tolist()
     return tuple(map(tuple.__new__, repeat(MetricPoint), zip(xs, ys)))

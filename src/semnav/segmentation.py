@@ -410,8 +410,9 @@ def _merge_regions(
 
 def _compact_labels(labels: np.ndarray) -> np.ndarray:
     """Renumber labels 1..K in order of first appearance in row-major scan."""
-    values, first = np.unique(labels, return_index=True)
-    first, values = first[values > 0], values[values > 0]
+    # over the labelled cells only (a seed raster is almost all zeros); they
+    # keep scan order, so first still orders the labels by first appearance
+    values, first = np.unique(labels[labels != 0], return_index=True)
     # wider than a room raster only for a seed raster of over 65535 seeds
     lut = np.zeros(int(labels.max()) + 1, dtype=np.uint16 if values.size < 2**16 else np.uint32)
     lut[values[np.argsort(first)]] = np.arange(1, values.size + 1)

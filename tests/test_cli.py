@@ -346,6 +346,59 @@ class TestPlan:
         assert all(len(p) == 2 for p in waypoints)
 
 
+def _portal_in_a_wall(map_dir, broken):
+    """Copy the map, free one lethal cell enclosed by lethal cells and point
+    the first edge's portal at it: the map loads, but no cell-level route
+    reaches that portal. Returns the first edge's two room ids."""
+    import numpy as np
+    from scipy import ndimage
+
+    from semnav.metric import read_pgm, write_pgm
+
+    shutil.copytree(map_dir, broken)
+    costs, _ = read_pgm(broken / "costmap.pgm")
+    enclosed = ndimage.binary_erosion(costs == 254, structure=np.ones((3, 3)))
+    row, col = (int(v) for v in np.argwhere(enclosed)[0])
+    costs[row, col] = 0
+    write_pgm(broken / "costmap.pgm", costs)
+    doc = json.loads((broken / "graph.json").read_text())
+    edge = doc["edges"][0]
+    edge["portal"] = [col, row]
+    (broken / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
+    return edge["a"], edge["b"]
+
+
+class TestUnrealizableRoute:
+    """A room route whose portal no cell-level route reaches is a planning
+    failure of the map's consistency: plan() reports it, the CLI exits 3."""
+
+    def test_plan_reports_no_metric_route(self, map_dir, tmp_path):
+        from dataclasses import replace
+
+        from semnav import mapio, planner
+        from semnav.graph import GoalQuery
+
+        start, goal = _portal_in_a_wall(map_dir, tmp_path / "broken")
+        m = mapio.load_map(tmp_path / "broken")
+        request = planner.PlanRequest(start=start, goal=GoalQuery(goal), refine_metric=True)
+        outcome = planner.plan(m, request)
+        assert outcome.result is None
+        assert outcome.failure_reason == planner.FAIL_NO_METRIC_ROUTE
+        # the room route alone is still found
+        assert planner.plan(m, replace(request, refine_metric=False)).ok
+
+    @pytest.mark.parametrize("command", ["plan", "render"])
+    def test_cli_exits_3(self, map_dir, tmp_path, command):
+        start, goal = _portal_in_a_wall(map_dir, tmp_path / "broken")
+        args = ["--map", str(tmp_path / "broken"), "--start", start, "--goal", goal, "--refine"]
+        if command == "render":
+            args += ["--out", str(tmp_path / "out.svg")]
+        result = run_cli(command, *args)
+        assert result.returncode == 3, result.stderr
+        assert "no-metric-route" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestOfficeScenario:
     def test_plan_desk_from_office_routes_through_corridor(self, tmp_path):
         from semnav.mapio import save_map

@@ -368,6 +368,19 @@ class TestGridShortestPath:
         p2, c2 = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
         assert p1 == p2 and c1 == c2
 
+    def test_as_arrays_gives_the_same_cells(self):
+        g = random_costmap(random.Random(77))
+        path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
+        (cols, rows), same = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19), as_arrays=True)
+        assert [GridIndex(c, r) for c, r in zip(cols.tolist(), rows.tolist())] == path
+        assert same == cost
+
+    def test_factor_tables_are_shared_and_read_only(self):
+        for allow_inscribed in (False, True):
+            table = metric.factor_table(allow_inscribed)
+            assert table is metric.factor_table(allow_inscribed)
+            assert not table.flags.writeable
+
     def test_concurrent_searches_share_one_grid(self):
         rng = random.Random(13)
         g = random_costmap(rng)
@@ -443,17 +456,18 @@ class TestWindowedSearchExactness:
         g = long_detour_grid()
         start, goal = GridIndex(5, 2), GridIndex(19, 2)
         windows = []
-        search = metric.window_search
+        search = metric._ring_search
 
-        def spy(f, resolution, source):
-            dist, pred = search(f, resolution, source)
+        def spy(half, resolution, source):
+            dist, pred = search(half, resolution, source)
             # the window's first cell lies at start - source in the grid
-            cost = float(dist[goal.row - start.row + source[0], goal.col - start.col + source[1]])
+            width = half.shape[1] - 2  # half holds the window in a one-cell ring
+            cost = float(dist[source + (goal.row - start.row) * width + goal.col - start.col])
             windows.append(cost if cost < math.inf else None)
             return dist, pred
 
         monkeypatch.setattr(metric, "_FIRST_SLACK", 1.0)
-        monkeypatch.setattr(metric, "window_search", spy)
+        monkeypatch.setattr(metric, "_ring_search", spy)
         path, cost = grid_shortest_path(g, start, goal)
         assert cost == brute_grid_dijkstra(g, start, goal)
         # First ellipse and its fourfold slack: no tunnel, no path. The next

@@ -16,6 +16,7 @@ from semnav.planner import (
     FAIL_DISCOVERY,
     FAIL_INVALID_GOAL,
     FAIL_INVALID_START,
+    FAIL_NO_METRIC_ROUTE,
     FAIL_NO_ROUTE,
     MODE_DISCOVERY,
     MODE_MULTI_TARGET,
@@ -474,8 +475,7 @@ class TestRefine:
             meta=fig_map.meta,
         )
         blocked = PlanRequest(start="office_1", goal=GoalQuery("desk_1"), refine_metric=True)
-        with pytest.raises(MapConsistencyError):
-            plan(pinched, blocked)
+        assert plan(pinched, blocked).failure_reason == FAIL_NO_METRIC_ROUTE
         out = plan(pinched, replace(blocked, allow_inscribed=True))
         assert out.ok and out.result.waypoints
         cells = [pinched.costmap.world_to_grid(p) for p in out.result.waypoints]
