@@ -78,7 +78,8 @@ def _plan(m, args) -> tuple[planner.PlanOutcome, int]:
     outcome = planner.plan(m, request, _make_oracle(args))
     if outcome.ok:
         return outcome, EXIT_OK
-    print(f"planning failed: {outcome.failure_reason}", file=sys.stderr)
+    detail = f": {outcome.detail}" if outcome.detail else ""
+    print(f"planning failed: {outcome.failure_reason}{detail}", file=sys.stderr)
     if outcome.failure_reason in (planner.FAIL_INVALID_START, planner.FAIL_INVALID_GOAL):
         return outcome, EXIT_INVALID_INPUT
     if outcome.failure_reason == planner.FAIL_NO_METRIC_ROUTE:

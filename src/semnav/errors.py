@@ -35,7 +35,7 @@ class UnreachableError(SemnavError):
 
     Kept distinct from ValidationError: an unreachable goal is a fact about
     the costmap, not a caller bug. The planner's metric refinement reports it
-    as a MapConsistencyError, since the room graph promised a route.
+    as an UnrealizableRouteError, since the room graph promised a route.
     """
 
 
@@ -60,3 +60,7 @@ class MapConsistencyError(SemnavError):
     def __init__(self, message: str, violations=()):
         super().__init__(message)
         self.violations = list(violations)
+
+
+class UnrealizableRouteError(MapConsistencyError):
+    """A room route has a leg that no cell-level route on the costmap realizes."""

@@ -31,7 +31,7 @@ scipy is imported by the functions that search, so loading a map needs numpy onl
 
 Per search, the set-up is small: the factor tables and their halves (inf at
 closed values) are built once, at import, and shared read-only, so a window's
-halved factors are one np.take; the start-goal distance is float math; the
+halved factors are one table lookup; the start-goal distance is float math; the
 ellipse fills two preallocated buffers. What each call still pays is scipy's
 csr_array construction and dijkstra wrapper, about 60 us of a 4x5 window's
 130-140 us on a 2-vCPU VM.
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -354,8 +353,7 @@ def grid_shortest_path(
     goal: GridIndex,
     *,
     allow_inscribed: bool = False,
-    as_arrays: bool = False,
-) -> tuple[list[GridIndex], float]:
+) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """Minimum-cost 8-connected path between two traversable cells.
 
     The search runs on the octile ellipse E(span), the cells v with
@@ -373,9 +371,9 @@ def grid_shortest_path(
     The cost is the exact minimum, bit for bit. Among equal-cost paths the
     one returned is csgraph's deterministic choice for the window searched.
 
-    Returns (path, cost) with path endpoints equal to start/goal; with
-    as_arrays, path is (cols, rows), two int arrays, not a GridIndex list. Raises
-    GridBoundsError for endpoints outside the grid, ValidationError for
+    Returns ((cols, rows), cost): the path's column and row indices, two int
+    arrays from start to goal; GridIndex(cols[i], rows[i]) is its i-th cell.
+    Raises GridBoundsError for endpoints outside the grid, ValidationError for
     untraversable endpoints, and UnreachableError when no route exists.
     """
     start = GridIndex(*start)
@@ -397,9 +395,7 @@ def grid_shortest_path(
         # the window's halved factors in a ring of inf, inf outside the ellipse
         half = np.full((height + 2, width + 2), np.inf)
         inner = half[1:-1, 1:-1]
-        # clip never acts (a cell value indexes the 256 entries), but unlike
-        # the default it lets take write into out without a buffer
-        np.take(halves, g.cells[top : top + height, left : left + width], out=inner, mode="clip")
+        inner[...] = halves[g.cells[top : top + height, left : left + width]]
         inner[~inside] = np.inf
         source = (start.row - top) * width + start.col - left
         dist, pred = _ring_search(half, g.resolution, source)
@@ -411,13 +407,7 @@ def grid_shortest_path(
                 flat.append(v)
                 v = pred.item(v)
             rows, cols = np.divmod(np.array(flat[::-1]), width)
-            cols += left
-            rows += top
-            if as_arrays:
-                return (cols, rows), cost
-            # tuple.__new__ skips the namedtuple's Python-level __new__ per cell
-            cells = zip(cols.tolist(), rows.tolist())
-            return list(map(tuple.__new__, repeat(GridIndex), cells)), cost
+            return (cols + left, rows + top), cost
         if cost < math.inf:
             span = cost / g.resolution + 1.0
         elif inside.size == g.cells.size and inside.all():

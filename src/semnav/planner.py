@@ -29,6 +29,7 @@ from .errors import (
     MapConsistencyError,
     SemnavError,
     UnreachableError,
+    UnrealizableRouteError,
     ValidationError,
 )
 from .graph import GoalQuery, SemanticGraph, normalize_label
@@ -71,6 +72,7 @@ class PlanOutcome:
     result: SemanticPath | None
     failure_reason: str | None = None
     wall_time: float = 0.0  # milliseconds
+    detail: str | None = None  # what the failure reason alone does not say
 
     @property
     def ok(self) -> bool:
@@ -157,13 +159,13 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
     DiscoveryResponse contract gives a "discovery-failed" PlanOutcome, like
     any other planning failure, rather than an exception; so does a refined
     route that refine_to_metric cannot realize on the costmap
-    ("no-metric-route").
+    ("no-metric-route", with the room and the cause as detail).
     """
     t0 = time.perf_counter()
 
-    def done(result=None, failure=None):
+    def done(result=None, failure=None, detail=None):
         wall = (time.perf_counter() - t0) * 1000.0
-        return PlanOutcome(result=result, failure_reason=failure, wall_time=wall)
+        return PlanOutcome(result=result, failure_reason=failure, wall_time=wall, detail=detail)
 
     resolved = resolve_start(m, request.start)
     if resolved is None:
@@ -205,8 +207,8 @@ def plan(m: SemanticMap, request: PlanRequest, oracle=None) -> PlanOutcome:
             waypoints = refine_to_metric(
                 m, best, start_point, allow_inscribed=request.allow_inscribed
             )
-        except MapConsistencyError:
-            return done(failure=FAIL_NO_METRIC_ROUTE)
+        except UnrealizableRouteError as exc:
+            return done(failure=FAIL_NO_METRIC_ROUTE, detail=str(exc))
         best = replace(best, waypoints=waypoints)
     return done(result=best)
 
@@ -223,8 +225,8 @@ def refine_to_metric(
     Concatenates grid shortest-path segments start -> portal -> ... -> goal;
     adjacent segments share their joint cell, and every waypoint is the
     center of a traversable cell. Unreachability inside a room means the
-    graph and raster disagree, reported as a consistency error naming the
-    room.
+    graph and raster disagree, reported as an UnrealizableRouteError naming
+    the room; a path over rooms no edge joins is a MapConsistencyError.
     """
     graph = m.graph
     rooms = [n for n in path.nodes if n in graph.rooms]
@@ -249,11 +251,9 @@ def refine_to_metric(
     for i, (src, dst) in enumerate(zip(anchors, anchors[1:])):
         room = rooms[min(i, len(rooms) - 1)]
         try:
-            (c, r), _ = grid_shortest_path(
-                m.costmap, src, dst, allow_inscribed=allow_inscribed, as_arrays=True
-            )
+            (c, r), _ = grid_shortest_path(m.costmap, src, dst, allow_inscribed=allow_inscribed)
         except (UnreachableError, ValidationError) as exc:
-            raise MapConsistencyError(
+            raise UnrealizableRouteError(
                 f"room {room!r}: cannot realize graph path on the costmap: {exc}"
             ) from exc
         keep = slice(1 if cols else 0, None)  # each joint cell once

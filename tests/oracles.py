@@ -507,6 +507,12 @@ def open_cell_costs(f, resolution, source):
     return np.where(node >= 0, dist[node], np.inf)
 
 
+def path_cells(path) -> list[GridIndex]:
+    """grid_shortest_path's (cols, rows) arrays as a list of int GridIndex cells."""
+    cols, rows = path
+    return [GridIndex(c, r) for c, r in zip(cols.tolist(), rows.tolist())]
+
+
 def per_cell_refine(m, path, start_point, allow_inscribed: bool = False):
     """Waypoints for a room path, one cell at a time. Reference for
     planner.refine_to_metric's bulk conversion: the same legs through
@@ -522,5 +528,6 @@ def per_cell_refine(m, path, start_point, allow_inscribed: bool = False):
     cells = []
     for src, dst in zip(anchors, anchors[1:]):
         leg, _ = grid_shortest_path(g, src, dst, allow_inscribed=allow_inscribed)
+        leg = path_cells(leg)
         cells.extend(leg[1:] if cells else leg)
     return tuple(g.grid_to_world(cell) for cell in cells)

@@ -384,6 +384,7 @@ class TestUnrealizableRoute:
         outcome = planner.plan(m, request)
         assert outcome.result is None
         assert outcome.failure_reason == planner.FAIL_NO_METRIC_ROUTE
+        assert "cannot realize graph path on the costmap" in outcome.detail
         # the room route alone is still found
         assert planner.plan(m, replace(request, refine_metric=False)).ok
 
@@ -396,6 +397,10 @@ class TestUnrealizableRoute:
         result = run_cli(command, *args)
         assert result.returncode == 3, result.stderr
         assert "no-metric-route" in result.stderr
+        # the failing leg's room and the search's cause are still reported
+        assert "cannot realize graph path on the costmap" in result.stderr
+        assert "no traversable route" in result.stderr
+        assert any(f"room {room!r}" in result.stderr for room in (start, goal))
         assert "Traceback" not in result.stderr
 
 

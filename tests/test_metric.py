@@ -27,7 +27,7 @@ from semnav.metric import (
 )
 
 from conftest import grid_from_ascii
-from oracles import brute_grid_dijkstra, open_cell_costs, open_cell_search
+from oracles import brute_grid_dijkstra, open_cell_costs, open_cell_search, path_cells
 
 
 def write_meta(path, extra=""):
@@ -228,12 +228,13 @@ class TestGridShortestPath:
     def test_identity(self):
         g = grid_from_ascii("...\n...\n...")
         path, cost = grid_shortest_path(g, GridIndex(1, 1), GridIndex(1, 1))
-        assert path == [GridIndex(1, 1)]
+        assert path_cells(path) == [GridIndex(1, 1)]
         assert cost == 0.0
 
     def test_diagonal_across_free_grid(self):
         g = grid_from_ascii("\n".join(["." * 5] * 5))
         path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 4))
+        path = path_cells(path)
         assert cost == pytest.approx(4 * math.sqrt(2), rel=1e-12)
         assert path[0] == GridIndex(0, 0) and path[-1] == GridIndex(4, 4)
         assert len(path) == 5
@@ -262,7 +263,7 @@ class TestGridShortestPath:
             """
         )
         path, _ = grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 4))
-        assert all(g.cells[c.row, c.col] < 253 for c in path)
+        assert all(g.cells[c.row, c.col] < 253 for c in path_cells(path))
 
     def test_untraversable_endpoint_raises_validation(self):
         g = grid_from_ascii("..#")
@@ -292,7 +293,7 @@ class TestGridShortestPath:
             grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0))
         path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0), allow_inscribed=True)
         assert cost == 4.0  # factor 3.0 averaged with free on both steps
-        assert GridIndex(1, 0) in path
+        assert GridIndex(1, 0) in path_cells(path)
 
     def test_unknown_cells_never_traversed(self):
         cells = np.array([[0, 255, 0]], dtype=np.uint8)
@@ -329,7 +330,7 @@ class TestGridShortestPath:
         rng = random.Random(5)
         g = random_costmap(rng, width=15, height=15)
         path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(14, 14))
-        on_path = set(path)
+        on_path = set(path_cells(path))
         cells = np.array(g.cells)
         blocked = 0
         for row in range(15):
@@ -366,14 +367,7 @@ class TestGridShortestPath:
         g = random_costmap(rng)
         p1, c1 = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
         p2, c2 = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
-        assert p1 == p2 and c1 == c2
-
-    def test_as_arrays_gives_the_same_cells(self):
-        g = random_costmap(random.Random(77))
-        path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
-        (cols, rows), same = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19), as_arrays=True)
-        assert [GridIndex(c, r) for c, r in zip(cols.tolist(), rows.tolist())] == path
-        assert same == cost
+        assert path_cells(p1) == path_cells(p2) and c1 == c2
 
     def test_factor_tables_are_shared_and_read_only(self):
         for allow_inscribed in (False, True):
@@ -389,7 +383,7 @@ class TestGridShortestPath:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(run, range(16)))
         costs = {cost for _, cost in results}
-        paths = {tuple(path) for path, _ in results}
+        paths = {tuple(path_cells(path)) for path, _ in results}
         assert len(costs) == 1 and len(paths) == 1
 
 
@@ -446,6 +440,7 @@ class TestWindowedSearchExactness:
                 path, cost = None, None
         assert cost == expected
         if path is not None:
+            path = path_cells(path)
             assert path[0] == start and path[-1] == goal
             for a, b in zip(path, path[1:]):
                 assert max(abs(a.col - b.col), abs(a.row - b.row)) == 1
@@ -475,7 +470,7 @@ class TestWindowedSearchExactness:
         # for any path that cheap, takes the free tunnel.
         assert len(windows) == 4 and windows[:2] == [None, None]
         assert windows[3] == cost < windows[2]
-        assert GridIndex(12, 20) in path
+        assert GridIndex(12, 20) in path_cells(path)
 
     @settings(max_examples=200, deadline=None)
     @given(

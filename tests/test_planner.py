@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semnav.discovery import CooccurrenceTable, DiscoveryResponse, HttpOracle, MockOracle
-from semnav.errors import MapConsistencyError, OracleParseError, ValidationError
+from semnav import planner
+from semnav.errors import (
+    MapConsistencyError,
+    OracleParseError,
+    UnrealizableRouteError,
+    ValidationError,
+)
 from semnav.graph import GoalQuery
 from semnav.metric import GridIndex, MetricPoint, grid_shortest_path
 from semnav.planner import (
@@ -22,6 +28,7 @@ from semnav.planner import (
     MODE_MULTI_TARGET,
     MODE_TARGETED,
     PlanRequest,
+    SemanticPath,
     dijkstra,
     plan,
     refine_to_metric,
@@ -446,8 +453,18 @@ class TestRefine:
             meta=fig_map.meta,
         )
         path = dijkstra(broken.graph, "office_1", "desk_1")
-        with pytest.raises(MapConsistencyError):
+        with pytest.raises(UnrealizableRouteError, match="room 'corridor_1'"):
             refine_to_metric(broken, path, broken.graph.rooms["office_1"].centroid)
+
+    def test_room_path_off_the_graph_is_not_a_planning_outcome(self, fig_map, monkeypatch):
+        # a room path over rooms no edge joins is a fault of the room search,
+        # so plan() lets it raise instead of reporting "no-metric-route"
+        bogus = SemanticPath(nodes=("office_1", "office_3", "desk_1"), graph_cost=7.0)
+        monkeypatch.setattr(planner, "dijkstra", lambda *args: bogus)
+        request = PlanRequest(start="office_1", goal=GoalQuery("desk_1"), refine_metric=True)
+        with pytest.raises(MapConsistencyError, match="not connected by an edge") as info:
+            plan(fig_map, request)
+        assert not isinstance(info.value, UnrealizableRouteError)
 
     def test_wall_time_recorded(self, fig_map):
         out = plan(fig_map, PlanRequest(start="office_1", goal=GoalQuery("desk")))
@@ -508,5 +525,6 @@ class TestRefine:
 
         ends = [GridIndex(*(data.draw(st.integers(0, k - 1)) for k in (n * BLOCK, BLOCK)))]
         ends.append(GridIndex(*(data.draw(st.integers(0, k - 1)) for k in (n * BLOCK, BLOCK))))
-        leg, _ = grid_shortest_path(m.costmap, *ends)
-        assert all(type(c) is GridIndex and type(c.col) is type(c.row) is int for c in leg)
+        (cols, rows), _ = grid_shortest_path(m.costmap, *ends)
+        assert cols.dtype.kind == rows.dtype.kind == "i" and cols.shape == rows.shape
+        assert (cols[0], rows[0]) == ends[0] and (cols[-1], rows[-1]) == ends[1]
