@@ -19,6 +19,9 @@ MapConsistencyError carrying every violation (CLI exit 3).
 
 Reading, judging and rendering a map need numpy only: room boxes and room
 component counts come from RoomLabelRaster's row runs, not scipy.ndimage.
+Most rows repeat the row above, so each layer caches its metric.kept_rows, and
+the row-run table, the labeled-free count and the SVG rectangles read those
+rows only, each standing for the equal rows below it.
 """
 
 from __future__ import annotations
@@ -129,7 +132,11 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
             )
         )
 
-    n = np.count_nonzero(labels[m.costmap.cells >= COST_INSCRIBED])
+    # each row of either layer's kept rows stands for itself and the equal rows below it
+    rows = np.union1d(m.costmap.kept_rows, m.raster.kept_rows)
+    blocked = m.costmap.cells[rows] >= COST_INSCRIBED
+    per_row = np.count_nonzero(blocked & (labels[rows] != 0), axis=1)
+    n = int(per_row @ np.diff(rows, append=m.costmap.height))
     if n:
         out.append(Violation("raster", "labeled-free", f"{n} labeled cell(s) not free"))
 
@@ -452,18 +459,18 @@ def _rect_runs(values: np.ndarray):
             yield int(v), c, r, c1 - c, r1 - r
 
 
-def _squeezed_rect_runs(values: np.ndarray, classes: np.ndarray | None = None):
+def _squeezed_rect_runs(values: np.ndarray, rows: np.ndarray, classes: np.ndarray | None = None):
     """_rect_runs of classes[values] (of values if classes is None), squeezed.
 
-    Each row equal to the row above and each column equal to the column to
-    its left is dropped, the greedy runs on what is left, and each rectangle
-    is mapped back through the kept rows' and columns' starts. Rows or
-    columns equal in values are equal in classes, so the class table is
-    applied to the squeezed array only. A band of zero rows or columns at
-    the border squeezes to one, so the greedy needs no crop to the nonzero
-    cells.
+    rows is metric.kept_rows(values), which each layer caches, so the rows
+    are compared once per load, not once per render. Each row equal to the
+    row above and each column equal to the column to its left is dropped,
+    the greedy runs on what is left, and each rectangle is mapped back
+    through the kept rows' and columns' starts. Rows or columns equal in
+    values are equal in classes, so the class table is applied to the
+    squeezed array only. A band of zero rows or columns at the border
+    squeezes to one, so the greedy needs no crop to the nonzero cells.
     """
-    rows = np.flatnonzero(np.r_[True, (values[1:] != values[:-1]).any(axis=1)])
     kept = values[rows]
     cols = np.flatnonzero(np.r_[True, (kept[:, 1:] != kept[:, :-1]).any(axis=0)])
     small = kept[:, cols]
@@ -507,7 +514,7 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
     ]
 
     parts.append('<g class="costmap">\n')
-    for v, col, row, w, h in _squeezed_rect_runs(g.cells, _COST_CLASS):
+    for v, col, row, w, h in _squeezed_rect_runs(g.cells, g.kept_rows, _COST_CLASS):
         x, y, rw, rh = cell_rect(col, row, w, h)
         color = _COST_COLORS[v]
         parts.append(
@@ -521,7 +528,7 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
     id_to_label = {rid: label for label, rid in m.room_labels.items()}
     # one label's greedy rectangles depend only on its own cells
     fills: dict[int, list] = {}
-    for label, *rect in _squeezed_rect_runs(m.raster.labels):
+    for label, *rect in _squeezed_rect_runs(m.raster.labels, m.raster.kept_rows):
         fills.setdefault(label, []).append(rect)
     for room in rooms_sorted:
         label = id_to_label.get(room.id)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, MapConsistencyError, ValidationError
 from .graph import RoomEdge, UNCATEGORIZED, normalize_label
 from .metric import (
-    COST_INSCRIBED, SQRT2, CostmapGrid, GridIndex, ellipse, factor_table,
+    COST_INSCRIBED, SQRT2, CostmapGrid, GridIndex, ellipse, factor_table, kept_rows,
     read_text_lines, window_search,
 )
 
@@ -51,7 +51,10 @@ class RoomLabelRaster:
 
     boxes and components come from one table of the raster's row runs. A run
     is a maximal stretch of one nonzero label within one row, held as its
-    label and its flat [start, end) range in the row-major raster.
+    label and its flat [start, end) range in the row-major raster. The table
+    is built over kept_rows only: a row equal to the row above joins only its
+    own copy, so dropping it changes no component count, and each box is
+    mapped back through the kept rows' starts.
     """
 
     width: int
@@ -101,6 +104,11 @@ class RoomLabelRaster:
         return self._room_summary[1]
 
     @cached_property
+    def kept_rows(self) -> np.ndarray:
+        """kept_rows(labels), computed once per raster."""
+        return kept_rows(self.labels)
+
+    @cached_property
     def _room_summary(self) -> tuple[list[tuple[slice, slice] | None], dict[int, int]]:
         """boxes and components, from the row runs; the runs are not kept.
 
@@ -110,7 +118,8 @@ class RoomLabelRaster:
         Same-label pairs are joined in a union-find, and a label's component
         count is the number of its runs left as roots.
         """
-        flat, width = self.labels.reshape(-1), self.width
+        rows, width = self.kept_rows, self.width
+        flat = self.labels[rows].reshape(-1)
         if not flat.any():
             return [], {}
         cut = np.empty(flat.size, dtype=bool)
@@ -127,10 +136,11 @@ class RoomLabelRaster:
         first = np.flatnonzero(np.diff(sorted_label, prepend=0))  # labels are > 0
         last = np.append(first[1:], label.size) - 1
         present = sorted_label[first]
-        rows = starts // width
-        top, bottom = rows[order[first]], rows[order[last]] + 1
-        left = np.minimum.reduceat((starts - rows * width)[order], first)
-        right = np.maximum.reduceat((ends - rows * width)[order], first)
+        run_row = starts // width
+        row_at = np.append(rows, self.height)  # kept row i covers row_at[i]:row_at[i + 1]
+        top, bottom = row_at[run_row[order[first]]], row_at[run_row[order[last]] + 1]
+        left = np.minimum.reduceat((starts - run_row * width)[order], first)
+        right = np.maximum.reduceat((ends - run_row * width)[order], first)
         boxes = [None] * int(present[-1])
         for k, r0, r1, c0, c1 in zip(*(a.tolist() for a in (present, top, bottom, left, right))):
             boxes[k - 1] = (slice(r0, r1), slice(c0, c1))

@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 from semnav.errors import MapConsistencyError
 from semnav.graph import RoomEdge
 from semnav.metric import (
+    COST_INSCRIBED,
     SQRT2,
     GridIndex,
     MetricPoint,
@@ -161,6 +162,15 @@ def ndimage_room_summary(labels: np.ndarray):
             # the bounding box holds every cell of the region and every path between them
             components[label] = ndimage.label(labels[box] == label, structure=four)[1]
     return boxes, components
+
+
+def labeled_free_count(cells: np.ndarray, labels: np.ndarray) -> int:
+    """Room-labelled cells that are not free, counted over every cell.
+
+    Reference for validate_semantic_map's labeled-free count, which reads
+    each layer's kept rows only.
+    """
+    return int(np.count_nonzero(labels[cells >= COST_INSCRIBED]))
 
 
 def brute_flood(dist: np.ndarray, domain: np.ndarray, seeds: list[np.ndarray]) -> np.ndarray:

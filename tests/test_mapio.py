@@ -1,13 +1,14 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semnav import envgen, mapio
+from semnav import envgen, mapio, metric
 from semnav.errors import MapConsistencyError, MapFormatError
-from semnav.graph import GoalQuery, Violation
+from semnav.graph import GoalQuery, SemanticGraph, Violation
 from semnav.mapio import (
     SemanticMap,
     assemble_map,
@@ -18,12 +19,12 @@ from semnav.mapio import (
     save_map,
     validate_semantic_map,
 )
-from semnav.metric import MetricPoint
+from semnav.metric import CostmapGrid, MetricPoint, kept_rows
 from semnav.planner import PlanRequest, plan
 from semnav.segmentation import RoomLabelRaster
 
 from mapfactory import fig_office_map, strip_map
-from oracles import brute_rect_runs
+from oracles import brute_rect_runs, labeled_free_count
 
 
 def gt_semantic_map(seed, n_rooms=3, resolution=0.1, **kw):
@@ -348,6 +349,58 @@ class TestValidation:
             Violation(f"label {label}", "label-map", "raster label has no room id")
         ]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_labeled_free_count_matches_oracle(self, data):
+        """Rows repeat in one layer only, so the kept rows of the two layers differ."""
+        w = data.draw(st.integers(1, 8))
+        n_rows = data.draw(st.integers(1, 4))
+        reps = data.draw(st.lists(st.integers(1, 5), min_size=n_rows, max_size=n_rows))
+        h = sum(reps)
+        costs = st.sampled_from([0, 0, 90, 252, 253, 254, 255])
+        labels = st.sampled_from([0, 0, 1, 2])
+        repeated, plain = (costs, labels) if data.draw(st.booleans()) else (labels, costs)
+        rows = np.array(data.draw(st.lists(
+            st.lists(repeated, min_size=w, max_size=w), min_size=n_rows, max_size=n_rows
+        )))
+        layers = [
+            np.repeat(rows, reps, axis=0),
+            np.array(data.draw(st.lists(st.lists(plain, min_size=w, max_size=w),
+                                        min_size=h, max_size=h))),
+        ]
+        cells, room_labels = layers if repeated is costs else layers[::-1]
+        m = SemanticMap(
+            costmap=CostmapGrid(width=w, height=h, resolution=1.0, origin_x=0.0,
+                                origin_y=0.0, cells=cells),
+            raster=RoomLabelRaster(width=w, height=h, labels=room_labels),
+            graph=SemanticGraph(),
+        )
+        n = labeled_free_count(cells, room_labels)
+        expected = [Violation("raster", "labeled-free", f"{n} labeled cell(s) not free")]
+        assert [v for v in validate_semantic_map(m) if v.rule == "labeled-free"] == (
+            expected if n else []
+        )
+
+    def test_rows_found_once_per_layer_per_load(self, gt_map, tmp_path, monkeypatch):
+        """load_map, a refined plan and render_svg share each layer's kept rows."""
+        save_map(gt_map, tmp_path / "m")
+        calls = []
+        found = metric.kept_rows
+
+        def spy(values):
+            calls.append(values.shape)
+            return found(values)
+
+        for module in list(sys.modules.values()):  # every semnav module that binds the helper
+            if module.__name__.startswith("semnav") and vars(module).get("kept_rows") is found:
+                monkeypatch.setattr(module, "kept_rows", spy)
+        m = load_map(tmp_path / "m")
+        rooms = sorted(m.graph.rooms)
+        out = plan(m, PlanRequest(start=rooms[0], goal=GoalQuery(rooms[-1]), refine_metric=True))
+        assert out.ok
+        render_svg(m, out.result)
+        assert calls == [m.costmap.cells.shape] * 2
+
 
 def _cells(data, n, n_values):
     return data.draw(st.lists(st.integers(0, n_values), min_size=n, max_size=n))
@@ -404,7 +457,8 @@ class TestRectRuns:
             expected = brute_rect_runs(classes[values])
         else:
             classes, expected = None, brute_rect_runs(values)
-        assert list(mapio._squeezed_rect_runs(values, classes)) == list(expected)
+        rows = kept_rows(values)
+        assert list(mapio._squeezed_rect_runs(values, rows, classes)) == list(expected)
 
     def test_svg_bytes_equal_oracle_render(self, gt_map, monkeypatch):
         rooms = sorted(gt_map.graph.rooms)

@@ -212,6 +212,21 @@ def room_rasters(draw):
     return labels.astype(np.uint16)
 
 
+@st.composite
+def repeated_row_rasters(draw):
+    """uint16 room rasters of up to four distinct rows, each laid down 1-5 times
+    along axis 0 in a drawn order; some have a single row."""
+    w = draw(st.integers(1, 12))
+    values = [0, *draw(st.sets(st.sampled_from([1, 2, 3, 65535]), min_size=1, max_size=3))]
+    n = draw(st.integers(1, 4))
+    rows = np.array(draw(st.lists(
+        st.lists(st.sampled_from(values), min_size=w, max_size=w), min_size=n, max_size=n
+    )))
+    order = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    reps = draw(st.lists(st.integers(1, 5), min_size=len(order), max_size=len(order)))
+    return np.repeat(rows[order], reps, axis=0).astype(np.uint16)
+
+
 U_JOINED_BELOW = np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]])
 RING = np.array([[2, 2, 2, 2], [2, 0, 0, 2], [2, 0, 0, 2], [2, 2, 2, 2]])
 DIAGONAL_ONLY = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
@@ -468,6 +483,34 @@ class TestRoomLabelRaster:
         boxes, components = ndimage_room_summary(raster.labels)
         assert raster.boxes == boxes
         assert raster.components == components
+
+    @settings(max_examples=500, deadline=None)
+    @given(repeated_row_rasters())
+    @example(np.array([[1, 0, 1]], dtype=np.uint16))
+    @example(np.repeat(U_JOINED_BELOW, [3, 1, 2], axis=0).astype(np.uint16))
+    def test_repeated_rows_summary_matches_ndimage(self, labels):
+        h, w = labels.shape
+        raster = RoomLabelRaster(width=w, height=h, labels=labels)
+        changed = [r for r in range(h) if r == 0 or (labels[r] != labels[r - 1]).any()]
+        assert raster.kept_rows.tolist() == changed
+        boxes, components = ndimage_room_summary(raster.labels)
+        assert raster.boxes == boxes
+        assert raster.components == components
+
+    def test_cli_cold_map_summary_matches_ndimage(self):
+        """The benchmark's cold-render map: 12 rooms at 0.025 m, seed 7."""
+        _, gt, _ = envgen.generate(envgen.EnvSpec(seed=7, n_rooms=12, resolution=0.025))
+        boxes, components = ndimage_room_summary(gt.raster.labels)
+        assert len(gt.raster.kept_rows) < gt.raster.height // 10
+        assert gt.raster.boxes == boxes
+        assert gt.raster.components == components
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_raster_without_cells_has_no_rooms(self, shape):
+        raster = RoomLabelRaster(width=shape[1], height=shape[0], labels=np.zeros(shape))
+        assert raster.kept_rows.tolist() == list(range(min(shape[0], 1)))
+        assert raster.boxes == []
+        assert raster.components == {}
 
     @pytest.mark.parametrize(
         "labels, components",
