@@ -19,9 +19,10 @@ MapConsistencyError carrying every violation (CLI exit 3).
 
 Reading, judging and rendering a map need numpy only: room boxes and room
 component counts come from RoomLabelRaster's row runs, not scipy.ndimage.
-Most rows repeat the row above, so each layer caches its metric.kept_rows, and
-the row-run table, the labeled-free count and the SVG rectangles read those
-rows only, each standing for the equal rows below it.
+On generated maps most rows repeat the row above (on an imported scan few
+do), so the room raster caches its metric.kept_rows and the row-run table and
+the SVG rectangles read those rows only, each standing for the equal rows
+below it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .errors import (
 )
 from .graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph, Violation
 from .metric import (
-    COST_INSCRIBED, CostmapGrid, GridIndex, MetricPoint, read_key_value_file, read_pgm, write_pgm
+    COST_INSCRIBED, CostmapGrid, GridIndex, MetricPoint, kept_rows, read_key_value_file,
+    read_pgm, write_pgm,
 )
 from .segmentation import RoomLabelRaster
 
@@ -132,11 +134,7 @@ def validate_semantic_map(m: SemanticMap) -> list[Violation]:
             )
         )
 
-    # each row of either layer's kept rows stands for itself and the equal rows below it
-    rows = np.union1d(m.costmap.kept_rows, m.raster.kept_rows)
-    blocked = m.costmap.cells[rows] >= COST_INSCRIBED
-    per_row = np.count_nonzero(blocked & (labels[rows] != 0), axis=1)
-    n = int(per_row @ np.diff(rows, append=m.costmap.height))
+    n = np.count_nonzero(labels[m.costmap.cells >= COST_INSCRIBED])
     if n:
         out.append(Violation("raster", "labeled-free", f"{n} labeled cell(s) not free"))
 
@@ -462,8 +460,8 @@ def _rect_runs(values: np.ndarray):
 def _squeezed_rect_runs(values: np.ndarray, rows: np.ndarray, classes: np.ndarray | None = None):
     """_rect_runs of classes[values] (of values if classes is None), squeezed.
 
-    rows is metric.kept_rows(values), which each layer caches, so the rows
-    are compared once per load, not once per render. Each row equal to the
+    rows is metric.kept_rows(values); the room raster's are cached, so its
+    rows are compared once per load, not again here. Each row equal to the
     row above and each column equal to the column to its left is dropped,
     the greedy runs on what is left, and each rectangle is mapped back
     through the kept rows' and columns' starts. Rows or columns equal in
@@ -514,7 +512,7 @@ def render_svg(m: SemanticMap, path=None, *, scale: float = 20.0) -> str:
     ]
 
     parts.append('<g class="costmap">\n')
-    for v, col, row, w, h in _squeezed_rect_runs(g.cells, g.kept_rows, _COST_CLASS):
+    for v, col, row, w, h in _squeezed_rect_runs(g.cells, kept_rows(g.cells), _COST_CLASS):
         x, y, rw, rh = cell_rect(col, row, w, h)
         color = _COST_COLORS[v]
         parts.append(

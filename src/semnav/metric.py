@@ -24,8 +24,7 @@ it holds every path no dearer than the one found; its docstring says why that
 gives the same cost as a whole-grid search. segmentation.extract_adjacency
 bounds its per-room searches by the same ellipses, with the room's centroid
 and a portal as foci and a span read off a path known to be open, so it needs
-no second search. The one thing cached on the grid is kept_rows, the rows that
-differ from the row above, which the map check and the renderer read.
+no second search. Nothing is cached on the grid.
 The window graph has a fixed degree, a node per cell and 8 moves per node; a
 move at a closed cell or off the window weighs inf, and Dijkstra never takes it.
 scipy is imported by the functions that search, so loading a map needs numpy only.
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -133,11 +131,6 @@ class CostmapGrid:
             and self.origin_y == other.origin_y
             and np.array_equal(self.cells, other.cells)
         )
-
-    @cached_property
-    def kept_rows(self) -> np.ndarray:
-        """kept_rows(cells), computed once per grid."""
-        return kept_rows(self.cells)
 
     def in_bounds(self, index: GridIndex) -> bool:
         return 0 <= index.col < self.width and 0 <= index.row < self.height

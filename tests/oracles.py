@@ -167,8 +167,7 @@ def ndimage_room_summary(labels: np.ndarray):
 def labeled_free_count(cells: np.ndarray, labels: np.ndarray) -> int:
     """Room-labelled cells that are not free, counted over every cell.
 
-    Reference for validate_semantic_map's labeled-free count, which reads
-    each layer's kept rows only.
+    Reference for validate_semantic_map's labeled-free count.
     """
     return int(np.count_nonzero(labels[cells >= COST_INSCRIBED]))
 

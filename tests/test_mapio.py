@@ -352,7 +352,7 @@ class TestValidation:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_labeled_free_count_matches_oracle(self, data):
-        """Rows repeat in one layer only, so the kept rows of the two layers differ."""
+        """Rows repeat in one layer only, so a count over one layer's kept rows would miss cells."""
         w = data.draw(st.integers(1, 8))
         n_rows = data.draw(st.integers(1, 4))
         reps = data.draw(st.lists(st.integers(1, 5), min_size=n_rows, max_size=n_rows))
@@ -382,7 +382,7 @@ class TestValidation:
         )
 
     def test_rows_found_once_per_layer_per_load(self, gt_map, tmp_path, monkeypatch):
-        """load_map, a refined plan and render_svg share each layer's kept rows."""
+        """load_map, a refined plan and render_svg compare each layer's rows once."""
         save_map(gt_map, tmp_path / "m")
         calls = []
         found = metric.kept_rows
