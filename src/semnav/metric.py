@@ -18,13 +18,16 @@ cells are allowed. Averaging the two endpoint factors keeps the rule symmetric
 length. step_length is resolution for the 4 straight moves and
 resolution*sqrt(2) for the 4 diagonal moves.
 
-grid_shortest_path runs scipy.sparse.csgraph.dijkstra on a CSR graph that
-each call builds over an octile ellipse with foci start and goal, grown until
-it holds every path no dearer than the one found; its docstring says why that
-gives the same cost as a whole-grid search. segmentation.extract_adjacency
-bounds its per-room searches by the same ellipses, with the room's centroid
-and a portal as foci and a span read off a path known to be open, so it needs
-no second search. Nothing is cached on the grid.
+grid_shortest_path runs scipy.sparse.csgraph.dijkstra on a CSR graph built
+over an octile ellipse with foci start and goal, grown until it holds every
+path no dearer than the one found; its docstring says why that gives the same
+cost as a whole-grid search. grid_shortest_paths runs several such searches,
+one per leg of a route, in lockstep: each growth round puts the legs' windows
+side by side in one block-diagonal graph and searches them in one call.
+segmentation.extract_adjacency bounds its per-room searches by the same
+ellipses, with the room's centroid and a portal as foci and a span read off a
+path known to be open, so it needs no second search. Nothing is cached on the
+grid.
 The window graph has a fixed degree, a node per cell and 8 moves per node; a
 move at a closed cell or off the window weighs inf, and Dijkstra never takes it.
 scipy is imported by the functions that search, so loading a map needs numpy only.
@@ -32,14 +35,16 @@ scipy is imported by the functions that search, so loading a map needs numpy onl
 Per search, the set-up is small: the factor tables and their halves (inf at
 closed values) are built once, at import, and shared read-only, so a window's
 halved factors are one table lookup; the start-goal distance is float math; the
-ellipse fills two preallocated buffers. What each call still pays is scipy's
-csr_array construction and dijkstra wrapper, about 60 us of a 4x5 window's
-130-140 us on a 2-vCPU VM.
+ellipse fills two preallocated buffers. scipy's csr_array construction and
+dijkstra wrapper, about 60 us of a 4x5 window's 130-140 us on a 2-vCPU VM, are
+paid once per csgraph call, which grid_shortest_paths shares among the legs
+searched together.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -329,6 +334,10 @@ _MOVE_STEPS = np.array([SQRT2 if drow and dcol else 1.0 for drow, dcol in _MOVES
 # from start to goal.
 _FIRST_SLACK = 2.0
 
+# Most legs x window cells that grid_shortest_paths searches in one csgraph
+# call, whose dist and pred matrices hold one entry per leg and cell.
+_GROUP_ENTRIES = 1 << 16
+
 
 def _tables(allow_inscribed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (factors, halves) per cell value: the traversal factor, -1
@@ -388,45 +397,125 @@ def grid_shortest_path(
     arrays from start to goal; GridIndex(cols[i], rows[i]) is its i-th cell.
     Raises GridBoundsError for endpoints outside the grid, ValidationError for
     untraversable endpoints, and UnreachableError when no route exists.
+    This is grid_shortest_paths with one leg.
     """
-    start = GridIndex(*start)
-    goal = GridIndex(*goal)
-    for name, idx in (("start", start), ("goal", goal)):
-        if not g.in_bounds(idx):
-            raise GridBoundsError(f"{name} {idx} outside {g.width}x{g.height} grid")
-    halves = _HALF_TABLES[allow_inscribed]
-    for name, idx in (("start", start), ("goal", goal)):
-        if halves[g.cells[idx.row, idx.col]] == math.inf:
-            raise ValidationError(f"{name} cell {idx} is untraversable")
+    return next(grid_shortest_paths(g, [(start, goal)], allow_inscribed=allow_inscribed))
 
-    direct = _octile_distance(start, goal)
-    span = direct + _FIRST_SLACK
+
+def grid_shortest_paths(
+    g: CostmapGrid,
+    legs: Iterable[tuple[GridIndex, GridIndex]],
+    *,
+    allow_inscribed: bool = False,
+) -> Iterator[tuple[tuple[np.ndarray, np.ndarray], float]]:
+    """grid_shortest_path for each (start, goal) pair of legs, searched together.
+
+    Yields each leg's ((cols, rows), cost) in leg order. At the first leg
+    with no path it raises what grid_shortest_path raises for that leg, and
+    yields no later leg.
+
+    Each growth round computes every pending leg's ellipse and searches the
+    windows of consecutive legs in one csgraph call, while legs x window
+    cells stays within _GROUP_ENTRIES (a call's dist and pred hold that many
+    entries); a leg over it runs alone. A leg's block of that graph is its
+    one-leg window graph with its node ids shifted, and no edge leaves it, so
+    every leg's spans, path and cost bits are those of its own search. Legs
+    after one known to fail drop out, and a leg whose window is the size of
+    the grid waits until every leg before it is done, so legs after a failing
+    one search no window that size: a failing plan searches grid-sized
+    windows no more often than leg-by-leg searches do.
+    """
+    halves = _HALF_TABLES[allow_inscribed]
+    ends: list[tuple[GridIndex, GridIndex, float]] = []  # (start, goal, direct) per leg checked
+    spans: list[float] = []
+    failure = None
+    for start, goal in legs:
+        start, goal = GridIndex(*start), GridIndex(*goal)
+        try:
+            for name, idx in (("start", start), ("goal", goal)):
+                if not g.in_bounds(idx):
+                    raise GridBoundsError(f"{name} {idx} outside {g.width}x{g.height} grid")
+            for name, idx in (("start", start), ("goal", goal)):
+                if halves[g.cells[idx.row, idx.col]] == math.inf:
+                    raise ValidationError(f"{name} cell {idx} is untraversable")
+        except (GridBoundsError, ValidationError) as exc:
+            failure = exc
+            break
+        direct = _octile_distance(start, goal)
+        ends.append((start, goal, direct))
+        spans.append(direct + _FIRST_SLACK)
+
+    found: list = [None] * len(ends)
+    pending = list(range(len(ends)))
     grid = (slice(0, g.height), slice(0, g.width))
-    while True:
-        top, left, inside = ellipse(grid, start, goal, span)
-        height, width = inside.shape
-        # the window's halved factors in a ring of inf, inf outside the ellipse
-        half = np.full((height + 2, width + 2), np.inf)
-        inner = half[1:-1, 1:-1]
-        inner[...] = halves[g.cells[top : top + height, left : left + width]]
-        inner[~inside] = np.inf
-        source = (start.row - top) * width + start.col - left
-        dist, pred = _ring_search(half, g.resolution, source)
-        v = (goal.row - top) * width + goal.col - left
-        cost = float(dist[v])
-        if cost / g.resolution + 1.0 <= span:
-            flat = []
-            while v >= 0:  # pred is negative at the start
-                flat.append(v)
-                v = pred.item(v)
-            rows, cols = np.divmod(np.array(flat[::-1]), width)
-            return (cols + left, rows + top), cost
-        if cost < math.inf:
-            span = cost / g.resolution + 1.0
-        elif inside.size == g.cells.size and inside.all():
-            raise UnreachableError(f"no traversable route from {start} to {goal}")
-        else:
-            span = direct + 4.0 * (span - direct)
+    while pending:
+        windows = []
+        for i in pending:
+            start, goal, _ = ends[i]
+            top, left, inside = ellipse(grid, start, goal, spans[i])
+            if inside.size == g.cells.size and i != pending[0]:
+                continue  # a window the size of the grid waits for the legs before it
+            height, width = inside.shape
+            # the window's halved factors in a ring of inf, inf outside the ellipse
+            half = np.full((height + 2, width + 2), np.inf)
+            inner = half[1:-1, 1:-1]
+            inner[...] = halves[g.cells[top : top + height, left : left + width]]
+            inner[~inside] = np.inf
+            source = (start.row - top) * width + start.col - left
+            whole = inside.size == g.cells.size and inside.all()
+            windows.append(_Window(i, top, left, width, whole, source, half))
+        for group in _groups(windows):
+            rings = [w.ring for w in group]
+            searched = _ring_search(rings, g.resolution, [w.source for w in group])
+            for (i, top, left, width, whole, _, _), (dist, pred) in zip(group, searched):
+                start, goal, direct = ends[i]
+                v = (goal.row - top) * width + goal.col - left
+                cost = float(dist[v])
+                if cost / g.resolution + 1.0 <= spans[i]:
+                    flat = []
+                    while v >= 0:  # pred is negative at the start
+                        flat.append(v)
+                        v = pred.item(v)
+                    rows, cols = np.divmod(np.array(flat[::-1]), width)
+                    found[i] = (cols + left, rows + top), cost
+                    pending.remove(i)
+                elif cost < math.inf:
+                    spans[i] = cost / g.resolution + 1.0
+                elif whole:  # only the first pending leg searches the whole grid
+                    yield from found[:i]
+                    raise UnreachableError(f"no traversable route from {start} to {goal}")
+                else:
+                    spans[i] = direct + 4.0 * (spans[i] - direct)
+    yield from found
+    if failure is not None:
+        raise failure
+
+
+class _Window(NamedTuple):
+    """One leg's search window in a growth round of grid_shortest_paths."""
+
+    leg: int
+    top: int
+    left: int
+    width: int
+    whole: bool  # the window's ellipse holds every cell of the grid
+    source: int  # the start's flat index in the window
+    ring: np.ndarray  # the window's halved factors in a one-cell inf ring
+
+
+def _groups(windows):
+    """Consecutive runs of windows whose legs x cells stays within
+    _GROUP_ENTRIES; a window over it forms a run of its own."""
+    group, cells = [], 0
+    for window in windows:
+        n = (window.ring.shape[0] - 2) * window.width
+        if group and (len(group) + 1) * (cells + n) > _GROUP_ENTRIES:
+            yield group
+            group, cells = [], 0
+        group.append(window)
+        cells += n
+    if group:
+        yield group
 
 
 def ellipse(box: tuple[slice, slice], start: GridIndex, goal: GridIndex, span: float):
@@ -471,7 +560,9 @@ def window_search(f: np.ndarray, resolution: float, source: tuple[int, int]):
     cell (r, c), inf where unreached; pred[r, c] is the flat row-major index
     of the cell before it on that path, negative at source and where unreached.
     """
-    dist, pred = _ring_search(_halved_ring(f), resolution, source[0] * f.shape[1] + source[1])
+    ((dist, pred),) = _ring_search(
+        [_halved_ring(f)], resolution, [source[0] * f.shape[1] + source[1]]
+    )
     return dist.reshape(f.shape), pred.reshape(f.shape)
 
 
@@ -484,52 +575,70 @@ def _halved_ring(f: np.ndarray) -> np.ndarray:
     return half
 
 
-def _ring_search(half: np.ndarray, resolution: float, source: int):
-    """Flat (dist, pred) of window_search, from flat cell index source, over the
-    window whose halved factors half holds in its inf ring."""
+def _ring_search(rings: list[np.ndarray], resolution: float, sources: list[int]):
+    """Per ring, the flat (dist, pred) of window_search from its flat cell
+    index in sources, over the window whose halved factors it holds in its
+    inf ring: all from one Dijkstra over _ring_graph(rings)."""
     from scipy.sparse.csgraph import dijkstra
 
-    return dijkstra(_ring_graph(half, resolution), indices=source, return_predecessors=True)
+    graph, offsets = _ring_graph(rings, resolution)
+    dist, pred = dijkstra(
+        graph,
+        indices=[a + source for a, source in zip(offsets, sources)],
+        return_predecessors=True,
+    )
+    found = []
+    for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        if a:
+            pred[i, a:b] -= a  # back to flat cell indices in the ring's window
+        found.append((dist[i, a:b], pred[i, a:b]))
+    return found
 
 
-def _window_graph(f, resolution):
-    """CSR graph of the 8-connected moves over every cell of a window of factors f."""
-    return _ring_graph(_halved_ring(f), resolution)
+def _ring_graph(rings: list[np.ndarray], resolution: float):
+    """(graph, offsets): the CSR graph of the 8-connected moves over every cell
+    of each window, from the window's halved factors (inf at closed cells)
+    held in a one-cell inf ring, with window i's cells as nodes offsets[i] up
+    to offsets[i + 1]. No edge joins two windows.
 
+    Node offsets[i] + r * width + c is cell (r, c) of window i; row v lists
+    v's 8 moves in _MOVES order. A move weighs step * (0.5 * (f_a + f_b)), or
+    inf at a closed cell and off the window, where it points back at v.
+    csgraph never relaxes an inf edge, and open cells list their open
+    neighbours in the same order as in a graph of the open cells alone: the
+    search matches that graph's bit for bit.
 
-def _ring_graph(half, resolution):
-    """CSR graph of the 8-connected moves over every cell of a window, from the
-    window's halved factors (inf at closed cells) held in a one-cell inf ring.
-
-    Node r * width + c is cell (r, c); row v lists v's 8 moves in _MOVES order.
-    A move weighs step * (0.5 * (f_a + f_b)), or inf at a closed cell and off
-    the window, where it points back at v. csgraph never relaxes an inf edge,
-    and open cells list their open neighbours in the same order as in a graph
-    of the open cells alone: the search matches that graph's bit for bit.
-
-    Each move's weights are one add of two shifted slices of the ring, and one
-    multiply by the per-move steps scales all eight; the targets are
-    node + offset for all moves in one broadcast, and the moves off each edge
-    are pointed back by basic slices.
+    Each move's weights are one add of two shifted slices of the ring into
+    the window's slice of one (nodes, 8) array, and one multiply by the
+    per-move steps scales all of them; the targets are node + offset for all
+    moves in one broadcast, and the moves off each edge are pointed back by
+    basic slices.
     """
     from scipy.sparse import csr_array
 
-    height, width = half.shape[0] - 2, half.shape[1] - 2
-    n = height * width
-    inner = half[1:-1, 1:-1]
-    weights = np.empty((height, width, len(_MOVES)))
-    for k, (drow, dcol) in enumerate(_MOVES):
-        moved = half[1 + drow : 1 + drow + height, 1 + dcol : 1 + dcol + width]
-        np.add(inner, moved, out=weights[..., k])
+    offsets = [0]
+    for half in rings:
+        offsets.append(offsets[-1] + (half.shape[0] - 2) * (half.shape[1] - 2))
+    n = offsets[-1]
+    weights = np.empty((n, len(_MOVES)))
+    indices = np.empty((n, len(_MOVES)), dtype=np.int32)
+    for half, a, b in zip(rings, offsets, offsets[1:]):
+        height, width = half.shape[0] - 2, half.shape[1] - 2
+        inner = half[1:-1, 1:-1]
+        block = weights[a:b].reshape(height, width, len(_MOVES))
+        for k, (drow, dcol) in enumerate(_MOVES):
+            moved = half[1 + drow : 1 + drow + height, 1 + dcol : 1 + dcol + width]
+            np.add(inner, moved, out=block[..., k])
+        node = np.arange(a, b, dtype=np.int32).reshape(height, width, 1)
+        targets = indices[a:b].reshape(height, width, len(_MOVES))
+        np.add(node, _MOVE_ROWS * width + _MOVE_COLS, out=targets)
+        # the moves off the top and bottom rows, and the left and right columns
+        # (by _MOVES order), point back
+        targets[0, :, :3] = node[0]
+        targets[-1, :, 5:] = node[-1]
+        left, right = node[:, 0, 0], node[:, -1, 0]
+        targets[:, 0, 0] = targets[:, 0, 3] = targets[:, 0, 5] = left
+        targets[:, -1, 2] = targets[:, -1, 4] = targets[:, -1, 7] = right
     weights *= resolution * _MOVE_STEPS
-    node = np.arange(n, dtype=np.int32).reshape(height, width, 1)
-    indices = node + (_MOVE_ROWS * width + _MOVE_COLS)
-    # the moves off the top and bottom rows, and the left and right columns
-    # (by _MOVES order), point back
-    indices[0, :, :3] = node[0]
-    indices[-1, :, 5:] = node[-1]
-    left, right = node[:, 0, 0], node[:, -1, 0]
-    indices[:, 0, 0] = indices[:, 0, 3] = indices[:, 0, 5] = left
-    indices[:, -1, 2] = indices[:, -1, 4] = indices[:, -1, 7] = right
     indptr = np.arange(0, len(_MOVES) * n + 1, len(_MOVES), dtype=np.int32)
-    return csr_array((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
+    return csr_array((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n)), offsets

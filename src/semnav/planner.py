@@ -34,7 +34,7 @@ from .errors import (
 )
 from .graph import GoalQuery, SemanticGraph, normalize_label
 from .mapio import SemanticMap
-from .metric import GridIndex, MetricPoint, grid_shortest_path
+from .metric import GridIndex, MetricPoint, grid_shortest_paths
 
 MODE_DISCOVERY = "discovery"
 MODE_TARGETED = "targeted"
@@ -222,11 +222,12 @@ def refine_to_metric(
 ) -> tuple[MetricPoint, ...]:
     """Realize a graph path as a cell-level waypoint polyline.
 
-    Concatenates grid shortest-path segments start -> portal -> ... -> goal;
-    adjacent segments share their joint cell, and every waypoint is the
-    center of a traversable cell. Unreachability inside a room means the
-    graph and raster disagree, reported as an UnrealizableRouteError naming
-    the room; a path over rooms no edge joins is a MapConsistencyError.
+    Concatenates grid shortest-path segments start -> portal -> ... -> goal,
+    all searched by one grid_shortest_paths call; adjacent segments share
+    their joint cell, and every waypoint is the center of a traversable cell.
+    Unreachability inside a room means the graph and raster disagree,
+    reported as an UnrealizableRouteError naming the room of the first leg
+    with no path; a path over rooms no edge joins is a MapConsistencyError.
     """
     graph = m.graph
     rooms = [n for n in path.nodes if n in graph.rooms]
@@ -248,17 +249,19 @@ def refine_to_metric(
     anchors.append(m.costmap.world_to_grid(MetricPoint(*goal_point)))
 
     cols, rows = [], []
-    for i, (src, dst) in enumerate(zip(anchors, anchors[1:])):
-        room = rooms[min(i, len(rooms) - 1)]
-        try:
-            (c, r), _ = grid_shortest_path(m.costmap, src, dst, allow_inscribed=allow_inscribed)
-        except (UnreachableError, ValidationError) as exc:
-            raise UnrealizableRouteError(
-                f"room {room!r}: cannot realize graph path on the costmap: {exc}"
-            ) from exc
-        keep = slice(1 if cols else 0, None)  # each joint cell once
-        cols.append(c[keep])
-        rows.append(r[keep])
+    legs = grid_shortest_paths(
+        m.costmap, zip(anchors, anchors[1:]), allow_inscribed=allow_inscribed
+    )
+    try:
+        for (c, r), _ in legs:
+            keep = slice(1 if cols else 0, None)  # each joint cell once
+            cols.append(c[keep])
+            rows.append(r[keep])
+    except (UnreachableError, ValidationError) as exc:
+        room = rooms[len(cols)]  # leg i runs through rooms[i]
+        raise UnrealizableRouteError(
+            f"room {room!r}: cannot realize graph path on the costmap: {exc}"
+        ) from exc
     # each cell's center as CostmapGrid.grid_to_world computes it, in the same
     # float operations over arrays; every cell is on the grid, as the search found it.
     g = m.costmap

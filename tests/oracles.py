@@ -452,7 +452,7 @@ def open_cell_graph(f, resolution):
     """CSR graph of the 8-connected moves between a window's open cells (f >= 0),
     and node[r, c]: cell (r, c)'s graph node in row-major order, -1 where closed.
 
-    Reference for metric._window_graph: the open-cell builder it replaced,
+    Reference for metric._ring_graph: the open-cell builder it replaced,
     which lists only the moves between open cells, so its rows vary in length.
     """
     height, width = f.shape

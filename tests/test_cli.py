@@ -346,10 +346,11 @@ class TestPlan:
         assert all(len(p) == 2 for p in waypoints)
 
 
-def _portal_in_a_wall(map_dir, broken):
+def _portal_in_a_wall(map_dir, broken, rooms=None):
     """Copy the map, free one lethal cell enclosed by lethal cells and point
-    the first edge's portal at it: the map loads, but no cell-level route
-    reaches that portal. Returns the first edge's two room ids."""
+    the portal of the edge joining rooms (by default the first edge) at it:
+    the map loads, but no cell-level route reaches that portal. Returns the
+    edge's two room ids."""
     import numpy as np
     from scipy import ndimage
 
@@ -362,7 +363,7 @@ def _portal_in_a_wall(map_dir, broken):
     costs[row, col] = 0
     write_pgm(broken / "costmap.pgm", costs)
     doc = json.loads((broken / "graph.json").read_text())
-    edge = doc["edges"][0]
+    edge = next(e for e in doc["edges"] if rooms is None or {e["a"], e["b"]} == set(rooms))
     edge["portal"] = [col, row]
     (broken / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
     return edge["a"], edge["b"]
@@ -387,6 +388,50 @@ class TestUnrealizableRoute:
         assert "cannot realize graph path on the costmap" in outcome.detail
         # the room route alone is still found
         assert planner.plan(m, replace(request, refine_metric=False)).ok
+
+    def test_first_failing_leg_is_reported_and_ends_the_search(
+        self, map_dir, tmp_path, monkeypatch
+    ):
+        from semnav import mapio, metric, planner
+        from semnav.errors import UnreachableError
+        from semnav.graph import GoalQuery
+
+        m = mapio.load_map(map_dir)
+        ids = sorted(m.graph.rooms)
+        routes = (planner.dijkstra(m.graph, a, b) for a in ids for b in ids)
+        rooms = next(p.nodes for p in routes if p is not None and len(p.nodes) == 3)
+        # the second edge's portal is walled: legs 1 and 2 both end or start there
+        _portal_in_a_wall(map_dir, tmp_path / "broken", rooms[1:])
+        m = mapio.load_map(tmp_path / "broken")
+        grid = m.costmap
+        grid_sized = []
+        search = metric._ring_search
+
+        def spy(rings, resolution, sources):
+            grid_sized.extend(ring.size == (grid.height + 2) * (grid.width + 2) for ring in rings)
+            return search(rings, resolution, sources)
+
+        monkeypatch.setattr(metric, "_ring_search", spy)
+        request = planner.PlanRequest(
+            start=rooms[0], goal=GoalQuery(rooms[2]), refine_metric=True
+        )
+        outcome = planner.plan(m, request)
+        assert outcome.failure_reason == planner.FAIL_NO_METRIC_ROUTE
+        assert outcome.detail.startswith(f"room {rooms[1]!r}: ")
+        assert "no traversable route" in outcome.detail
+        together = sum(grid_sized)
+
+        # the same legs one at a time, up to the first that fails
+        grid_sized.clear()
+        graph = m.graph
+        anchors = [grid.world_to_grid(graph.rooms[rooms[0]].centroid)]
+        anchors += [graph.get_edge(a, b).portal for a, b in zip(rooms, rooms[1:])]
+        anchors.append(grid.world_to_grid(graph.rooms[rooms[2]].centroid))
+        metric.grid_shortest_path(grid, anchors[0], anchors[1])
+        with pytest.raises(UnreachableError):
+            metric.grid_shortest_path(grid, anchors[1], anchors[2])
+        # the failing leg grew to the whole grid; the leg after it did not
+        assert 1 <= together <= sum(grid_sized)
 
     @pytest.mark.parametrize("command", ["plan", "render"])
     def test_cli_exits_3(self, map_dir, tmp_path, command):

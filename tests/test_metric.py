@@ -20,6 +20,7 @@ from semnav.metric import (
     MetricPoint,
     costs_to_pixels,
     grid_shortest_path,
+    grid_shortest_paths,
     load_costmap,
     pixels_to_costs,
     read_pgm,
@@ -415,6 +416,74 @@ def search_cases(draw):
     return grid, start, goal, draw(st.booleans())
 
 
+# Mostly closed cells, so that many legs have no route.
+_WALLED_VALUES = [254] * 6 + [0] * 4 + [64, 253, 255]
+
+
+@st.composite
+def leg_cases(draw):
+    """(grid, legs, allow_inscribed): a small grid and one to five
+    (start, goal) legs. Most endpoints are opened; some keep a closed cell,
+    and some cases move one endpoint off the grid, so legs fail validation as
+    well as find no route."""
+    width = draw(st.integers(2, 12))
+    height = draw(st.integers(2, 12))
+    n = width * height
+    values = draw(st.sampled_from([_CELL_VALUES, _WALLED_VALUES]))
+    cells = np.array(
+        draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=np.uint8
+    ).reshape(height, width)
+    ends = []
+    for _ in range(2 * draw(st.integers(1, 5))):
+        idx = GridIndex(draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
+        if draw(st.integers(0, 7)):  # else keep the cell, open or closed
+            cells[idx.row, idx.col] = min(cells[idx.row, idx.col], 252)
+        ends.append(idx)
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(ends) - 1))
+        ends[i] = GridIndex(width, ends[i].row)
+    grid = CostmapGrid(
+        width=width,
+        height=height,
+        resolution=draw(st.sampled_from([0.05, 0.1, 1.0])),
+        origin_x=0,
+        origin_y=0,
+        cells=cells,
+    )
+    return grid, list(zip(ends[::2], ends[1::2])), draw(st.booleans())
+
+
+class TestLegsSearchedTogether:
+    """grid_shortest_paths against one grid_shortest_path call per leg."""
+
+    @pytest.mark.parametrize("entries", [0, 10**9], ids=["each-leg-alone", "all-legs-together"])
+    @settings(max_examples=200, deadline=None)
+    @given(case=leg_cases(), first_slack=st.sampled_from([0.125, 2.0]))
+    def test_each_leg_matches_its_one_leg_search(self, entries, case, first_slack):
+        g, legs, allow_inscribed = case
+        failures = (GridBoundsError, ValidationError, UnreachableError)
+        with pytest.MonkeyPatch.context() as mp:
+            # a thin first ellipse makes most legs regrow
+            mp.setattr(metric, "_FIRST_SLACK", first_slack)
+            mp.setattr(metric, "_GROUP_ENTRIES", entries)
+            expected = []
+            for start, goal in legs:
+                try:
+                    path, cost = grid_shortest_path(g, start, goal, allow_inscribed=allow_inscribed)
+                except failures as exc:
+                    expected.append((type(exc), str(exc)))
+                    break
+                expected.append((path_cells(path), cost.hex()))
+            found = []
+            try:
+                for path, cost in grid_shortest_paths(g, legs, allow_inscribed=allow_inscribed):
+                    found.append((path_cells(path), cost.hex()))
+            except failures as exc:
+                found.append((type(exc), str(exc)))
+        # every leg up to the first failure, and nothing after it
+        assert found == expected
+
+
 def long_detour_grid():
     """Two free strips split by a 13-cell-thick wall with two tunnels through
     it: a costly one 9 rows from the endpoints, a free one 18 rows away."""
@@ -453,13 +522,14 @@ class TestWindowedSearchExactness:
         windows = []
         search = metric._ring_search
 
-        def spy(half, resolution, source):
-            dist, pred = search(half, resolution, source)
+        def spy(rings, resolution, sources):
+            found = search(rings, resolution, sources)
+            ((dist, pred),), (half,), (source,) = found, rings, sources
             # the window's first cell lies at start - source in the grid
             width = half.shape[1] - 2  # half holds the window in a one-cell ring
             cost = float(dist[source + (goal.row - start.row) * width + goal.col - start.col])
             windows.append(cost if cost < math.inf else None)
-            return dist, pred
+            return found
 
         monkeypatch.setattr(metric, "_FIRST_SLACK", 1.0)
         monkeypatch.setattr(metric, "_ring_search", spy)
@@ -538,7 +608,7 @@ def window_cases(draw):
 
 
 class TestFixedDegreeWindowGraph:
-    """metric._window_graph against the open-cell builder it replaced
+    """metric._ring_graph against the open-cell builder it replaced
     (oracles.open_cell_graph): the same search results, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
@@ -581,7 +651,7 @@ class TestFixedDegreeWindowGraph:
         f, resolution, _, _ = case
         height, width = f.shape
         n = f.size
-        graph = metric._window_graph(f, resolution)
+        graph, _ = metric._ring_graph([metric._halved_ring(f)], resolution)
         assert graph.shape == (n, n)
         assert (np.diff(graph.indptr) == 8).all()
         rows = np.repeat(np.arange(n), 8)
