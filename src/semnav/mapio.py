@@ -429,32 +429,78 @@ def _rect_runs(values: np.ndarray):
     at each unvisited nonzero cell the rectangle takes the longest run of
     equal unvisited cells to its right, then extends down while every cell
     below that run is equal.
-    Reading a row's runs all at once is exact: a rectangle started in a row
-    marks only columns that row's scan has passed, so the runs are those of
-    the row with its visited cells zeroed.
-    The height test need not ask whether a cell below the run is visited:
-    none is yet, since an earlier rectangle covering one would also cover the
-    run's own cell in that row. The height so depends on the values alone,
-    so a row equal to the row above starts and ends no rectangle, and a
-    column equal to its left neighbour holds no rectangle edge. That is why
-    _squeezed_rect_runs may drop such rows and columns before the scan.
+
+    The numpy work is a fixed number of whole-array passes that build a run
+    table: the runs of equal values in each row (every row start is a cut),
+    each run's value, end[r, c] (the last row of the vertical run of equal
+    values through cell (r, c), a reversed minimum.accumulate over rows) and
+    each run's last row, the minimum of end over the run. The Python work is
+    one step per run left to draw, in scan order. It keeps the column
+    intervals that rectangles from the rows above cover in the current row,
+    sorted once per row and walked with a pointer; each lies inside one run,
+    as a rectangle's cells in a row all hold its value. A run no interval
+    touches is one rectangle down to its last row; a run partly covered
+    yields one rectangle per uncovered piece [p, q), down to min(end[r, p:q]).
+
+    Taking each run or piece whole is exact: a rectangle started in a row
+    marks only columns that row's scan has passed, so a row's runs are those
+    of the row with its visited cells zeroed. The height need not ask whether
+    a cell below is visited: none is yet, since an earlier rectangle covering
+    one would also cover the run's own cell in that row. So a height depends
+    on the values alone, which is why end can be computed up front.
+    For the same reason a run with the span and value of a run in the row
+    above is covered whole: the rectangles through that run lie inside its
+    span, and each reaches the row below, whose cells there all equal its
+    value. Such runs are dropped before the loop.
+    It is also why a row equal to the row above starts and ends no
+    rectangle, and a column equal to its left neighbour holds no rectangle
+    edge, so _squeezed_rect_runs may drop such rows and columns first.
     """
-    visited = np.zeros(values.shape, dtype=bool)
-    todo = np.count_nonzero(values, axis=1)  # unvisited nonzero cells per row
-    for r in np.flatnonzero(todo).tolist():
-        if not todo[r]:
-            continue
-        row = np.where(visited[r], 0, values[r])
-        cuts = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), row.size]
-        for c, c1 in zip(cuts[:-1], cuts[1:]):
-            v = row[c]
-            if v == 0:
-                continue
-            stop = (values[r + 1 :, c:c1] != v).any(axis=1)
-            r1 = r + 1 + (int(stop.argmax()) if stop.any() else stop.size)
-            visited[r:r1, c:c1] = True
-            todo[r:r1] -= c1 - c
-            yield int(v), c, r, c1 - c, r1 - r
+    h, w = values.shape
+    if not values.size:
+        return
+    flat = values.ravel()
+    cut = np.empty(flat.size, dtype=bool)  # a run starts at this cell
+    cut[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=cut[1:])
+    cut[::w] = True
+    starts = np.flatnonzero(cut)
+    stops = np.append(starts[1:], flat.size)
+    run_values = flat[starts]
+    below = np.ones(values.shape, dtype=bool)  # the cell below differs or is off the grid
+    np.not_equal(values[1:], values[:-1], out=below[:-1])
+    end = np.where(below, np.arange(h, dtype=np.int32)[:, None], h)
+    np.minimum.accumulate(end[::-1], axis=0, out=end[::-1])
+    run_last = np.minimum.reduceat(end.ravel(), starts)
+    j = np.searchsorted(starts, starts - w, "right") - 1  # the run holding the cell above
+    repeat = (starts >= w) & (starts[j] == starts - w) & (stops[j] == stops - w)
+    todo = (run_values != 0) & ~(repeat & (run_values[j] == run_values))
+    rows, cols = np.divmod(starts[todo], w)
+    stop_cols = cols + (stops - starts)[todo]
+    table = zip(*(a.tolist() for a in (rows, cols, stop_cols, run_values[todo], run_last[todo])))
+    covered: list[tuple[int, int, int]] = []  # (col, stop col, last row), sorted
+    started: list[tuple[int, int, int]] = []  # rectangles started in the current row
+    row = -1
+    for r, c, c1, v, last in table:
+        if r != row:
+            row, k = r, 0
+            covered = sorted(x for x in covered + started if x[2] >= r)
+            started = []
+        while k < len(covered) and covered[k][1] <= c:
+            k += 1
+        pieces, p = [], c
+        while k < len(covered) and covered[k][0] < c1:  # an interval inside this run
+            a, b, _ = covered[k]
+            if p < a:
+                pieces.append((p, a, int(end[r, p:a].min())))
+            p, k = b, k + 1
+        if p == c:
+            pieces.append((c, c1, last))
+        elif p < c1:
+            pieces.append((p, c1, int(end[r, p:c1].min())))
+        started += pieces
+        for p, q, e in pieces:
+            yield v, p, r, q - p, e - r + 1
 
 
 def _squeezed_rect_runs(values: np.ndarray, rows: np.ndarray, classes: np.ndarray | None = None):
@@ -468,6 +514,9 @@ def _squeezed_rect_runs(values: np.ndarray, rows: np.ndarray, classes: np.ndarra
     values are equal in classes, so the class table is applied to the
     squeezed array only. A band of zero rows or columns at the border
     squeezes to one, so the greedy needs no crop to the nonzero cells.
+    The column squeeze removes no run, but it shrinks every whole-array pass
+    of _rect_runs: on a 480k-cell generated map the rows alone squeeze the
+    costmap to 19x1014 cells, the columns then to 19x50.
     """
     kept = values[rows]
     cols = np.flatnonzero(np.r_[True, (kept[:, 1:] != kept[:, :-1]).any(axis=0)])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+from scipy import ndimage
 
 from semnav.graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph, normalize_label
 from semnav.mapio import SemanticMap, assemble_map
-from semnav.metric import CostmapGrid, GridIndex
+from semnav.metric import COST_INSCRIBED, COST_LETHAL, CostmapGrid, GridIndex
 from semnav.segmentation import RoomLabelRaster
 
 BLOCK = 4  # cells per room block
@@ -139,3 +142,33 @@ def adjacency_dict(edges):
     for k in adj:
         adj[k].sort()
     return adj
+
+
+def paint_bands(m: SemanticMap, inscribed_reach=6.0, graded_reach=16.0) -> SemanticMap:
+    """m with inflation bands painted around every lethal cell.
+
+    Cells within inscribed_reach cells of a lethal cell become inscribed;
+    those beyond it and within graded_reach get a graded cost falling from
+    252 to 1 with distance. Cells already costlier keep their cost.
+    """
+    cells = m.costmap.cells.copy()
+    reach = ndimage.distance_transform_edt(cells != COST_LETHAL)
+    painted = cells < COST_INSCRIBED
+    ramp = np.rint(252.0 * (graded_reach - reach) / (graded_reach - inscribed_reach))
+    graded = painted & (reach > inscribed_reach) & (reach <= graded_reach)
+    cells[graded] = np.maximum(cells[graded], np.clip(ramp[graded], 1, 252).astype(np.uint8))
+    cells[painted & (reach <= inscribed_reach)] = COST_INSCRIBED
+    return replace(m, costmap=CostmapGrid(**{**vars(m.costmap), "cells": cells}))
+
+
+def speckle_rows(m: SemanticMap, per_row=2, seed=0) -> SemanticMap:
+    """m with per_row free cells of every row made lethal, as in a noisy scan.
+
+    Few rows then repeat the row above, so a row squeeze keeps nearly all.
+    """
+    rng = np.random.default_rng(seed)
+    cells = m.costmap.cells.copy()
+    for row in cells:
+        free = np.flatnonzero(row == 0)
+        row[rng.choice(free, size=min(per_row, free.size), replace=False)] = COST_LETHAL
+    return replace(m, costmap=CostmapGrid(**{**vars(m.costmap), "cells": cells}))

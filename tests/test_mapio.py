@@ -23,7 +23,7 @@ from semnav.metric import CostmapGrid, MetricPoint, kept_rows
 from semnav.planner import PlanRequest, plan
 from semnav.segmentation import RoomLabelRaster
 
-from mapfactory import fig_office_map, strip_map
+from mapfactory import fig_office_map, paint_bands, speckle_rows, strip_map
 from oracles import brute_rect_runs, labeled_free_count
 
 
@@ -414,6 +414,34 @@ def _blocky(shape, n_values, data):
     return np.kron(coarse, np.ones((-(-h // ch), -(-w // cw)), dtype=int))[:h, :w]
 
 
+def _partly_covered(data):
+    """A layout where rectangles from above cover part of a wider equal run below.
+
+    T and L junctions, staircases and combs of value v over a background,
+    standing on full rows of v, and mirrored left to right half the time.
+    """
+    kind = data.draw(st.sampled_from(["T", "L", "staircase", "comb"]))
+    v, background = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    w = data.draw(st.integers(2, 16))
+    top, base = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    values = np.full((top + base, w), background)
+    values[top:] = v
+    if kind == "T":
+        a = data.draw(st.integers(1, w - 1))
+        values[:top, a : data.draw(st.integers(a + 1, w))] = v
+    elif kind == "L":
+        values[:top, : data.draw(st.integers(1, w - 1))] = v
+    elif kind == "staircase":  # each row's run at least as wide as the row above's
+        stops = sorted(data.draw(st.lists(st.integers(1, w), min_size=top, max_size=top)))
+        for r, c1 in enumerate(stops):
+            values[r, :c1] = v
+    else:  # comb: a tooth on a random set of columns, each from its own row down
+        for c in range(w):
+            if data.draw(st.booleans()):
+                values[data.draw(st.integers(0, top - 1)) : top, c] = v
+    return values[:, ::-1] if data.draw(st.booleans()) else values
+
+
 class TestRectRuns:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -467,6 +495,38 @@ class TestRectRuns:
         fast = render_svg(gt_map, out.result).encode()
         monkeypatch.setattr(mapio, "_rect_runs", brute_rect_runs)
         assert render_svg(gt_map, out.result).encode() == fast
+
+    def test_t_junction_splits_the_run_below(self):
+        values = np.array([[0, 1, 0], [1, 1, 1], [1, 1, 1]])
+        assert list(mapio._rect_runs(values)) == [(1, 1, 0, 1, 3), (1, 0, 1, 1, 2), (1, 2, 1, 1, 2)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_partly_covered_runs_match_oracle(self, data):
+        values = _partly_covered(data)
+        assert list(mapio._rect_runs(values)) == list(brute_rect_runs(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_empty_and_one_line_shapes_match_oracle(self, data):
+        n = data.draw(st.integers(0, 30))
+        shape = data.draw(st.sampled_from([(0, n), (n, 0), (1, n), (n, 1)]))
+        values = np.array(_cells(data, shape[0] * shape[1], 3), dtype=np.int64).reshape(shape)
+        assert list(mapio._rect_runs(values)) == list(brute_rect_runs(values))
+
+    @pytest.mark.parametrize("kind", ["painted", "scan-like"])
+    def test_svg_bytes_equal_oracle_render_off_generator(self, kind, gt_map, monkeypatch):
+        """Maps the generator never makes: graded and inscribed bands, and a scan's speckles."""
+        if kind == "painted":
+            m = paint_bands(gt_semantic_map(7, n_rooms=24, resolution=0.05))
+        else:
+            m = speckle_rows(gt_map)
+            assert kept_rows(m.costmap.cells).size > 0.9 * m.costmap.height
+        fast = render_svg(m).encode()
+        if kind == "painted":  # the graded and inscribed colours are drawn
+            assert b'fill="#b5b5b5"' in fast and b'fill="#6e6e6e"' in fast
+        monkeypatch.setattr(mapio, "_rect_runs", brute_rect_runs)
+        assert render_svg(m).encode() == fast
 
 
 class TestRenderSvg:
