@@ -32,6 +32,27 @@ The window graph has a fixed degree, a node per cell and 8 moves per node; a
 move at a closed cell or off the window weighs inf, and Dijkstra never takes it.
 scipy is imported by the functions that search, so loading a map needs numpy only.
 
+A leg's window is plain, a box of grid rows and columns, or sheared along the
+leg's diagonal: a box of grid rows and of columns v = c - s * r, s = +1 or -1,
+so each window row is a run of its grid row shifted s columns from the row
+above (grid_shortest_paths says which is taken, _reach how far the ellipse
+reaches in each). The results are the same bits in either layout:
+- The open cells are the same: the cells of E(span) on the grid that are
+  traversable. Each window holds all of them and closes every other cell.
+- Each open node lists its open neighbours in the same order, _MOVES order,
+  with the same weights; closed cells never enter csgraph's heap (their pred
+  stays -9999), so only the node numbers differ.
+- Node numbers keep their order. csgraph's dijkstra (scipy 1.17) breaks ties
+  between equal distances by node number: renumbering a window's cells out
+  of row-major order can return another path of equal cost. Both layouts
+  number cells row by row, and along a row by column, so any two open cells
+  compare alike.
+So Dijkstra settles the same cells in the same order with the same
+predecessors, and the path mapped back through c = v + s * r has the same
+cells and cost bits. A shear of rows along columns (u = r - s * c) would hug
+steep legs as closely, but it numbers cells diagonal by diagonal, and on a
+window with tied paths it returns a different one; it is not used.
+
 Per search, the set-up is small: the factor tables and their halves (inf at
 closed values) are built once, at import, and shared read-only, so a window's
 halved factors are one table lookup; the start-goal distance is float math; the
@@ -289,15 +310,16 @@ def load_costmap(image_path, meta_path) -> CostmapGrid:
 
 
 def pixels_to_costs(pixels: np.ndarray, *, free_thresh: int, lethal_thresh: int) -> np.ndarray:
-    """Threshold/rescale 8-bit grayscale pixels into cost values."""
-    p = pixels.astype(np.int64)
+    """Threshold/rescale 8-bit grayscale pixels into cost values, through a
+    table of the cost of each of the 256 pixel values."""
+    p = np.arange(256)
     # Integer linear ramp over the open interval, rounded half-up; the span
     # degenerates when the thresholds leave a single intermediate pixel value.
     span = max(1, free_thresh - lethal_thresh - 2)
     ramp = 1 + ((free_thresh - 1 - p) * 251 + span // 2) // span
     ramp = np.clip(ramp, 1, 252)
-    out = np.where(p >= free_thresh, COST_FREE, np.where(p <= lethal_thresh, COST_LETHAL, ramp))
-    return out.astype(np.uint8)
+    table = np.where(p >= free_thresh, COST_FREE, np.where(p <= lethal_thresh, COST_LETHAL, ramp))
+    return table.astype(np.uint8)[pixels]
 
 
 def costs_to_pixels(costs: np.ndarray) -> np.ndarray:
@@ -327,7 +349,6 @@ def costs_to_pixels(costs: np.ndarray) -> np.ndarray:
 # (drow, dcol) of the 8 moves, in the order each node's CSR row lists them.
 _MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 _MOVE_ROWS = np.array([drow for drow, _ in _MOVES], dtype=np.int32)
-_MOVE_COLS = np.array([dcol for _, dcol in _MOVES], dtype=np.int32)
 _MOVE_STEPS = np.array([SQRT2 if drow and dcol else 1.0 for drow, dcol in _MOVES])
 
 # Slack, in cells, of the first search ellipse beyond the octile distance
@@ -337,6 +358,43 @@ _FIRST_SLACK = 2.0
 # Most legs x window cells that grid_shortest_paths searches in one csgraph
 # call, whose dist and pred matrices hold one entry per leg and cell.
 _GROUP_ENTRIES = 1 << 16
+
+
+class _Layout(NamedTuple):
+    """A window layout: window cell (u, v) is grid cell (r, c) = (u, v + shear * u),
+    so a window row is a run of a grid row, shifted shear columns per row."""
+
+    shear: int  # 0 (plain), 1 or -1
+    pad: int  # columns of inf each side of the window's ring, the most a move shifts
+    moves: tuple[int, ...]  # dv = dcol - shear * drow of each of _MOVES; du = drow
+    move_cols: np.ndarray  # the moves' dv, int32
+    # (rows, cols, moves): the moves (a slice or a tuple of move indices)
+    # that leave the window from its cells [rows, cols], which point back
+    backs: tuple
+
+
+def _layout(shear: int) -> _Layout:
+    moves = tuple(dc - shear * dr for dr, dc in _MOVES)
+    bands: dict[tuple[int, int], list[int]] = {}
+    for k, ((du, _), dv) in enumerate(zip(_MOVES, moves)):
+        for axis, d in ((0, du), (1, dv)):
+            if d:  # the band of |d| rows or columns at the edge the move leaves by
+                bands.setdefault((axis, d), []).append(k)
+    backs = []
+    for (axis, d), ks in bands.items():
+        edge = (0 if d < 0 else -1) if abs(d) == 1 else slice(0, -d) if d < 0 else slice(-d, None)
+        band = (edge, slice(None)) if axis == 0 else (slice(None), edge)
+        contiguous = ks == list(range(ks[0], ks[-1] + 1))
+        backs.append((*band, slice(ks[0], ks[-1] + 1) if contiguous else tuple(ks)))
+    move_cols = np.array(moves, dtype=np.int32)
+    move_cols.setflags(write=False)
+    return _Layout(shear, max(abs(dv) for dv in moves), moves, move_cols, tuple(backs))
+
+
+# by shear: plain, and columns sheared along a leg whose row and column
+# offsets have the same (1) or opposite (-1) signs
+_LAYOUTS = {s: _layout(s) for s in (0, 1, -1)}
+_PLAIN = _LAYOUTS[0]
 
 
 def _tables(allow_inscribed: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -386,12 +444,12 @@ def grid_shortest_path(
     C / resolution + 1 <= span (the extra cell absorbs float rounding).
     Otherwise the search runs again with span = C / resolution + 1, or, if it
     found no path, with four times the slack span - direct, until E(span)
-    covers the grid. The result equals a whole-grid search. E(span) lies in
-    the start-goal box widened by ceil((span - direct) / (2 * (sqrt(2) - 1)))
-    + 1 cells per side (see ellipse).
+    covers the grid. The result equals a whole-grid search. The window that
+    holds E(span) is laid out plain or sheared along the leg's diagonal (see
+    grid_shortest_paths); either way it searches the same cells.
 
     The cost is the exact minimum, bit for bit. Among equal-cost paths the
-    one returned is csgraph's deterministic choice for the window searched.
+    one returned is csgraph's deterministic choice for the cells searched.
 
     Returns ((cols, rows), cost): the path's column and row indices, two int
     arrays from start to goal; GridIndex(cols[i], rows[i]) is its i-th cell.
@@ -414,16 +472,27 @@ def grid_shortest_paths(
     with no path it raises what grid_shortest_path raises for that leg, and
     yields no later leg.
 
-    Each growth round computes every pending leg's ellipse and searches the
-    windows of consecutive legs in one csgraph call, while legs x window
-    cells stays within _GROUP_ENTRIES (a call's dist and pred hold that many
-    entries); a leg over it runs alone. A leg's block of that graph is its
-    one-leg window graph with its node ids shifted, and no edge leaves it, so
-    every leg's spans, path and cost bits are those of its own search. Legs
-    after one known to fail drop out, and a leg whose window is the size of
-    the grid waits until every leg before it is done, so legs after a failing
-    one search no window that size: a failing plan searches grid-sized
-    windows no more often than leg-by-leg searches do.
+    Each growth round lays out every pending leg's window (_window_box) and
+    searches the windows of consecutive legs in one csgraph call, while legs
+    x window cells stays within _GROUP_ENTRIES (a call's dist and pred hold
+    that many entries); a leg over it runs alone. A leg's block of that graph
+    is its one-leg window graph with its node ids shifted, and no edge leaves
+    it, so every leg's spans, path and cost bits are those of its own search.
+    Legs after one known to fail drop out, and a leg whose window is the size
+    of the grid waits until every leg before it is done, so legs after a
+    failing one search no window that size: a failing plan searches
+    grid-sized windows no more often than leg-by-leg searches do.
+
+    A window is a box in one of three layouts (u, v) of the grid: plain,
+    (u, v) = (r, c), or sheared, (r, c - s * r) with s = +1 or -1, whose
+    rows are runs of grid rows shifted s columns per row. A leg's round
+    takes the sheared layout with s = sign(drow * dcol) when its box for
+    E(span) holds fewer cells than the plain box cut to the grid and lies on
+    the grid; a shear runs along the leg's diagonal, so for a diagonal leg
+    its box hugs the ellipse where the plain box holds about a square.
+    Either layout's window holds every cell of E(span) on the grid and opens
+    only those, in the same order; why that gives the same path is in the
+    module docstring.
     """
     halves = _HALF_TABLES[allow_inscribed]
     ends: list[tuple[GridIndex, GridIndex, float]] = []  # (start, goal, direct) per leg checked
@@ -447,29 +516,33 @@ def grid_shortest_paths(
 
     found: list = [None] * len(ends)
     pending = list(range(len(ends)))
-    grid = (slice(0, g.height), slice(0, g.width))
     while pending:
         windows = []
         for i in pending:
-            start, goal, _ = ends[i]
-            top, left, inside = ellipse(grid, start, goal, spans[i])
+            start, goal, direct = ends[i]
+            layout, top, bottom, left, right = _window_box(g, start, goal, spans[i] - direct)
+            top, left, inside = _mask(layout, start, goal, spans[i], top, bottom, left, right)
             if inside.size == g.cells.size and i != pending[0]:
                 continue  # a window the size of the grid waits for the legs before it
             height, width = inside.shape
             # the window's halved factors in a ring of inf, inf outside the ellipse
-            half = np.full((height + 2, width + 2), np.inf)
-            inner = half[1:-1, 1:-1]
-            inner[...] = halves[g.cells[top : top + height, left : left + width]]
+            half = np.full((height + 2, width + 2 * layout.pad), np.inf)
+            inner = half[1:-1, layout.pad : layout.pad + width]
+            inner[...] = halves[_window_cells(g.cells, layout.shear, top, left, height, width)]
             inner[~inside] = np.inf
-            source = (start.row - top) * width + start.col - left
+            source = (start.row - top) * width + start.col - layout.shear * start.row - left
             whole = inside.size == g.cells.size and inside.all()
-            windows.append(_Window(i, top, left, width, whole, source, half))
+            windows.append(_Window(i, layout, top, left, height, width, whole, source, half))
         for group in _groups(windows):
-            rings = [w.ring for w in group]
-            searched = _ring_search(rings, g.resolution, [w.source for w in group])
-            for (i, top, left, width, whole, _, _), (dist, pred) in zip(group, searched):
+            searched = _ring_search(
+                [w.ring for w in group],
+                g.resolution,
+                [w.source for w in group],
+                [w.layout for w in group],
+            )
+            for (i, layout, top, left, _, width, whole, _, _), (dist, pred) in zip(group, searched):
                 start, goal, direct = ends[i]
-                v = (goal.row - top) * width + goal.col - left
+                v = (goal.row - top) * width + goal.col - layout.shear * goal.row - left
                 cost = float(dist[v])
                 if cost / g.resolution + 1.0 <= spans[i]:
                     flat = []
@@ -477,7 +550,11 @@ def grid_shortest_paths(
                         flat.append(v)
                         v = pred.item(v)
                     rows, cols = np.divmod(np.array(flat[::-1]), width)
-                    found[i] = (cols + left, rows + top), cost
+                    rows += top
+                    cols += left
+                    if layout.shear:
+                        cols += layout.shear * rows
+                    found[i] = (cols, rows), cost
                     pending.remove(i)
                 elif cost < math.inf:
                     spans[i] = cost / g.resolution + 1.0
@@ -495,12 +572,14 @@ class _Window(NamedTuple):
     """One leg's search window in a growth round of grid_shortest_paths."""
 
     leg: int
-    top: int
+    layout: _Layout
+    top: int  # the window's first cell is (u, v) = (top, left) in its layout
     left: int
+    height: int
     width: int
     whole: bool  # the window's ellipse holds every cell of the grid
     source: int  # the start's flat index in the window
-    ring: np.ndarray  # the window's halved factors in a one-cell inf ring
+    ring: np.ndarray  # the window's halved factors in its layout's inf ring
 
 
 def _groups(windows):
@@ -508,7 +587,7 @@ def _groups(windows):
     _GROUP_ENTRIES; a window over it forms a run of its own."""
     group, cells = [], 0
     for window in windows:
-        n = (window.ring.shape[0] - 2) * window.width
+        n = window.height * window.width
         if group and (len(group) + 1) * (cells + n) > _GROUP_ENTRIES:
             yield group
             group, cells = [], 0
@@ -518,31 +597,98 @@ def _groups(windows):
         yield group
 
 
+def _reach(slack: float, shear: int = 0) -> int:
+    """How many cells E(direct + slack) reaches past its foci's range of a
+    plain coordinate, r or c, or with shear of a sheared one, c - shear * r.
+
+    A cell k rows or columns outside the foci's box has an octile sum of at
+    least direct + 2 * (sqrt(2) - 1) * k, as each term grows by at least
+    sqrt(2) - 1 per step away from both foci. A sheared coordinate reaches
+    farther: octile(d) is at least (sqrt(2) - 1) * |drow| + |dcol| and at
+    least |drow| + (sqrt(2) - 1) * |dcol|, so bounding one term by each
+    gives an octile sum of at least direct + (2 - sqrt(2)) * t at a cell t
+    past the foci's range of c - s * r. The + 1 absorbs rounding.
+    """
+    return math.ceil(slack / ((2.0 - SQRT2) if shear else (2.0 * (SQRT2 - 1.0)))) + 1
+
+
+def _window_box(g: CostmapGrid, start: GridIndex, goal: GridIndex, slack: float):
+    """(layout, top, bottom, left, right): the layout and box, rows u in
+    [top, bottom) and layout columns v in [left, right), of the fewer cells
+    that hold E(direct + slack) on the grid. Both are cut to the grid's
+    rows; the plain box is cut to its columns too, and the sheared one is
+    taken only if every cell of it lies on the grid. Plain wins ties and
+    takes every grid-sized window."""
+    reach = _reach(slack)
+    top = max(0, min(start.row, goal.row) - reach)
+    bottom = min(g.height, max(start.row, goal.row) + reach + 1)
+    left = max(0, min(start.col, goal.col) - reach)
+    right = min(g.width, max(start.col, goal.col) + reach + 1)
+    cells = (bottom - top) * (right - left)
+    sign = (goal.row - start.row) * (goal.col - start.col)
+    if sign and cells < g.cells.size:
+        s = 1 if sign > 0 else -1
+        skew = _reach(slack, s)
+        a, b = start.col - s * start.row, goal.col - s * goal.row
+        lo, hi = min(a, b) - skew, max(a, b) + skew + 1
+        # each row u's columns c = v + s * u lie on the grid
+        first, last = sorted((s * top, s * (bottom - 1)))
+        if (hi - lo) * (bottom - top) < cells and lo + first >= 0 and hi - 1 + last < g.width:
+            return _LAYOUTS[s], top, bottom, lo, hi
+    return _PLAIN, top, bottom, left, right
+
+
 def ellipse(box: tuple[slice, slice], start: GridIndex, goal: GridIndex, span: float):
     """(top, left, inside): E(span), the cells v with
     octile(start, v) + octile(v, goal) <= span in cells, cut to box (a pair
     of row and column slices of the grid, holding start and goal) and given
     as a mask over its bounding box, whose first cell is (top, left).
-
-    The mask is built over the start-goal box widened by `reach` cells per
-    side: a cell k rows or columns outside the start-goal box has an octile
-    sum of at least direct + 2 * (sqrt(2) - 1) * k, as each term grows by at
-    least sqrt(2) - 1 per step away from both foci. The + 1 absorbs rounding.
     """
-    direct = _octile_distance(start, goal)
-    reach = math.ceil((span - direct) / (2.0 * (SQRT2 - 1.0))) + 1
+    reach = _reach(span - _octile_distance(start, goal))
     top = max(box[0].start, min(start.row, goal.row) - reach)
+    bottom = min(box[0].stop, max(start.row, goal.row) + reach + 1)
     left = max(box[1].start, min(start.col, goal.col) - reach)
-    rows = np.arange(top, min(box[0].stop, max(start.row, goal.row) + reach + 1))[:, None]
-    cols = np.arange(left, min(box[1].stop, max(start.col, goal.col) + reach + 1))
-    total = np.empty((rows.size, cols.size))
+    right = min(box[1].stop, max(start.col, goal.col) + reach + 1)
+    return _mask(_PLAIN, start, goal, span, top, bottom, left, right)
+
+
+def _mask(layout, start, goal, span, top, bottom, left, right):
+    """ellipse over the layout's box of rows [top, bottom) and columns
+    [left, right), which holds start and goal. When sheared, the cells'
+    grid column offsets from a focus are a strided view of one arange."""
+    height, width = bottom - top, right - left
+    total = np.empty((height, width))
     term = np.empty_like(total)
-    _octile(rows - start.row, cols - start.col, total)
-    total += _octile(rows - goal.row, cols - goal.col, term)
+    for focus, out in ((start, total), (goal, term)):
+        rows = np.arange(top - focus.row, bottom - focus.row)[:, None]
+        first = left + layout.shear * top - focus.col
+        _octile(rows, _sheared_range(first, width, height, layout.shear), out)
+    total += term
     inside = total <= span
     r = np.flatnonzero(inside.any(axis=1))
     c = np.flatnonzero(inside.any(axis=0))
     return top + int(r[0]), left + int(c[0]), inside[r[0] : r[-1] + 1, c[0] : c[-1] + 1]
+
+
+def _sheared_range(first: int, width: int, height: int, shear: int) -> np.ndarray:
+    """first + j + shear * i at [i, j], j < width: an arange of width when
+    shear is 0, else a (height, width) strided view of one arange."""
+    if not shear:
+        return np.arange(first, first + width)
+    low = min(0, shear * (height - 1))
+    line = np.arange(first + low, first + low + width + height - 1)
+    size = line.itemsize
+    return np.ndarray((height, width), line.dtype, line, -low * size, (shear * size, size))
+
+
+def _window_cells(cells: np.ndarray, shear: int, top, left, height, width) -> np.ndarray:
+    """The grid cells of a window whose first cell is (u, v) = (top, left)
+    in the layout with shear, as a strided read-only view of cells. Every
+    cell of the window lies on the grid."""
+    row_stride, col_stride = cells.strides
+    offset = top * row_stride + (left + shear * top) * col_stride
+    strides = (row_stride + shear * col_stride, col_stride)
+    return np.ndarray((height, width), cells.dtype, cells, offset, strides)
 
 
 def _octile(drow: np.ndarray, dcol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -575,13 +721,14 @@ def _halved_ring(f: np.ndarray) -> np.ndarray:
     return half
 
 
-def _ring_search(rings: list[np.ndarray], resolution: float, sources: list[int]):
+def _ring_search(rings: list[np.ndarray], resolution: float, sources: list[int], layouts=None):
     """Per ring, the flat (dist, pred) of window_search from its flat cell
     index in sources, over the window whose halved factors it holds in its
-    inf ring: all from one Dijkstra over _ring_graph(rings)."""
+    inf ring, laid out as in layouts (all plain if None): all from one
+    Dijkstra over _ring_graph(rings, resolution, layouts)."""
     from scipy.sparse.csgraph import dijkstra
 
-    graph, offsets = _ring_graph(rings, resolution)
+    graph, offsets = _ring_graph(rings, resolution, layouts)
     dist, pred = dijkstra(
         graph,
         indices=[a + source for a, source in zip(offsets, sources)],
@@ -595,50 +742,53 @@ def _ring_search(rings: list[np.ndarray], resolution: float, sources: list[int])
     return found
 
 
-def _ring_graph(rings: list[np.ndarray], resolution: float):
+def _ring_graph(rings: list[np.ndarray], resolution: float, layouts=None):
     """(graph, offsets): the CSR graph of the 8-connected moves over every cell
     of each window, from the window's halved factors (inf at closed cells)
-    held in a one-cell inf ring, with window i's cells as nodes offsets[i] up
-    to offsets[i + 1]. No edge joins two windows.
+    held in an inf ring one row deep and layout.pad columns wide, laid out
+    as layouts[i] for rings[i] (all plain if None), with window i's cells as
+    nodes offsets[i] up to offsets[i + 1]. No edge joins two windows.
 
-    Node offsets[i] + r * width + c is cell (r, c) of window i; row v lists
-    v's 8 moves in _MOVES order. A move weighs step * (0.5 * (f_a + f_b)), or
-    inf at a closed cell and off the window, where it points back at v.
-    csgraph never relaxes an inf edge, and open cells list their open
-    neighbours in the same order as in a graph of the open cells alone: the
-    search matches that graph's bit for bit.
+    Node offsets[i] + u * width + v is cell (u, v) of window i; row v lists
+    v's 8 grid moves in _MOVES order, a move (drow, dcol) at the window
+    offset (drow, dcol - shear * drow). A move weighs
+    step * (0.5 * (f_a + f_b)), or inf at a closed cell and off the window,
+    where it points back at v. csgraph never relaxes an inf edge.
 
     Each move's weights are one add of two shifted slices of the ring into
     the window's slice of one (nodes, 8) array, and one multiply by the
     per-move steps scales all of them; the targets are node + offset for all
     moves in one broadcast, and the moves off each edge are pointed back by
-    basic slices.
+    basic slices (the layout's backs).
     """
     from scipy.sparse import csr_array
 
+    if layouts is None:
+        layouts = [_PLAIN] * len(rings)
     offsets = [0]
-    for half in rings:
-        offsets.append(offsets[-1] + (half.shape[0] - 2) * (half.shape[1] - 2))
+    for half, layout in zip(rings, layouts):
+        offsets.append(offsets[-1] + (half.shape[0] - 2) * (half.shape[1] - 2 * layout.pad))
     n = offsets[-1]
     weights = np.empty((n, len(_MOVES)))
     indices = np.empty((n, len(_MOVES)), dtype=np.int32)
-    for half, a, b in zip(rings, offsets, offsets[1:]):
-        height, width = half.shape[0] - 2, half.shape[1] - 2
-        inner = half[1:-1, 1:-1]
+    for half, layout, a, b in zip(rings, layouts, offsets, offsets[1:]):
+        pad = layout.pad
+        height, width = half.shape[0] - 2, half.shape[1] - 2 * pad
+        inner = half[1:-1, pad : pad + width]
         block = weights[a:b].reshape(height, width, len(_MOVES))
-        for k, (drow, dcol) in enumerate(_MOVES):
-            moved = half[1 + drow : 1 + drow + height, 1 + dcol : 1 + dcol + width]
+        for k, ((drow, _), dv) in enumerate(zip(_MOVES, layout.moves)):
+            moved = half[1 + drow : 1 + drow + height, pad + dv : pad + dv + width]
             np.add(inner, moved, out=block[..., k])
         node = np.arange(a, b, dtype=np.int32).reshape(height, width, 1)
         targets = indices[a:b].reshape(height, width, len(_MOVES))
-        np.add(node, _MOVE_ROWS * width + _MOVE_COLS, out=targets)
-        # the moves off the top and bottom rows, and the left and right columns
-        # (by _MOVES order), point back
-        targets[0, :, :3] = node[0]
-        targets[-1, :, 5:] = node[-1]
-        left, right = node[:, 0, 0], node[:, -1, 0]
-        targets[:, 0, 0] = targets[:, 0, 3] = targets[:, 0, 5] = left
-        targets[:, -1, 2] = targets[:, -1, 4] = targets[:, -1, 7] = right
+        np.add(node, _MOVE_ROWS * width + layout.move_cols, out=targets)
+        for rows, cols, moves in layout.backs:
+            if type(moves) is slice:
+                targets[rows, cols, moves] = node[rows, cols]
+            else:
+                back = node[rows, cols, 0]
+                for k in moves:
+                    targets[rows, cols, k] = back
     weights *= resolution * _MOVE_STEPS
     indptr = np.arange(0, len(_MOVES) * n + 1, len(_MOVES), dtype=np.int32)
     return csr_array((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n)), offsets

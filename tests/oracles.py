@@ -516,6 +516,37 @@ def open_cell_costs(f, resolution, source):
     return np.where(node >= 0, dist[node], np.inf)
 
 
+def brute_ellipse(height, width, start, goal, span):
+    """(height, width) bool mask: the cells v of the whole grid with
+    octile(start, v) + octile(v, goal) <= span, one cell at a time in Python
+    floats. Reference for metric.ellipse in every layout; start and goal are
+    (col, row) and may lie off the grid."""
+
+    def octile(drow, dcol):
+        drow, dcol = abs(drow), abs(dcol)
+        return max(drow, dcol) + (SQRT2 - 1.0) * min(drow, dcol)
+
+    (c0, r0), (c1, r1) = start, goal
+    mask = np.zeros((height, width), dtype=bool)
+    for r in range(height):
+        for c in range(width):
+            mask[r, c] = octile(r - r0, c - c0) + octile(r1 - r, c1 - c) <= span
+    return mask
+
+
+def pixel_cost(pixel: int, free_thresh: int, lethal_thresh: int) -> int:
+    """Cost of one grayscale pixel by the integer formula of
+    metric.load_costmap's docstring: free at or above free_thresh, lethal at
+    or below lethal_thresh, between them a ramp over 1..252 rounded half-up.
+    Reference for metric.pixels_to_costs."""
+    if pixel >= free_thresh:
+        return 0
+    if pixel <= lethal_thresh:
+        return 254
+    span = max(1, free_thresh - lethal_thresh - 2)
+    return min(252, max(1, 1 + ((free_thresh - 1 - pixel) * 251 + span // 2) // span))
+
+
 def path_cells(path) -> list[GridIndex]:
     """grid_shortest_path's (cols, rows) arrays as a list of int GridIndex cells."""
     cols, rows = path

@@ -407,9 +407,9 @@ class TestUnrealizableRoute:
         grid_sized = []
         search = metric._ring_search
 
-        def spy(rings, resolution, sources):
+        def spy(rings, resolution, sources, layouts):
             grid_sized.extend(ring.size == (grid.height + 2) * (grid.width + 2) for ring in rings)
-            return search(rings, resolution, sources)
+            return search(rings, resolution, sources, layouts)
 
         monkeypatch.setattr(metric, "_ring_search", spy)
         request = planner.PlanRequest(

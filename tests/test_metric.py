@@ -28,7 +28,14 @@ from semnav.metric import (
 )
 
 from conftest import grid_from_ascii
-from oracles import brute_grid_dijkstra, open_cell_costs, open_cell_search, path_cells
+from oracles import (
+    brute_ellipse,
+    brute_grid_dijkstra,
+    open_cell_costs,
+    open_cell_search,
+    path_cells,
+    pixel_cost,
+)
 
 
 def write_meta(path, extra=""):
@@ -138,6 +145,20 @@ class TestPgmLoading:
         assert back[5] == 254
         assert back[4] == 254  # inscribed exported as obstacle
         assert 1 <= back[1] <= 252 and 1 <= back[6] <= 252
+
+
+@pytest.mark.parametrize(
+    "free_thresh, lethal_thresh",
+    [(250, 50), (255, 0), (1, 0), (2, 0), (255, 253), (200, 198), (128, 127), (97, 31)],
+)
+def test_pixel_table_gives_the_formula_for_every_pixel(free_thresh, lethal_thresh):
+    # (200, 198) and (2, 0) leave one intermediate value (the degenerate ramp),
+    # (128, 127) and (1, 0) none
+    pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    costs = pixels_to_costs(pixels, free_thresh=free_thresh, lethal_thresh=lethal_thresh)
+    assert costs.dtype == np.uint8 and costs.shape == pixels.shape
+    expected = [pixel_cost(p, free_thresh, lethal_thresh) for p in range(256)]
+    assert costs.reshape(-1).tolist() == expected
 
 
 class TestCoordinates:
@@ -522,8 +543,8 @@ class TestWindowedSearchExactness:
         windows = []
         search = metric._ring_search
 
-        def spy(rings, resolution, sources):
-            found = search(rings, resolution, sources)
+        def spy(rings, resolution, sources, layouts):
+            found = search(rings, resolution, sources, layouts)
             ((dist, pred),), (half,), (source,) = found, rings, sources
             # the window's first cell lies at start - source in the grid
             width = half.shape[1] - 2  # half holds the window in a one-cell ring
@@ -668,3 +689,153 @@ class TestFixedDegreeWindowGraph:
         assert (np.isinf(weights) | (weights >= resolution)).all()
         closed = (f < 0).reshape(-1)
         assert np.isinf(weights[closed[rows] | closed[cols]]).all()
+
+
+def _grid_cell(layout, u, v):
+    """The grid (row, col) of layout cell (u, v)."""
+    return u, v + layout.shear * u
+
+
+def _ring(f, layout):
+    """f halved, inf at closed cells, in the layout's inf ring: one row deep,
+    layout.pad columns wide."""
+    ring = np.full((f.shape[0] + 2, f.shape[1] + 2 * layout.pad), np.inf)
+    ring[1:-1, layout.pad : -layout.pad] = np.where(f < 0, np.inf, 0.5 * f)
+    return ring
+
+
+def _slacks():
+    """The slack span - direct: 2 (the first ellipse's), any, and an octile
+    length a + b * (sqrt(2) - 1), which cells' sums can meet exactly."""
+    lattice = st.builds(
+        lambda a, b: a + b * (metric.SQRT2 - 1.0), st.integers(0, 12), st.integers(0, 12)
+    )
+    return st.one_of(st.just(2.0), st.floats(0.0, 24.0, allow_nan=False), lattice)
+
+
+_LAYOUTS = sorted(metric._LAYOUTS.values(), key=lambda layout: layout.shear)
+
+
+class TestShearedLayouts:
+    """The plain and sheared window layouts against oracles written in grid
+    coordinates."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24), st.data(), _slacks())
+    def test_ellipse_mask_maps_back_to_the_oracle(self, width, height, data, slack):
+        # foci often on the grid's edge
+        start, goal = (
+            GridIndex(
+                *(
+                    data.draw(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)))
+                    for n in (width, height)
+                )
+            )
+            for _ in range(2)
+        )
+        span = metric._octile_distance(start, goal) + slack
+        # a margin past which no cell is within span (each octile term grows
+        # by at least sqrt(2) - 1 per step away from both foci)
+        pad = math.ceil(slack / (2.0 * (metric.SQRT2 - 1.0))) + 2
+        expected = brute_ellipse(
+            height + 2 * pad,
+            width + 2 * pad,
+            (start.col + pad, start.row + pad),
+            (goal.col + pad, goal.row + pad),
+            span,
+        )
+        for layout in _LAYOUTS:
+            # the foci's rows and layout columns, widened by the documented reaches
+            reach, across = metric._reach(slack), metric._reach(slack, layout.shear)
+            a, b = (p.col - layout.shear * p.row for p in (start, goal))
+            box = (
+                min(start.row, goal.row) - reach,
+                max(start.row, goal.row) + reach + 1,
+                min(a, b) - across,
+                max(a, b) + across + 1,
+            )
+            top, left, inside = metric._mask(layout, start, goal, span, *box)
+            assert inside[0].any() and inside[-1].any()
+            assert inside[:, 0].any() and inside[:, -1].any()
+            placed = np.zeros_like(expected)
+            for i, j in np.argwhere(inside).tolist():
+                r, c = _grid_cell(layout, top + i, left + j)
+                placed[r + pad, c + pad] = True  # raises if a cell fell past the margin
+            assert np.array_equal(placed, expected)
+        # the chosen layout's box lies on the grid and holds the grid's part of E(span)
+        grid = CostmapGrid(width, height, 1.0, 0.0, 0.0, np.zeros((height, width), np.uint8))
+        layout, *box = metric._window_box(grid, start, goal, slack)
+        top, left, inside = metric._mask(layout, start, goal, span, *box)
+        placed = np.zeros((height, width), dtype=bool)
+        for i, j in np.argwhere(inside).tolist():
+            r, c = _grid_cell(layout, top + i, left + j)
+            assert 0 <= r < height and 0 <= c < width
+            placed[r, c] = True
+        assert np.array_equal(placed, expected[pad : pad + height, pad : pad + width])
+
+    @pytest.mark.parametrize("layout", _LAYOUTS, ids=lambda layout: f"shear{layout.shear}")
+    @settings(max_examples=60, deadline=None)
+    @given(case=window_cases())
+    def test_ring_graph_rows_list_grid_moves(self, layout, case):
+        f, resolution, _, _ = case
+        height, width = f.shape
+        graph, _ = metric._ring_graph([_ring(f, layout)], resolution, [layout])
+        assert (np.diff(graph.indptr) == 8).all()
+        targets = graph.indices.reshape(height, width, 8)
+        weights = graph.data.reshape(height, width, 8)
+        cells = [_grid_cell(layout, u, v) for u in range(height) for v in range(width)]
+        # node numbers follow the grid's row-major order of cells
+        assert cells == sorted(cells)
+        for u in range(height):
+            for v in range(width):
+                r, c = _grid_cell(layout, u, v)
+                for k, (drow, dcol) in enumerate(metric._MOVES):
+                    step = resolution * (metric.SQRT2 if drow and dcol else 1.0)
+                    target, weight = int(targets[u, v, k]), float(weights[u, v, k])
+                    if (r + drow, c + dcol) not in cells:  # off the window: it points back
+                        assert target == u * width + v and weight == math.inf
+                        continue
+                    # the k-th move of the row reaches the grid neighbour (drow, dcol)
+                    assert cells[target] == (r + drow, c + dcol)
+                    u2, v2 = divmod(target, width)
+                    if f[u, v] < 0 or f[u2, v2] < 0:
+                        assert weight == math.inf
+                    else:
+                        assert weight == step * (0.5 * f[u, v] + 0.5 * f[u2, v2])
+
+    @pytest.mark.parametrize("layout", _LAYOUTS, ids=lambda layout: f"shear{layout.shear}")
+    @settings(max_examples=300, deadline=None)
+    @given(case=window_cases(), top=st.integers(-3, 3), left=st.integers(-3, 3))
+    def test_search_matches_open_cell_graph(self, layout, case, top, left):
+        f, resolution, source, target = case
+        for cell in (source, target):  # the search's endpoints are open
+            f[cell] = max(f[cell], 1.0)
+        height, width = f.shape
+        ((dist, pred),) = metric._ring_search(
+            [_ring(f, layout)], resolution, [source[0] * width + source[1]], [layout]
+        )
+        # the window's cells in grid coordinates, closed around it
+        cells = {
+            _grid_cell(layout, top + u, left + v): f[u, v]
+            for u in range(height)
+            for v in range(width)
+        }
+        rows, cols = zip(*cells)
+        grid_top, grid_left = min(rows), min(cols)
+        grid_f = np.full((max(rows) - grid_top + 1, max(cols) - grid_left + 1), -1.0)
+        for (r, c), value in cells.items():
+            grid_f[r - grid_top, c - grid_left] = value
+        start, goal = (
+            GridIndex(*_grid_cell(layout, top + u, left + v)[::-1]) for u, v in (source, target)
+        )
+        expected = open_cell_search(grid_f, grid_top, grid_left, resolution, start, goal)
+        v = target[0] * width + target[1]
+        if expected is None:
+            assert dist[v] == math.inf
+            return
+        cost, path = float(dist[v]), []
+        while v >= 0:
+            r, c = _grid_cell(layout, top + v // width, left + v % width)
+            path.append((c, r))
+            v = int(pred[v])
+        assert path[::-1] == expected[0] and cost == expected[1]
