@@ -69,9 +69,13 @@ class Violation:
 class SemanticGraph:
     """Rooms, objects and room-room edges; an object's room is its room_id.
 
-    The constructor builds the whole graph: nodes keyed by id and the
-    planner's sorted adjacency lists. It refuses only a room or object id
-    listed twice; validate() judges every other invariant.
+    The constructor builds the whole graph: nodes keyed by id, the planner's
+    sorted adjacency lists and the goal index (each normalised room category
+    and object class mapped to the ascending ids that carry it). It refuses
+    only a room or object id listed twice; validate() judges every other
+    invariant. The adjacency lists and the goal index are built once: a node
+    or edge changed after construction leaves them stale, and validate()
+    still judges the changed graph; copy() builds them afresh.
     """
 
     def __init__(self, rooms=(), objects=(), edges=()):
@@ -87,6 +91,8 @@ class SemanticGraph:
         for pairs in adj.values():
             pairs.sort()
         self._adjacency = adj
+        self._rooms_by_category = _ids_by_label((r.category, r.id) for r in self.rooms.values())
+        self._objects_by_class = _ids_by_label((o.class_label, o.id) for o in self.objects.values())
 
     # -- queries -----------------------------------------------------------
 
@@ -103,15 +109,14 @@ class SemanticGraph:
         Precedence: an existing node id wins, then the rooms of that
         category, else the objects of that class. An empty result is a valid
         state (it routes the planner into Discovery Mode), so no error is
-        raised for unmatched goals.
+        raised for unmatched goals. The goal is normalised once and looked
+        up in the goal index the constructor built, so a query costs a few
+        dict reads whatever the graph's size.
         """
         label = normalize_label(goal.text)
         if label in self.rooms or label in self.objects:
             return (label,)
-        ids = [r.id for r in self.rooms.values() if normalize_label(r.category) == label]
-        if not ids:
-            ids = [o.id for o in self.objects.values() if normalize_label(o.class_label) == label]
-        return tuple(sorted(ids))
+        return self._rooms_by_category.get(label) or self._objects_by_class.get(label, ())
 
     # -- validation --------------------------------------------------------
 
@@ -243,6 +248,21 @@ def _by_id(nodes) -> dict:
             raise ConflictError(f"node id {node.id!r} listed more than once")
         out[node.id] = node
     return out
+
+
+def _ids_by_label(pairs) -> dict[str, tuple[str, ...]]:
+    """(label, id) pairs as normalised label -> ascending ids.
+
+    Ids are grouped by label as written first, so a label that many nodes
+    share is normalised once.
+    """
+    written: dict[str, list[str]] = {}
+    for label, nid in pairs:
+        written.setdefault(label, []).append(nid)
+    out: dict[str, list[str]] = {}
+    for label, ids in written.items():
+        out.setdefault(normalize_label(label), []).extend(ids)
+    return {label: tuple(sorted(ids)) for label, ids in out.items()}
 
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:

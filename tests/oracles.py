@@ -18,7 +18,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
 from semnav.errors import MapConsistencyError
-from semnav.graph import RoomEdge
+from semnav.graph import RoomEdge, normalize_label
 from semnav.metric import (
     COST_INSCRIBED,
     SQRT2,
@@ -105,6 +105,17 @@ def enumerate_min_cost(adjacency, start, goal):
 
     dfs(start, 0.0, {start})
     return best[0]
+
+
+def brute_goal_state(graph, goal):
+    """SemanticGraph.find_goal_state as a scan that normalises every node's label per query."""
+    label = normalize_label(goal.text)
+    if label in graph.rooms or label in graph.objects:
+        return (label,)
+    ids = [r.id for r in graph.rooms.values() if normalize_label(r.category) == label]
+    if not ids:
+        ids = [o.id for o in graph.objects.values() if normalize_label(o.class_label) == label]
+    return tuple(sorted(ids))
 
 
 def brute_discovery_scores(table_entries, contexts, goal_class):

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from semnav import graph as graph_module
 from semnav.errors import ConflictError
 from semnav.graph import (
     GoalQuery,
@@ -15,6 +17,8 @@ from semnav.graph import (
     normalize_label,
 )
 from semnav.metric import MetricPoint
+
+from oracles import brute_goal_state
 
 
 P = MetricPoint(0.5, 0.5)
@@ -173,6 +177,64 @@ class TestGoalLookup:
         )
         for q in queries:
             assert set(before[q.text]) <= set(grown.find_goal_state(q))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_lookup_equals_scan_over_nodes(self, data):
+        g = data.draw(_goal_graphs())
+        texts = data.draw(st.lists(_goal_texts, max_size=6))
+        # every label and id the graph holds, as written and normalised
+        for node in [*g.rooms.values(), *g.objects.values()]:
+            label = node.category if isinstance(node, RoomNode) else node.class_label
+            texts += [label, normalize_label(label), node.id]
+        for text in texts:
+            q = GoalQuery(text)
+            assert g.find_goal_state(q) == brute_goal_state(g, q), text
+
+    def test_lookup_normalizes_the_goal_once(self, office_graph, monkeypatch):
+        calls = []
+        real = graph_module.normalize_label
+        monkeypatch.setattr(graph_module, "normalize_label", lambda t: calls.append(t) or real(t))
+        for text in ["desk", " Office ", "office_3", "unicorn", ""]:
+            calls.clear()
+            office_graph.find_goal_state(GoalQuery(text))
+            assert calls == [text]
+
+    def test_copy_and_rebuild_answer_alike(self):
+        g = office(rooms=[room("conf_1", "Conference Room"), room("desk", "storage")])
+        rebuilt = SemanticGraph(g.rooms.values(), g.objects.values(), g.room_edges)
+        for text in ["desk", "DESK", "office", "conference room", "bookcase_1", "unicorn", ""]:
+            q = GoalQuery(text)
+            assert g.copy().find_goal_state(q) == rebuilt.find_goal_state(q) == g.find_goal_state(q)
+
+
+_WORDS = ["desk", "office", "conference room", "kitchen"]
+_cased_words = st.sampled_from(_WORDS).flatmap(lambda w: st.sampled_from([w, w.upper(), w.title()]))
+# mixed case, doubled inner spaces and surrounding whitespace around a few words
+_labels = st.builds(
+    lambda lead, words, sep, trail: lead + sep.join(words) + trail,
+    st.sampled_from(["", " ", "\t"]),
+    st.lists(_cased_words, min_size=1, max_size=2),
+    st.sampled_from([" ", "  "]),
+    st.sampled_from(["", "  ", "\n"]),
+)
+# ids: numbered, or equal to a normalised category or class
+_ids = st.one_of(
+    st.builds(lambda w, n: f"{normalize_label(w)}_{n}", st.sampled_from(_WORDS), st.integers(1, 3)),
+    _labels.map(normalize_label),
+)
+_goal_texts = st.one_of(_labels, _ids, st.sampled_from(["", "   ", "unicorn", "Desk_1"]))
+
+
+@st.composite
+def _goal_graphs(draw):
+    rooms = draw(st.lists(st.tuples(_ids, _labels), max_size=6, unique_by=lambda r: r[0]))
+    objects = draw(st.lists(st.tuples(_ids, _labels), max_size=8, unique_by=lambda o: o[0]))
+    room_ids = [rid for rid, _ in rooms] or ["office_1"]
+    return SemanticGraph(
+        [room(rid, category) for rid, category in rooms],
+        [obj(oid, cls, draw(st.sampled_from(room_ids))) for oid, cls in objects],
+    )
 
 
 class TestValidate:
