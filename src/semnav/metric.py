@@ -18,16 +18,16 @@ cells are allowed. Averaging the two endpoint factors keeps the rule symmetric
 length. step_length is resolution for the 4 straight moves and
 resolution*sqrt(2) for the 4 diagonal moves.
 
-grid_shortest_path runs scipy.sparse.csgraph.dijkstra on a CSR graph built
-over an octile ellipse with foci start and goal, grown until it holds every
-path no dearer than the one found; its docstring says why that gives the same
-cost as a whole-grid search. grid_shortest_paths runs several such searches,
-one per leg of a route, in lockstep: each growth round puts the legs' windows
-side by side in one block-diagonal graph and searches them in one call.
-segmentation.extract_adjacency bounds its per-room searches by the same
-ellipses, with the room's centroid and a portal as foci and a span read off a
-path known to be open, so it needs no second search. Nothing is cached on the
-grid.
+grid_shortest_paths finds each leg's minimum-cost path with
+scipy.sparse.csgraph.dijkstra on a CSR graph built over an octile ellipse
+with foci start and goal, grown until it holds every path no dearer than the
+one found; its docstring says why that gives the same cost as a whole-grid
+search. Each growth round searches the legs' windows side by side in one
+block-diagonal graph, in one window_search call. That is the one csgraph
+call site: segmentation.extract_adjacency's per-room searches go through it
+too, bounded by the same ellipses with the room's centroid and a portal as
+foci and a span read off a path known to be open, so they need no second
+search. Nothing is cached on the grid.
 The window graph has a fixed degree, a node per cell and 8 moves per node; a
 move at a closed cell or off the window weighs inf, and Dijkstra never takes it.
 scipy is imported by the functions that search, so loading a map needs numpy only.
@@ -53,13 +53,13 @@ cells and cost bits. A shear of rows along columns (u = r - s * c) would hug
 steep legs as closely, but it numbers cells diagonal by diagonal, and on a
 window with tied paths it returns a different one; it is not used.
 
-Per search, the set-up is small: the factor tables and their halves (inf at
-closed values) are built once, at import, and shared read-only, so a window's
-halved factors are one table lookup; the start-goal distance is float math; the
-ellipse fills two preallocated buffers. scipy's csr_array construction and
-dijkstra wrapper, about 60 us of a 4x5 window's 130-140 us on a 2-vCPU VM, are
-paid once per csgraph call, which grid_shortest_paths shares among the legs
-searched together.
+Per search, the set-up is small: the halved factor tables (half a cell
+value's traversal factor, inf at closed values) are built once, at import,
+and shared read-only, so a window's edge inputs are one table lookup; the
+start-goal distance is float math; the ellipse fills two preallocated
+buffers. scipy's csr_array construction and dijkstra wrapper, about 60 us of
+a 4x5 window's 130-140 us on a 2-vCPU VM, are paid once per csgraph call,
+which grid_shortest_paths shares among the legs searched together.
 """
 
 from __future__ import annotations
@@ -397,28 +397,26 @@ _LAYOUTS = {s: _layout(s) for s in (0, 1, -1)}
 _PLAIN = _LAYOUTS[0]
 
 
-def _tables(allow_inscribed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (factors, halves) per cell value: the traversal factor, -1
-    where untraversable, and half of it, inf where untraversable."""
-    factors = np.full(256, -1.0)
-    factors[:253] = 1.0 + np.arange(253) / 128.0
+def _halves(allow_inscribed: bool) -> np.ndarray:
+    """Read-only half of each cell value's traversal factor, inf where untraversable.
+
+    Halving is exact, so h_a + h_b == 0.5 * (f_a + f_b) bit for bit."""
+    halves = np.full(256, np.inf)
+    halves[:253] = 0.5 * (1.0 + np.arange(253) / 128.0)
     if allow_inscribed:
-        factors[COST_INSCRIBED] = INSCRIBED_FACTOR
-    # halving is exact, so 0.5 * f_a + 0.5 * f_b == 0.5 * (f_a + f_b) bit for bit
-    halves = np.where(factors < 0, np.inf, 0.5 * factors)
-    factors.setflags(write=False)
+        halves[COST_INSCRIBED] = 0.5 * INSCRIBED_FACTOR
     halves.setflags(write=False)
-    return factors, halves
+    return halves
 
 
-# each indexed by allow_inscribed
-_FACTOR_TABLES, _HALF_TABLES = zip(_tables(False), _tables(True))
+# indexed by allow_inscribed
+_HALF_TABLES = (_halves(False), _halves(True))
 
 
-def factor_table(allow_inscribed: bool = False) -> np.ndarray:
-    """Traversal factor per cell value; -1 marks untraversable values. The
-    table is shared and read-only."""
-    return _FACTOR_TABLES[allow_inscribed]
+def half_table(allow_inscribed: bool = False) -> np.ndarray:
+    """Half the traversal factor per cell value; inf marks untraversable
+    values. The table is shared and read-only."""
+    return _HALF_TABLES[allow_inscribed]
 
 
 def _octile_distance(a: GridIndex, b: GridIndex) -> float:
@@ -427,16 +425,23 @@ def _octile_distance(a: GridIndex, b: GridIndex) -> float:
     return max(drow, dcol) + (SQRT2 - 1.0) * min(drow, dcol)
 
 
-def grid_shortest_path(
+def grid_shortest_paths(
     g: CostmapGrid,
-    start: GridIndex,
-    goal: GridIndex,
+    legs: Iterable[tuple[GridIndex, GridIndex]],
     *,
     allow_inscribed: bool = False,
-) -> tuple[tuple[np.ndarray, np.ndarray], float]:
-    """Minimum-cost 8-connected path between two traversable cells.
+) -> Iterator[tuple[tuple[np.ndarray, np.ndarray], float]]:
+    """Minimum-cost 8-connected path for each (start, goal) pair of legs.
 
-    The search runs on the octile ellipse E(span), the cells v with
+    Yields each leg's ((cols, rows), cost) in leg order: the path's column
+    and row indices, two int arrays from start to goal, and its exact cost,
+    bit for bit; among equal-cost paths, csgraph's deterministic choice for
+    the cells searched. At the first leg with no path it raises, and yields
+    no later leg: GridBoundsError for an endpoint off the grid,
+    ValidationError for an untraversable one, UnreachableError when no route
+    exists.
+
+    A leg's search runs on the octile ellipse E(span), the cells v with
     octile(start, v) + octile(v, goal) <= span in cells, from
     span = direct + 2, direct = octile(start, goal). Every step costs at
     least resolution times its length, so E(C / resolution) holds every path
@@ -444,33 +449,7 @@ def grid_shortest_path(
     C / resolution + 1 <= span (the extra cell absorbs float rounding).
     Otherwise the search runs again with span = C / resolution + 1, or, if it
     found no path, with four times the slack span - direct, until E(span)
-    covers the grid. The result equals a whole-grid search. The window that
-    holds E(span) is laid out plain or sheared along the leg's diagonal (see
-    grid_shortest_paths); either way it searches the same cells.
-
-    The cost is the exact minimum, bit for bit. Among equal-cost paths the
-    one returned is csgraph's deterministic choice for the cells searched.
-
-    Returns ((cols, rows), cost): the path's column and row indices, two int
-    arrays from start to goal; GridIndex(cols[i], rows[i]) is its i-th cell.
-    Raises GridBoundsError for endpoints outside the grid, ValidationError for
-    untraversable endpoints, and UnreachableError when no route exists.
-    This is grid_shortest_paths with one leg.
-    """
-    return next(grid_shortest_paths(g, [(start, goal)], allow_inscribed=allow_inscribed))
-
-
-def grid_shortest_paths(
-    g: CostmapGrid,
-    legs: Iterable[tuple[GridIndex, GridIndex]],
-    *,
-    allow_inscribed: bool = False,
-) -> Iterator[tuple[tuple[np.ndarray, np.ndarray], float]]:
-    """grid_shortest_path for each (start, goal) pair of legs, searched together.
-
-    Yields each leg's ((cols, rows), cost) in leg order. At the first leg
-    with no path it raises what grid_shortest_path raises for that leg, and
-    yields no later leg.
+    covers the grid. The result equals a whole-grid search.
 
     Each growth round lays out every pending leg's window (_window_box) and
     searches the windows of consecutive legs in one csgraph call, while legs
@@ -534,7 +513,7 @@ def grid_shortest_paths(
             whole = inside.size == g.cells.size and inside.all()
             windows.append(_Window(i, layout, top, left, height, width, whole, source, half))
         for group in _groups(windows):
-            searched = _ring_search(
+            searched = window_search(
                 [w.ring for w in group],
                 g.resolution,
                 [w.source for w in group],
@@ -698,34 +677,14 @@ def _octile(drow: np.ndarray, dcol: np.ndarray, out: np.ndarray | None = None) -
     return np.add(np.maximum(drow, dcol), low, out=out)
 
 
-def window_search(f: np.ndarray, resolution: float, source: tuple[int, int]):
-    """Dijkstra over a grid window from its open cell source (row, col).
-
-    f holds the window's per-cell factors (< 0 = untraversable). Returns
-    (dist, pred), both shaped like f: dist[r, c] is the cheapest-path cost to
-    cell (r, c), inf where unreached; pred[r, c] is the flat row-major index
-    of the cell before it on that path, negative at source and where unreached.
+def window_search(rings: list[np.ndarray], resolution: float, sources: list[int], layouts=None):
+    """Per ring, the flat (dist, pred) of Dijkstra over its window from the
+    window's flat cell index in sources: all in one csgraph call over
+    _ring_graph(rings, resolution, layouts), which says what a ring holds.
+    dist[v] is the cheapest-path cost to window cell v, inf where unreached;
+    pred[v] is the cell before it on that path, negative at the source and
+    where unreached.
     """
-    ((dist, pred),) = _ring_search(
-        [_halved_ring(f)], resolution, [source[0] * f.shape[1] + source[1]]
-    )
-    return dist.reshape(f.shape), pred.reshape(f.shape)
-
-
-def _halved_ring(f: np.ndarray) -> np.ndarray:
-    """0.5 * f, inf at closed cells (f < 0), in a one-cell ring of inf."""
-    half = np.full((f.shape[0] + 2, f.shape[1] + 2), np.inf)
-    inner = half[1:-1, 1:-1]
-    np.multiply(f, 0.5, out=inner)
-    inner[f < 0] = np.inf  # faster than a where= mask when closed cells are scattered
-    return half
-
-
-def _ring_search(rings: list[np.ndarray], resolution: float, sources: list[int], layouts=None):
-    """Per ring, the flat (dist, pred) of window_search from its flat cell
-    index in sources, over the window whose halved factors it holds in its
-    inf ring, laid out as in layouts (all plain if None): all from one
-    Dijkstra over _ring_graph(rings, resolution, layouts)."""
     from scipy.sparse.csgraph import dijkstra
 
     graph, offsets = _ring_graph(rings, resolution, layouts)

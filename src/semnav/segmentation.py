@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, MapConsistencyError, ValidationError
 from .graph import RoomEdge, UNCATEGORIZED, normalize_label
 from .metric import (
-    COST_INSCRIBED, SQRT2, CostmapGrid, GridIndex, ellipse, factor_table, kept_rows,
+    COST_INSCRIBED, SQRT2, CostmapGrid, GridIndex, ellipse, half_table, kept_rows,
     read_text_lines, window_search,
 )
 
@@ -450,7 +450,7 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
     Each room runs one csgraph search from its centroid for all its legs, in
     a window no larger than the room's box plus two cells per side. A leg's
     cost is at most that of its cheaper open bent path (_leg_spans), so by
-    metric.grid_shortest_path's argument, with the portal as goal, every path
+    metric.grid_shortest_paths' argument, with the portal as goal, every path
     no dearer lies in an octile ellipse E(span) with foci centroid and portal
     (metric.ellipse). The window is the bounding box, plus one ring for the
     portals' 3x3, of the union of the legs' ellipses, cut to the room's box
@@ -479,7 +479,7 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
         for label in edges[-1][:2]:
             legs.setdefault(label, []).append(i)
 
-    factors = factor_table()
+    halves = half_table()
     # step length to a portal from each of its 8 neighbours, and 0 from itself
     steps = g.resolution * np.array([[SQRT2, 1.0, SQRT2], [1.0, 0.0, 1.0], [SQRT2, 1.0, SQRT2]])
     cover = 2.0 * (g.width + g.height)  # a span whose ellipse covers the whole grid
@@ -493,7 +493,7 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
         )
         centroid = raster.centroid_cells[label]
         portals = [edges[i][2] for i in ids]
-        spans = np.minimum(_leg_spans(factors, g, labels, label, centroid, portals), cover)
+        spans = np.minimum(_leg_spans(halves, g, labels, label, centroid, portals), cover)
         ellipses = [ellipse(region, centroid, p, span) for p, span in zip(portals, spans)]
         top = min(t for t, _, _ in ellipses)
         left = min(c for _, c, _ in ellipses)
@@ -502,34 +502,40 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
         union = np.zeros((bottom - top, right - left), dtype=bool)
         for t, c, e in ellipses:
             union[t - top : t - top + e.shape[0], c - left : c - left + e.shape[1]] |= e
-        f = factors[g.cells[top:bottom, left:right]]
-        f[~(union & (labels[top:bottom, left:right] == label))] = -1.0
-        f = np.pad(f, 1, constant_values=-1.0)  # the ring of each portal's 3x3
+        # the window's halved factors in two rings of inf: the portals' 3x3 and the search's own
+        ring = np.full((bottom - top + 4, right - left + 4), np.inf)
+        ring[2:-2, 2:-2] = halves[g.cells[top:bottom, left:right]]
+        ring[2:-2, 2:-2][~(union & (labels[top:bottom, left:right] == label))] = np.inf
+        half = ring[1:-1, 1:-1]  # the window searched
         top, left = top - 1, left - 1
-        source = (centroid.row - top, centroid.col - left)
-        dist = window_search(f, g.resolution, source)[0]
+        source = (centroid.row - top) * half.shape[1] + centroid.col - left
+        dist = window_search([ring], g.resolution, [source])[0][0].reshape(half.shape)
         for i, portal in zip(ids, portals):  # in edge order: the first failing leg is named
             r, c = portal.row - top, portal.col - left
             near = np.s_[r - 1 : r + 2, c - 1 : c + 2]
-            fp = factors[g.cells[portal.row, portal.col]]
-            # a portal in the room keeps its own cost: no neighbour's route undercuts it
-            cost = float((dist[near] + steps * (0.5 * (f[near] + fp))).min())
-            if f[source] < 0 or fp < 0 or cost == math.inf:
+            hp = halves[g.cells[portal.row, portal.col]]
+            # a portal in the room keeps its own cost: no neighbour's route undercuts it;
+            # its own cell adds no step and is not multiplied (0 * inf is nan)
+            last = np.multiply(steps, half[near] + hp, where=steps > 0, out=np.zeros((3, 3)))
+            cost = float((dist[near] + last).min())
+            if half.flat[source] == math.inf or hp == math.inf or cost == math.inf:
                 raise MapConsistencyError(f"room label {label}: centroid cannot reach {portal}")
             weights[i] += cost
     return [RoomEdge(str(la), str(lb), w, p) for (la, lb, p), w in zip(edges, weights)]
 
 
-def _leg_spans(factors, g, labels, label, a: GridIndex, portals) -> np.ndarray:
+def _leg_spans(halves, g, labels, label, a: GridIndex, portals) -> np.ndarray:
     """Per portal b, the span of an octile ellipse with foci a and b that
     holds the cheapest path from a to b through room label (b itself may lie
     outside it).
 
     The bound is the cheaper of the two bent paths from a to b, with the
     diagonal run first or last; both are shortest in free space. A path of
-    cost C lies in E(C / resolution + 1) (see metric.grid_shortest_path), and
-    one more cell absorbs the rounding of the bent path's sum. inf where both
-    bent paths cross a closed cell, or leave the room before b.
+    cost C lies in E(C / resolution + 1) (see metric.grid_shortest_paths),
+    and one more cell absorbs the rounding of the bent path's sum. inf where
+    both bent paths cross a closed cell, or leave the room before b.
+    A path to a nearer portal repeats b up to the longest one's end in
+    steps of length 0, which cost 0: 0 * inf (half of a closed b) is nan.
     """
     d = np.array([(b.row - a.row, b.col - a.col) for b in portals])
     short, long = np.abs(d).min(axis=1)[:, None], np.abs(d).max(axis=1)[:, None]
@@ -541,12 +547,13 @@ def _leg_spans(factors, g, labels, label, a: GridIndex, portals) -> np.ndarray:
     m = k[:, None] - n
     rows = a.row + n * diagonal[:, None, None, 0] + m * straight[:, None, None, 0]
     cols = a.col + n * diagonal[:, None, None, 1] + m * straight[:, None, None, 1]
-    f = factors[g.cells[rows, cols]]
-    usable = (f >= 0).all(axis=2)
+    h = halves[g.cells[rows, cols]]
+    usable = (h < math.inf).all(axis=2)
     usable &= ((labels[rows, cols] == label) | (k == long)[:, None]).all(axis=2)
     length = SQRT2 * np.diff(n, axis=2) + np.diff(m, axis=2)
-    cost = (length * (0.5 * (f[..., :-1] + f[..., 1:]))).sum(axis=2)
-    return np.where(usable, cost, np.inf).min(axis=1) + 2.0
+    cost = np.zeros(length.shape)
+    np.multiply(length, h[..., :-1] + h[..., 1:], where=length > 0, out=cost)
+    return np.where(usable, cost.sum(axis=2), np.inf).min(axis=1) + 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from semnav.errors import MapConsistencyError
 from semnav.graph import RoomEdge, normalize_label
-from semnav.metric import (
-    COST_INSCRIBED,
-    SQRT2,
-    GridIndex,
-    MetricPoint,
-    factor_table,
-    grid_shortest_path,
-    window_search,
-)
+from semnav.metric import COST_INSCRIBED, SQRT2, GridIndex, MetricPoint, grid_shortest_paths
 
 
 def cell_factor(cost: int, allow_inscribed: bool = False):
@@ -37,6 +29,17 @@ def cell_factor(cost: int, allow_inscribed: bool = False):
     if cost == 253 and allow_inscribed:
         return 3.0
     return None
+
+
+def cell_factor_table(allow_inscribed: bool = False) -> np.ndarray:
+    """cell_factor of each of the 256 cell values, -1 where untraversable."""
+    factors = (cell_factor(cost, allow_inscribed) for cost in range(256))
+    return np.array([-1.0 if f is None else f for f in factors])
+
+
+def one_leg(g, start, goal, allow_inscribed: bool = False):
+    """((cols, rows), cost) of metric.grid_shortest_paths for the one leg start -> goal."""
+    return next(grid_shortest_paths(g, [(start, goal)], allow_inscribed=allow_inscribed))
 
 
 def brute_grid_dijkstra(grid, start, goal, allow_inscribed: bool = False):
@@ -404,8 +407,9 @@ def whole_room_adjacency(raster, g):
     Reference for segmentation.extract_adjacency: its body before the
     searches were bounded by the legs' octile ellipses. Each room's window is
     its box plus two closed cells, and every leg is read from that one
-    distance array. Returns RoomEdges; raises MapConsistencyError for the
-    first leg, in the room's edge order, with no route.
+    distance array, from open_cell_costs. Returns RoomEdges; raises
+    MapConsistencyError for the first leg, in the room's edge order, with
+    no route.
     """
     labels = raster.labels
     width, base = labels.shape[1], int(labels.max()) + 1
@@ -427,7 +431,7 @@ def whole_room_adjacency(raster, g):
         for label in edges[-1][:2]:
             legs.setdefault(label, []).append(i)
 
-    factors = factor_table()
+    factors = cell_factor_table()
     # step length to a portal from each of its 8 neighbours, and 0 from itself
     steps = g.resolution * np.array([[SQRT2, 1.0, SQRT2], [1.0, 0.0, 1.0], [SQRT2, 1.0, SQRT2]])
     weights = [0.0] * len(edges)
@@ -439,10 +443,7 @@ def whole_room_adjacency(raster, g):
         centroid = raster.centroid_cells[label]
         f = factors[np.pad(g.cells[box], 2)]
         f[~room] = -1.0
-        source = (centroid.row - top, centroid.col - left)
-        dist = window_search(f, g.resolution, source)[0]
-        if f[source] < 0:  # a closed centroid reaches nothing
-            dist[:] = np.inf
+        dist = open_cell_costs(f, g.resolution, (centroid.row - top, centroid.col - left))
         for i in ids:
             portal = edges[i][2]
             near = np.s_[portal.row - top - 1 :, portal.col - left - 1 :]
@@ -527,6 +528,36 @@ def open_cell_costs(f, resolution, source):
     return np.where(node >= 0, dist[node], np.inf)
 
 
+def tie_rule_pred(dist, ring, resolution):
+    """The predecessor csgraph's dijkstra keeps for each cell of a window,
+    as a flat row-major cell index; -9999 at the source and where unreached.
+
+    dist is the window's (height, width) costs from its source, and ring its
+    halved factors (inf at closed cells) in a one-cell ring of inf. Among
+    the in-window neighbours u of a reached cell v with
+    dist[u] + w(u, v) == dist[v], w(u, v) = step * (0.5 * (f_u + f_v)), the
+    rule keeps the one with the least dist[u], and among those the larger
+    node number. Reference for metric.window_search's pred; the rule is
+    measured (scipy 1.17.1), not documented by scipy.
+    """
+    height, width = dist.shape
+    padded = np.full((height + 2, width + 2), np.inf)
+    padded[1:-1, 1:-1] = dist
+    node = np.full((height + 2, width + 2), -1)
+    node[1:-1, 1:-1] = np.arange(dist.size).reshape(dist.shape)
+    half = ring[1:-1, 1:-1]
+    best = np.full(dist.shape, np.inf)  # dist[u] of the predecessor kept so far
+    pred = np.full(dist.shape, -9999)
+    for drow, dcol in _MOVES:
+        near = np.s_[1 + drow : 1 + drow + height, 1 + dcol : 1 + dcol + width]
+        du, nu = padded[near], node[near]
+        w = resolution * (SQRT2 if drow and dcol else 1.0) * (ring[near] + half)
+        tied = (w < np.inf) & (du < np.inf) & (du + w == dist)
+        keep = tied & ((du < best) | ((du == best) & (nu > pred)))
+        best[keep] = du[keep]
+        pred[keep] = nu[keep]
+    return pred
+
 def brute_ellipse(height, width, start, goal, span):
     """(height, width) bool mask: the cells v of the whole grid with
     octile(start, v) + octile(v, goal) <= span, one cell at a time in Python
@@ -559,7 +590,7 @@ def pixel_cost(pixel: int, free_thresh: int, lethal_thresh: int) -> int:
 
 
 def path_cells(path) -> list[GridIndex]:
-    """grid_shortest_path's (cols, rows) arrays as a list of int GridIndex cells."""
+    """A grid_shortest_paths leg's (cols, rows) arrays as a list of int GridIndex cells."""
     cols, rows = path
     return [GridIndex(c, r) for c, r in zip(cols.tolist(), rows.tolist())]
 
@@ -567,7 +598,7 @@ def path_cells(path) -> list[GridIndex]:
 def per_cell_refine(m, path, start_point, allow_inscribed: bool = False):
     """Waypoints for a room path, one cell at a time. Reference for
     planner.refine_to_metric's bulk conversion: the same legs through
-    grid_shortest_path (start -> portal -> ... -> goal, each joint cell kept
+    one_leg (start -> portal -> ... -> goal, each joint cell kept
     once), then CostmapGrid.grid_to_world on each cell."""
     graph, g = m.graph, m.costmap
     rooms = [node for node in path.nodes if node in graph.rooms]
@@ -578,7 +609,7 @@ def per_cell_refine(m, path, start_point, allow_inscribed: bool = False):
     anchors.append(g.world_to_grid(MetricPoint(*goal)))
     cells = []
     for src, dst in zip(anchors, anchors[1:]):
-        leg, _ = grid_shortest_path(g, src, dst, allow_inscribed=allow_inscribed)
+        leg, _ = one_leg(g, src, dst, allow_inscribed)
         leg = path_cells(leg)
         cells.extend(leg[1:] if cells else leg)
     return tuple(g.grid_to_world(cell) for cell in cells)

@@ -395,6 +395,7 @@ class TestUnrealizableRoute:
         from semnav import mapio, metric, planner
         from semnav.errors import UnreachableError
         from semnav.graph import GoalQuery
+        from oracles import one_leg
 
         m = mapio.load_map(map_dir)
         ids = sorted(m.graph.rooms)
@@ -405,13 +406,13 @@ class TestUnrealizableRoute:
         m = mapio.load_map(tmp_path / "broken")
         grid = m.costmap
         grid_sized = []
-        search = metric._ring_search
+        search = metric.window_search
 
         def spy(rings, resolution, sources, layouts):
             grid_sized.extend(ring.size == (grid.height + 2) * (grid.width + 2) for ring in rings)
             return search(rings, resolution, sources, layouts)
 
-        monkeypatch.setattr(metric, "_ring_search", spy)
+        monkeypatch.setattr(metric, "window_search", spy)
         request = planner.PlanRequest(
             start=rooms[0], goal=GoalQuery(rooms[2]), refine_metric=True
         )
@@ -427,9 +428,9 @@ class TestUnrealizableRoute:
         anchors = [grid.world_to_grid(graph.rooms[rooms[0]].centroid)]
         anchors += [graph.get_edge(a, b).portal for a, b in zip(rooms, rooms[1:])]
         anchors.append(grid.world_to_grid(graph.rooms[rooms[2]].centroid))
-        metric.grid_shortest_path(grid, anchors[0], anchors[1])
+        one_leg(grid, anchors[0], anchors[1])
         with pytest.raises(UnreachableError):
-            metric.grid_shortest_path(grid, anchors[1], anchors[2])
+            one_leg(grid, anchors[1], anchors[2])
         # the failing leg grew to the whole grid; the leg after it did not
         assert 1 <= together <= sum(grid_sized)
 

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semnav.errors import (
     ConfigError,
@@ -19,7 +20,6 @@ from semnav.metric import (
     GridIndex,
     MetricPoint,
     costs_to_pixels,
-    grid_shortest_path,
     grid_shortest_paths,
     load_costmap,
     pixels_to_costs,
@@ -31,10 +31,13 @@ from conftest import grid_from_ascii
 from oracles import (
     brute_ellipse,
     brute_grid_dijkstra,
+    cell_factor_table,
+    one_leg,
     open_cell_costs,
     open_cell_search,
     path_cells,
     pixel_cost,
+    tie_rule_pred,
 )
 
 
@@ -249,13 +252,13 @@ def random_costmap(rng, width=20, height=20, resolution=0.5):
 class TestGridShortestPath:
     def test_identity(self):
         g = grid_from_ascii("...\n...\n...")
-        path, cost = grid_shortest_path(g, GridIndex(1, 1), GridIndex(1, 1))
+        path, cost = one_leg(g, GridIndex(1, 1), GridIndex(1, 1))
         assert path_cells(path) == [GridIndex(1, 1)]
         assert cost == 0.0
 
     def test_diagonal_across_free_grid(self):
         g = grid_from_ascii("\n".join(["." * 5] * 5))
-        path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 4))
+        path, cost = one_leg(g, GridIndex(0, 0), GridIndex(4, 4))
         path = path_cells(path)
         assert cost == pytest.approx(4 * math.sqrt(2), rel=1e-12)
         assert path[0] == GridIndex(0, 0) and path[-1] == GridIndex(4, 4)
@@ -263,7 +266,7 @@ class TestGridShortestPath:
 
     def test_straight_line_cost_is_exact_geometric_length(self):
         g = grid_from_ascii("\n".join(["." * 5] * 2))
-        _, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 0))
+        _, cost = one_leg(g, GridIndex(0, 0), GridIndex(4, 0))
         assert cost == 4.0
 
     def test_graded_cell_cost_hand_computed(self):
@@ -271,7 +274,7 @@ class TestGridShortestPath:
         g = grid_from_ascii("...")
         cells = np.array([[0, 128, 0]], dtype=np.uint8)
         g = CostmapGrid(width=3, height=1, resolution=1.0, origin_x=0, origin_y=0, cells=cells)
-        _, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0))
+        _, cost = one_leg(g, GridIndex(0, 0), GridIndex(2, 0))
         assert cost == 3.0
 
     def test_search_detours_around_walls(self):
@@ -284,18 +287,18 @@ class TestGridShortestPath:
             .....
             """
         )
-        path, _ = grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 4))
+        path, _ = one_leg(g, GridIndex(0, 0), GridIndex(4, 4))
         assert all(g.cells[c.row, c.col] < 253 for c in path_cells(path))
 
     def test_untraversable_endpoint_raises_validation(self):
         g = grid_from_ascii("..#")
         with pytest.raises(ValidationError):
-            grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0))
+            one_leg(g, GridIndex(0, 0), GridIndex(2, 0))
 
     def test_unreachable_raises_distinct_error(self):
         g = grid_from_ascii("..#..")
         with pytest.raises(UnreachableError):
-            grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 0))
+            one_leg(g, GridIndex(0, 0), GridIndex(4, 0))
 
     def test_walled_pocket_is_unreachable(self):
         g = grid_from_ascii(
@@ -306,14 +309,14 @@ class TestGridShortestPath:
             """
         )
         with pytest.raises(UnreachableError):
-            grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 1))
+            one_leg(g, GridIndex(0, 0), GridIndex(4, 1))
 
     def test_inscribed_blocked_by_default_allowed_with_flag(self):
         cells = np.array([[0, 253, 0]], dtype=np.uint8)
         g = CostmapGrid(width=3, height=1, resolution=1.0, origin_x=0, origin_y=0, cells=cells)
         with pytest.raises(UnreachableError):
-            grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0))
-        path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0), allow_inscribed=True)
+            one_leg(g, GridIndex(0, 0), GridIndex(2, 0))
+        path, cost = one_leg(g, GridIndex(0, 0), GridIndex(2, 0), allow_inscribed=True)
         assert cost == 4.0  # factor 3.0 averaged with free on both steps
         assert GridIndex(1, 0) in path_cells(path)
 
@@ -321,7 +324,7 @@ class TestGridShortestPath:
         cells = np.array([[0, 255, 0]], dtype=np.uint8)
         g = CostmapGrid(width=3, height=1, resolution=1.0, origin_x=0, origin_y=0, cells=cells)
         with pytest.raises(UnreachableError):
-            grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0), allow_inscribed=True)
+            one_leg(g, GridIndex(0, 0), GridIndex(2, 0), allow_inscribed=True)
 
     def test_matches_brute_force_on_random_grids(self):
         rng = random.Random(1234)
@@ -330,7 +333,7 @@ class TestGridShortestPath:
             g = random_costmap(rng)
             expected = brute_grid_dijkstra(g, (0, 0), (19, 19))
             try:
-                _, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
+                _, cost = one_leg(g, GridIndex(0, 0), GridIndex(19, 19))
             except UnreachableError:
                 cost = None
             assert cost == expected
@@ -342,8 +345,8 @@ class TestGridShortestPath:
         for _ in range(5):
             g = random_costmap(rng, width=12, height=12)
             try:
-                _, forward = grid_shortest_path(g, GridIndex(0, 0), GridIndex(11, 11))
-                _, backward = grid_shortest_path(g, GridIndex(11, 11), GridIndex(0, 0))
+                _, forward = one_leg(g, GridIndex(0, 0), GridIndex(11, 11))
+                _, backward = one_leg(g, GridIndex(11, 11), GridIndex(0, 0))
             except UnreachableError:
                 continue
             assert forward == pytest.approx(backward, rel=1e-9)
@@ -351,7 +354,7 @@ class TestGridShortestPath:
     def test_blocking_an_off_path_cell_never_reduces_cost(self):
         rng = random.Random(5)
         g = random_costmap(rng, width=15, height=15)
-        path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(14, 14))
+        path, cost = one_leg(g, GridIndex(0, 0), GridIndex(14, 14))
         on_path = set(path_cells(path))
         cells = np.array(g.cells)
         blocked = 0
@@ -367,7 +370,7 @@ class TestGridShortestPath:
                 g2 = CostmapGrid(
                     width=15, height=15, resolution=0.5, origin_x=0, origin_y=0, cells=mutated
                 )
-                _, cost2 = grid_shortest_path(g2, GridIndex(0, 0), GridIndex(14, 14))
+                _, cost2 = one_leg(g2, GridIndex(0, 0), GridIndex(14, 14))
                 assert cost2 >= cost
                 blocked += 1
 
@@ -377,9 +380,9 @@ class TestGridShortestPath:
         pts = [GridIndex(0, 0), GridIndex(14, 14), GridIndex(7, 2)]
         a, b, c = pts
         try:
-            _, ab = grid_shortest_path(g, a, b)
-            _, bc = grid_shortest_path(g, b, c)
-            _, ac = grid_shortest_path(g, a, c)
+            _, ab = one_leg(g, a, b)
+            _, bc = one_leg(g, b, c)
+            _, ac = one_leg(g, a, c)
         except (UnreachableError, ValidationError):
             pytest.skip("random grid disconnected for chosen probes")
         assert ac <= ab + bc + 1e-9
@@ -387,21 +390,21 @@ class TestGridShortestPath:
     def test_deterministic_path(self):
         rng = random.Random(77)
         g = random_costmap(rng)
-        p1, c1 = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
-        p2, c2 = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
+        p1, c1 = one_leg(g, GridIndex(0, 0), GridIndex(19, 19))
+        p2, c2 = one_leg(g, GridIndex(0, 0), GridIndex(19, 19))
         assert path_cells(p1) == path_cells(p2) and c1 == c2
 
-    def test_factor_tables_are_shared_and_read_only(self):
+    def test_half_tables_are_shared_and_read_only(self):
         for allow_inscribed in (False, True):
-            table = metric.factor_table(allow_inscribed)
-            assert table is metric.factor_table(allow_inscribed)
+            table = metric.half_table(allow_inscribed)
+            assert table is metric.half_table(allow_inscribed)
             assert not table.flags.writeable
 
     def test_concurrent_searches_share_one_grid(self):
         rng = random.Random(13)
         g = random_costmap(rng)
         def run(_):
-            return grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
+            return one_leg(g, GridIndex(0, 0), GridIndex(19, 19))
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(run, range(16)))
         costs = {cost for _, cost in results}
@@ -475,7 +478,7 @@ def leg_cases(draw):
 
 
 class TestLegsSearchedTogether:
-    """grid_shortest_paths against one grid_shortest_path call per leg."""
+    """grid_shortest_paths against one call per leg."""
 
     @pytest.mark.parametrize("entries", [0, 10**9], ids=["each-leg-alone", "all-legs-together"])
     @settings(max_examples=200, deadline=None)
@@ -490,7 +493,7 @@ class TestLegsSearchedTogether:
             expected = []
             for start, goal in legs:
                 try:
-                    path, cost = grid_shortest_path(g, start, goal, allow_inscribed=allow_inscribed)
+                    path, cost = one_leg(g, start, goal, allow_inscribed=allow_inscribed)
                 except failures as exc:
                     expected.append((type(exc), str(exc)))
                     break
@@ -525,7 +528,7 @@ class TestWindowedSearchExactness:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metric, "_FIRST_SLACK", first_slack)
             try:
-                path, cost = grid_shortest_path(g, start, goal, allow_inscribed=allow_inscribed)
+                path, cost = one_leg(g, start, goal, allow_inscribed=allow_inscribed)
             except UnreachableError:
                 path, cost = None, None
         assert cost == expected
@@ -541,7 +544,7 @@ class TestWindowedSearchExactness:
         g = long_detour_grid()
         start, goal = GridIndex(5, 2), GridIndex(19, 2)
         windows = []
-        search = metric._ring_search
+        search = metric.window_search
 
         def spy(rings, resolution, sources, layouts):
             found = search(rings, resolution, sources, layouts)
@@ -553,8 +556,8 @@ class TestWindowedSearchExactness:
             return found
 
         monkeypatch.setattr(metric, "_FIRST_SLACK", 1.0)
-        monkeypatch.setattr(metric, "_ring_search", spy)
-        path, cost = grid_shortest_path(g, start, goal)
+        monkeypatch.setattr(metric, "window_search", spy)
+        path, cost = one_leg(g, start, goal)
         assert cost == brute_grid_dijkstra(g, start, goal)
         # First ellipse and its fourfold slack: no tunnel, no path. The next
         # grown ellipse takes the costly tunnel; the exact pass, wide enough
@@ -617,7 +620,7 @@ def window_cases(draw):
     mix = draw(st.sampled_from(_WINDOW_MIXES))
     n = height * width
     cells = np.array(draw(st.lists(st.sampled_from(mix), min_size=n, max_size=n)), dtype=np.uint8)
-    f = metric.factor_table(draw(st.booleans()))[cells.reshape(height, width)]
+    f = cell_factor_table(draw(st.booleans()))[cells.reshape(height, width)]
 
     def cell():
         return tuple(
@@ -628,43 +631,63 @@ def window_cases(draw):
     return f, draw(st.sampled_from([0.05, 0.1, 1.0])), cell(), cell()
 
 
-class TestFixedDegreeWindowGraph:
-    """metric._ring_graph against the open-cell builder it replaced
-    (oracles.open_cell_graph): the same search results, bit for bit."""
+def _grid_cell(layout, u, v):
+    """The grid (row, col) of layout cell (u, v)."""
+    return u, v + layout.shear * u
 
-    @settings(max_examples=300, deadline=None)
-    @given(window_cases(), st.integers(0, 5), st.integers(0, 5))
-    @example(  # a closed column splits the window: no route
-        (np.array([[1.0, -1.0, 1.0], [1.0, -1.0, 1.0]]), 1.0, (0, 0), (1, 2)), 2, 3
-    )
-    def test_search_matches_open_cell_graph(self, case, top, left):
-        f, resolution, source, target = case
-        for cell in (source, target):  # the search's endpoints are open
-            f[cell] = max(f[cell], 1.0)
-        dist, pred = metric.window_search(f, resolution, source)
-        found = None
-        if dist[target] < math.inf:  # walk the predecessors back from target
-            path, (row, col) = [], target
-            while row >= 0:
-                path.append(GridIndex(col + left, row + top))
-                row, col = divmod(int(pred[row, col]), f.shape[1])
-            found = path[::-1], float(dist[target])
-        start, goal = (GridIndex(c + left, r + top) for r, c in (source, target))
-        expected = open_cell_search(f, top, left, resolution, start, goal)
-        if expected is None:
-            assert found is None
-        else:
-            path, cost = found
-            assert [tuple(c) for c in path] == expected[0] and cost == expected[1]
+
+def _ring(f, layout):
+    """f halved, inf at closed cells, in the layout's inf ring: one row deep,
+    layout.pad columns wide."""
+    ring = np.full((f.shape[0] + 2, f.shape[1] + 2 * layout.pad), np.inf)
+    ring[1:-1, layout.pad : -layout.pad] = np.where(f < 0, np.inf, 0.5 * f)
+    return ring
+
+
+def _in_grid(f, layout):
+    """(grid_f, at): the window f in the layout as a plain window of grid
+    rows and columns, the bounding box of its cells with every other cell
+    closed, and at[u, v], the flat index in grid_f of window cell (u, v).
+    Row-major order of grid_f is the order of the window's node numbers."""
+    height, width = f.shape
+    rows, cols = _grid_cell(layout, *np.indices(f.shape))
+    cols -= cols.min()
+    at = rows * (width + abs(layout.shear) * (height - 1)) + cols
+    grid_f = np.full((height, width + abs(layout.shear) * (height - 1)), -1.0)
+    grid_f.flat[at] = f
+    return grid_f, at
+
+
+# Cell values that make many equal-cost paths: one free value with walls,
+# two values, and a graded mix whose sums still meet.
+_TIE_MIXES = ([0] * 4 + [254], [0, 0, 128, 254], [0, 7, 64, 128, 200, 252, 254])
+
+
+@st.composite
+def tie_cases(draw):
+    """(f, resolution, source): window factors of up to 24 x 24 cells with
+    few cost values, and a (row, col) cell, which may be closed."""
+    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    mix = draw(st.sampled_from(_TIE_MIXES))
+    f = cell_factor_table()[draw(arrays(np.uint8, (height, width), elements=st.sampled_from(mix)))]
+    source = (draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1)))
+    return f, draw(st.sampled_from([0.05, 0.1, 1.0])), source
+
+
+class TestFixedDegreeWindowGraph:
+    """metric.window_search and its graph against the open-cell builder they
+    replaced (oracles.open_cell_graph): the same costs, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(window_cases())
     def test_costs_match_open_cell_graph(self, case):
         f, resolution, source, _ = case
         f[source] = max(f[source], 1.0)  # the search starts at an open cell
-        costs = metric.window_search(f, resolution, source)[0]
-        assert costs.shape == f.shape
-        assert (costs == open_cell_costs(f, resolution, source)).all()
+        ((costs, _),) = metric.window_search(
+            [_ring(f, metric._PLAIN)], resolution, [source[0] * f.shape[1] + source[1]]
+        )
+        assert costs.shape == (f.size,)
+        assert (costs.reshape(f.shape) == open_cell_costs(f, resolution, source)).all()
 
     @settings(max_examples=100, deadline=None)
     @given(window_cases())
@@ -672,7 +695,7 @@ class TestFixedDegreeWindowGraph:
         f, resolution, _, _ = case
         height, width = f.shape
         n = f.size
-        graph, _ = metric._ring_graph([metric._halved_ring(f)], resolution)
+        graph, _ = metric._ring_graph([_ring(f, metric._PLAIN)], resolution)
         assert graph.shape == (n, n)
         assert (np.diff(graph.indptr) == 8).all()
         rows = np.repeat(np.arange(n), 8)
@@ -689,19 +712,6 @@ class TestFixedDegreeWindowGraph:
         assert (np.isinf(weights) | (weights >= resolution)).all()
         closed = (f < 0).reshape(-1)
         assert np.isinf(weights[closed[rows] | closed[cols]]).all()
-
-
-def _grid_cell(layout, u, v):
-    """The grid (row, col) of layout cell (u, v)."""
-    return u, v + layout.shear * u
-
-
-def _ring(f, layout):
-    """f halved, inf at closed cells, in the layout's inf ring: one row deep,
-    layout.pad columns wide."""
-    ring = np.full((f.shape[0] + 2, f.shape[1] + 2 * layout.pad), np.inf)
-    ring[1:-1, layout.pad : -layout.pad] = np.where(f < 0, np.inf, 0.5 * f)
-    return ring
 
 
 def _slacks():
@@ -806,12 +816,15 @@ class TestShearedLayouts:
     @pytest.mark.parametrize("layout", _LAYOUTS, ids=lambda layout: f"shear{layout.shear}")
     @settings(max_examples=300, deadline=None)
     @given(case=window_cases(), top=st.integers(-3, 3), left=st.integers(-3, 3))
+    @example(  # a closed column splits the window: no route in the plain layout
+        case=(np.array([[1.0, -1.0, 1.0], [1.0, -1.0, 1.0]]), 1.0, (0, 0), (1, 2)), top=2, left=3
+    )
     def test_search_matches_open_cell_graph(self, layout, case, top, left):
         f, resolution, source, target = case
         for cell in (source, target):  # the search's endpoints are open
             f[cell] = max(f[cell], 1.0)
         height, width = f.shape
-        ((dist, pred),) = metric._ring_search(
+        ((dist, pred),) = metric.window_search(
             [_ring(f, layout)], resolution, [source[0] * width + source[1]], [layout]
         )
         # the window's cells in grid coordinates, closed around it
@@ -839,3 +852,23 @@ class TestShearedLayouts:
             path.append((c, r))
             v = int(pred[v])
         assert path[::-1] == expected[0] and cost == expected[1]
+
+    @pytest.mark.parametrize("layout", _LAYOUTS, ids=lambda layout: f"shear{layout.shear}")
+    @settings(max_examples=150, deadline=None)
+    @given(case=tie_cases())
+    def test_pred_follows_the_tie_rule(self, layout, case):
+        # csgraph's predecessor choice among equal-cost ones, which every
+        # pinned path depends on: a scipy whose heap order differs fails here
+        f, resolution, source = case
+        f[source] = max(f[source], 1.0)
+        height, width = f.shape
+        ((dist, pred),) = metric.window_search(
+            [_ring(f, layout)], resolution, [source[0] * width + source[1]], [layout]
+        )
+        grid_f, at = _in_grid(f, layout)
+        grid_dist = np.full(grid_f.shape, np.inf)
+        grid_dist.flat[at] = dist.reshape(f.shape)
+        expected = tie_rule_pred(grid_dist, _ring(grid_f, metric._PLAIN), resolution)
+        reached = (dist < math.inf).reshape(f.shape)
+        got = np.where(pred >= 0, at.reshape(-1)[np.maximum(pred, 0)], pred).reshape(f.shape)
+        assert (got[reached] == expected.flat[at[reached]]).all()

@@ -8,7 +8,7 @@ from scipy.sparse import csgraph
 
 from semnav import envgen, segmentation
 from semnav.errors import ConfigError, MapConsistencyError, ValidationError
-from semnav.metric import CostmapGrid, GridIndex, factor_table
+from semnav.metric import CostmapGrid, GridIndex, half_table
 from semnav.segmentation import (
     CategoryRule,
     FOUR_CONNECTED,
@@ -752,9 +752,10 @@ def window_sizes(monkeypatch):
     sizes = []
     search = segmentation.window_search
 
-    def spy(f, resolution, source):
-        sizes.append(f.size)
-        return search(f, resolution, source)
+    def spy(rings, resolution, sources, layouts=None):
+        # a ring holds its window in one more row and column each side
+        sizes.extend((ring.shape[0] - 2) * (ring.shape[1] - 2) for ring in rings)
+        return search(rings, resolution, sources, layouts)
 
     monkeypatch.setattr(segmentation, "window_search", spy)
     return sizes
@@ -767,8 +768,8 @@ class TestAdjacencyEllipses:
         slacks = []  # each leg's span beyond its octile distance, in cells
         leg_spans = segmentation._leg_spans
 
-        def spy(factors, g, labels, label, a, portals):
-            spans = leg_spans(factors, g, labels, label, a, portals)
+        def spy(halves, g, labels, label, a, portals):
+            spans = leg_spans(halves, g, labels, label, a, portals)
             for b, span in zip(portals, spans):
                 drow, dcol = sorted((abs(a.row - b.row), abs(a.col - b.col)))
                 slacks.append(span - dcol - (math.sqrt(2) - 1) * drow)
@@ -860,7 +861,7 @@ class TestAdjacencyEllipses:
         raster = RoomLabelRaster(width=20, height=14, labels=labels)
         centroid, portal = raster.centroid_cells[1], GridIndex(9, 3)
         assert centroid == (5, 6)
-        spans = segmentation._leg_spans(factor_table(), grid, labels, 1, centroid, [portal])
+        spans = segmentation._leg_spans(half_table(), grid, labels, 1, centroid, [portal])
         assert spans.tolist() == [math.inf]
         edges = extract_adjacency(raster, grid)
         assert [(e.room_a, e.room_b, e.portal) for e in edges] == [("1", "2", portal)]
