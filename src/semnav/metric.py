@@ -29,23 +29,24 @@ too, bounded by the same ellipses with the room's centroid and a portal as
 foci and a span read off a path known to be open, so they need no second
 search. Nothing is cached on the grid.
 The window graph has a fixed degree, a node per cell and 8 moves per node; a
-move at a closed cell or off the window weighs inf, and Dijkstra never takes it.
+move at a closed cell or off the window weighs inf, and csgraph never relaxes
+an inf entry, whatever node it targets.
 scipy is imported by the functions that search, so loading a map needs numpy only.
 
-A leg's window is plain, a box of grid rows and columns, or sheared along the
-leg's diagonal: a box of grid rows and of columns v = c - s * r, s = +1 or -1,
-so each window row is a run of its grid row shifted s columns from the row
-above (grid_shortest_paths says which is taken, _reach how far the ellipse
-reaches in each). The results are the same bits in either layout:
+A window's layout is its shear s: 0 for a plain box of grid rows and columns,
+or +1 or -1 for a box sheared along the leg's diagonal, of grid rows and of
+columns v = c - s * r, so each window row is a run of its grid row shifted s
+columns from the row above (grid_shortest_paths says which is taken, _reach
+how far the ellipse reaches in each). The results are the same bits for every shear:
 - The open cells are the same: the cells of E(span) on the grid that are
   traversable. Each window holds all of them and closes every other cell.
 - Each open node lists its open neighbours in the same order, _MOVES order,
-  with the same weights; closed cells never enter csgraph's heap (their pred
-  stays -9999), so only the node numbers differ.
+  with the same weights; its other moves weigh inf and are never relaxed (a
+  closed cell's pred stays -9999), so only the node numbers differ.
 - Node numbers keep their order. csgraph's dijkstra (scipy 1.17) breaks ties
   between equal distances by node number: renumbering a window's cells out
-  of row-major order can return another path of equal cost. Both layouts
-  number cells row by row, and along a row by column, so any two open cells
+  of row-major order can return another path of equal cost. Every shear
+  numbers cells row by row, and along a row by column, so any two open cells
   compare alike.
 So Dijkstra settles the same cells in the same order with the same
 predecessors, and the path mapped back through c = v + s * r has the same
@@ -291,8 +292,6 @@ def load_costmap(image_path, meta_path) -> CostmapGrid:
         lethal_thresh = int(meta.get("lethal_thresh", DEFAULT_LETHAL_THRESH))
     except ValueError as exc:
         raise ConfigError(f"{meta_path}: non-numeric value: {exc}") from exc
-    if resolution <= 0:
-        raise ValidationError(f"{meta_path}: resolution must be positive, got {resolution}")
     if not (0 <= lethal_thresh < free_thresh <= 255):
         raise ConfigError(
             f"{meta_path}: need 0 <= lethal_thresh < free_thresh <= 255, "
@@ -304,9 +303,10 @@ def load_costmap(image_path, meta_path) -> CostmapGrid:
         raise MapFormatError(f"{image_path}: costmap PGM must have maxval 255, got {maxval}")
     cells = pixels_to_costs(pixels, free_thresh=free_thresh, lethal_thresh=lethal_thresh)
     h, w = cells.shape
-    return CostmapGrid(
-        width=w, height=h, resolution=resolution, origin_x=origin_x, origin_y=origin_y, cells=cells
-    )
+    try:
+        return CostmapGrid(w, h, resolution, origin_x, origin_y, cells)
+    except ValidationError as exc:  # the geometry the meta file gives
+        raise ValidationError(f"{meta_path}: {exc}") from exc
 
 
 def pixels_to_costs(pixels: np.ndarray, *, free_thresh: int, lethal_thresh: int) -> np.ndarray:
@@ -360,41 +360,10 @@ _FIRST_SLACK = 2.0
 _GROUP_ENTRIES = 1 << 16
 
 
-class _Layout(NamedTuple):
-    """A window layout: window cell (u, v) is grid cell (r, c) = (u, v + shear * u),
-    so a window row is a run of a grid row, shifted shear columns per row."""
-
-    shear: int  # 0 (plain), 1 or -1
-    pad: int  # columns of inf each side of the window's ring, the most a move shifts
-    moves: tuple[int, ...]  # dv = dcol - shear * drow of each of _MOVES; du = drow
-    move_cols: np.ndarray  # the moves' dv, int32
-    # (rows, cols, moves): the moves (a slice or a tuple of move indices)
-    # that leave the window from its cells [rows, cols], which point back
-    backs: tuple
-
-
-def _layout(shear: int) -> _Layout:
-    moves = tuple(dc - shear * dr for dr, dc in _MOVES)
-    bands: dict[tuple[int, int], list[int]] = {}
-    for k, ((du, _), dv) in enumerate(zip(_MOVES, moves)):
-        for axis, d in ((0, du), (1, dv)):
-            if d:  # the band of |d| rows or columns at the edge the move leaves by
-                bands.setdefault((axis, d), []).append(k)
-    backs = []
-    for (axis, d), ks in bands.items():
-        edge = (0 if d < 0 else -1) if abs(d) == 1 else slice(0, -d) if d < 0 else slice(-d, None)
-        band = (edge, slice(None)) if axis == 0 else (slice(None), edge)
-        contiguous = ks == list(range(ks[0], ks[-1] + 1))
-        backs.append((*band, slice(ks[0], ks[-1] + 1) if contiguous else tuple(ks)))
-    move_cols = np.array(moves, dtype=np.int32)
-    move_cols.setflags(write=False)
-    return _Layout(shear, max(abs(dv) for dv in moves), moves, move_cols, tuple(backs))
-
-
-# by shear: plain, and columns sheared along a leg whose row and column
-# offsets have the same (1) or opposite (-1) signs
-_LAYOUTS = {s: _layout(s) for s in (0, 1, -1)}
-_PLAIN = _LAYOUTS[0]
+# Row s: each move's window column offset dcol - s * drow in a window of shear s,
+# whose cell (u, v) is grid cell (u, v + s * u); row -1 is the last.
+_MOVE_COLS = np.array([[dcol - s * drow for drow, dcol in _MOVES] for s in (0, 1, -1)], np.int32)
+_MOVE_COLS.setflags(write=False)
 
 
 def _halves(allow_inscribed: bool) -> np.ndarray:
@@ -462,16 +431,15 @@ def grid_shortest_paths(
     failing one search no window that size: a failing plan searches
     grid-sized windows no more often than leg-by-leg searches do.
 
-    A window is a box in one of three layouts (u, v) of the grid: plain,
-    (u, v) = (r, c), or sheared, (r, c - s * r) with s = +1 or -1, whose
-    rows are runs of grid rows shifted s columns per row. A leg's round
-    takes the sheared layout with s = sign(drow * dcol) when its box for
-    E(span) holds fewer cells than the plain box cut to the grid and lies on
-    the grid; a shear runs along the leg's diagonal, so for a diagonal leg
-    its box hugs the ellipse where the plain box holds about a square.
-    Either layout's window holds every cell of E(span) on the grid and opens
-    only those, in the same order; why that gives the same path is in the
-    module docstring.
+    A window is a box of (u, v) = (r, c - s * r) for its shear s: plain with
+    s = 0, or sheared with s = +1 or -1, whose rows are runs of grid rows
+    shifted s columns per row. A leg's round takes s = sign(drow * dcol)
+    when that box for E(span) holds fewer cells than the plain box cut to
+    the grid and lies on the grid; a shear runs along the leg's diagonal, so
+    for a diagonal leg its box hugs the ellipse where the plain box holds
+    about a square. Either window holds every cell of E(span) on the grid
+    and opens only those, in the same order; why that gives the same path is
+    in the module docstring.
     """
     halves = _HALF_TABLES[allow_inscribed]
     ends: list[tuple[GridIndex, GridIndex, float]] = []  # (start, goal, direct) per leg checked
@@ -499,29 +467,30 @@ def grid_shortest_paths(
         windows = []
         for i in pending:
             start, goal, direct = ends[i]
-            layout, top, bottom, left, right = _window_box(g, start, goal, spans[i] - direct)
-            top, left, inside = _mask(layout, start, goal, spans[i], top, bottom, left, right)
+            s, top, bottom, left, right = _window_box(g, start, goal, spans[i] - direct)
+            top, left, inside = _mask(s, start, goal, spans[i], top, bottom, left, right)
             if inside.size == g.cells.size and i != pending[0]:
                 continue  # a window the size of the grid waits for the legs before it
             height, width = inside.shape
             # the window's halved factors in a ring of inf, inf outside the ellipse
-            half = np.full((height + 2, width + 2 * layout.pad), np.inf)
-            inner = half[1:-1, layout.pad : layout.pad + width]
-            inner[...] = halves[_window_cells(g.cells, layout.shear, top, left, height, width)]
+            pad = 1 + abs(s)
+            half = np.full((height + 2, width + 2 * pad), np.inf)
+            inner = half[1:-1, pad : pad + width]
+            inner[...] = halves[_window_cells(g.cells, s, top, left, height, width)]
             inner[~inside] = np.inf
-            source = (start.row - top) * width + start.col - layout.shear * start.row - left
+            source = (start.row - top) * width + start.col - s * start.row - left
             whole = inside.size == g.cells.size and inside.all()
-            windows.append(_Window(i, layout, top, left, height, width, whole, source, half))
+            windows.append(_Window(i, s, top, left, height, width, whole, source, half))
         for group in _groups(windows):
             searched = window_search(
                 [w.ring for w in group],
                 g.resolution,
                 [w.source for w in group],
-                [w.layout for w in group],
+                [w.shear for w in group],
             )
-            for (i, layout, top, left, _, width, whole, _, _), (dist, pred) in zip(group, searched):
+            for (i, s, top, left, _, width, whole, _, _), (dist, pred) in zip(group, searched):
                 start, goal, direct = ends[i]
-                v = (goal.row - top) * width + goal.col - layout.shear * goal.row - left
+                v = (goal.row - top) * width + goal.col - s * goal.row - left
                 cost = float(dist[v])
                 if cost / g.resolution + 1.0 <= spans[i]:
                     flat = []
@@ -531,8 +500,8 @@ def grid_shortest_paths(
                     rows, cols = np.divmod(np.array(flat[::-1]), width)
                     rows += top
                     cols += left
-                    if layout.shear:
-                        cols += layout.shear * rows
+                    if s:
+                        cols += s * rows
                     found[i] = (cols, rows), cost
                     pending.remove(i)
                 elif cost < math.inf:
@@ -551,14 +520,14 @@ class _Window(NamedTuple):
     """One leg's search window in a growth round of grid_shortest_paths."""
 
     leg: int
-    layout: _Layout
-    top: int  # the window's first cell is (u, v) = (top, left) in its layout
+    shear: int  # window cell (u, v) is grid cell (u, v + shear * u)
+    top: int  # the window's first cell is (u, v) = (top, left)
     left: int
     height: int
     width: int
     whole: bool  # the window's ellipse holds every cell of the grid
     source: int  # the start's flat index in the window
-    ring: np.ndarray  # the window's halved factors in its layout's inf ring
+    ring: np.ndarray  # the window's halved factors in its inf ring, 1 + |shear| columns wide
 
 
 def _groups(windows):
@@ -592,8 +561,8 @@ def _reach(slack: float, shear: int = 0) -> int:
 
 
 def _window_box(g: CostmapGrid, start: GridIndex, goal: GridIndex, slack: float):
-    """(layout, top, bottom, left, right): the layout and box, rows u in
-    [top, bottom) and layout columns v in [left, right), of the fewer cells
+    """(shear, top, bottom, left, right): the shear and box, rows u in
+    [top, bottom) and window columns v in [left, right), of the fewer cells
     that hold E(direct + slack) on the grid. Both are cut to the grid's
     rows; the plain box is cut to its columns too, and the sheared one is
     taken only if every cell of it lies on the grid. Plain wins ties and
@@ -613,8 +582,8 @@ def _window_box(g: CostmapGrid, start: GridIndex, goal: GridIndex, slack: float)
         # each row u's columns c = v + s * u lie on the grid
         first, last = sorted((s * top, s * (bottom - 1)))
         if (hi - lo) * (bottom - top) < cells and lo + first >= 0 and hi - 1 + last < g.width:
-            return _LAYOUTS[s], top, bottom, lo, hi
-    return _PLAIN, top, bottom, left, right
+            return s, top, bottom, lo, hi
+    return 0, top, bottom, left, right
 
 
 def ellipse(box: tuple[slice, slice], start: GridIndex, goal: GridIndex, span: float):
@@ -628,20 +597,21 @@ def ellipse(box: tuple[slice, slice], start: GridIndex, goal: GridIndex, span: f
     bottom = min(box[0].stop, max(start.row, goal.row) + reach + 1)
     left = max(box[1].start, min(start.col, goal.col) - reach)
     right = min(box[1].stop, max(start.col, goal.col) + reach + 1)
-    return _mask(_PLAIN, start, goal, span, top, bottom, left, right)
+    return _mask(0, start, goal, span, top, bottom, left, right)
 
 
-def _mask(layout, start, goal, span, top, bottom, left, right):
-    """ellipse over the layout's box of rows [top, bottom) and columns
-    [left, right), which holds start and goal. When sheared, the cells'
-    grid column offsets from a focus are a strided view of one arange."""
+def _mask(shear, start, goal, span, top, bottom, left, right):
+    """ellipse over the box of rows [top, bottom) and columns [left, right)
+    of the window layout with shear, which holds start and goal. When
+    sheared, the cells' grid column offsets from a focus are a strided view
+    of one arange."""
     height, width = bottom - top, right - left
     total = np.empty((height, width))
     term = np.empty_like(total)
     for focus, out in ((start, total), (goal, term)):
         rows = np.arange(top - focus.row, bottom - focus.row)[:, None]
-        first = left + layout.shear * top - focus.col
-        _octile(rows, _sheared_range(first, width, height, layout.shear), out)
+        first = left + shear * top - focus.col
+        _octile(rows, _sheared_range(first, width, height, shear), out)
     total += term
     inside = total <= span
     r = np.flatnonzero(inside.any(axis=1))
@@ -677,17 +647,17 @@ def _octile(drow: np.ndarray, dcol: np.ndarray, out: np.ndarray | None = None) -
     return np.add(np.maximum(drow, dcol), low, out=out)
 
 
-def window_search(rings: list[np.ndarray], resolution: float, sources: list[int], layouts=None):
+def window_search(rings: list[np.ndarray], resolution: float, sources: list[int], shears=None):
     """Per ring, the flat (dist, pred) of Dijkstra over its window from the
     window's flat cell index in sources: all in one csgraph call over
-    _ring_graph(rings, resolution, layouts), which says what a ring holds.
+    _ring_graph(rings, resolution, shears), which says what a ring holds.
     dist[v] is the cheapest-path cost to window cell v, inf where unreached;
     pred[v] is the cell before it on that path, negative at the source and
     where unreached.
     """
     from scipy.sparse.csgraph import dijkstra
 
-    graph, offsets = _ring_graph(rings, resolution, layouts)
+    graph, offsets = _ring_graph(rings, resolution, shears)
     dist, pred = dijkstra(
         graph,
         indices=[a + source for a, source in zip(offsets, sources)],
@@ -701,53 +671,52 @@ def window_search(rings: list[np.ndarray], resolution: float, sources: list[int]
     return found
 
 
-def _ring_graph(rings: list[np.ndarray], resolution: float, layouts=None):
+def _ring_graph(rings: list[np.ndarray], resolution: float, shears=None):
     """(graph, offsets): the CSR graph of the 8-connected moves over every cell
     of each window, from the window's halved factors (inf at closed cells)
-    held in an inf ring one row deep and layout.pad columns wide, laid out
-    as layouts[i] for rings[i] (all plain if None), with window i's cells as
-    nodes offsets[i] up to offsets[i + 1]. No edge joins two windows.
+    held in an inf ring one row deep and pad = 1 + |s| columns wide, the most
+    a move shifts a column in a window of shear s = shears[i] (all 0 if None).
+    Window i's cells are nodes offsets[i] up to offsets[i + 1].
 
     Node offsets[i] + u * width + v is cell (u, v) of window i; row v lists
     v's 8 grid moves in _MOVES order, a move (drow, dcol) at the window
-    offset (drow, dcol - shear * drow). A move weighs
+    offset (drow, dcol - s * drow). A move weighs
     step * (0.5 * (f_a + f_b)), or inf at a closed cell and off the window,
-    where it points back at v. csgraph never relaxes an inf edge.
+    where it targets some node of the window: csgraph never relaxes an inf
+    entry, and no edge joins two windows.
 
     Each move's weights are one add of two shifted slices of the ring into
     the window's slice of one (nodes, 8) array, and one multiply by the
     per-move steps scales all of them; the targets are node + offset for all
-    moves in one broadcast, and the moves off each edge are pointed back by
-    basic slices (the layout's backs).
+    moves in one broadcast. No move shifts a node number by more than
+    width + pad, so only the first and last width + pad nodes' targets are
+    clamped into the window.
     """
     from scipy.sparse import csr_array
 
-    if layouts is None:
-        layouts = [_PLAIN] * len(rings)
+    if shears is None:
+        shears = [0] * len(rings)
     offsets = [0]
-    for half, layout in zip(rings, layouts):
-        offsets.append(offsets[-1] + (half.shape[0] - 2) * (half.shape[1] - 2 * layout.pad))
+    for half, s in zip(rings, shears):
+        offsets.append(offsets[-1] + (half.shape[0] - 2) * (half.shape[1] - 2 - 2 * abs(s)))
     n = offsets[-1]
     weights = np.empty((n, len(_MOVES)))
     indices = np.empty((n, len(_MOVES)), dtype=np.int32)
-    for half, layout, a, b in zip(rings, layouts, offsets, offsets[1:]):
-        pad = layout.pad
+    for half, s, a, b in zip(rings, shears, offsets, offsets[1:]):
+        pad = 1 + abs(s)
         height, width = half.shape[0] - 2, half.shape[1] - 2 * pad
         inner = half[1:-1, pad : pad + width]
         block = weights[a:b].reshape(height, width, len(_MOVES))
-        for k, ((drow, _), dv) in enumerate(zip(_MOVES, layout.moves)):
+        for k, (drow, dcol) in enumerate(_MOVES):
+            dv = dcol - s * drow
             moved = half[1 + drow : 1 + drow + height, pad + dv : pad + dv + width]
             np.add(inner, moved, out=block[..., k])
-        node = np.arange(a, b, dtype=np.int32).reshape(height, width, 1)
-        targets = indices[a:b].reshape(height, width, len(_MOVES))
-        np.add(node, _MOVE_ROWS * width + layout.move_cols, out=targets)
-        for rows, cols, moves in layout.backs:
-            if type(moves) is slice:
-                targets[rows, cols, moves] = node[rows, cols]
-            else:
-                back = node[rows, cols, 0]
-                for k in moves:
-                    targets[rows, cols, k] = back
+        targets = indices[a:b]
+        node = np.arange(a, b, dtype=np.int32)[:, None]
+        np.add(node, _MOVE_ROWS * width + _MOVE_COLS[s], out=targets)
+        edge = width + pad
+        np.maximum(targets[:edge], a, out=targets[:edge])
+        np.minimum(targets[-edge:], b - 1, out=targets[-edge:])
     weights *= resolution * _MOVE_STEPS
     indptr = np.arange(0, len(_MOVES) * n + 1, len(_MOVES), dtype=np.int32)
     return csr_array((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n)), offsets

@@ -408,9 +408,9 @@ class TestUnrealizableRoute:
         grid_sized = []
         search = metric.window_search
 
-        def spy(rings, resolution, sources, layouts):
+        def spy(rings, resolution, sources, shears):
             grid_sized.extend(ring.size == (grid.height + 2) * (grid.width + 2) for ring in rings)
-            return search(rings, resolution, sources, layouts)
+            return search(rings, resolution, sources, shears)
 
         monkeypatch.setattr(metric, "window_search", spy)
         request = planner.PlanRequest(
@@ -635,6 +635,35 @@ class TestBuildFromOccupancy:
         )
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
+        assert not (tmp_path / "m2").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("resolution", "0"),
+            ("resolution", "-1"),
+            ("resolution", "nan"),
+            ("resolution", "inf"),
+            ("origin_x", "inf"),
+        ],
+    )
+    def test_build_names_meta_with_bad_geometry(self, map_dir, tmp_path, key, value):
+        meta = tmp_path / "bad.meta"
+        meta.write_text(
+            "".join(
+                f"{key}: {value}\n" if line.startswith(f"{key}:") else line
+                for line in (map_dir / "occupancy.meta").read_text().splitlines(keepends=True)
+            ),
+            encoding="utf-8",
+        )
+        result = run_cli(
+            "build",
+            "--costmap", str(map_dir / "occupancy.pgm"),
+            "--meta", str(meta),
+            "--out", str(tmp_path / "m2"),
+        )
+        assert result.returncode == 2, result.stderr
+        assert f"{meta}: " in result.stderr
         assert not (tmp_path / "m2").exists()
 
     def test_missing_required_flag_exits_2(self):

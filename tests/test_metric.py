@@ -546,8 +546,8 @@ class TestWindowedSearchExactness:
         windows = []
         search = metric.window_search
 
-        def spy(rings, resolution, sources, layouts):
-            found = search(rings, resolution, sources, layouts)
+        def spy(rings, resolution, sources, shears):
+            found = search(rings, resolution, sources, shears)
             ((dist, pred),), (half,), (source,) = found, rings, sources
             # the window's first cell lies at start - source in the grid
             width = half.shape[1] - 2  # half holds the window in a one-cell ring
@@ -631,29 +631,30 @@ def window_cases(draw):
     return f, draw(st.sampled_from([0.05, 0.1, 1.0])), cell(), cell()
 
 
-def _grid_cell(layout, u, v):
-    """The grid (row, col) of layout cell (u, v)."""
-    return u, v + layout.shear * u
+def _grid_cell(shear, u, v):
+    """The grid (row, col) of cell (u, v) of a window with shear."""
+    return u, v + shear * u
 
 
-def _ring(f, layout):
-    """f halved, inf at closed cells, in the layout's inf ring: one row deep,
-    layout.pad columns wide."""
-    ring = np.full((f.shape[0] + 2, f.shape[1] + 2 * layout.pad), np.inf)
-    ring[1:-1, layout.pad : -layout.pad] = np.where(f < 0, np.inf, 0.5 * f)
+def _ring(f, shear):
+    """f halved, inf at closed cells, in the inf ring of a window with shear:
+    one row deep, 1 + |shear| columns wide."""
+    pad = 1 + abs(shear)
+    ring = np.full((f.shape[0] + 2, f.shape[1] + 2 * pad), np.inf)
+    ring[1:-1, pad:-pad] = np.where(f < 0, np.inf, 0.5 * f)
     return ring
 
 
-def _in_grid(f, layout):
-    """(grid_f, at): the window f in the layout as a plain window of grid
+def _in_grid(f, shear):
+    """(grid_f, at): the window f with shear as a plain window of grid
     rows and columns, the bounding box of its cells with every other cell
     closed, and at[u, v], the flat index in grid_f of window cell (u, v).
     Row-major order of grid_f is the order of the window's node numbers."""
     height, width = f.shape
-    rows, cols = _grid_cell(layout, *np.indices(f.shape))
+    rows, cols = _grid_cell(shear, *np.indices(f.shape))
     cols -= cols.min()
-    at = rows * (width + abs(layout.shear) * (height - 1)) + cols
-    grid_f = np.full((height, width + abs(layout.shear) * (height - 1)), -1.0)
+    at = rows * (width + abs(shear) * (height - 1)) + cols
+    grid_f = np.full((height, width + abs(shear) * (height - 1)), -1.0)
     grid_f.flat[at] = f
     return grid_f, at
 
@@ -684,7 +685,7 @@ class TestFixedDegreeWindowGraph:
         f, resolution, source, _ = case
         f[source] = max(f[source], 1.0)  # the search starts at an open cell
         ((costs, _),) = metric.window_search(
-            [_ring(f, metric._PLAIN)], resolution, [source[0] * f.shape[1] + source[1]]
+            [_ring(f, 0)], resolution, [source[0] * f.shape[1] + source[1]]
         )
         assert costs.shape == (f.size,)
         assert (costs.reshape(f.shape) == open_cell_costs(f, resolution, source)).all()
@@ -695,18 +696,18 @@ class TestFixedDegreeWindowGraph:
         f, resolution, _, _ = case
         height, width = f.shape
         n = f.size
-        graph, _ = metric._ring_graph([_ring(f, metric._PLAIN)], resolution)
+        graph, _ = metric._ring_graph([_ring(f, 0)], resolution)
         assert graph.shape == (n, n)
         assert (np.diff(graph.indptr) == 8).all()
         rows = np.repeat(np.arange(n), 8)
         cols, weights = graph.indices, graph.data
-        # A move out of the window points back at its own node with weight
-        # inf; every other column appears at most once in a row.
-        loop = cols == rows
-        assert np.isinf(weights[loop]).all()
-        pairs = rows[~loop] * n + cols[~loop]
+        # Every target is a node of the window. A finite edge joins a cell to
+        # an 8-neighbour, and every finite column appears at most once in a row.
+        assert ((cols >= 0) & (cols < n)).all()
+        finite = np.isfinite(weights)
+        pairs = rows[finite] * n + cols[finite]
         assert len(np.unique(pairs)) == len(pairs)
-        (r0, c0), (r1, c1) = np.divmod(rows[~loop], width), np.divmod(cols[~loop], width)
+        (r0, c0), (r1, c1) = np.divmod(rows[finite], width), np.divmod(cols[finite], width)
         assert (np.maximum(abs(r1 - r0), abs(c1 - c0)) == 1).all()  # an 8-neighbour, no wrap
         # no step costs less than its length, and an edge at a closed cell is never taken
         assert (np.isinf(weights) | (weights >= resolution)).all()
@@ -723,7 +724,7 @@ def _slacks():
     return st.one_of(st.just(2.0), st.floats(0.0, 24.0, allow_nan=False), lattice)
 
 
-_LAYOUTS = sorted(metric._LAYOUTS.values(), key=lambda layout: layout.shear)
+_SHEARS = (-1, 0, 1)
 
 
 class TestShearedLayouts:
@@ -754,56 +755,56 @@ class TestShearedLayouts:
             (goal.col + pad, goal.row + pad),
             span,
         )
-        for layout in _LAYOUTS:
-            # the foci's rows and layout columns, widened by the documented reaches
-            reach, across = metric._reach(slack), metric._reach(slack, layout.shear)
-            a, b = (p.col - layout.shear * p.row for p in (start, goal))
+        for shear in _SHEARS:
+            # the foci's rows and window columns, widened by the documented reaches
+            reach, across = metric._reach(slack), metric._reach(slack, shear)
+            a, b = (p.col - shear * p.row for p in (start, goal))
             box = (
                 min(start.row, goal.row) - reach,
                 max(start.row, goal.row) + reach + 1,
                 min(a, b) - across,
                 max(a, b) + across + 1,
             )
-            top, left, inside = metric._mask(layout, start, goal, span, *box)
+            top, left, inside = metric._mask(shear, start, goal, span, *box)
             assert inside[0].any() and inside[-1].any()
             assert inside[:, 0].any() and inside[:, -1].any()
             placed = np.zeros_like(expected)
             for i, j in np.argwhere(inside).tolist():
-                r, c = _grid_cell(layout, top + i, left + j)
+                r, c = _grid_cell(shear, top + i, left + j)
                 placed[r + pad, c + pad] = True  # raises if a cell fell past the margin
             assert np.array_equal(placed, expected)
-        # the chosen layout's box lies on the grid and holds the grid's part of E(span)
+        # the chosen shear's box lies on the grid and holds the grid's part of E(span)
         grid = CostmapGrid(width, height, 1.0, 0.0, 0.0, np.zeros((height, width), np.uint8))
-        layout, *box = metric._window_box(grid, start, goal, slack)
-        top, left, inside = metric._mask(layout, start, goal, span, *box)
+        shear, *box = metric._window_box(grid, start, goal, slack)
+        top, left, inside = metric._mask(shear, start, goal, span, *box)
         placed = np.zeros((height, width), dtype=bool)
         for i, j in np.argwhere(inside).tolist():
-            r, c = _grid_cell(layout, top + i, left + j)
+            r, c = _grid_cell(shear, top + i, left + j)
             assert 0 <= r < height and 0 <= c < width
             placed[r, c] = True
         assert np.array_equal(placed, expected[pad : pad + height, pad : pad + width])
 
-    @pytest.mark.parametrize("layout", _LAYOUTS, ids=lambda layout: f"shear{layout.shear}")
+    @pytest.mark.parametrize("shear", _SHEARS, ids=lambda shear: f"shear{shear}")
     @settings(max_examples=60, deadline=None)
     @given(case=window_cases())
-    def test_ring_graph_rows_list_grid_moves(self, layout, case):
+    def test_ring_graph_rows_list_grid_moves(self, shear, case):
         f, resolution, _, _ = case
         height, width = f.shape
-        graph, _ = metric._ring_graph([_ring(f, layout)], resolution, [layout])
+        graph, _ = metric._ring_graph([_ring(f, shear)], resolution, [shear])
         assert (np.diff(graph.indptr) == 8).all()
         targets = graph.indices.reshape(height, width, 8)
         weights = graph.data.reshape(height, width, 8)
-        cells = [_grid_cell(layout, u, v) for u in range(height) for v in range(width)]
+        cells = [_grid_cell(shear, u, v) for u in range(height) for v in range(width)]
         # node numbers follow the grid's row-major order of cells
         assert cells == sorted(cells)
         for u in range(height):
             for v in range(width):
-                r, c = _grid_cell(layout, u, v)
+                r, c = _grid_cell(shear, u, v)
                 for k, (drow, dcol) in enumerate(metric._MOVES):
                     step = resolution * (metric.SQRT2 if drow and dcol else 1.0)
                     target, weight = int(targets[u, v, k]), float(weights[u, v, k])
-                    if (r + drow, c + dcol) not in cells:  # off the window: it points back
-                        assert target == u * width + v and weight == math.inf
+                    if (r + drow, c + dcol) not in cells:  # off the window: inf, to a window node
+                        assert 0 <= target < height * width and weight == math.inf
                         continue
                     # the k-th move of the row reaches the grid neighbour (drow, dcol)
                     assert cells[target] == (r + drow, c + dcol)
@@ -813,23 +814,23 @@ class TestShearedLayouts:
                     else:
                         assert weight == step * (0.5 * f[u, v] + 0.5 * f[u2, v2])
 
-    @pytest.mark.parametrize("layout", _LAYOUTS, ids=lambda layout: f"shear{layout.shear}")
+    @pytest.mark.parametrize("shear", _SHEARS, ids=lambda shear: f"shear{shear}")
     @settings(max_examples=300, deadline=None)
     @given(case=window_cases(), top=st.integers(-3, 3), left=st.integers(-3, 3))
     @example(  # a closed column splits the window: no route in the plain layout
         case=(np.array([[1.0, -1.0, 1.0], [1.0, -1.0, 1.0]]), 1.0, (0, 0), (1, 2)), top=2, left=3
     )
-    def test_search_matches_open_cell_graph(self, layout, case, top, left):
+    def test_search_matches_open_cell_graph(self, shear, case, top, left):
         f, resolution, source, target = case
         for cell in (source, target):  # the search's endpoints are open
             f[cell] = max(f[cell], 1.0)
         height, width = f.shape
         ((dist, pred),) = metric.window_search(
-            [_ring(f, layout)], resolution, [source[0] * width + source[1]], [layout]
+            [_ring(f, shear)], resolution, [source[0] * width + source[1]], [shear]
         )
         # the window's cells in grid coordinates, closed around it
         cells = {
-            _grid_cell(layout, top + u, left + v): f[u, v]
+            _grid_cell(shear, top + u, left + v): f[u, v]
             for u in range(height)
             for v in range(width)
         }
@@ -839,7 +840,7 @@ class TestShearedLayouts:
         for (r, c), value in cells.items():
             grid_f[r - grid_top, c - grid_left] = value
         start, goal = (
-            GridIndex(*_grid_cell(layout, top + u, left + v)[::-1]) for u, v in (source, target)
+            GridIndex(*_grid_cell(shear, top + u, left + v)[::-1]) for u, v in (source, target)
         )
         expected = open_cell_search(grid_f, grid_top, grid_left, resolution, start, goal)
         v = target[0] * width + target[1]
@@ -848,27 +849,46 @@ class TestShearedLayouts:
             return
         cost, path = float(dist[v]), []
         while v >= 0:
-            r, c = _grid_cell(layout, top + v // width, left + v % width)
+            r, c = _grid_cell(shear, top + v // width, left + v % width)
             path.append((c, r))
             v = int(pred[v])
         assert path[::-1] == expected[0] and cost == expected[1]
 
-    @pytest.mark.parametrize("layout", _LAYOUTS, ids=lambda layout: f"shear{layout.shear}")
+    @pytest.mark.parametrize("shear", _SHEARS, ids=lambda shear: f"shear{shear}")
     @settings(max_examples=150, deadline=None)
     @given(case=tie_cases())
-    def test_pred_follows_the_tie_rule(self, layout, case):
+    def test_pred_follows_the_tie_rule(self, shear, case):
         # csgraph's predecessor choice among equal-cost ones, which every
         # pinned path depends on: a scipy whose heap order differs fails here
         f, resolution, source = case
         f[source] = max(f[source], 1.0)
         height, width = f.shape
         ((dist, pred),) = metric.window_search(
-            [_ring(f, layout)], resolution, [source[0] * width + source[1]], [layout]
+            [_ring(f, shear)], resolution, [source[0] * width + source[1]], [shear]
         )
-        grid_f, at = _in_grid(f, layout)
+        grid_f, at = _in_grid(f, shear)
         grid_dist = np.full(grid_f.shape, np.inf)
         grid_dist.flat[at] = dist.reshape(f.shape)
-        expected = tie_rule_pred(grid_dist, _ring(grid_f, metric._PLAIN), resolution)
+        expected = tie_rule_pred(grid_dist, _ring(grid_f, 0), resolution)
         reached = (dist < math.inf).reshape(f.shape)
         got = np.where(pred >= 0, at.reshape(-1)[np.maximum(pred, 0)], pred).reshape(f.shape)
         assert (got[reached] == expected.flat[at[reached]]).all()
+
+    @pytest.mark.parametrize(
+        "to_two", [(1.0, math.inf), (math.inf, 1.0)], ids=["finite-first", "inf-first"]
+    )
+    def test_csgraph_never_relaxes_an_inf_entry(self, to_two):
+        # _ring_graph gives a move off the window weight inf and any target
+        # in the window, which a finite move may list too: a scipy that
+        # relaxes inf entries or sums duplicate entries fails here
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import dijkstra
+
+        # node 0 lists node 1 at inf, then node 2 twice, at weights to_two
+        weights = np.array([math.inf, *to_two])
+        targets = np.array([1, 2, 2], dtype=np.int32)
+        indptr = np.array([0, 3, 3, 3], dtype=np.int32)
+        graph = csr_array((weights, targets, indptr), shape=(3, 3))
+        dist, pred = dijkstra(graph, indices=0, return_predecessors=True)
+        assert dist.tolist() == [0.0, math.inf, 1.0]
+        assert pred.tolist() == [-9999, -9999, 0]

@@ -752,10 +752,10 @@ def window_sizes(monkeypatch):
     sizes = []
     search = segmentation.window_search
 
-    def spy(rings, resolution, sources, layouts=None):
+    def spy(rings, resolution, sources, shears=None):
         # a ring holds its window in one more row and column each side
         sizes.extend((ring.shape[0] - 2) * (ring.shape[1] - 2) for ring in rings)
-        return search(rings, resolution, sources, layouts)
+        return search(rings, resolution, sources, shears)
 
     monkeypatch.setattr(segmentation, "window_search", spy)
     return sizes
