@@ -214,8 +214,6 @@ def run_bench(
     mode: str = "targeted",
     seed: int = 0,
     oracle=None,
-    *,
-    allow_inscribed: bool = False,
 ) -> BenchReport:
     """Run sampled plan trials over a map and aggregate a report."""
     if mode not in MODE_CHOICES:
@@ -228,10 +226,7 @@ def run_bench(
     per_mode: dict[str, dict[str, int]] = {}
     walls: list[float] = []
     for i, trial in enumerate(sampled):
-        request = PlanRequest(
-            start=trial.start, goal=GoalQuery(trial.goal), allow_inscribed=allow_inscribed
-        )
-        outcome = plan(m, request, oracle)
+        outcome = plan(m, PlanRequest(start=trial.start, goal=GoalQuery(trial.goal)), oracle)
         if i == 0:
             continue  # warm-up
         stats = per_mode.setdefault(

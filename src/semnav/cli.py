@@ -194,7 +194,6 @@ def cmd_bench(args) -> int:
         mode=args.mode,
         seed=args.seed,
         oracle=_make_oracle(args),
-        allow_inscribed=args.allow_inscribed,
     )
     print(report.table())
     print(report.to_json())
@@ -269,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--mode", default="targeted")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--allow-inscribed", action="store_true")
     p.add_argument("--out", help="also write the JSON report here")
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_bench)

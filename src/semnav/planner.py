@@ -128,16 +128,17 @@ def resolve_start(m: SemanticMap, start: str | MetricPoint) -> tuple[str, Metric
 
     Accepts a room id, an object id (its containing room), or a world point
     (a tuple or list of two real numbers) resolved through the room raster.
-    None means the start is invalid; a point in an unlabeled cell is not snapped.
+    None means the start is invalid, as for a start whose room is not a room
+    node; a point in an unlabeled cell is not snapped.
     """
     if isinstance(start, str):
         label = normalize_label(start)
         if label in m.graph.rooms:
             return label, m.graph.rooms[label].centroid
-        if label in m.graph.objects:
-            obj = m.graph.objects[label]
-            return obj.room_id, obj.position
-        return None
+        obj = m.graph.objects.get(label)
+        if obj is None or obj.room_id not in m.graph.rooms:
+            return None
+        return obj.room_id, obj.position
     pair = isinstance(start, (tuple, list)) and len(start) == 2
     if not (pair and all(isinstance(v, numbers.Real) for v in start)):
         return None
@@ -147,7 +148,7 @@ def resolve_start(m: SemanticMap, start: str | MetricPoint) -> tuple[str, Metric
     except GridBoundsError:
         return None
     room_id = m.room_id_at(cell)
-    if room_id is None:
+    if room_id not in m.graph.rooms:  # an unlabeled cell, or a label naming no room node
         return None
     return room_id, point
 
@@ -225,9 +226,10 @@ def refine_to_metric(
     Concatenates grid shortest-path segments start -> portal -> ... -> goal,
     all searched by one grid_shortest_paths call; adjacent segments share
     their joint cell, and every waypoint is the center of a traversable cell.
-    Unreachability inside a room means the graph and raster disagree,
-    reported as an UnrealizableRouteError naming the room of the first leg
-    with no path; a path over rooms no edge joins is a MapConsistencyError.
+    A leg with no path (an end off the grid or untraversable, or no route
+    inside the room) means the map's layers disagree, reported as an
+    UnrealizableRouteError naming the room of the first such leg; leg i runs
+    through rooms[i]. A path over rooms no edge joins is a MapConsistencyError.
     """
     graph = m.graph
     rooms = [n for n in path.nodes if n in graph.rooms]
@@ -240,31 +242,36 @@ def refine_to_metric(
     else:
         goal_point = graph.rooms[goal_node].centroid
 
-    anchors: list[GridIndex] = [m.costmap.world_to_grid(MetricPoint(*start_point))]
+    portals: list[GridIndex] = []
     for a, b in zip(rooms, rooms[1:]):
         edge = graph.get_edge(a, b)
         if edge is None:
             raise MapConsistencyError(f"rooms {a!r} and {b!r} are not connected by an edge")
-        anchors.append(edge.portal)
-    anchors.append(m.costmap.world_to_grid(MetricPoint(*goal_point)))
+        portals.append(edge.portal)
 
+    g = m.costmap
     cols, rows = [], []
-    legs = grid_shortest_paths(
-        m.costmap, zip(anchors, anchors[1:]), allow_inscribed=allow_inscribed
-    )
     try:
+        anchors = [g.world_to_grid(MetricPoint(*start_point)), *portals]
+        try:
+            anchors.append(g.world_to_grid(MetricPoint(*goal_point)))
+            off_grid = None
+        except GridBoundsError as exc:  # the goal's leg is the last: raised after the others
+            off_grid = exc
+        legs = grid_shortest_paths(g, zip(anchors, anchors[1:]), allow_inscribed=allow_inscribed)
         for (c, r), _ in legs:
             keep = slice(1 if cols else 0, None)  # each joint cell once
             cols.append(c[keep])
             rows.append(r[keep])
-    except (UnreachableError, ValidationError) as exc:
+        if off_grid is not None:
+            raise off_grid
+    except (GridBoundsError, UnreachableError, ValidationError) as exc:
         room = rooms[len(cols)]  # leg i runs through rooms[i]
         raise UnrealizableRouteError(
             f"room {room!r}: cannot realize graph path on the costmap: {exc}"
         ) from exc
     # each cell's center as CostmapGrid.grid_to_world computes it, in the same
     # float operations over arrays; every cell is on the grid, as the search found it.
-    g = m.costmap
     xs = (g.origin_x + (np.concatenate(cols) + 0.5) * g.resolution).tolist()
     ys = (g.origin_y + (np.concatenate(rows) + 0.5) * g.resolution).tolist()
     return tuple(map(tuple.__new__, repeat(MetricPoint), zip(xs, ys)))

@@ -115,8 +115,17 @@ class RoomLabelRaster:
         A run touches the runs of the row above that overlap its range shifted
         up a row, [start - width, end - width). Runs are sorted and disjoint, so
         two searchsorted calls give each run the index range of those runs.
-        Same-label pairs are joined in a union-find, and a label's component
-        count is the number of its runs left as roots.
+        A label's component count is the number of its runs left as roots.
+
+        Same-label pairs are joined by hooking and pointer jumping (Shiloach
+        & Vishkin 1982): each round hooks every pair's larger root under the
+        least root it touches, then compresses every run to its root, until
+        each pair's two runs share one. A root is only hooked under a smaller
+        one, so parent[x] <= x and no cycle forms; a round with a split pair
+        hooks some root, so the loop ends; and it ends only when every pair is
+        joined, merging only what pairs join, so the roots are exactly the
+        4-connected components. A root touching another is merged within two
+        rounds, so there are O(log runs) rounds. No pairs means no round.
         """
         rows, width = self.kept_rows, self.width
         flat = self.labels[rows].reshape(-1)
@@ -151,21 +160,12 @@ class RoomLabelRaster:
         above = np.arange(run.size) + np.repeat(lo - (np.cumsum(count) - count), count)
         same = label[run] == label[above]
         run, above = run[same], above[same]
-        # a run's first pair joins it, still a lone run, to the tree above it
-        first_pair = np.diff(run, prepend=-1) != 0
         parent = np.arange(label.size)
-        parent[run[first_pair]] = above[first_pair]
-        while not np.array_equal(root := parent[parent], parent):  # pointer jumping
-            parent = root
-        # any further pair (a U joined below its arms) may join two trees
-        parent = parent.tolist()
-        for a, b in zip(run[~first_pair].tolist(), above[~first_pair].tolist()):
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]  # path halving
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            parent[max(a, b)] = min(a, b)
-        roots = label[np.array(parent) == np.arange(label.size)]
+        while not np.array_equal(a := parent[run], b := parent[above]):
+            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))  # hook roots under the least
+            while not np.array_equal(root := parent[parent], parent):  # pointer jumping
+                parent = root
+        roots = label[parent == np.arange(label.size)]
         counts = np.bincount(roots, minlength=label.max() + 1)[present]
         components = dict(zip(present.tolist(), counts.tolist()))
         return boxes, components

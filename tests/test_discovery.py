@@ -462,6 +462,24 @@ def test_importing_the_cli_leaves_scipy_submodules_unloaded():
     assert _probe(probe) == "[False, False, False]"
 
 
+def test_loading_planning_and_rendering_leave_scipy_unloaded(gt_map, tmp_path):
+    # README: reading and judging a map, room-level planning and a plain render need numpy only
+    from semnav.mapio import save_map
+
+    save_map(gt_map, tmp_path)
+    probe = (
+        "import sys\n"
+        "from semnav.graph import GoalQuery\n"
+        "from semnav.mapio import load_map, render_svg\n"
+        "from semnav.planner import PlanRequest, plan\n"
+        f"m = load_map({str(tmp_path)!r})\n"
+        "out = plan(m, PlanRequest(start='office_1', goal=GoalQuery('desk')))\n"
+        "svg = render_svg(m, out.result)\n"
+        "print(out.ok, svg.startswith('<?xml'), sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
+    )
+    assert _probe(probe) == "True True []"
+
+
 def test_importing_the_package_root_loads_no_submodule():
     probe = (
         "import sys, semnav\n"

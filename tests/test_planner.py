@@ -16,7 +16,8 @@ from semnav.errors import (
     UnrealizableRouteError,
     ValidationError,
 )
-from semnav.graph import GoalQuery
+from semnav.graph import GoalQuery, SemanticGraph
+from semnav.mapio import assemble_map
 from semnav.metric import GridIndex, MetricPoint
 from semnav.planner import (
     FAIL_DISCOVERY,
@@ -528,3 +529,76 @@ class TestRefine:
         (cols, rows), _ = one_leg(m.costmap, *ends)
         assert cols.dtype.kind == rows.dtype.kind == "i" and cols.shape == rows.shape
         assert (cols[0], rows[0]) == ends[0] and (cols[-1], rows[-1]) == ends[1]
+
+
+def assembled_with(env, objects=None, edges=None):
+    """The env's map, assembled unvalidated as README's library example does,
+    with object fields and edge portals replaced and its graph built anew."""
+    grid, truth, graph = env
+    rebuilt = SemanticGraph(
+        list(graph.rooms.values()),
+        [replace(o, **(objects or {}).get(o.id, {})) for o in graph.objects.values()],
+        [replace(e, portal=(edges or {}).get((e.room_a, e.room_b), e.portal))
+         for e in graph.room_edges],
+    )
+    return assemble_map(grid, truth.raster, rebuilt, truth.label_to_room)
+
+
+class TestAssembledMapFaults:
+    """plan() reports a map's off-grid anchors and dangling rooms, and does not raise.
+
+    office_1 -> sink_1 runs office_1, corridor_1, kitchen_1: portal 1 joins
+    office_1 and corridor_1, portal 2 kitchen_1 and corridor_1.
+    """
+
+    OFF = MetricPoint(-50.0, -50.0)
+
+    def refined(self, m, start, goal):
+        return plan(m, PlanRequest(start=start, goal=GoalQuery(goal), refine_metric=True))
+
+    def test_goal_object_off_the_grid_names_the_last_room(self, small_env):
+        m = assembled_with(small_env, objects={"sink_1": {"position": self.OFF}})
+        out = self.refined(m, "office_1", "sink_1")
+        assert out.failure_reason == FAIL_NO_METRIC_ROUTE
+        assert out.detail.startswith("room 'kitchen_1': ") and "outside grid bounds" in out.detail
+
+    def test_start_object_off_the_grid_names_the_first_room(self, small_env):
+        m = assembled_with(small_env, objects={"desk_1": {"position": self.OFF}})
+        out = self.refined(m, "desk_1", "sink_1")
+        assert out.failure_reason == FAIL_NO_METRIC_ROUTE
+        assert out.detail.startswith("room 'office_1': ") and "outside grid bounds" in out.detail
+
+    @pytest.mark.parametrize(
+        "edge, room",
+        [(("office_1", "corridor_1"), "office_1"), (("kitchen_1", "corridor_1"), "corridor_1")],
+    )
+    def test_portal_off_the_grid_names_its_first_leg(self, small_env, edge, room):
+        m = assembled_with(small_env, edges={edge: GridIndex(-5, -5)})
+        out = self.refined(m, "office_1", "sink_1")
+        assert out.failure_reason == FAIL_NO_METRIC_ROUTE
+        assert out.detail.startswith(f"room {room!r}: ") and "outside" in out.detail
+
+    def test_first_off_grid_leg_wins_over_the_goal(self, small_env):
+        m = assembled_with(
+            small_env,
+            objects={"sink_1": {"position": self.OFF}},
+            edges={("kitchen_1", "corridor_1"): GridIndex(-5, -5)},
+        )
+        out = self.refined(m, "office_1", "sink_1")
+        assert out.failure_reason == FAIL_NO_METRIC_ROUTE
+        assert out.detail.startswith("room 'corridor_1': ")
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_start_object_in_no_room_is_an_invalid_start(self, small_env, refine):
+        m = assembled_with(small_env, objects={"desk_1": {"room_id": "nowhere_1"}})
+        request = PlanRequest(start="desk_1", goal=GoalQuery("sink_1"), refine_metric=refine)
+        assert plan(m, request).failure_reason == FAIL_INVALID_START
+
+    def test_start_point_labelled_with_no_room_is_an_invalid_start(self, small_env):
+        grid, truth, graph = small_env
+        labels = {k: "nowhere_1" if v == "office_1" else v for k, v in truth.label_to_room.items()}
+        m = assemble_map(grid, truth.raster, graph, labels)
+        start = graph.rooms["office_1"].centroid
+        assert plan(m, PlanRequest(start=start, goal=GoalQuery("sink_1"))).failure_reason == (
+            FAIL_INVALID_START
+        )

@@ -231,6 +231,27 @@ U_JOINED_BELOW = np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]])
 RING = np.array([[2, 2, 2, 2], [2, 0, 0, 2], [2, 0, 0, 2], [2, 2, 2, 2]])
 DIAGONAL_ONLY = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
 COMB = np.array([[3, 0, 3, 0, 3], [3, 3, 3, 3, 3], [3, 0, 3, 0, 3]])
+# one region whose runs join in three hook rounds: the right-hand U's bottom
+# run hooks under the middle tooth, whose tree then joins the top-right run
+# in round two and the left tooth's tree only in round three
+THREE_HOOK_ROUNDS = np.array([
+    [0, 0, 0, 0, 0, 1],
+    [1, 1, 0, 1, 0, 1],
+    [1, 0, 0, 1, 1, 1],
+    [1, 1, 1, 0, 0, 1],
+    [0, 1, 1, 1, 1, 1],
+    [0, 0, 1, 1, 1, 1],
+])
+
+
+def zigzag_comb(teeth: int, height: int) -> np.ndarray:
+    """One serpentine region: teeth in the even columns, each gap closed at the
+    top row and the bottom row in turn, so consecutive teeth join at alternate ends."""
+    labels = np.zeros((height, 2 * teeth - 1), dtype=np.uint16)
+    labels[:, ::2] = 1
+    labels[0, 1::4] = 1
+    labels[-1, 3::4] = 1
+    return labels
 
 
 def seed_raster(seeds: list[np.ndarray], shape) -> np.ndarray:
@@ -504,6 +525,29 @@ class TestRoomLabelRaster:
         assert len(gt.raster.kept_rows) < gt.raster.height // 10
         assert gt.raster.boxes == boxes
         assert gt.raster.components == components
+
+    @pytest.mark.parametrize(
+        "labels",
+        [zigzag_comb(3, 3), zigzag_comb(9, 6), zigzag_comb(40, 3), THREE_HOOK_ROUNDS],
+        ids=["zigzag-3x3", "zigzag-9x6", "zigzag-40x3", "three-rounds"],
+    )
+    def test_joins_over_several_hook_rounds(self, labels):
+        h, w = labels.shape
+        raster = RoomLabelRaster(width=w, height=h, labels=labels)
+        assert raster.components == {1: 1}
+        assert (raster.boxes, raster.components) == ndimage_room_summary(raster.labels)
+
+    def test_scan_like_cli_cold_summary_matches_ndimage(self):
+        """The cli-cold raster with two labelled cells zeroed per row, as in a noisy scan."""
+        _, gt, _ = envgen.generate(envgen.EnvSpec(seed=7, n_rooms=12, resolution=0.025))
+        labels = gt.raster.labels.copy()
+        rng = np.random.default_rng(0)
+        for row in labels:
+            cells = np.flatnonzero(row)
+            row[rng.choice(cells, size=min(2, cells.size), replace=False)] = 0
+        raster = RoomLabelRaster(width=gt.raster.width, height=gt.raster.height, labels=labels)
+        assert len(raster.kept_rows) > 0.9 * raster.height  # nearly every row is read (441 of 473)
+        assert (raster.boxes, raster.components) == ndimage_room_summary(raster.labels)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_raster_without_cells_has_no_rooms(self, shape):
