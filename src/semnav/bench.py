@@ -52,6 +52,7 @@ class BenchReport:
     modes: dict[str, ModeStats]
     wall_times_ms: tuple[float, ...] = field(default_factory=tuple, repr=False)
     hardware: str = ""
+    trial_modes: tuple[str, ...] = field(default_factory=tuple, repr=False)  # one per wall time
 
     @property
     def wall_mean(self) -> float | None:
@@ -64,6 +65,13 @@ class BenchReport:
     @property
     def wall_max(self) -> float | None:
         return max(self.wall_times_ms) if self.wall_times_ms else None
+
+    def mode_walls(self) -> dict[str, tuple[float, float]]:
+        """Per mode, the p50 and max of its trials' wall times in ms."""
+        walls: dict[str, list[float]] = {}
+        for mode, ms in zip(self.trial_modes, self.wall_times_ms):
+            walls.setdefault(mode, []).append(ms)
+        return {mode: (statistics.median(ms), max(ms)) for mode, ms in walls.items()}
 
     def to_dict(self) -> dict:
         doc = {
@@ -87,6 +95,10 @@ class BenchReport:
                 "mean": self.wall_mean,
                 "p50": self.wall_p50,
                 "max": self.wall_max,
+                "modes": {
+                    mode: {"p50": p50, "max": peak}
+                    for mode, (p50, peak) in sorted(self.mode_walls().items())
+                },
             }
         return doc
 
@@ -95,13 +107,16 @@ class BenchReport:
 
     def table(self) -> str:
         lines = [
-            f"{'mode':<14}{'trials':>8}{'success':>9}{'paths':>7}{'rate':>8}",
+            f"{'mode':<14}{'trials':>8}{'success':>9}{'paths':>7}{'rate':>8}"
+            f"{'p50 ms':>10}{'max ms':>10}",
         ]
+        walls = self.mode_walls()
         for mode, stats in sorted(self.modes.items()):
             rate = f"{stats.success_rate:.3f}" if stats.trials else "-"
+            p50, peak = walls[mode]
             lines.append(
                 f"{mode:<14}{stats.trials:>8}{stats.successes:>9}"
-                f"{stats.paths_generated:>7}{rate:>8}"
+                f"{stats.paths_generated:>7}{rate:>8}{p50:>10.3f}{peak:>10.3f}"
             )
         if self.wall_times_ms:
             lines.append(
@@ -225,6 +240,7 @@ def run_bench(
 
     per_mode: dict[str, dict[str, int]] = {}
     walls: list[float] = []
+    trial_modes: list[str] = []
     for i, trial in enumerate(sampled):
         outcome = plan(m, PlanRequest(start=trial.start, goal=GoalQuery(trial.goal)), oracle)
         if i == 0:
@@ -238,6 +254,7 @@ def run_bench(
         if _succeeded(m, trial, outcome.result):
             stats["successes"] += 1
         walls.append(outcome.wall_time)
+        trial_modes.append(trial.mode)
 
     modes = {
         name: ModeStats(
@@ -255,4 +272,5 @@ def run_bench(
         modes=modes,
         wall_times_ms=tuple(walls),
         hardware=hardware,
+        trial_modes=tuple(trial_modes),
     )

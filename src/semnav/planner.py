@@ -82,13 +82,16 @@ class PlanOutcome:
 def dijkstra(graph: SemanticGraph, start_room: str, *goal_nodes: str) -> SemanticPath | None:
     """Room path to the nearest goal; None when no goal is reachable.
 
-    One heap search from start_room, stopped once every goal's room is
-    settled. An object goal resolves to its containing room and the object
-    id is appended as the terminal node (objects are leaves with no edges).
+    One heap search from start_room. It stops once a popped entry costs more
+    than the first goal room to settle, or once every goal's room is settled.
+    An object goal resolves to its containing room and the object id is
+    appended as the terminal node (objects are leaves with no edges).
     Equal-cost paths tie-break to the lexicographically smallest node-id
     sequence, as heap entries carry the path tuple; so no goal's path depends
     on the other goals. The goal with the cheapest path wins, ties going to
-    the earliest in goal_nodes.
+    the earliest in goal_nodes. Entries pop in (cost, path) order, so every
+    goal room tied with the first settles before the stop, and a search that
+    ran on would return the same path.
     """
     if start_room not in graph.rooms:
         raise ValidationError(f"start {start_room!r} is not a room node")
@@ -102,15 +105,20 @@ def dijkstra(graph: SemanticGraph, start_room: str, *goal_nodes: str) -> Semanti
             raise ValidationError(f"goal {node!r} is not a node in the graph")
 
     pending = {room for room, _ in targets}
+    bound = float("inf")  # the first settled goal room's cost; later goals settle at it
     settled: dict[str, tuple[float, tuple[str, ...]]] = {}
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (start_room,))]
     while heap and pending:
         cost, path = heapq.heappop(heap)
+        if cost > bound:
+            break
         node = path[-1]
         if node in settled:
             continue
         settled[node] = (cost, path)
-        pending.discard(node)
+        if node in pending:
+            pending.remove(node)
+            bound = cost
         for neighbor, weight in graph.neighbors(node):
             if neighbor not in settled:
                 heapq.heappush(heap, (cost + weight, path + (neighbor,)))

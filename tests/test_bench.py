@@ -1,5 +1,6 @@
 import json
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ class TestReportShape:
         assert f"numpy {np.__version__}" in doc["hardware"]
         assert f"scipy {scipy.__version__}" in doc["hardware"]
         assert doc["wall_time_ms"]["max"] >= doc["wall_time_ms"]["p50"]
+
+    def test_per_mode_wall_times_in_table_and_under_wall_time_ms(self, multi_map):
+        report = run_bench(multi_map, trials=12, mode="mixed", seed=5,
+                           oracle=TruthOracle(multi_map))
+        doc = report.to_dict()
+        per_mode = doc["wall_time_ms"]["modes"]
+        assert list(per_mode) == list(doc["modes"]) == ["discovery", "multi-target", "targeted"]
+        rows = report.table().splitlines()
+        for mode, entry in per_mode.items():
+            walls = [ms for m, ms in zip(report.trial_modes, report.wall_times_ms) if m == mode]
+            assert len(walls) == doc["modes"][mode]["trials"] == 4
+            assert entry == {"p50": statistics.median(walls), "max": max(walls)}
+            row = next(r for r in rows if r.split()[0] == mode)
+            assert row.split()[-2:] == [f"{entry['p50']:.3f}", f"{entry['max']:.3f}"]
 
     def test_report_reproducible_modulo_wall_time(self, multi_map):
         a = run_bench(multi_map, trials=25, mode="mixed", seed=9, oracle=TruthOracle(multi_map))

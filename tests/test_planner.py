@@ -105,6 +105,56 @@ class TestDijkstra:
             assert (got.graph_cost if got else None) == expected
 
 
+@st.composite
+def goal_searches(draw):
+    """A start room and goals on a small graph of zero and tied integer weights.
+
+    Goals repeat and may include the start room; one room always holds two
+    desks, and one or two rooms have no edges.
+    """
+    linked = [f"r{i}" for i in range(draw(st.integers(1, 6)))]
+    pairs = [(a, b) for i, a in enumerate(linked) for b in linked[i + 1 :]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(a, b, float(draw(st.integers(0, 3)))) for a, b in chosen]
+    rooms = linked + [f"z{i}" for i in range(draw(st.integers(1, 2)))]
+    holders = draw(st.lists(st.sampled_from(rooms), min_size=1, max_size=4))
+    objects = [(f"desk_{i}", "desk", rid) for i, rid in enumerate(holders[:1] + holders)]
+    m = strip_map(rooms=[(rid, "x") for rid in rooms], objects=objects, edges=edges)
+    nodes = rooms + [oid for oid, _, _ in objects]
+    goals = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=6))
+    return m.graph, draw(st.sampled_from(linked)), goals
+
+
+class TestEarlyStop:
+    @settings(max_examples=300, deadline=None)
+    @given(goal_searches())
+    def test_many_goals_equal_the_argmin_of_single_goal_searches(self, case):
+        graph, start, goals = case
+        singles = [dijkstra(graph, start, goal) for goal in goals]
+        expected = min(
+            (p for p in singles if p is not None), key=lambda p: p.graph_cost, default=None
+        )
+        assert dijkstra(graph, start, *goals) == expected
+
+    def test_no_room_costing_more_than_the_result_is_expanded(self):
+        rng = random.Random(3034)
+        for _ in range(100):
+            ids, edges = random_graph_edges(rng, rng.randint(3, 10))
+            edges = [(a, b, float(rng.randint(0, 3))) for a, b, _ in edges]
+            graph = graph_from_edges(ids, edges)
+            start = rng.choice(ids)
+            cost_of = {rid: dijkstra(graph, start, rid).graph_cost for rid in ids}
+            expanded = []
+
+            def spy(room, neighbors=graph.neighbors):
+                expanded.append(room)
+                return neighbors(room)
+
+            graph.neighbors = spy
+            best = dijkstra(graph, start, *rng.sample(ids, rng.randint(2, len(ids))))
+            assert max(cost_of[room] for room in expanded) <= best.graph_cost
+
+
 class TestPlanDispatch:
     def test_empty_goal_state_uses_discovery_mode(self, fig_map):
         table = CooccurrenceTable(entries={("coffee_machine", "corridor"): 1.0})
