@@ -21,8 +21,12 @@ resolution*sqrt(2) for the 4 diagonal moves.
 grid_shortest_paths finds each leg's minimum-cost path with
 scipy.sparse.csgraph.dijkstra on a CSR graph built over an octile ellipse
 with foci start and goal, grown until it holds every path no dearer than the
-one found; its docstring says why that gives the same cost as a whole-grid
-search. Each growth round searches the legs' windows side by side in one
+one found. A path of cost C is accepted once the ellipse's span, in cells,
+is at least C / resolution * (1 + 2**-30): the relative allowance bounds the
+float error of the path's sum and of the ellipse's own sums for paths up to
+2**22 steps, so every path no dearer lies in the window and acceptance alone
+gives the same cost as a whole-grid search (grid_shortest_paths' docstring
+has the bound). Each growth round searches the legs' windows side by side in one
 block-diagonal graph, in one window_search call. That is the one csgraph
 call site: segmentation.extract_adjacency's per-room searches go through it
 too, bounded by the same ellipses with the room's centroid and a portal as
@@ -57,8 +61,8 @@ window with tied paths it returns a different one; it is not used.
 Per search, the set-up is small: the halved factor tables (half a cell
 value's traversal factor, inf at closed values) are built once, at import,
 and shared read-only, so a window's edge inputs are one table lookup; the
-start-goal distance is float math; the ellipse fills two preallocated
-buffers. scipy's csr_array construction and dijkstra wrapper, about 60 us of
+start-goal distance is float math; the ellipse sums octile terms built
+from 1-D row and column distances. scipy's csr_array construction and dijkstra wrapper, about 60 us of
 a 4x5 window's 130-140 us on a 2-vCPU VM, are paid once per csgraph call,
 which grid_shortest_paths shares among the legs searched together.
 """
@@ -91,6 +95,7 @@ DEFAULT_FREE_THRESH = 250
 DEFAULT_LETHAL_THRESH = 50
 
 SQRT2 = math.sqrt(2.0)
+_K = SQRT2 - 1.0  # exact: the octile distance's weight of the shorter leg
 
 
 class GridIndex(NamedTuple):
@@ -348,22 +353,25 @@ def costs_to_pixels(costs: np.ndarray) -> np.ndarray:
 
 # (drow, dcol) of the 8 moves, in the order each node's CSR row lists them.
 _MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-_MOVE_ROWS = np.array([drow for drow, _ in _MOVES], dtype=np.int32)
-_MOVE_STEPS = np.array([SQRT2 if drow and dcol else 1.0 for drow, dcol in _MOVES])
+# (drow, dcol, step, k, back) of the four forward moves E, SE, S and SW: the
+# move, its length in cells, and where it and its reverse sit in _MOVES.
+_PAIRS = tuple(
+    (drow, dcol, SQRT2 if drow and dcol else 1.0, *map(_MOVES.index, ((drow, dcol), (-drow, -dcol))))
+    for drow, dcol in ((0, 1), (1, 1), (1, 0), (1, -1))
+)
 
 # Slack, in cells, of the first search ellipse beyond the octile distance
 # from start to goal.
 _FIRST_SLACK = 2.0
 
+# A path's cost C is proven once E(C / resolution * _ROUNDING) fits in its
+# window: the factor bounds the float error of C and of the ellipse's sums
+# for paths up to 2**22 steps (grid_shortest_paths says why).
+_ROUNDING = 1.0 + 2.0**-30
+
 # Most legs x window cells that grid_shortest_paths searches in one csgraph
 # call, whose dist and pred matrices hold one entry per leg and cell.
 _GROUP_ENTRIES = 1 << 16
-
-
-# Row s: each move's window column offset dcol - s * drow in a window of shear s,
-# whose cell (u, v) is grid cell (u, v + s * u); row -1 is the last.
-_MOVE_COLS = np.array([[dcol - s * drow for drow, dcol in _MOVES] for s in (0, 1, -1)], np.int32)
-_MOVE_COLS.setflags(write=False)
 
 
 def _halves(allow_inscribed: bool) -> np.ndarray:
@@ -389,9 +397,10 @@ def half_table(allow_inscribed: bool = False) -> np.ndarray:
 
 
 def _octile_distance(a: GridIndex, b: GridIndex) -> float:
-    """Octile distance in cells between two cells, in the float operations of _octile."""
+    """Octile distance in cells between two cells: max + k * min of |drow|
+    and |dcol|, k = sqrt(2) - 1, the bits of _mask's octile terms."""
     drow, dcol = abs(a.row - b.row), abs(a.col - b.col)
-    return max(drow, dcol) + (SQRT2 - 1.0) * min(drow, dcol)
+    return max(drow, dcol) + _K * min(drow, dcol)
 
 
 def grid_shortest_paths(
@@ -413,12 +422,21 @@ def grid_shortest_paths(
     A leg's search runs on the octile ellipse E(span), the cells v with
     octile(start, v) + octile(v, goal) <= span in cells, from
     span = direct + 2, direct = octile(start, goal). Every step costs at
-    least resolution times its length, so E(C / resolution) holds every path
-    of cost <= C: a path found of cost C is exact once
-    C / resolution + 1 <= span (the extra cell absorbs float rounding).
-    Otherwise the search runs again with span = C / resolution + 1, or, if it
-    found no path, with four times the slack span - direct, until E(span)
-    covers the grid. The result equals a whole-grid search.
+    least resolution times its length, so in exact arithmetic E(C / resolution)
+    holds every path of cost <= C. A path found of cost C is accepted once
+    C / resolution * (1 + e) <= span, e = 2**-30 (_ROUNDING = 1 + e), which
+    bounds the float error. With u = 2**-53, a step's weight is within 2u of
+    its exact value, csgraph's sum of m steps within (m - 1) * u, and the
+    division, the product by 1 + e and a cell's octile sum add a few u more:
+    under 2**-31 + 8u < e for m up to 2**22, which covers every shortest path
+    on a grid of up to 2**22 cells, as such a path visits no cell twice. So
+    E(C / resolution * (1 + e)) holds every path whose float cost is <= C,
+    and once it lies in the window no path outside can be cheaper:
+    acceptance alone makes the cost equal a whole-grid search's. A leg not
+    accepted runs again with span = C / resolution * (1 + e), which accepts,
+    or, if it found no path, with four times the slack span - direct, until
+    E(span) covers the grid. How a leg grows decides only how many windows
+    it takes.
 
     Each growth round lays out every pending leg's window (_window_box) and
     searches the windows of consecutive legs in one csgraph call, while legs
@@ -492,7 +510,8 @@ def grid_shortest_paths(
                 start, goal, direct = ends[i]
                 v = (goal.row - top) * width + goal.col - s * goal.row - left
                 cost = float(dist[v])
-                if cost / g.resolution + 1.0 <= spans[i]:
+                bound = cost / g.resolution * _ROUNDING
+                if bound <= spans[i]:
                     flat = []
                     while v >= 0:  # pred is negative at the start
                         flat.append(v)
@@ -505,7 +524,7 @@ def grid_shortest_paths(
                     found[i] = (cols, rows), cost
                     pending.remove(i)
                 elif cost < math.inf:
-                    spans[i] = cost / g.resolution + 1.0
+                    spans[i] = bound
                 elif whole:  # only the first pending leg searches the whole grid
                     yield from found[:i]
                     raise UnreachableError(f"no traversable route from {start} to {goal}")
@@ -602,16 +621,25 @@ def ellipse(box: tuple[slice, slice], start: GridIndex, goal: GridIndex, span: f
 
 def _mask(shear, start, goal, span, top, bottom, left, right):
     """ellipse over the box of rows [top, bottom) and columns [left, right)
-    of the window layout with shear, which holds start and goal. When
-    sheared, the cells' grid column offsets from a focus are a strided view
-    of one arange."""
+    of the window layout with shear, which holds start and goal.
+
+    Each focus's octile term is max(|dc| + k * |dr|, |dr| + k * |dc|),
+    k = sqrt(2) - 1, from a column of |dr| and a line of |dc| (a strided view
+    of it when sheared) and their k multiples, so only the two sums and
+    their max touch the whole box. It is the same bits as max + k * min of
+    _octile_distance: the larger branch adds k times the smaller distance,
+    and whenever |dr| != |dc| the branches differ by at least
+    (1 - k) * ||dr| - |dc|| >= 0.58, far past rounding."""
     height, width = bottom - top, right - left
-    total = np.empty((height, width))
-    term = np.empty_like(total)
+    total, term, other = np.empty((3, height, width))
+    low = min(0, shear * (height - 1))
     for focus, out in ((start, total), (goal, term)):
-        rows = np.arange(top - focus.row, bottom - focus.row)[:, None]
-        first = left + shear * top - focus.col
-        _octile(rows, _sheared_range(first, width, height, shear), out)
+        drow = np.abs(np.arange(top - focus.row, bottom - focus.row, dtype=float))[:, None]
+        first = left + shear * top - focus.col + low
+        dcol = np.abs(np.arange(first, first + width + abs(shear) * (height - 1), dtype=float))
+        np.add(_sheared(dcol, height, shear), _K * drow, out=out)
+        np.add(drow, _sheared(_K * dcol, height, shear), out=other)
+        np.maximum(out, other, out=out)
     total += term
     inside = total <= span
     r = np.flatnonzero(inside.any(axis=1))
@@ -619,15 +647,16 @@ def _mask(shear, start, goal, span, top, bottom, left, right):
     return top + int(r[0]), left + int(c[0]), inside[r[0] : r[-1] + 1, c[0] : c[-1] + 1]
 
 
-def _sheared_range(first: int, width: int, height: int, shear: int) -> np.ndarray:
-    """first + j + shear * i at [i, j], j < width: an arange of width when
-    shear is 0, else a (height, width) strided view of one arange."""
+def _sheared(line: np.ndarray, height: int, shear: int) -> np.ndarray:
+    """line[j + shear * i - low] at [i, j], low = min(0, shear * (height - 1)):
+    line itself when shear is 0, else a (height, line.size - height + 1)
+    strided view of it."""
     if not shear:
-        return np.arange(first, first + width)
+        return line
     low = min(0, shear * (height - 1))
-    line = np.arange(first + low, first + low + width + height - 1)
     size = line.itemsize
-    return np.ndarray((height, width), line.dtype, line, -low * size, (shear * size, size))
+    shape = (height, line.size - height + 1)
+    return np.ndarray(shape, line.dtype, line, -low * size, (shear * size, size))
 
 
 def _window_cells(cells: np.ndarray, shear: int, top, left, height, width) -> np.ndarray:
@@ -638,13 +667,6 @@ def _window_cells(cells: np.ndarray, shear: int, top, left, height, width) -> np
     offset = top * row_stride + (left + shear * top) * col_stride
     strides = (row_stride + shear * col_stride, col_stride)
     return np.ndarray((height, width), cells.dtype, cells, offset, strides)
-
-
-def _octile(drow: np.ndarray, dcol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """max + (sqrt(2) - 1) * min of |drow| and |dcol|, broadcast, as floats; into out if given."""
-    drow, dcol = np.abs(drow), np.abs(dcol)
-    low = np.multiply(np.minimum(drow, dcol, out=out, dtype=float), SQRT2 - 1.0, out=out)
-    return np.add(np.maximum(drow, dcol), low, out=out)
 
 
 def window_search(rings: list[np.ndarray], resolution: float, sources: list[int], shears=None):
@@ -685,12 +707,14 @@ def _ring_graph(rings: list[np.ndarray], resolution: float, shears=None):
     where it targets some node of the window: csgraph never relaxes an inf
     entry, and no edge joins two windows.
 
-    Each move's weights are one add of two shifted slices of the ring into
-    the window's slice of one (nodes, 8) array, and one multiply by the
-    per-move steps scales all of them; the targets are node + offset for all
-    moves in one broadcast. No move shifts a node number by more than
-    width + pad, so only the first and last width + pad nodes' targets are
-    clamped into the window.
+    The graph is symmetric: w(u -> v) and w(v -> u) are one sum, as IEEE
+    addition commutes. So each forward move (E, SE, S, SW) sums two shifted
+    slices of the ring once, over every pair with a cell in the window, and
+    scales the sums by resolution * step in place; that one array fills both
+    the move's column of the (nodes, 8) weights and its reverse's. The
+    targets of each move are node + offset, one 1-D add. No move shifts a node number by
+    more than width + pad, so only the first and last width + pad nodes'
+    targets are clamped into the window.
     """
     from scipy.sparse import csr_array
 
@@ -705,18 +729,24 @@ def _ring_graph(rings: list[np.ndarray], resolution: float, shears=None):
     for half, s, a, b in zip(rings, shears, offsets, offsets[1:]):
         pad = 1 + abs(s)
         height, width = half.shape[0] - 2, half.shape[1] - 2 * pad
-        inner = half[1:-1, pad : pad + width]
         block = weights[a:b].reshape(height, width, len(_MOVES))
-        for k, (drow, dcol) in enumerate(_MOVES):
-            dv = dcol - s * drow
-            moved = half[1 + drow : 1 + drow + height, pad + dv : pad + dv + width]
-            np.add(inner, moved, out=block[..., k])
         targets = indices[a:b]
-        node = np.arange(a, b, dtype=np.int32)[:, None]
-        np.add(node, _MOVE_ROWS * width + _MOVE_COLS[s], out=targets)
+        node = np.arange(a, b, dtype=np.int32)
+        for drow, dcol, step, forward, back in _PAIRS:
+            dv = dcol - s * drow  # the move's window column offset
+            lo = pad + min(0, -dv)  # the ring column of the first pair's tail
+            # w(p, p + move) for p in window rows -drow .. height - 1
+            pair = np.add(
+                half[1 - drow : 1 + height, lo : lo + width + abs(dv)],
+                half[1 : 1 + height + drow, lo + dv : lo + dv + width + abs(dv)],
+            )
+            pair *= resolution * step
+            block[..., forward] = pair[drow:, pad - lo : pad - lo + width]
+            block[..., back] = pair[:height, pad - lo - dv : pad - lo - dv + width]
+            np.add(node, drow * width + dv, out=targets[:, forward])
+            np.subtract(node, drow * width + dv, out=targets[:, back])
         edge = width + pad
         np.maximum(targets[:edge], a, out=targets[:edge])
         np.minimum(targets[-edge:], b - 1, out=targets[-edge:])
-    weights *= resolution * _MOVE_STEPS
     indptr = np.arange(0, len(_MOVES) * n + 1, len(_MOVES), dtype=np.int32)
     return csr_array((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n)), offsets

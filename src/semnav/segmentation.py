@@ -531,8 +531,11 @@ def _leg_spans(halves, g, labels, label, a: GridIndex, portals) -> np.ndarray:
 
     The bound is the cheaper of the two bent paths from a to b, with the
     diagonal run first or last; both are shortest in free space. A path of
-    cost C lies in E(C / resolution + 1) (see metric.grid_shortest_paths),
-    and one more cell absorbs the rounding of the bent path's sum. inf where
+    cost C lies in E(C / resolution * (1 + 2**-30)) (see
+    metric.grid_shortest_paths), so the bent path's cost in cells plus 2
+    holds the cheapest path: the allowance adds under one cell to a bent
+    path that costs under 2**30 cells, and the other cell absorbs the
+    rounding of the bent path's sum. inf where
     both bent paths cross a closed cell, or leave the room before b.
     A path to a nearer portal repeats b up to the longest one's end in
     steps of length 0, which cost 0: 0 * inf (half of a closed b) is nan.

@@ -586,13 +586,12 @@ class TestWindowedSearchExactness:
             )
             for a, b, size in ((start.row, goal.row, height), (start.col, goal.col, width))
         )
-        direct = float(metric._octile(start.row - goal.row, start.col - goal.col))
-        span = direct + slack
+        span = metric._octile_distance(start, goal) + slack
         top, left, inside = metric.ellipse(box, start, goal, span)
         rows = np.arange(height)[:, None]
         cols = np.arange(width)[None, :]
-        total = metric._octile(rows - start.row, cols - start.col)
-        total += metric._octile(rows - goal.row, cols - goal.col)
+        total = _octile(rows - start.row, cols - start.col)
+        total += _octile(rows - goal.row, cols - goal.col)
         within = np.zeros((height, width), dtype=bool)
         within[box] = True
         # the box's part of the ellipse equals the mask, and lies inside its box
@@ -600,6 +599,12 @@ class TestWindowedSearchExactness:
         placed[top : top + inside.shape[0], left : left + inside.shape[1]] = inside
         assert np.array_equal(placed, (total <= span) & within)
         assert inside[0].any() and inside[-1].any() and inside[:, 0].any() and inside[:, -1].any()
+
+
+def _octile(drow, dcol):
+    """max + (sqrt(2) - 1) * min of |drow| and |dcol|, broadcast, as floats."""
+    drow, dcol = np.abs(drow), np.abs(dcol)
+    return np.maximum(drow, dcol) + (metric.SQRT2 - 1.0) * np.minimum(drow, dcol)
 
 
 # Two cell mixes: mostly open, and almost all closed (most of those have no route).
@@ -724,6 +729,40 @@ def _slacks():
     return st.one_of(st.just(2.0), st.floats(0.0, 24.0, allow_nan=False), lattice)
 
 
+@st.composite
+def ellipse_cases(draw):
+    """(width, height, start, goal, span): a grid of up to 24 x 24 cells,
+    foci often on its edge, and span = octile(start, goal) + a _slacks slack."""
+    width, height = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    start, goal = (
+        GridIndex(
+            *(
+                draw(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)))
+                for n in (width, height)
+            )
+        )
+        for _ in range(2)
+    )
+    return width, height, start, goal, metric._octile_distance(start, goal) + draw(_slacks())
+
+
+def _cell_sum_case(width, height, start, goal, cell):
+    """An ellipse case whose span is cell's octile sum, in the float
+    operations of the mask, so the cell lies on E(span)'s edge."""
+    span = metric._octile_distance(start, cell) + metric._octile_distance(cell, goal)
+    return width, height, start, goal, span
+
+
+def _accepted_span(straight, diagonal, resolution):
+    """C / resolution * _ROUNDING for the float cost C of a free-cell path of
+    straight then diagonal steps, summed as csgraph sums it: the least span
+    at which grid_shortest_paths accepts that path."""
+    cost = 0.0
+    for step in [1.0] * straight + [metric.SQRT2] * diagonal:
+        cost += 1.0 * (resolution * step)
+    return cost / resolution * metric._ROUNDING
+
+
 _SHEARS = (-1, 0, 1)
 
 
@@ -732,19 +771,21 @@ class TestShearedLayouts:
     coordinates."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 24), st.integers(1, 24), st.data(), _slacks())
-    def test_ellipse_mask_maps_back_to_the_oracle(self, width, height, data, slack):
-        # foci often on the grid's edge
-        start, goal = (
-            GridIndex(
-                *(
-                    data.draw(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)))
-                    for n in (width, height)
-                )
-            )
-            for _ in range(2)
-        )
-        span = metric._octile_distance(start, goal) + slack
+    @given(ellipse_cases())
+    # spans that a cell's octile sum meets exactly, on diagonal legs both ways and a flat one
+    @example(case=_cell_sum_case(12, 9, GridIndex(1, 2), GridIndex(9, 5), GridIndex(4, 7)))
+    @example(case=_cell_sum_case(12, 9, GridIndex(9, 5), GridIndex(1, 2), GridIndex(10, 1)))
+    @example(case=_cell_sum_case(10, 10, GridIndex(8, 1), GridIndex(2, 6), GridIndex(0, 0)))
+    @example(case=_cell_sum_case(7, 3, GridIndex(0, 1), GridIndex(6, 1), GridIndex(3, 0)))
+    # spans at which grid_shortest_paths accepts a path's cost: free paths of
+    # straight and diagonal steps, detours and routes along the octile line
+    @example(case=(12, 9, GridIndex(0, 0), GridIndex(7, 4), _accepted_span(5, 4, 0.05)))
+    @example(case=(12, 9, GridIndex(11, 8), GridIndex(4, 4), _accepted_span(3, 4, 0.05)))
+    @example(case=(16, 16, GridIndex(2, 13), GridIndex(13, 2), _accepted_span(0, 11, 0.025)))
+    @example(case=(9, 20, GridIndex(4, 0), GridIndex(5, 19), _accepted_span(20, 1, 0.1)))
+    def test_ellipse_mask_maps_back_to_the_oracle(self, case):
+        width, height, start, goal, span = case
+        slack = span - metric._octile_distance(start, goal)
         # a margin past which no cell is within span (each octile term grows
         # by at least sqrt(2) - 1 per step away from both foci)
         pad = math.ceil(slack / (2.0 * (metric.SQRT2 - 1.0))) + 2
@@ -813,6 +854,30 @@ class TestShearedLayouts:
                         assert weight == math.inf
                     else:
                         assert weight == step * (0.5 * f[u, v] + 0.5 * f[u2, v2])
+
+    @pytest.mark.parametrize("shear", _SHEARS, ids=lambda shear: f"shear{shear}")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=window_cases(),
+        others=st.lists(st.tuples(window_cases(), st.sampled_from(_SHEARS)), max_size=2),
+    )
+    def test_ring_graph_is_symmetric(self, shear, case, others):
+        # _ring_graph fills a move and its reverse from one sum: every finite
+        # u -> v has a v -> u of the same bits, and no edge joins two windows
+        windows = [(case, shear)] + others
+        rings = [_ring(f, s) for (f, _, _, _), s in windows]
+        graph, offsets = metric._ring_graph(rings, case[1], [s for _, s in windows])
+        n = graph.shape[0]
+        tails = np.repeat(np.arange(n), 8)
+        finite = np.isfinite(graph.data)
+        tails, heads = tails[finite], graph.indices[finite]
+        window = np.searchsorted(offsets, np.arange(n), side="right") - 1
+        assert (window[tails] == window[heads]).all()
+        bits = dict(zip(zip(tails.tolist(), heads.tolist()), graph.data[finite].tolist()))
+        assert len(bits) == len(tails)
+        for (u, v), weight in bits.items():
+            back = bits.get((v, u))
+            assert back is not None and back.hex() == weight.hex()
 
     @pytest.mark.parametrize("shear", _SHEARS, ids=lambda shear: f"shear{shear}")
     @settings(max_examples=300, deadline=None)
