@@ -1,4 +1,4 @@
-"""Command-line surface: gen, build, plan, bench, render, validate.
+"""Command-line surface: gen, build, index, plan, bench, render, validate.
 
 Exit codes: 0 success; 1 planning failure (no-route / discovery-failed);
 2 invalid input; 3 internal inconsistency.
@@ -102,7 +102,7 @@ def cmd_gen(args) -> int:
     grid, gt, graph = envgen.generate(spec)
     m = mapio.assemble_map(grid, gt.raster, graph, gt.label_to_room, name=args.name)
     out = Path(args.out)
-    mapio.save_map(m, out)
+    mapio.save_map(planner.index_legs(m), out)
 
     pixels = metric.costs_to_pixels(grid.cells)
     metric.write_pgm(out / "occupancy.pgm", pixels)
@@ -168,7 +168,16 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def cmd_index(args) -> int:
+    m = planner.index_legs(mapio.load_map(args.map, legs=False))  # any legs.bin is replaced
+    mapio.write_legs(args.map, m.legs)
+    print(f"indexed {len(m.legs.keys)} legs, {len(m.legs.moves)} moves -> {args.map}")
+    return EXIT_OK
+
+
 def cmd_plan(args) -> int:
+    if args.waypoints_out and not args.refine:
+        raise ValidationError("plan: --waypoints-out needs --refine")
     outcome, code = _plan(mapio.load_map(args.map), args)
     if code:
         return code
@@ -177,7 +186,7 @@ def cmd_plan(args) -> int:
     print("path: " + " -> ".join(path.nodes))
     print(f"cost: {path.graph_cost:.6f}")
     print(f"wall_time_ms: {outcome.wall_time:.3f}")
-    if args.refine and path.waypoints and args.waypoints_out:
+    if path.waypoints and args.waypoints_out:
         doc = [[p.x, p.y] for p in path.waypoints]
         Path(args.waypoints_out).write_text(json.dumps(doc), encoding="utf-8")
         print(f"waypoints: {len(path.waypoints)} -> {args.waypoints_out}")
@@ -203,9 +212,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if (args.start is None) != (args.goal is None):
+        raise ValidationError("render: --start and --goal go together")
+    if args.refine and args.start is None:
+        raise ValidationError("render: --refine needs --start and --goal")
     m = mapio.load_map(args.map)
     path = None
-    if args.start and args.goal:
+    if args.start is not None:
         outcome, code = _plan(m, args)
         if code:
             return code
@@ -218,7 +231,9 @@ def cmd_render(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        mapio.load_map(args.map)
+        violations = mapio.leg_violations(mapio.load_map(args.map))
+        if violations:
+            raise MapConsistencyError("stored legs fail their check", violations)
     except MapConsistencyError as exc:
         for v in exc.violations:
             print(str(v))
@@ -252,6 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="map")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
+
+    p = sub.add_parser("index", help="add the leg table (legs.bin) to a saved map")
+    p.add_argument("--map", required=True)
+    p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("plan", help="plan a path on a saved map")
     p.add_argument("--map", required=True)

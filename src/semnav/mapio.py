@@ -7,6 +7,7 @@ On disk a map is a directory:
     rooms.pgm      16-bit P5 of room labels (0 = non-room)
     graph.json     rooms, objects, weighted edges (full float precision)
     meta.json      name, creation timestamp, format version, label -> room id
+    legs.bin       optional: the leg table, refined legs' paths (see below)
 
 Each layer stays independently inspectable with stock tools; the JSON graph
 diffs cleanly. load(save(m)) reproduces m exactly, including edge weights
@@ -16,6 +17,17 @@ A map is read one way for every command. A malformed file, or a room or
 object id listed twice in graph.json, raises MapFormatError (CLI exit 2).
 A well-formed map that breaks an invariant of validate_semantic_map raises
 MapConsistencyError carrying every violation (CLI exit 3).
+
+legs.bin holds a metric.LegTable, little-endian: a 32-byte header (magic
+b"SNAVLEGS", version 1, grid width and height, pair count n as uint32s,
+move count m as a uint64), then n uint64 keys, n + 1 uint32 offsets and m
+move bytes. Load checks the header only: magic and version, the grid size
+against costmap.pgm, the counts against the file size, strictly increasing
+keys whose cells lie on the grid, offsets rising from 0 to m, and move
+codes below 8; a failed check is a MapFormatError. Each stored path is
+checked when planner.refine_to_metric serves it, and every one by
+leg_violations (semnav validate). A map saved without a table deletes a
+legs.bin left in its directory, as it would be stale.
 
 Reading, judging and rendering a map need numpy only: room boxes and room
 component counts come from RoomLabelRaster's row runs, not scipy.ndimage.
@@ -29,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,8 +58,8 @@ from .errors import (
 )
 from .graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph, Violation
 from .metric import (
-    COST_INSCRIBED, CostmapGrid, GridIndex, MetricPoint, kept_rows, read_key_value_file,
-    read_pgm, write_pgm,
+    COST_INSCRIBED, CostmapGrid, GridIndex, LegTable, MetricPoint, kept_rows,
+    read_key_value_file, read_pgm, write_pgm,
 )
 from .segmentation import RoomLabelRaster
 
@@ -75,6 +88,7 @@ class SemanticMap:
     graph: SemanticGraph
     room_labels: dict[int, str] = field(default_factory=dict)
     meta: MapMeta = field(default_factory=lambda: MapMeta("map", ""))
+    legs: LegTable | None = None  # the leg table of costmap, if indexed
 
     def room_id_at(self, index: GridIndex) -> str | None:
         label = self.raster.label_at(index)
@@ -209,14 +223,81 @@ def save_map(m: SemanticMap, path) -> None:
         "labels": {str(k): v for k, v in sorted(m.room_labels.items())},
     }
     (root / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
+    if m.legs is None:
+        (root / LEGS_FILE).unlink(missing_ok=True)
+    else:
+        write_legs(root, m.legs)
 
 
-def load_map(path) -> SemanticMap:
+LEGS_FILE = "legs.bin"
+_LEGS_MAGIC = b"SNAVLEGS"
+_LEGS_VERSION = 1
+_LEGS_HEADER = struct.Struct("<8sIIIIQ")  # magic, version, width, height, pairs, moves
+
+
+def write_legs(path, table: LegTable) -> None:
+    """Write table as the map directory's legs.bin (layout in the module docstring)."""
+    header = _LEGS_HEADER.pack(
+        _LEGS_MAGIC, _LEGS_VERSION, table.width, table.height, len(table.keys), len(table.moves)
+    )
+    payload = (
+        np.asarray(table.keys, dtype="<u8").tobytes()
+        + np.asarray(table.offsets, dtype="<u4").tobytes()
+        + np.asarray(table.moves, dtype=np.uint8).tobytes()
+    )
+    (Path(path) / LEGS_FILE).write_bytes(header + payload)
+
+
+def read_legs(root, costmap: CostmapGrid) -> LegTable:
+    """Read the map directory's legs.bin, built for costmap's grid, checking
+    its header (module docstring); MapFormatError if it fails a check."""
+    path = Path(root) / LEGS_FILE
+    data = path.read_bytes()
+    if len(data) < _LEGS_HEADER.size:
+        raise MapFormatError(f"{path}: truncated header ({len(data)} bytes)")
+    magic, version, width, height, n, m = _LEGS_HEADER.unpack_from(data)
+    if magic != _LEGS_MAGIC:
+        raise MapFormatError(f"{path}: not a leg table (magic {magic!r})")
+    if version != _LEGS_VERSION:
+        raise MapFormatError(f"{path}: unsupported leg table version {version}")
+    if (width, height) != (costmap.width, costmap.height):
+        raise MapFormatError(
+            f"{path}: built for a {width}x{height} grid, the costmap is "
+            f"{costmap.width}x{costmap.height}"
+        )
+    size = _LEGS_HEADER.size + 8 * n + 4 * (n + 1) + m
+    if len(data) != size:
+        raise MapFormatError(f"{path}: {len(data)} bytes, {n} pairs and {m} moves need {size}")
+    keys = np.frombuffer(data, "<u8", n, _LEGS_HEADER.size)
+    offsets = np.frombuffer(data, "<u4", n + 1, _LEGS_HEADER.size + 8 * n)
+    moves = np.frombuffer(data, np.uint8, m, size - m)
+    if n and not (np.all(keys[1:] > keys[:-1]) and int(keys[-1]) < (width * height) ** 2):
+        raise MapFormatError(f"{path}: keys not strictly increasing, or a cell off the grid")
+    if offsets[0] != 0 or offsets[-1] != m or np.any(offsets[1:] < offsets[:-1]):
+        raise MapFormatError(f"{path}: offsets do not rise from 0 to {m}")
+    if m and moves.max() >= 8:
+        raise MapFormatError(f"{path}: a move code is not below 8")
+    return LegTable(width, height, keys, offsets, moves)
+
+
+def leg_violations(m: SemanticMap) -> list[Violation]:
+    """One violation per stored path of m's leg table that refine_to_metric
+    would refuse on m's costmap (LegTable.faults)."""
+    if m.legs is None:
+        return []
+    return [
+        Violation(LEGS_FILE, "leg-path", f"stored path {tuple(a)} -> {tuple(b)} {fault}")
+        for a, b, fault in m.legs.faults(m.costmap)
+    ]
+
+
+def load_map(path, *, legs: bool = True) -> SemanticMap:
     """Read a map directory; rejects unknown versions and inconsistent layers.
 
     A malformed file raises MapFormatError. A well-formed map that breaks an
     invariant raises MapConsistencyError, whose violations list every
-    finding of validate_semantic_map.
+    finding of validate_semantic_map. legs=False skips legs.bin, for
+    rebuilding a table that is stale or corrupt.
     """
     root = Path(path)
     for name in _REQUIRED_FILES:
@@ -268,8 +349,12 @@ def load_map(path) -> SemanticMap:
     except (KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"{root}/meta.json: corrupt: {exc}") from exc
 
+    table = None
+    if legs and (root / LEGS_FILE).exists():
+        table = read_legs(root, costmap)
     m = SemanticMap(
-        costmap=costmap, raster=raster, graph=graph, room_labels=room_labels, meta=meta
+        costmap=costmap, raster=raster, graph=graph, room_labels=room_labels, meta=meta,
+        legs=table,
     )
     _refuse_violations(m, f"{root}: inconsistent layers")
     return m

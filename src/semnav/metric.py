@@ -37,6 +37,14 @@ move at a closed cell or off the window weighs inf, and csgraph never relaxes
 an inf entry, whatever node it targets.
 scipy is imported by the functions that search, so loading a map needs numpy only.
 
+A LegTable stores paths that grid_shortest_paths returned, so a leg it
+serves has the bits a search of the leg would give: leg_table builds one
+for the anchor cells of each room (one grid_shortest_paths call per source
+anchor, allow_inscribed false), one _MOVES code byte per step, and
+LegTable.walk finds legs by binary search over packed (start, goal) keys and
+decodes them with one cumsum per axis, checking that each path ends at its
+goal and keeps to traversable cells of the grid. Serving needs numpy only.
+
 A window's layout is its shear s: 0 for a plain box of grid rows and columns,
 or +1 or -1 for a box sheared along the leg's diagonal, of grid rows and of
 columns v = c - s * r, so each window row is a run of its grid row shifted s
@@ -533,6 +541,165 @@ def grid_shortest_paths(
     yield from found
     if failure is not None:
         raise failure
+
+
+# ---------------------------------------------------------------------------
+# Leg table
+
+# Per _MOVES code, and 8 for a leg's start cell (no step): its row and column step.
+_STEP_ROWS = np.array([drow for drow, _ in _MOVES] + [0])
+_STEP_COLS = np.array([dcol for _, dcol in _MOVES] + [0])
+# (drow + 1) * 3 + dcol + 1 -> _MOVES code (4, the null step, is never looked up)
+_MOVE_CODES = np.array([0, 1, 2, 3, 8, 4, 5, 6, 7], dtype=np.uint8)
+
+
+@dataclass(frozen=True, eq=False)
+class LegTable:
+    """Stored minimum-cost paths between anchor cells of a width x height grid.
+
+    Three arrays and no per-leg object: keys, strictly increasing, packs
+    each leg's start and goal flat cell indices (row * width + col) as
+    start * width * height + goal; leg i's path is moves[offsets[i]:
+    offsets[i + 1]], one _MOVES code (0-7) per step from its start. Every
+    path was returned by grid_shortest_paths with allow_inscribed false
+    (leg_table builds them), so a table serves only such searches, and only
+    on the costmap it was built from: walk checks each path it serves.
+    """
+
+    width: int
+    height: int
+    keys: np.ndarray
+    offsets: np.ndarray
+    moves: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, LegTable):
+            return NotImplemented
+        same = map(
+            np.array_equal, (self.keys, self.offsets, self.moves), (other.keys, other.offsets, other.moves)
+        )
+        return (self.width, self.height) == (other.width, other.height) and all(same)
+
+    def walk(self, g: CostmapGrid, legs: list[tuple[GridIndex, GridIndex]]) -> list:
+        """Per (start, goal) leg, its stored path as (cols, rows) arrays from
+        start to goal, None when the table lacks the leg (every leg, if g's
+        size is not the table's), or the fault of a stored path that does not
+        end at its goal, leaves the grid or crosses a cell untraversable on g.
+        Each leg is found by binary search over keys."""
+        found: list = [None] * len(legs)
+        if not len(self.keys) or (g.width, g.height) != (self.width, self.height):
+            return found
+        width, cells = self.width, self.width * self.height
+        ends = np.array([(a.row * width + a.col, b.row * width + b.col) for a, b in legs])
+        wanted = (ends[:, 0] * cells + ends[:, 1]).astype(np.uint64)
+        at = np.minimum(np.searchsorted(self.keys, wanted), len(self.keys) - 1)
+        hit = self.keys[at] == wanted
+        served = np.flatnonzero(hit).tolist()
+        if served:
+            rows, cols = np.divmod(ends[hit], width)  # column 0 the starts', 1 the goals'
+            starts, goals = (rows[:, 0], cols[:, 0]), (rows[:, 1], cols[:, 1])
+            cols, rows, first, faults = self._paths(g, at[hit], starts, goals)
+            bounds = first.tolist()
+            for j, i in enumerate(served):
+                leg = slice(bounds[j], bounds[j + 1])
+                found[i] = faults[j] or (cols[leg], rows[leg])
+        return found
+
+    def faults(self, g: CostmapGrid) -> list[tuple[GridIndex, GridIndex, str]]:
+        """(start, goal, fault) of every stored path that walk would refuse on g."""
+        if not len(self.keys):
+            return []
+        flat = np.divmod(self.keys.astype(np.int64), self.width * self.height)
+        starts, goals = (np.divmod(k, self.width) for k in flat)  # each (rows, cols)
+        _, _, _, faults = self._paths(g, np.arange(len(self.keys)), starts, goals)
+        return [
+            (GridIndex(sc, sr), GridIndex(gc, gr), fault)
+            for sr, sc, gr, gc, fault in zip(*(a.tolist() for a in (*starts, *goals)), faults)
+            if fault
+        ]
+
+    def _paths(self, g, at, starts, goals):
+        """(cols, rows, first, faults) of the legs at these key positions, whose
+        (rows, cols) of starts and goals are given: the legs' cells back to
+        back, leg j's (start included) at first[j] up to first[j + 1], and
+        per leg its fault, '' for a path walk may serve.
+
+        One gather and one cumsum per axis decode every leg: each leg's cells
+        are its start plus the running sum of its steps, its start cell a null
+        step (code 8) that the start's offset is added at."""
+        a = self.offsets[at].astype(np.int64)
+        sizes = self.offsets[at + 1] - a + 1  # cells, the start's included
+        first = np.zeros(len(at) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=first[1:])
+        step = np.arange(first[-1]) + np.repeat(a - 1 - first[:-1], sizes)
+        codes = self.moves[step] if len(self.moves) else np.zeros(len(step), dtype=np.uint8)
+        codes[first[:-1]] = 8
+        rows, cols = _STEP_ROWS[codes], _STEP_COLS[codes]
+        for line, origin in ((rows, starts[0]), (cols, starts[1])):
+            np.cumsum(line, out=line)
+            line += np.repeat(origin - line[first[:-1]], sizes)
+        last = first[1:] - 1
+        astray = (rows[last] != goals[0]) | (cols[last] != goals[1])
+        on = (rows.view(np.uint64) < g.height) & (cols.view(np.uint64) < g.width)
+        if on.all():
+            shut = g.cells[rows, cols] >= COST_INSCRIBED
+        else:
+            shut = g.cells[np.where(on, rows, 0), np.where(on, cols, 0)] >= COST_INSCRIBED
+            shut |= ~on
+        if not (astray.any() or shut.any()):
+            return cols, rows, first, [""] * len(at)
+        off = np.logical_or.reduceat(~on, first[:-1]).tolist()
+        closed = np.logical_or.reduceat(shut, first[:-1]).tolist()
+        faults = [
+            "leaves the grid" if o else "crosses an untraversable cell" if c else
+            "does not end at its goal" if s else ""
+            for o, c, s in zip(off, closed, astray.tolist())
+        ]
+        return cols, rows, first, faults
+
+
+def leg_table(g: CostmapGrid, rooms: Iterable[Iterable[GridIndex]]) -> LegTable:
+    """The table of every ordered pair of anchor cells that share a room
+    (each pair of cells of one of rooms), a cell and itself included, that
+    a route joins.
+
+    Each source anchor's legs are one grid_shortest_paths call with
+    allow_inscribed false, so a stored path is that search's own output, bit
+    for bit (the call searches each leg in its own window block), and the
+    call's memory stays that of one source's windows. Anchors off the grid or
+    untraversable are left out. A call stops at a leg with no route, so the
+    source's later legs are searched again without it, and the table lacks
+    that pair.
+    """
+    halves = _HALF_TABLES[False]
+    partners: dict[GridIndex, set[GridIndex]] = {}
+    for anchors in rooms:
+        open_ = {a for a in map(GridIndex._make, anchors) if g.in_bounds(a)}
+        open_ = {a for a in open_ if halves[g.cells[a.row, a.col]] < math.inf}
+        for a in open_:
+            partners.setdefault(a, set()).update(open_)
+    width, cells = g.width, g.width * g.height
+    keys: list[int] = []
+    paths: list[np.ndarray] = []
+    for source, goals in sorted(partners.items()):
+        goals = sorted(goals)
+        while goals:
+            done = 0
+            try:
+                for (cols, rows), _ in grid_shortest_paths(g, [(source, b) for b in goals]):
+                    goal = goals[done]
+                    keys.append((source.row * width + source.col) * cells + goal.row * width + goal.col)
+                    paths.append(_MOVE_CODES[np.diff(rows) * 3 + np.diff(cols) + 4])
+                    done += 1
+            except UnreachableError:
+                done += 1  # goals[done] has no route from source
+            goals = goals[done:]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum([len(paths[i]) for i in order], out=offsets[1:])
+    moves = np.concatenate([paths[i] for i in order]) if paths else np.zeros(0, np.uint8)
+    keys = np.array([keys[i] for i in order], dtype=np.uint64)
+    return LegTable(g.width, g.height, keys, offsets, moves)
 
 
 class _Window(NamedTuple):

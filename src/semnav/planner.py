@@ -11,6 +11,11 @@ Planning dispatches on how many graph nodes match the goal:
 Each plan runs one room-graph search, whatever the mode. Path length means
 accumulated edge weight. Planning only reads the map, so any number of
 concurrent plans may share one SemanticMap.
+
+A refined plan turns the room route into cells leg by leg. On a map with a
+leg table (index_legs, saved as legs.bin) every leg from a room or object
+start is read from the table, as each runs between two anchors of one room;
+only the legs it lacks are searched, in one metric.grid_shortest_paths call.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from .errors import (
     ValidationError,
 )
 from .graph import GoalQuery, SemanticGraph, normalize_label
-from .mapio import SemanticMap
-from .metric import GridIndex, MetricPoint, grid_shortest_paths
+from .mapio import LEGS_FILE, SemanticMap
+from .metric import GridIndex, MetricPoint, grid_shortest_paths, leg_table
 
 MODE_DISCOVERY = "discovery"
 MODE_TARGETED = "targeted"
@@ -231,13 +236,20 @@ def refine_to_metric(
 ) -> tuple[MetricPoint, ...]:
     """Realize a graph path as a cell-level waypoint polyline.
 
-    Concatenates grid shortest-path segments start -> portal -> ... -> goal,
-    all searched by one grid_shortest_paths call; adjacent segments share
-    their joint cell, and every waypoint is the center of a traversable cell.
-    A leg with no path (an end off the grid or untraversable, or no route
-    inside the room) means the map's layers disagree, reported as an
-    UnrealizableRouteError naming the room of the first such leg; leg i runs
-    through rooms[i]. A path over rooms no edge joins is a MapConsistencyError.
+    Concatenates grid shortest-path segments start -> portal -> ... -> goal;
+    adjacent segments share their joint cell, and every waypoint is the
+    center of a traversable cell. Leg i runs through rooms[i], between two
+    of its anchors (leg_anchors) unless the start is a world point. A leg the
+    map's leg table holds is served from it (LegTable.walk checks the path:
+    it ends at its goal and stays on traversable cells of the grid); the
+    table is built with inscribed cells blocked, so it serves no
+    allow_inscribed request. Every other leg is searched, all in one
+    grid_shortest_paths call, which returns what the table stores for the
+    same leg, as the table was built by it. A leg with no path (an end off
+    the grid or untraversable, no route inside the room, or a stored path
+    that fails its check) means the map's layers disagree, reported as an
+    UnrealizableRouteError naming the room of the first such leg. A path
+    over rooms no edge joins is a MapConsistencyError.
     """
     graph = m.graph
     rooms = [n for n in path.nodes if n in graph.rooms]
@@ -257,29 +269,74 @@ def refine_to_metric(
             raise MapConsistencyError(f"rooms {a!r} and {b!r} are not connected by an edge")
         portals.append(edge.portal)
 
+    def unrealizable(leg: int, cause) -> UnrealizableRouteError:
+        return UnrealizableRouteError(
+            f"room {rooms[leg]!r}: cannot realize graph path on the costmap: {cause}"
+        )
+
     g = m.costmap
-    cols, rows = [], []
     try:
         anchors = [g.world_to_grid(MetricPoint(*start_point)), *portals]
+    except GridBoundsError as exc:
+        raise unrealizable(0, exc) from exc
+    failure = None  # (leg, cause) of the first leg known to fail
+    try:
+        anchors.append(g.world_to_grid(MetricPoint(*goal_point)))
+    except GridBoundsError as exc:  # the goal's leg is the last
+        failure = len(anchors) - 1, exc
+    legs = list(zip(anchors, anchors[1:]))
+    table = None if allow_inscribed else m.legs
+    found = table.walk(g, legs) if table is not None else [None] * len(legs)
+    for i, got in enumerate(found):
+        if isinstance(got, str):
+            a, b = legs[i]
+            cause = f"{LEGS_FILE}: stored path {tuple(a)} -> {tuple(b)} {got}"
+            failure = i, MapConsistencyError(cause)
+            break
+    last = len(legs) if failure is None else failure[0]  # legs after a failure are not needed
+    searched = [i for i in range(last) if found[i] is None]
+    if searched:
+        done = 0
         try:
-            anchors.append(g.world_to_grid(MetricPoint(*goal_point)))
-            off_grid = None
-        except GridBoundsError as exc:  # the goal's leg is the last: raised after the others
-            off_grid = exc
-        legs = grid_shortest_paths(g, zip(anchors, anchors[1:]), allow_inscribed=allow_inscribed)
-        for (c, r), _ in legs:
-            keep = slice(1 if cols else 0, None)  # each joint cell once
-            cols.append(c[keep])
-            rows.append(r[keep])
-        if off_grid is not None:
-            raise off_grid
-    except (GridBoundsError, UnreachableError, ValidationError) as exc:
-        room = rooms[len(cols)]  # leg i runs through rooms[i]
-        raise UnrealizableRouteError(
-            f"room {room!r}: cannot realize graph path on the costmap: {exc}"
-        ) from exc
+            for cells, _ in grid_shortest_paths(
+                g, [legs[i] for i in searched], allow_inscribed=allow_inscribed
+            ):
+                found[searched[done]] = cells
+                done += 1
+        except (GridBoundsError, UnreachableError, ValidationError) as exc:
+            failure = searched[done], exc  # before any failure found above
+    if failure is not None:
+        leg, cause = failure
+        raise unrealizable(leg, cause) from cause
+    # each joint cell once
+    cols = np.concatenate([found[0][0], *(c[1:] for c, _ in found[1:])])
+    rows = np.concatenate([found[0][1], *(r[1:] for _, r in found[1:])])
     # each cell's center as CostmapGrid.grid_to_world computes it, in the same
-    # float operations over arrays; every cell is on the grid, as the search found it.
-    xs = (g.origin_x + (np.concatenate(cols) + 0.5) * g.resolution).tolist()
-    ys = (g.origin_y + (np.concatenate(rows) + 0.5) * g.resolution).tolist()
+    # float operations over arrays; every cell is on the grid, as checked or searched.
+    xs = (g.origin_x + (cols + 0.5) * g.resolution).tolist()
+    ys = (g.origin_y + (rows + 0.5) * g.resolution).tolist()
     return tuple(map(tuple.__new__, repeat(MetricPoint), zip(xs, ys)))
+
+
+def leg_anchors(m: SemanticMap) -> list[set[GridIndex]]:
+    """Per room, the cells a refined leg from a room or object start can start
+    or end at: the room's centroid cell, its objects' cells and its portals.
+    Points off the grid are left out."""
+    g = m.costmap
+    anchors: dict[str, set[GridIndex]] = {}
+    points = [(r.id, r.centroid) for r in m.graph.rooms.values()]
+    points += [(o.room_id, o.position) for o in m.graph.objects.values()]
+    for room, point in points:
+        try:
+            anchors.setdefault(room, set()).add(g.world_to_grid(MetricPoint(*point)))
+        except GridBoundsError:
+            pass
+    for e in m.graph.room_edges:
+        for room in (e.room_a, e.room_b):
+            anchors.setdefault(room, set()).add(e.portal)
+    return list(anchors.values())
+
+
+def index_legs(m: SemanticMap) -> SemanticMap:
+    """m with the leg table of its anchors (leg_anchors), built on its costmap."""
+    return replace(m, legs=leg_table(m.costmap, leg_anchors(m)))

@@ -507,6 +507,23 @@ class TestRender:
         assert result.returncode == 0, result.stderr
         assert out.read_text().count("<polyline") == 1
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("render", ["--start", "office_1"], "--start and --goal go together"),
+            ("render", ["--goal", "desk"], "--start and --goal go together"),
+            ("render", ["--refine"], "--refine needs --start and --goal"),
+            ("plan", ["--start", "office_1", "--goal", "desk", "--waypoints-out", "wp.json"],
+             "--waypoints-out needs --refine"),
+        ],
+    )
+    def test_a_flag_that_would_be_ignored_exits_2(self, map_dir, tmp_path, command, flags, message):
+        out = ["--out", str(tmp_path / "map.svg")] if command == "render" else []
+        result = run_cli(command, "--map", str(map_dir), *out, *flags, cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr
+        assert not any(tmp_path.iterdir())  # nothing rendered or written
+
     @pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf", "1e308"])
     def test_render_bad_scale_exits_2(self, map_dir, tmp_path, scale):
         out = tmp_path / "map.svg"

@@ -480,6 +480,33 @@ def test_loading_planning_and_rendering_leave_scipy_unloaded(gt_map, tmp_path):
     assert _probe(probe) == "True True []"
 
 
+def test_a_plan_the_leg_table_serves_leaves_scipy_unloaded(gt_map, tmp_path):
+    # on an indexed map a refined plan from a room start is served from legs.bin
+    # and searches nothing; a world-point start's first leg is searched
+    from semnav.mapio import save_map
+    from semnav.planner import index_legs
+
+    save_map(index_legs(gt_map), tmp_path)
+    start = gt_map.graph.rooms["office_1"].centroid
+    step = 1.5 * gt_map.costmap.resolution  # a cell and a half from the centroid's, no anchor
+    probe = (
+        "import sys\n"
+        "from semnav.graph import GoalQuery\n"
+        "from semnav.mapio import load_map, render_svg\n"
+        "from semnav.planner import PlanRequest, plan\n"
+        f"m = load_map({str(tmp_path)!r})\n"
+        "def scipy():\n"
+        "    return sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')\n"
+        "out = plan(m, PlanRequest(start='office_1', goal=GoalQuery('desk'), refine_metric=True))\n"
+        "svg = render_svg(m, out.result)\n"
+        "print(out.ok, len(out.result.waypoints) > 1, svg.startswith('<?xml'), scipy())\n"
+        f"point = ({start.x + step!r}, {start.y - step!r})\n"
+        "out = plan(m, PlanRequest(start=point, goal=GoalQuery('desk'), refine_metric=True))\n"
+        "print(out.ok, 'scipy.sparse.csgraph' in scipy())"
+    )
+    assert _probe(probe) == "True True True []\nTrue True"
+
+
 def test_importing_the_package_root_loads_no_submodule():
     probe = (
         "import sys, semnav\n"

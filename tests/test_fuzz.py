@@ -4,6 +4,8 @@ import copy
 import json
 import math
 import shutil
+import struct
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -15,8 +17,12 @@ from semnav.discovery import DiscoveryResponse, HttpOracle, load_cooccurrence_ta
 from semnav.envgen import _SPEC_KEYS, EnvSpec, generate, load_env_spec
 from semnav.errors import MapConsistencyError, MapFormatError, OracleParseError, SemnavError
 from semnav.graph import ObjectNode, RoomEdge, RoomNode, SemanticGraph
-from semnav.mapio import assemble_map, graph_from_json, graph_to_json, load_map, save_map
-from semnav.metric import GridIndex, MetricPoint, read_pgm, write_pgm
+from semnav import cli, planner
+from semnav.graph import GoalQuery
+from semnav.mapio import (
+    LEGS_FILE, assemble_map, graph_from_json, graph_to_json, load_map, save_map,
+)
+from semnav.metric import COST_LETHAL, GridIndex, LegTable, MetricPoint, read_pgm, write_pgm
 from semnav.segmentation import RoomLabelRaster, parse_rules
 
 from oracles import ndimage_room_summary
@@ -233,14 +239,16 @@ def test_env_spec(kwargs):
 
 @pytest.fixture(scope="module")
 def saved_map(tmp_path_factory):
-    """A saved generated map to edit, each of its five files as read, and its key cells.
+    """A saved, indexed generated map to edit, each of its six files as read,
+    and its key cells.
 
     The key cells are the portals, room centroids and object positions: a
     cost painted there can make a planning landmark untraversable.
     """
     grid, gt, graph = generate(EnvSpec(seed=3, n_rooms=4, resolution=0.1))
     root = tmp_path_factory.mktemp("map")
-    save_map(assemble_map(grid, gt.raster, graph, gt.label_to_room), root / "saved")
+    m = assemble_map(grid, gt.raster, graph, gt.label_to_room)
+    save_map(planner.index_legs(m), root / "saved")
     shutil.copytree(root / "saved", root / "edited")
     saved = root / "saved"
     layers = {
@@ -252,6 +260,7 @@ def saved_map(tmp_path_factory):
         "labels": read_pgm(saved / "rooms.pgm")[0],
         "graph": json.loads((saved / "graph.json").read_text(encoding="utf-8")),
         "meta": json.loads((saved / "meta.json").read_text(encoding="utf-8")),
+        "legs": (saved / LEGS_FILE).read_bytes(),
     }
     points = [r.centroid for r in graph.rooms.values()]
     points += [o.position for o in graph.objects.values()]
@@ -405,6 +414,7 @@ def _write_layers(root, layers: dict) -> None:
     write_pgm(root / "rooms.pgm", layers["labels"])
     (root / "graph.json").write_text(json.dumps(layers["graph"]), encoding="utf-8")
     (root / "meta.json").write_text(json.dumps(layers["meta"]), encoding="utf-8")
+    (root / LEGS_FILE).write_bytes(layers["legs"])
 
 
 def _load_outcome(root):
@@ -422,13 +432,15 @@ def test_load_map_with_all_layers_varied_together(saved_map, data):
     root, saved, key_cells = saved_map
     layers = copy.deepcopy(saved)
     for _ in range(data.draw(st.integers(1, 3))):
-        layer = data.draw(st.sampled_from(["rooms", "costmap", "graph", "meta"]))
+        layer = data.draw(st.sampled_from(["rooms", "costmap", "graph", "meta", "legs"]))
         if layer == "rooms" and isinstance(layers["meta"]["labels"], dict):
             layers["labels"] = _edit_layers(data, layers["labels"], layers["meta"]["labels"])
         elif layer == "costmap":
             _edit_costmap(data, layers, key_cells)
         elif layer == "graph":
             _edit_graph(data, layers["graph"], saved["costs"].shape)
+        elif layer == "legs":  # from the saved file, as a corrupt one has no layout to edit
+            layers["legs"] = _edit_legs(data, saved["legs"])
         elif isinstance(layers["meta"]["labels"], dict):
             _edit_meta(data, layers["meta"])
     _write_layers(root, layers)
@@ -441,3 +453,152 @@ def test_load_map_with_all_layers_varied_together(saved_map, data):
     oracle = property(lambda raster: ndimage_room_summary(raster.labels))
     with patch.object(RoomLabelRaster, "_room_summary", oracle):
         assert got == _load_outcome(root)
+
+
+# legs.bin: a 32-byte header (magic, version, width, height, pairs n, moves m),
+# then n uint64 keys, n + 1 uint32 offsets and m move bytes
+_HEADER = struct.Struct("<8sIIIIQ")
+
+
+def _legs_parts(blob: bytes):
+    magic, version, width, height, n, m = _HEADER.unpack_from(blob)
+    keys = np.frombuffer(blob, "<u8", n, _HEADER.size).copy()
+    offsets = np.frombuffer(blob, "<u4", n + 1, _HEADER.size + 8 * n).copy()
+    moves = np.frombuffer(blob, np.uint8, m, _HEADER.size + 12 * n + 4).copy()
+    return [magic, version, width, height, n, m], keys, offsets, moves
+
+
+def _legs_blob(header, keys, offsets, moves) -> bytes:
+    return (
+        _HEADER.pack(*header) + keys.astype("<u8").tobytes()
+        + offsets.astype("<u4").tobytes() + moves.astype(np.uint8).tobytes()
+    )
+
+
+def _corrupt_legs(blob: bytes, corruption: str, at: int = 0) -> bytes:
+    """blob with one named corruption of legs.bin; at picks the entry it hits."""
+    header, keys, offsets, moves = _legs_parts(blob)
+    n, m = header[4], header[5]
+    width, height = header[2], header[3]
+    i = at % (n - 1)
+    if corruption == "truncated":
+        return blob[: at % len(blob)]
+    if corruption == "oversized":
+        return blob + b"\0" * (1 + at % 9)
+    if corruption == "magic":
+        header[0] = b"SNAVLEGZ"
+    elif corruption == "version":
+        header[1] = 2 + at % 5
+    elif corruption == "grid":
+        header[2] = width + 1
+    elif corruption == "pairs":
+        header[4] = n + 1 + at % 3
+    elif corruption == "moves":
+        header[5] = m - 1 - at % 3
+    elif corruption == "unsorted":
+        keys[i], keys[i + 1] = keys[i + 1], keys[i]
+    elif corruption == "duplicate":
+        keys[i + 1] = keys[i]
+    elif corruption == "offset-past-end":
+        offsets[i + 1] = m + 1 + at % 7
+    elif corruption == "last-offset":
+        offsets[-1] = m - 1
+    elif corruption == "move-code":
+        moves[at % m] = 8 + at % 248
+    elif corruption == "off-grid":
+        keys[-1] = (width * height) ** 2 + at % 5
+    else:
+        raise ValueError(corruption)
+    return _legs_blob(header, keys, offsets, moves)
+
+
+LEG_CORRUPTIONS = [
+    "truncated", "oversized", "magic", "version", "grid", "pairs", "moves", "unsorted",
+    "duplicate", "offset-past-end", "last-offset", "move-code", "off-grid",
+]
+
+
+def _edit_legs(data, blob: bytes) -> bytes:
+    """One named corruption of legs.bin, or a few bytes overwritten anywhere."""
+    if data.draw(st.booleans()):
+        corruption = data.draw(st.sampled_from(LEG_CORRUPTIONS))
+        return _corrupt_legs(blob, corruption, data.draw(st.integers(0, 10**6)))
+    edited = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4))):
+        edited[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    return bytes(edited)
+
+
+@pytest.mark.parametrize("corruption", LEG_CORRUPTIONS)
+@settings(max_examples=20, deadline=None)
+@given(at=st.integers(0, 10**6))
+def test_each_legs_corruption_is_a_format_error(saved_map, corruption, at):
+    root, saved, _ = saved_map
+    _write_layers(root, {**saved, "legs": _corrupt_legs(saved["legs"], corruption, at)})
+    with pytest.raises(MapFormatError, match=LEGS_FILE):
+        load_map(root)
+
+
+@pytest.mark.parametrize("corruption", ["truncated", "move-code", "off-grid"])
+def test_legs_corruption_exits_2(saved_map, corruption, capsys):
+    root, saved, _ = saved_map
+    _write_layers(root, {**saved, "legs": _corrupt_legs(saved["legs"], corruption, 5)})
+    for argv in (["validate"], ["plan", "--start", "office_1", "--goal", "desk", "--refine"]):
+        assert cli.main([*argv, "--map", str(root)]) == 2
+        assert LEGS_FILE in capsys.readouterr().err
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_map_with_legs_bytes_overwritten(saved_map, data):
+    root, saved, _ = saved_map
+    _write_layers(root, {**saved, "legs": _edit_legs(data, saved["legs"])})
+    try:
+        load_map(root)
+    except MapFormatError:
+        pass
+
+
+# the move codes legs.bin stores, by (drow, dcol)
+MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def test_stored_leg_through_a_lethal_cell_is_refused(saved_map, capsys):
+    """A stored leg that first runs up into the wall above its start and back
+    still ends at its goal, but serving refuses it, and validate reports it."""
+    root, saved, _ = saved_map
+    _write_layers(root, saved)
+    m = load_map(root)
+    g, graph, table = m.costmap, m.graph, m.legs
+    edge = min(graph.room_edges, key=lambda e: (e.room_a, e.room_b))
+    start, portal = g.world_to_grid(graph.rooms[edge.room_a].centroid), edge.portal
+    column = g.cells[: start.row, start.col]
+    up = start.row - int(np.flatnonzero(column == COST_LETHAL)[-1])  # the wall's distance above
+    key = (start.row * g.width + start.col) * g.width * g.height + portal.row * g.width + portal.col
+    i = int(np.searchsorted(table.keys, key))
+    assert table.keys[i] == key
+    a = int(table.offsets[i])
+    detour = [MOVES.index((-1, 0))] * up + [MOVES.index((1, 0))] * up
+    moves = np.concatenate([table.moves[:a], detour, table.moves[a:]]).astype(np.uint8)
+    offsets = np.asarray(table.offsets, dtype=np.int64)
+    offsets = np.concatenate([offsets[: i + 1], offsets[i + 1 :] + 2 * up])
+    m = replace(m, legs=LegTable(table.width, table.height, table.keys, offsets, moves))
+    save_map(m, root)
+
+    request = planner.PlanRequest(
+        start=edge.room_a, goal=GoalQuery(edge.room_b), refine_metric=True
+    )
+    outcome = planner.plan(load_map(root), request)
+    assert outcome.failure_reason == planner.FAIL_NO_METRIC_ROUTE
+    assert outcome.detail.startswith(f"room {edge.room_a!r}: ")
+    assert f"{LEGS_FILE}: stored path" in outcome.detail
+    assert "crosses an untraversable cell" in outcome.detail
+    assert planner.plan(m, replace(request, allow_inscribed=True)).ok  # searched, not served
+
+    assert cli.main(["validate", "--map", str(root)]) == 3
+    out = capsys.readouterr()
+    assert out.out.splitlines() == [
+        f"{LEGS_FILE}: leg-path: stored path {tuple(start)} -> {tuple(portal)} "
+        "crosses an untraversable cell"
+    ]
+    assert out.err.strip() == "1 violation(s)"

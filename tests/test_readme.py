@@ -26,7 +26,7 @@ def readme_commands() -> list[str]:
 def test_quick_start_commands_exit_zero(tmp_path, capsys):
     commands = readme_commands()
     assert [c.split()[1] for c in commands] == [
-        "gen", "validate", "plan", "plan", "plan", "render", "bench", "build"
+        "gen", "validate", "plan", "plan", "plan", "render", "bench", "build", "index"
     ]
     for command in commands:
         argv = shlex.split(command.replace("/tmp/", f"{tmp_path}/"), comments=True)[1:]
