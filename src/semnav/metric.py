@@ -671,34 +671,37 @@ def leg_table(g: CostmapGrid, rooms: Iterable[Iterable[GridIndex]]) -> LegTable:
     source's later legs are searched again without it, and the table lacks
     that pair.
     """
-    halves = _HALF_TABLES[False]
     partners: dict[GridIndex, set[GridIndex]] = {}
     for anchors in rooms:
-        open_ = {a for a in map(GridIndex._make, anchors) if g.in_bounds(a)}
-        open_ = {a for a in open_ if halves[g.cells[a.row, a.col]] < math.inf}
+        open_ = {
+            a for a in map(GridIndex._make, anchors)
+            if g.in_bounds(a) and g.cells[a.row, a.col] < COST_INSCRIBED
+        }
         for a in open_:
             partners.setdefault(a, set()).update(open_)
     width, cells = g.width, g.width * g.height
+
+    def flat(a: GridIndex) -> int:
+        return a.row * width + a.col
+
     keys: list[int] = []
     paths: list[np.ndarray] = []
-    for source, goals in sorted(partners.items()):
-        goals = sorted(goals)
+    for source in sorted(partners, key=flat):  # in key order
+        goals = sorted(partners[source], key=flat)
         while goals:
             done = 0
             try:
                 for (cols, rows), _ in grid_shortest_paths(g, [(source, b) for b in goals]):
-                    goal = goals[done]
-                    keys.append((source.row * width + source.col) * cells + goal.row * width + goal.col)
+                    keys.append(flat(source) * cells + flat(goals[done]))
                     paths.append(_MOVE_CODES[np.diff(rows) * 3 + np.diff(cols) + 4])
                     done += 1
             except UnreachableError:
                 done += 1  # goals[done] has no route from source
             goals = goals[done:]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
     offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum([len(paths[i]) for i in order], out=offsets[1:])
-    moves = np.concatenate([paths[i] for i in order]) if paths else np.zeros(0, np.uint8)
-    keys = np.array([keys[i] for i in order], dtype=np.uint64)
+    np.cumsum([len(path) for path in paths], out=offsets[1:])
+    moves = np.concatenate(paths) if paths else np.zeros(0, np.uint8)
+    keys = np.array(keys, dtype=np.uint64)
     return LegTable(g.width, g.height, keys, offsets, moves)
 
 
