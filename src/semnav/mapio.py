@@ -81,6 +81,14 @@ class SemanticMap:
 
     room_labels maps raster label ints to graph room ids; it is the glue the
     cross-layer invariants are checked through.
+
+    _leg_memo is planner.refine_to_metric's memo of the legs the table
+    serves: per leg key (LegTable.key), its waypoints (a tuple of
+    MetricPoints, start cell included) or its stored path's fault; and under
+    the key ~c, flat cell c's one MetricPoint, which those tuples share. It
+    is sound because costmap (its cells read-only) and legs are fixed for
+    the map's life. It is not a constructor argument, so dataclasses.replace
+    starts an empty one, and it takes no part in equality.
     """
 
     costmap: CostmapGrid
@@ -89,6 +97,7 @@ class SemanticMap:
     room_labels: dict[int, str] = field(default_factory=dict)
     meta: MapMeta = field(default_factory=lambda: MapMeta("map", ""))
     legs: LegTable | None = None  # the leg table of costmap, if indexed
+    _leg_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def room_id_at(self, index: GridIndex) -> str | None:
         label = self.raster.label_at(index)

@@ -580,25 +580,32 @@ class LegTable:
         )
         return (self.width, self.height) == (other.width, other.height) and all(same)
 
+    def key(self, a: GridIndex, b: GridIndex) -> int | None:
+        """Leg a -> b's key, None when an end is off the table's grid, where
+        its flat index would name another cell."""
+        w, h = self.width, self.height
+        if 0 <= a.col < w and 0 <= a.row < h and 0 <= b.col < w and 0 <= b.row < h:
+            return (a.row * w + a.col) * (w * h) + b.row * w + b.col
+        return None
+
     def walk(self, g: CostmapGrid, legs: list[tuple[GridIndex, GridIndex]]) -> list:
         """Per (start, goal) leg, its stored path as (cols, rows) arrays from
         start to goal, None when the table lacks the leg (every leg, if g's
-        size is not the table's), or the fault of a stored path that does not
-        end at its goal, leaves the grid or crosses a cell untraversable on g.
-        Each leg is found by binary search over keys."""
+        size is not the table's, and a leg with an end off the grid), or the
+        fault of a stored path that does not end at its goal, leaves the grid
+        or crosses a cell untraversable on g. Each leg is found by binary
+        search over keys."""
         found: list = [None] * len(legs)
         if not len(self.keys) or (g.width, g.height) != (self.width, self.height):
             return found
-        width, cells = self.width, self.width * self.height
-        ends = np.array([(a.row * width + a.col, b.row * width + b.col) for a, b in legs])
-        wanted = (ends[:, 0] * cells + ends[:, 1]).astype(np.uint64)
+        keys = [self.key(a, b) for a, b in legs]
+        asked = [i for i, k in enumerate(keys) if k is not None]
+        wanted = np.array([keys[i] for i in asked], dtype=np.uint64)
         at = np.minimum(np.searchsorted(self.keys, wanted), len(self.keys) - 1)
         hit = self.keys[at] == wanted
-        served = np.flatnonzero(hit).tolist()
+        served = [asked[j] for j in np.flatnonzero(hit).tolist()]
         if served:
-            rows, cols = np.divmod(ends[hit], width)  # column 0 the starts', 1 the goals'
-            starts, goals = (rows[:, 0], cols[:, 0]), (rows[:, 1], cols[:, 1])
-            cols, rows, first, faults = self._paths(g, at[hit], starts, goals)
+            cols, rows, first, faults = self._paths(g, at[hit], *self._ends(wanted[hit]))
             bounds = first.tolist()
             for j, i in enumerate(served):
                 leg = slice(bounds[j], bounds[j + 1])
@@ -609,14 +616,18 @@ class LegTable:
         """(start, goal, fault) of every stored path that walk would refuse on g."""
         if not len(self.keys):
             return []
-        flat = np.divmod(self.keys.astype(np.int64), self.width * self.height)
-        starts, goals = (np.divmod(k, self.width) for k in flat)  # each (rows, cols)
+        starts, goals = self._ends(self.keys)
         _, _, _, faults = self._paths(g, np.arange(len(self.keys)), starts, goals)
         return [
             (GridIndex(sc, sr), GridIndex(gc, gr), fault)
             for sr, sc, gr, gc, fault in zip(*(a.tolist() for a in (*starts, *goals)), faults)
             if fault
         ]
+
+    def _ends(self, keys: np.ndarray):
+        """(rows, cols) of these keys' starts and of their goals."""
+        flat = np.divmod(keys.astype(np.int64), self.width * self.height)
+        return tuple(np.divmod(k, self.width) for k in flat)
 
     def _paths(self, g, at, starts, goals):
         """(cols, rows, first, faults) of the legs at these key positions, whose

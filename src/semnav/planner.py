@@ -9,13 +9,15 @@ Planning dispatches on how many graph nodes match the goal:
               candidate, silently skipping unreachable candidates.
 
 Each plan runs one room-graph search, whatever the mode. Path length means
-accumulated edge weight. Planning only reads the map, so any number of
-concurrent plans may share one SemanticMap.
+accumulated edge weight. Planning reads the map's layers and writes only
+its leg memo, whose every entry is the same whichever plan stores it, so
+any number of concurrent plans may share one SemanticMap.
 
 A refined plan turns the room route into cells leg by leg. On a map with a
 leg table (index_legs, saved as legs.bin) every leg from a room or object
-start is read from the table, as each runs between two anchors of one room;
-only the legs it lacks are searched, in one metric.grid_shortest_paths call.
+start is read from the table, as each runs between two anchors of one room,
+and realized as waypoints once per loaded map; only the legs it lacks are
+searched, in one metric.grid_shortest_paths call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import heapq
 import numbers
 import time
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -243,13 +245,22 @@ def refine_to_metric(
     map's leg table holds is served from it (LegTable.walk checks the path:
     it ends at its goal and stays on traversable cells of the grid); the
     table is built with inscribed cells blocked, so it serves no
-    allow_inscribed request. Every other leg is searched, all in one
-    grid_shortest_paths call, which returns what the table stores for the
-    same leg, as the table was built by it. A leg with no path (an end off
-    the grid or untraversable, no route inside the room, or a stored path
-    that fails its check) means the map's layers disagree, reported as an
-    UnrealizableRouteError naming the room of the first such leg. A path
-    over rooms no edge joins is a MapConsistencyError.
+    allow_inscribed request, and a leg with an end off the grid has no key.
+    Every other leg is searched, all in one grid_shortest_paths call, which
+    returns what the table stores for the same leg, as the table was built
+    by it. A leg with no path (an end off the grid or untraversable, no
+    route inside the room, or a stored path that fails its check) means the
+    map's layers disagree, reported as an UnrealizableRouteError naming the
+    room of the first such leg. A path over rooms no edge joins is a
+    MapConsistencyError.
+
+    A served leg is walked, checked and converted once per map: its
+    waypoints, or its fault, are memoised on m (SemanticMap._leg_memo) under
+    its key, and later plans read them from there and join the tuples. Each
+    cell's MetricPoint is shared by every memoised leg through it. This is
+    sound because m's costmap and legs are fixed for the map's life; a map
+    made from m by dataclasses.replace starts an empty memo. Searched legs
+    are not memoised.
     """
     graph = m.graph
     rooms = [n for n in path.nodes if n in graph.rooms]
@@ -286,7 +297,20 @@ def refine_to_metric(
         failure = len(anchors) - 1, exc
     legs = list(zip(anchors, anchors[1:]))
     table = None if allow_inscribed else m.legs
-    found = table.walk(g, legs) if table is not None else [None] * len(legs)
+    keys = [table.key(a, b) for a, b in legs] if table is not None else [None] * len(legs)
+    memo = m._leg_memo
+    found = list(map(memo.get, keys))  # no None key is stored
+    missed = [i for i, k in enumerate(keys) if k is not None and found[i] is None]
+    if missed:
+        served = [
+            (i, got) for i, got in zip(missed, table.walk(g, [legs[i] for i in missed]))
+            if got is not None
+        ]
+        points = _shared_points(memo, g, [got for _, got in served if not isinstance(got, str)])
+        for i, got in served:
+            if not isinstance(got, str):
+                got = tuple(islice(points, len(got[0])))
+            found[i] = memo[keys[i]] = got
     for i, got in enumerate(found):
         if isinstance(got, str):
             a, b = legs[i]
@@ -298,24 +322,36 @@ def refine_to_metric(
     if searched:
         done = 0
         try:
-            for cells, _ in grid_shortest_paths(
+            for (cols, rows), _ in grid_shortest_paths(
                 g, [legs[i] for i in searched], allow_inscribed=allow_inscribed
             ):
-                found[searched[done]] = cells
+                found[searched[done]] = tuple(_cell_points(g, cols, rows))
                 done += 1
         except (GridBoundsError, UnreachableError, ValidationError) as exc:
             failure = searched[done], exc  # before any failure found above
     if failure is not None:
         leg, cause = failure
         raise unrealizable(leg, cause) from cause
-    # each joint cell once
-    cols = np.concatenate([found[0][0], *(c[1:] for c, _ in found[1:])])
-    rows = np.concatenate([found[0][1], *(r[1:] for _, r in found[1:])])
-    # each cell's center as CostmapGrid.grid_to_world computes it, in the same
-    # float operations over arrays; every cell is on the grid, as checked or searched.
+    return tuple(chain(found[0], *(points[1:] for points in found[1:])))  # each joint cell once
+
+
+def _cell_points(g, cols: np.ndarray, rows: np.ndarray):
+    """Each cell's center as CostmapGrid.grid_to_world computes it, in the same
+    float operations over arrays, as MetricPoints; every cell is on the grid."""
     xs = (g.origin_x + (cols + 0.5) * g.resolution).tolist()
     ys = (g.origin_y + (rows + 0.5) * g.resolution).tolist()
-    return tuple(map(tuple.__new__, repeat(MetricPoint), zip(xs, ys)))
+    return map(tuple.__new__, repeat(MetricPoint), zip(xs, ys))
+
+
+def _shared_points(memo: dict, g, paths: list):
+    """The cells of paths ((cols, rows) each), back to back, as MetricPoints,
+    each cell's one point in memo under the key ~flat cell index."""
+    if not paths:
+        return iter(())
+    cols = np.concatenate([c for c, _ in paths])
+    rows = np.concatenate([r for _, r in paths])
+    flat = ~(rows * g.width + cols)
+    return map(memo.setdefault, flat.tolist(), _cell_points(g, cols, rows))
 
 
 def leg_anchors(m: SemanticMap) -> list[set[GridIndex]]:

@@ -1,5 +1,6 @@
 """The leg table (legs.bin): every stored path is the search's own, it round-trips,
-and a plan it serves is the plan a search makes."""
+and a plan it serves is the plan a search makes, however often the loaded map
+has served it before."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import pytest
 from semnav import envgen, mapio, planner
 from semnav.errors import SemnavError
 from semnav.graph import GoalQuery
-from semnav.metric import LegTable, grid_shortest_paths
+from semnav.metric import COST_LETHAL, CostmapGrid, LegTable, grid_shortest_paths
 
 from mapfactory import paint_bands
 
@@ -99,3 +100,105 @@ def test_index_command_adds_the_table_gen_writes(tmp_path):
     assert cli.main(["validate", "--map", str(tmp_path / "bare")]) == 2
     assert cli.main(["index", "--map", str(tmp_path / "bare")]) == 0
     assert (tmp_path / "bare" / mapio.LEGS_FILE).read_bytes() == written
+
+
+@pytest.fixture(scope="module")
+def decks():
+    """The benchmark deck maps (24 rooms at 0.05 m, 12 rooms at 0.025 m; seed 7),
+    unindexed and indexed, each with 18 refined requests from rooms to
+    objects, classes and rooms."""
+    out = []
+    for n_rooms, resolution in ((24, 0.05), (12, 0.025)):
+        m = generated(n_rooms, resolution)
+        graph, rng = m.graph, random.Random(1)
+        rooms, objects = sorted(graph.rooms), sorted(graph.objects)
+        classes = sorted({o.class_label for o in graph.objects.values()})
+        goals = (objects, classes, rooms)
+        requests = [
+            planner.PlanRequest(
+                start=rng.choice(rooms), goal=GoalQuery(rng.choice(goals[i % 3])), refine_metric=True
+            )
+            for i in range(18)
+        ]
+        out.append((m, planner.index_legs(m), requests))
+    return out
+
+
+def bits(outcome):
+    """An outcome's route and failure, its waypoints as float.hex strings."""
+    path = outcome.result
+    if path is None:
+        return outcome.failure_reason, outcome.detail
+    return path.nodes, path.graph_cost.hex(), [(x.hex(), y.hex()) for x, y in path.waypoints]
+
+
+def test_served_waypoints_are_the_same_bits_on_every_pass(decks):
+    for searched, served, requests in decks:
+        served = replace(served)  # an empty memo
+        expected = [bits(planner.plan(searched, r)) for r in requests]
+        for _ in range(3):
+            assert [bits(planner.plan(served, r)) for r in requests] == expected
+        assert served._leg_memo  # the later passes read the memo
+
+
+def corrupt(table: LegTable, key: int) -> LegTable:
+    """table with the first step of key's stored path turned around."""
+    at = int(np.searchsorted(table.keys, key))
+    moves = table.moves.copy()
+    moves[table.offsets[at]] = 7 - moves[table.offsets[at]]
+    return replace(table, moves=moves)
+
+
+def test_a_replaced_table_or_costmap_starts_an_empty_memo(painted):
+    fresh = painted[1]
+    m = replace(fresh)
+    request = planner.PlanRequest(start="office_1", goal=GoalQuery("desk"), refine_metric=True)
+    warm = planner.plan(m, request)
+    assert warm.ok and m._leg_memo
+    # the memoised leg with the longest stored path, and its middle cell
+    key = max((k for k in m._leg_memo if k >= 0), key=lambda k: len(m._leg_memo[k]))
+    middle = m._leg_memo[key][len(m._leg_memo[key]) // 2]
+    cell = m.costmap.world_to_grid(middle)
+    cells = m.costmap.cells.copy()
+    cells[cell.row, cell.col] = COST_LETHAL
+    walled = CostmapGrid(**{**vars(m.costmap), "cells": cells})
+    for change in ({"legs": corrupt(m.legs, key)}, {"costmap": walled}):
+        changed, expected = replace(m, **change), planner.plan(replace(fresh, **change), request)
+        assert changed._leg_memo == {}
+        got = planner.plan(changed, request)
+        assert (got.result, got.failure_reason, got.detail) == (
+            expected.result, expected.failure_reason, expected.detail
+        )
+        assert got.failure_reason == planner.FAIL_NO_METRIC_ROUTE and mapio.LEGS_FILE in got.detail
+    assert bits(planner.plan(m, request)) == bits(warm)
+
+
+def test_a_stored_path_fault_is_reported_on_every_repeat(painted):
+    m = replace(painted[1])
+    request = planner.PlanRequest(start="office_1", goal=GoalQuery("desk"), refine_metric=True)
+    assert planner.plan(m, request).ok
+    key = next(k for k in m._leg_memo if k >= 0 and len(m._leg_memo[k]) > 1)
+    m = replace(m, legs=corrupt(m.legs, key))
+    outcomes = {(o.failure_reason, o.detail) for o in (planner.plan(m, request) for _ in range(3))}
+    assert len(outcomes) == 1
+    reason, detail = outcomes.pop()
+    assert reason == planner.FAIL_NO_METRIC_ROUTE and mapio.LEGS_FILE in detail
+
+
+def test_searched_legs_are_not_memoised(painted):
+    m = replace(painted[1])
+    graph, step = m.graph, 1.5 * m.costmap.resolution
+    goal = GoalQuery("desk")
+    assert planner.plan(m, planner.PlanRequest(start="office_1", goal=goal, refine_metric=True)).ok
+    size = len(m._leg_memo)
+    centroid = graph.rooms["office_1"].centroid
+    point = (centroid.x + step, centroid.y - step)  # in no anchor's cell
+    for request in (
+        planner.PlanRequest(start=point, goal=goal, refine_metric=True),
+        planner.PlanRequest(start="office_1", goal=goal, refine_metric=True, allow_inscribed=True),
+        planner.PlanRequest(
+            start=sorted(graph.rooms)[-1], goal=goal, refine_metric=True, allow_inscribed=True
+        ),
+    ):
+        assert planner.plan(m, request).ok
+        assert len(m._leg_memo) == size

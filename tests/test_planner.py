@@ -628,6 +628,17 @@ class TestAssembledMapFaults:
         assert out.failure_reason == FAIL_NO_METRIC_ROUTE
         assert out.detail.startswith(f"room {room!r}: ") and "outside" in out.detail
 
+    def test_off_grid_portal_is_not_served_as_the_cell_its_flat_index_names(self, small_env):
+        grid, _, graph = small_env
+        centroid = grid.world_to_grid(graph.rooms["corridor_1"].centroid)
+        # one row up and one grid width right: row * width + col is the centroid cell's
+        portal = GridIndex(centroid.col + grid.width, centroid.row - 1)
+        m = assembled_with(small_env, edges={("office_1", "corridor_1"): portal})
+        for m in (m, planner.index_legs(m)):
+            out = self.refined(m, "corridor_1", "desk_1")
+            assert out.failure_reason == FAIL_NO_METRIC_ROUTE
+            assert out.detail.startswith("room 'corridor_1': ") and "outside" in out.detail
+
     def test_first_off_grid_leg_wins_over_the_goal(self, small_env):
         m = assembled_with(
             small_env,
