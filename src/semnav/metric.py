@@ -18,67 +18,49 @@ cells are allowed. Averaging the two endpoint factors keeps the rule symmetric
 length. step_length is resolution for the 4 straight moves and
 resolution*sqrt(2) for the 4 diagonal moves.
 
-grid_shortest_paths finds each leg's minimum-cost path with
+grid_shortest_path finds a leg's minimum-cost path with
 scipy.sparse.csgraph.dijkstra on a CSR graph built over an octile ellipse
 with foci start and goal, grown until it holds every path no dearer than the
 one found. A path of cost C is accepted once the ellipse's span, in cells,
 is at least C / resolution * (1 + 2**-30): the relative allowance bounds the
 float error of the path's sum and of the ellipse's own sums for paths up to
 2**22 steps, so every path no dearer lies in the window and acceptance alone
-gives the same cost as a whole-grid search (grid_shortest_paths' docstring
-has the bound). Each growth round searches the legs' windows side by side in one
-block-diagonal graph, in one window_search call. That is the one csgraph
+gives the same cost as a whole-grid search (grid_shortest_path's docstring
+has the bound). Each growth round searches the ellipse's bounding box, its
+other cells closed, in one window_search call. That is the one csgraph
 call site: segmentation.extract_adjacency's per-room searches go through it
 too, bounded by the same ellipses with the room's centroid and a portal as
 foci and a span read off a path known to be open, so they need no second
 search. Nothing is cached on the grid.
 The window graph has a fixed degree, a node per cell and 8 moves per node; a
 move at a closed cell or off the window weighs inf, and csgraph never relaxes
-an inf entry, whatever node it targets.
+an inf entry, whatever node it targets. Nodes are numbered row by row, as on
+the grid: csgraph's dijkstra (scipy 1.17) breaks ties between equal distances
+by node number, so numbering a window's cells in another order can return
+another path of equal cost.
 scipy is imported by the functions that search, so loading a map needs numpy only.
 
-A LegTable stores paths that grid_shortest_paths returned, so a leg it
+A LegTable stores paths that grid_shortest_path returned, so a leg it
 serves has the bits a search of the leg would give: leg_table builds one
-for the anchor cells of each room (one grid_shortest_paths call per source
-anchor, allow_inscribed false), one _MOVES code byte per step, and
+for the anchor cells of each room (one grid_shortest_path call per ordered
+pair of anchors, allow_inscribed false), one _MOVES code byte per step, and
 LegTable.walk finds legs by binary search over packed (start, goal) keys and
 decodes them with one cumsum per axis, checking that each path ends at its
 goal and keeps to traversable cells of the grid. Serving needs numpy only.
-
-A window's layout is its shear s: 0 for a plain box of grid rows and columns,
-or +1 or -1 for a box sheared along the leg's diagonal, of grid rows and of
-columns v = c - s * r, so each window row is a run of its grid row shifted s
-columns from the row above (grid_shortest_paths says which is taken, _reach
-how far the ellipse reaches in each). The results are the same bits for every shear:
-- The open cells are the same: the cells of E(span) on the grid that are
-  traversable. Each window holds all of them and closes every other cell.
-- Each open node lists its open neighbours in the same order, _MOVES order,
-  with the same weights; its other moves weigh inf and are never relaxed (a
-  closed cell's pred stays -9999), so only the node numbers differ.
-- Node numbers keep their order. csgraph's dijkstra (scipy 1.17) breaks ties
-  between equal distances by node number: renumbering a window's cells out
-  of row-major order can return another path of equal cost. Every shear
-  numbers cells row by row, and along a row by column, so any two open cells
-  compare alike.
-So Dijkstra settles the same cells in the same order with the same
-predecessors, and the path mapped back through c = v + s * r has the same
-cells and cost bits. A shear of rows along columns (u = r - s * c) would hug
-steep legs as closely, but it numbers cells diagonal by diagonal, and on a
-window with tied paths it returns a different one; it is not used.
 
 Per search, the set-up is small: the halved factor tables (half a cell
 value's traversal factor, inf at closed values) are built once, at import,
 and shared read-only, so a window's edge inputs are one table lookup; the
 start-goal distance is float math; the ellipse sums octile terms built
-from 1-D row and column distances. scipy's csr_array construction and dijkstra wrapper, about 60 us of
-a 4x5 window's 130-140 us on a 2-vCPU VM, are paid once per csgraph call,
-which grid_shortest_paths shares among the legs searched together.
+from 1-D row and column distances. scipy's csr_array construction and
+dijkstra wrapper, about 60 us of a 4x5 window's 130-140 us on a 2-vCPU VM,
+are paid once per window searched.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -374,12 +356,8 @@ _FIRST_SLACK = 2.0
 
 # A path's cost C is proven once E(C / resolution * _ROUNDING) fits in its
 # window: the factor bounds the float error of C and of the ellipse's sums
-# for paths up to 2**22 steps (grid_shortest_paths says why).
+# for paths up to 2**22 steps (grid_shortest_path says why).
 _ROUNDING = 1.0 + 2.0**-30
-
-# Most legs x window cells that grid_shortest_paths searches in one csgraph
-# call, whose dist and pred matrices hold one entry per leg and cell.
-_GROUP_ENTRIES = 1 << 16
 
 
 def _halves(allow_inscribed: bool) -> np.ndarray:
@@ -406,28 +384,27 @@ def half_table(allow_inscribed: bool = False) -> np.ndarray:
 
 def _octile_distance(a: GridIndex, b: GridIndex) -> float:
     """Octile distance in cells between two cells: max + k * min of |drow|
-    and |dcol|, k = sqrt(2) - 1, the bits of _mask's octile terms."""
+    and |dcol|, k = sqrt(2) - 1, the bits of ellipse's octile terms."""
     drow, dcol = abs(a.row - b.row), abs(a.col - b.col)
     return max(drow, dcol) + _K * min(drow, dcol)
 
 
-def grid_shortest_paths(
+def grid_shortest_path(
     g: CostmapGrid,
-    legs: Iterable[tuple[GridIndex, GridIndex]],
+    start: GridIndex,
+    goal: GridIndex,
     *,
     allow_inscribed: bool = False,
-) -> Iterator[tuple[tuple[np.ndarray, np.ndarray], float]]:
-    """Minimum-cost 8-connected path for each (start, goal) pair of legs.
+) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+    """Minimum-cost 8-connected path from start to goal.
 
-    Yields each leg's ((cols, rows), cost) in leg order: the path's column
-    and row indices, two int arrays from start to goal, and its exact cost,
-    bit for bit; among equal-cost paths, csgraph's deterministic choice for
-    the cells searched. At the first leg with no path it raises, and yields
-    no later leg: GridBoundsError for an endpoint off the grid,
-    ValidationError for an untraversable one, UnreachableError when no route
-    exists.
+    Returns ((cols, rows), cost): the path's column and row indices, two int
+    arrays from start to goal, and its exact cost, bit for bit; among
+    equal-cost paths, csgraph's deterministic choice for the cells searched.
+    Raises GridBoundsError for an endpoint off the grid, ValidationError for
+    an untraversable one and UnreachableError when no route exists.
 
-    A leg's search runs on the octile ellipse E(span), the cells v with
+    The search runs on the octile ellipse E(span), the cells v with
     octile(start, v) + octile(v, goal) <= span in cells, from
     span = direct + 2, direct = octile(start, goal). Every step costs at
     least resolution times its length, so in exact arithmetic E(C / resolution)
@@ -440,107 +417,49 @@ def grid_shortest_paths(
     on a grid of up to 2**22 cells, as such a path visits no cell twice. So
     E(C / resolution * (1 + e)) holds every path whose float cost is <= C,
     and once it lies in the window no path outside can be cheaper:
-    acceptance alone makes the cost equal a whole-grid search's. A leg not
-    accepted runs again with span = C / resolution * (1 + e), which accepts,
-    or, if it found no path, with four times the slack span - direct, until
-    E(span) covers the grid. How a leg grows decides only how many windows
-    it takes.
-
-    Each growth round lays out every pending leg's window (_window_box) and
-    searches the windows of consecutive legs in one csgraph call, while legs
-    x window cells stays within _GROUP_ENTRIES (a call's dist and pred hold
-    that many entries); a leg over it runs alone. A leg's block of that graph
-    is its one-leg window graph with its node ids shifted, and no edge leaves
-    it, so every leg's spans, path and cost bits are those of its own search.
-    Legs after one known to fail drop out, and a leg whose window is the size
-    of the grid waits until every leg before it is done, so legs after a
-    failing one search no window that size: a failing plan searches
-    grid-sized windows no more often than leg-by-leg searches do.
-
-    A window is a box of (u, v) = (r, c - s * r) for its shear s: plain with
-    s = 0, or sheared with s = +1 or -1, whose rows are runs of grid rows
-    shifted s columns per row. A leg's round takes s = sign(drow * dcol)
-    when that box for E(span) holds fewer cells than the plain box cut to
-    the grid and lies on the grid; a shear runs along the leg's diagonal, so
-    for a diagonal leg its box hugs the ellipse where the plain box holds
-    about a square. Either window holds every cell of E(span) on the grid
-    and opens only those, in the same order; why that gives the same path is
-    in the module docstring.
+    acceptance alone makes the cost equal a whole-grid search's. A path not
+    accepted is searched again with span = C / resolution * (1 + e), which
+    accepts, or, if none was found, with four times the slack span - direct,
+    until E(span) covers the grid. How the ellipse grows decides only how
+    many windows a leg takes.
     """
     halves = _HALF_TABLES[allow_inscribed]
-    ends: list[tuple[GridIndex, GridIndex, float]] = []  # (start, goal, direct) per leg checked
-    spans: list[float] = []
-    failure = None
-    for start, goal in legs:
-        start, goal = GridIndex(*start), GridIndex(*goal)
-        try:
-            for name, idx in (("start", start), ("goal", goal)):
-                if not g.in_bounds(idx):
-                    raise GridBoundsError(f"{name} {idx} outside {g.width}x{g.height} grid")
-            for name, idx in (("start", start), ("goal", goal)):
-                if halves[g.cells[idx.row, idx.col]] == math.inf:
-                    raise ValidationError(f"{name} cell {idx} is untraversable")
-        except (GridBoundsError, ValidationError) as exc:
-            failure = exc
-            break
-        direct = _octile_distance(start, goal)
-        ends.append((start, goal, direct))
-        spans.append(direct + _FIRST_SLACK)
-
-    found: list = [None] * len(ends)
-    pending = list(range(len(ends)))
-    while pending:
-        windows = []
-        for i in pending:
-            start, goal, direct = ends[i]
-            s, top, bottom, left, right = _window_box(g, start, goal, spans[i] - direct)
-            top, left, inside = _mask(s, start, goal, spans[i], top, bottom, left, right)
-            if inside.size == g.cells.size and i != pending[0]:
-                continue  # a window the size of the grid waits for the legs before it
-            height, width = inside.shape
-            # the window's halved factors in a ring of inf, inf outside the ellipse
-            pad = 1 + abs(s)
-            half = np.full((height + 2, width + 2 * pad), np.inf)
-            inner = half[1:-1, pad : pad + width]
-            inner[...] = halves[_window_cells(g.cells, s, top, left, height, width)]
-            inner[~inside] = np.inf
-            source = (start.row - top) * width + start.col - s * start.row - left
-            whole = inside.size == g.cells.size and inside.all()
-            windows.append(_Window(i, s, top, left, height, width, whole, source, half))
-        for group in _groups(windows):
-            searched = window_search(
-                [w.ring for w in group],
-                g.resolution,
-                [w.source for w in group],
-                [w.shear for w in group],
-            )
-            for (i, s, top, left, _, width, whole, _, _), (dist, pred) in zip(group, searched):
-                start, goal, direct = ends[i]
-                v = (goal.row - top) * width + goal.col - s * goal.row - left
-                cost = float(dist[v])
-                bound = cost / g.resolution * _ROUNDING
-                if bound <= spans[i]:
-                    flat = []
-                    while v >= 0:  # pred is negative at the start
-                        flat.append(v)
-                        v = pred.item(v)
-                    rows, cols = np.divmod(np.array(flat[::-1]), width)
-                    rows += top
-                    cols += left
-                    if s:
-                        cols += s * rows
-                    found[i] = (cols, rows), cost
-                    pending.remove(i)
-                elif cost < math.inf:
-                    spans[i] = bound
-                elif whole:  # only the first pending leg searches the whole grid
-                    yield from found[:i]
-                    raise UnreachableError(f"no traversable route from {start} to {goal}")
-                else:
-                    spans[i] = direct + 4.0 * (spans[i] - direct)
-    yield from found
-    if failure is not None:
-        raise failure
+    start, goal = GridIndex(*start), GridIndex(*goal)
+    for name, idx in (("start", start), ("goal", goal)):
+        if not g.in_bounds(idx):
+            raise GridBoundsError(f"{name} {idx} outside {g.width}x{g.height} grid")
+    for name, idx in (("start", start), ("goal", goal)):
+        if halves[g.cells[idx.row, idx.col]] == math.inf:
+            raise ValidationError(f"{name} cell {idx} is untraversable")
+    direct = _octile_distance(start, goal)
+    span = direct + _FIRST_SLACK
+    whole_grid = (slice(0, g.height), slice(0, g.width))
+    while True:
+        top, left, inside = ellipse(whole_grid, start, goal, span)
+        height, width = inside.shape
+        # the window's halved factors in a ring of inf, inf outside the ellipse
+        ring = np.full((height + 2, width + 2), np.inf)
+        window = ring[1:-1, 1:-1]
+        window[...] = halves[g.cells[top : top + height, left : left + width]]
+        window[~inside] = np.inf
+        source = (start.row - top) * width + start.col - left
+        dist, pred = window_search(ring, g.resolution, source)
+        v = (goal.row - top) * width + goal.col - left
+        cost = float(dist[v])
+        bound = cost / g.resolution * _ROUNDING
+        if bound <= span:
+            flat = []
+            while v >= 0:  # pred is negative at the start
+                flat.append(v)
+                v = pred.item(v)
+            rows, cols = np.divmod(np.array(flat[::-1]), width)
+            return (cols + left, rows + top), cost
+        if cost < math.inf:
+            span = bound
+        elif inside.size == g.cells.size and inside.all():
+            raise UnreachableError(f"no traversable route from {start} to {goal}")
+        else:
+            span = direct + 4.0 * (span - direct)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +480,7 @@ class LegTable:
     each leg's start and goal flat cell indices (row * width + col) as
     start * width * height + goal; leg i's path is moves[offsets[i]:
     offsets[i + 1]], one _MOVES code (0-7) per step from its start. Every
-    path was returned by grid_shortest_paths with allow_inscribed false
+    path was returned by grid_shortest_path with allow_inscribed false
     (leg_table builds them), so a table serves only such searches, and only
     on the costmap it was built from: walk checks each path it serves.
     """
@@ -674,13 +593,10 @@ def leg_table(g: CostmapGrid, rooms: Iterable[Iterable[GridIndex]]) -> LegTable:
     (each pair of cells of one of rooms), a cell and itself included, that
     a route joins.
 
-    Each source anchor's legs are one grid_shortest_paths call with
-    allow_inscribed false, so a stored path is that search's own output, bit
-    for bit (the call searches each leg in its own window block), and the
-    call's memory stays that of one source's windows. Anchors off the grid or
-    untraversable are left out. A call stops at a leg with no route, so the
-    source's later legs are searched again without it, and the table lacks
-    that pair.
+    Each pair's path is one grid_shortest_path call with allow_inscribed
+    false, so a stored path is that search's own output, bit for bit.
+    Anchors off the grid or untraversable are left out, and so is a pair
+    with no route.
     """
     partners: dict[GridIndex, set[GridIndex]] = {}
     for anchors in rooms:
@@ -698,17 +614,13 @@ def leg_table(g: CostmapGrid, rooms: Iterable[Iterable[GridIndex]]) -> LegTable:
     keys: list[int] = []
     paths: list[np.ndarray] = []
     for source in sorted(partners, key=flat):  # in key order
-        goals = sorted(partners[source], key=flat)
-        while goals:
-            done = 0
+        for goal in sorted(partners[source], key=flat):
             try:
-                for (cols, rows), _ in grid_shortest_paths(g, [(source, b) for b in goals]):
-                    keys.append(flat(source) * cells + flat(goals[done]))
-                    paths.append(_MOVE_CODES[np.diff(rows) * 3 + np.diff(cols) + 4])
-                    done += 1
+                (cols, rows), _ = grid_shortest_path(g, source, goal)
             except UnreachableError:
-                done += 1  # goals[done] has no route from source
-            goals = goals[done:]
+                continue
+            keys.append(flat(source) * cells + flat(goal))
+            paths.append(_MOVE_CODES[np.diff(rows) * 3 + np.diff(cols) + 4])
     offsets = np.zeros(len(keys) + 1, dtype=np.int64)
     np.cumsum([len(path) for path in paths], out=offsets[1:])
     moves = np.concatenate(paths) if paths else np.zeros(0, np.uint8)
@@ -716,74 +628,15 @@ def leg_table(g: CostmapGrid, rooms: Iterable[Iterable[GridIndex]]) -> LegTable:
     return LegTable(g.width, g.height, keys, offsets, moves)
 
 
-class _Window(NamedTuple):
-    """One leg's search window in a growth round of grid_shortest_paths."""
-
-    leg: int
-    shear: int  # window cell (u, v) is grid cell (u, v + shear * u)
-    top: int  # the window's first cell is (u, v) = (top, left)
-    left: int
-    height: int
-    width: int
-    whole: bool  # the window's ellipse holds every cell of the grid
-    source: int  # the start's flat index in the window
-    ring: np.ndarray  # the window's halved factors in its inf ring, 1 + |shear| columns wide
-
-
-def _groups(windows):
-    """Consecutive runs of windows whose legs x cells stays within
-    _GROUP_ENTRIES; a window over it forms a run of its own."""
-    group, cells = [], 0
-    for window in windows:
-        n = window.height * window.width
-        if group and (len(group) + 1) * (cells + n) > _GROUP_ENTRIES:
-            yield group
-            group, cells = [], 0
-        group.append(window)
-        cells += n
-    if group:
-        yield group
-
-
-def _reach(slack: float, shear: int = 0) -> int:
-    """How many cells E(direct + slack) reaches past its foci's range of a
-    plain coordinate, r or c, or with shear of a sheared one, c - shear * r.
+def _reach(slack: float) -> int:
+    """How many cells E(direct + slack) reaches past its foci's range of rows
+    or of columns.
 
     A cell k rows or columns outside the foci's box has an octile sum of at
     least direct + 2 * (sqrt(2) - 1) * k, as each term grows by at least
-    sqrt(2) - 1 per step away from both foci. A sheared coordinate reaches
-    farther: octile(d) is at least (sqrt(2) - 1) * |drow| + |dcol| and at
-    least |drow| + (sqrt(2) - 1) * |dcol|, so bounding one term by each
-    gives an octile sum of at least direct + (2 - sqrt(2)) * t at a cell t
-    past the foci's range of c - s * r. The + 1 absorbs rounding.
+    sqrt(2) - 1 per step away from both foci. The + 1 absorbs rounding.
     """
-    return math.ceil(slack / ((2.0 - SQRT2) if shear else (2.0 * (SQRT2 - 1.0)))) + 1
-
-
-def _window_box(g: CostmapGrid, start: GridIndex, goal: GridIndex, slack: float):
-    """(shear, top, bottom, left, right): the shear and box, rows u in
-    [top, bottom) and window columns v in [left, right), of the fewer cells
-    that hold E(direct + slack) on the grid. Both are cut to the grid's
-    rows; the plain box is cut to its columns too, and the sheared one is
-    taken only if every cell of it lies on the grid. Plain wins ties and
-    takes every grid-sized window."""
-    reach = _reach(slack)
-    top = max(0, min(start.row, goal.row) - reach)
-    bottom = min(g.height, max(start.row, goal.row) + reach + 1)
-    left = max(0, min(start.col, goal.col) - reach)
-    right = min(g.width, max(start.col, goal.col) + reach + 1)
-    cells = (bottom - top) * (right - left)
-    sign = (goal.row - start.row) * (goal.col - start.col)
-    if sign and cells < g.cells.size:
-        s = 1 if sign > 0 else -1
-        skew = _reach(slack, s)
-        a, b = start.col - s * start.row, goal.col - s * goal.row
-        lo, hi = min(a, b) - skew, max(a, b) + skew + 1
-        # each row u's columns c = v + s * u lie on the grid
-        first, last = sorted((s * top, s * (bottom - 1)))
-        if (hi - lo) * (bottom - top) < cells and lo + first >= 0 and hi - 1 + last < g.width:
-            return s, top, bottom, lo, hi
-    return 0, top, bottom, left, right
+    return math.ceil(slack / (2.0 * (SQRT2 - 1.0))) + 1
 
 
 def ellipse(box: tuple[slice, slice], start: GridIndex, goal: GridIndex, span: float):
@@ -791,35 +644,26 @@ def ellipse(box: tuple[slice, slice], start: GridIndex, goal: GridIndex, span: f
     octile(start, v) + octile(v, goal) <= span in cells, cut to box (a pair
     of row and column slices of the grid, holding start and goal) and given
     as a mask over its bounding box, whose first cell is (top, left).
+
+    Each focus's octile term is max(|dc| + k * |dr|, |dr| + k * |dc|),
+    k = sqrt(2) - 1, from a column of |dr| and a row of |dc| and their k
+    multiples, so only the two sums and their max touch the whole box. It is
+    the same bits as max + k * min of _octile_distance: the larger branch
+    adds k times the smaller distance, and whenever |dr| != |dc| the
+    branches differ by at least (1 - k) * ||dr| - |dc|| >= 0.58, far past
+    rounding.
     """
     reach = _reach(span - _octile_distance(start, goal))
     top = max(box[0].start, min(start.row, goal.row) - reach)
     bottom = min(box[0].stop, max(start.row, goal.row) + reach + 1)
     left = max(box[1].start, min(start.col, goal.col) - reach)
     right = min(box[1].stop, max(start.col, goal.col) + reach + 1)
-    return _mask(0, start, goal, span, top, bottom, left, right)
-
-
-def _mask(shear, start, goal, span, top, bottom, left, right):
-    """ellipse over the box of rows [top, bottom) and columns [left, right)
-    of the window layout with shear, which holds start and goal.
-
-    Each focus's octile term is max(|dc| + k * |dr|, |dr| + k * |dc|),
-    k = sqrt(2) - 1, from a column of |dr| and a line of |dc| (a strided view
-    of it when sheared) and their k multiples, so only the two sums and
-    their max touch the whole box. It is the same bits as max + k * min of
-    _octile_distance: the larger branch adds k times the smaller distance,
-    and whenever |dr| != |dc| the branches differ by at least
-    (1 - k) * ||dr| - |dc|| >= 0.58, far past rounding."""
-    height, width = bottom - top, right - left
-    total, term, other = np.empty((3, height, width))
-    low = min(0, shear * (height - 1))
+    total, term, other = np.empty((3, bottom - top, right - left))
     for focus, out in ((start, total), (goal, term)):
         drow = np.abs(np.arange(top - focus.row, bottom - focus.row, dtype=float))[:, None]
-        first = left + shear * top - focus.col + low
-        dcol = np.abs(np.arange(first, first + width + abs(shear) * (height - 1), dtype=float))
-        np.add(_sheared(dcol, height, shear), _K * drow, out=out)
-        np.add(drow, _sheared(_K * dcol, height, shear), out=other)
+        dcol = np.abs(np.arange(left - focus.col, right - focus.col, dtype=float))
+        np.add(dcol, _K * drow, out=out)
+        np.add(drow, _K * dcol, out=other)
         np.maximum(out, other, out=out)
     total += term
     inside = total <= span
@@ -828,106 +672,59 @@ def _mask(shear, start, goal, span, top, bottom, left, right):
     return top + int(r[0]), left + int(c[0]), inside[r[0] : r[-1] + 1, c[0] : c[-1] + 1]
 
 
-def _sheared(line: np.ndarray, height: int, shear: int) -> np.ndarray:
-    """line[j + shear * i - low] at [i, j], low = min(0, shear * (height - 1)):
-    line itself when shear is 0, else a (height, line.size - height + 1)
-    strided view of it."""
-    if not shear:
-        return line
-    low = min(0, shear * (height - 1))
-    size = line.itemsize
-    shape = (height, line.size - height + 1)
-    return np.ndarray(shape, line.dtype, line, -low * size, (shear * size, size))
-
-
-def _window_cells(cells: np.ndarray, shear: int, top, left, height, width) -> np.ndarray:
-    """The grid cells of a window whose first cell is (u, v) = (top, left)
-    in the layout with shear, as a strided read-only view of cells. Every
-    cell of the window lies on the grid."""
-    row_stride, col_stride = cells.strides
-    offset = top * row_stride + (left + shear * top) * col_stride
-    strides = (row_stride + shear * col_stride, col_stride)
-    return np.ndarray((height, width), cells.dtype, cells, offset, strides)
-
-
-def window_search(rings: list[np.ndarray], resolution: float, sources: list[int], shears=None):
-    """Per ring, the flat (dist, pred) of Dijkstra over its window from the
-    window's flat cell index in sources: all in one csgraph call over
-    _ring_graph(rings, resolution, shears), which says what a ring holds.
+def window_search(ring: np.ndarray, resolution: float, source: int):
+    """(dist, pred), flat over the window's cells, of Dijkstra over the
+    window from its flat cell index source: one csgraph call over
+    _ring_graph(ring, resolution), which says what a ring holds.
     dist[v] is the cheapest-path cost to window cell v, inf where unreached;
     pred[v] is the cell before it on that path, negative at the source and
     where unreached.
     """
     from scipy.sparse.csgraph import dijkstra
 
-    graph, offsets = _ring_graph(rings, resolution, shears)
-    dist, pred = dijkstra(
-        graph,
-        indices=[a + source for a, source in zip(offsets, sources)],
-        return_predecessors=True,
-    )
-    found = []
-    for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
-        if a:
-            pred[i, a:b] -= a  # back to flat cell indices in the ring's window
-        found.append((dist[i, a:b], pred[i, a:b]))
-    return found
+    return dijkstra(_ring_graph(ring, resolution), indices=source, return_predecessors=True)
 
 
-def _ring_graph(rings: list[np.ndarray], resolution: float, shears=None):
-    """(graph, offsets): the CSR graph of the 8-connected moves over every cell
-    of each window, from the window's halved factors (inf at closed cells)
-    held in an inf ring one row deep and pad = 1 + |s| columns wide, the most
-    a move shifts a column in a window of shear s = shears[i] (all 0 if None).
-    Window i's cells are nodes offsets[i] up to offsets[i + 1].
+def _ring_graph(ring: np.ndarray, resolution: float):
+    """The CSR graph of the 8-connected moves over every cell of a window,
+    from the window's halved factors (inf at closed cells) held in an inf
+    ring one cell deep, the most a move shifts a row or a column.
 
-    Node offsets[i] + u * width + v is cell (u, v) of window i; row v lists
-    v's 8 grid moves in _MOVES order, a move (drow, dcol) at the window
-    offset (drow, dcol - s * drow). A move weighs
-    step * (0.5 * (f_a + f_b)), or inf at a closed cell and off the window,
-    where it targets some node of the window: csgraph never relaxes an inf
-    entry, and no edge joins two windows.
+    Node u * width + v is window cell (u, v); its row lists its 8 moves in
+    _MOVES order. A move weighs step * (0.5 * (f_a + f_b)), or inf at a
+    closed cell and off the window, where it targets some node of the
+    window: csgraph never relaxes an inf entry.
 
     The graph is symmetric: w(u -> v) and w(v -> u) are one sum, as IEEE
     addition commutes. So each forward move (E, SE, S, SW) sums two shifted
     slices of the ring once, over every pair with a cell in the window, and
     scales the sums by resolution * step in place; that one array fills both
     the move's column of the (nodes, 8) weights and its reverse's. The
-    targets of each move are node + offset, one 1-D add. No move shifts a node number by
-    more than width + pad, so only the first and last width + pad nodes'
-    targets are clamped into the window.
+    targets of each move are node + offset, one 1-D add. No move shifts a
+    node number by more than width + 1, so only the first and last width + 1
+    nodes' targets are clamped into the window.
     """
     from scipy.sparse import csr_array
 
-    if shears is None:
-        shears = [0] * len(rings)
-    offsets = [0]
-    for half, s in zip(rings, shears):
-        offsets.append(offsets[-1] + (half.shape[0] - 2) * (half.shape[1] - 2 - 2 * abs(s)))
-    n = offsets[-1]
-    weights = np.empty((n, len(_MOVES)))
-    indices = np.empty((n, len(_MOVES)), dtype=np.int32)
-    for half, s, a, b in zip(rings, shears, offsets, offsets[1:]):
-        pad = 1 + abs(s)
-        height, width = half.shape[0] - 2, half.shape[1] - 2 * pad
-        block = weights[a:b].reshape(height, width, len(_MOVES))
-        targets = indices[a:b]
-        node = np.arange(a, b, dtype=np.int32)
-        for drow, dcol, step, forward, back in _PAIRS:
-            dv = dcol - s * drow  # the move's window column offset
-            lo = pad + min(0, -dv)  # the ring column of the first pair's tail
-            # w(p, p + move) for p in window rows -drow .. height - 1
-            pair = np.add(
-                half[1 - drow : 1 + height, lo : lo + width + abs(dv)],
-                half[1 : 1 + height + drow, lo + dv : lo + dv + width + abs(dv)],
-            )
-            pair *= resolution * step
-            block[..., forward] = pair[drow:, pad - lo : pad - lo + width]
-            block[..., back] = pair[:height, pad - lo - dv : pad - lo - dv + width]
-            np.add(node, drow * width + dv, out=targets[:, forward])
-            np.subtract(node, drow * width + dv, out=targets[:, back])
-        edge = width + pad
-        np.maximum(targets[:edge], a, out=targets[:edge])
-        np.minimum(targets[-edge:], b - 1, out=targets[-edge:])
+    height, width = ring.shape[0] - 2, ring.shape[1] - 2
+    n = height * width
+    weights = np.empty((height, width, len(_MOVES)))
+    targets = np.empty((n, len(_MOVES)), dtype=np.int32)
+    node = np.arange(n, dtype=np.int32)
+    for drow, dcol, step, forward, back in _PAIRS:
+        lo = 1 + min(0, -dcol)  # the ring column of the first pair's tail
+        # w(p, p + move) for p in window rows -drow .. height - 1
+        pair = np.add(
+            ring[1 - drow : 1 + height, lo : lo + width + abs(dcol)],
+            ring[1 : 1 + height + drow, lo + dcol : lo + dcol + width + abs(dcol)],
+        )
+        pair *= resolution * step
+        weights[..., forward] = pair[drow:, 1 - lo : 1 - lo + width]
+        weights[..., back] = pair[:height, 1 - lo - dcol : 1 - lo - dcol + width]
+        np.add(node, drow * width + dcol, out=targets[:, forward])
+        np.subtract(node, drow * width + dcol, out=targets[:, back])
+    edge = width + 1
+    np.maximum(targets[:edge], 0, out=targets[:edge])
+    np.minimum(targets[-edge:], n - 1, out=targets[-edge:])
     indptr = np.arange(0, len(_MOVES) * n + 1, len(_MOVES), dtype=np.int32)
-    return csr_array((weights.reshape(-1), indices.reshape(-1), indptr), shape=(n, n)), offsets
+    return csr_array((weights.reshape(-1), targets.reshape(-1), indptr), shape=(n, n))

@@ -17,7 +17,7 @@ A refined plan turns the room route into cells leg by leg. On a map with a
 leg table (index_legs, saved as legs.bin) every leg from a room or object
 start is read from the table, as each runs between two anchors of one room,
 and realized as waypoints once per loaded map; only the legs it lacks are
-searched, in one metric.grid_shortest_paths call.
+searched, one metric.grid_shortest_path call each.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .graph import GoalQuery, SemanticGraph, normalize_label
 from .mapio import LEGS_FILE, SemanticMap
-from .metric import GridIndex, MetricPoint, grid_shortest_paths, leg_table
+from .metric import GridIndex, MetricPoint, grid_shortest_path, leg_table
 
 MODE_DISCOVERY = "discovery"
 MODE_TARGETED = "targeted"
@@ -246,13 +246,13 @@ def refine_to_metric(
     it ends at its goal and stays on traversable cells of the grid); the
     table is built with inscribed cells blocked, so it serves no
     allow_inscribed request, and a leg with an end off the grid has no key.
-    Every other leg is searched, all in one grid_shortest_paths call, which
-    returns what the table stores for the same leg, as the table was built
-    by it. A leg with no path (an end off the grid or untraversable, no
-    route inside the room, or a stored path that fails its check) means the
-    map's layers disagree, reported as an UnrealizableRouteError naming the
-    room of the first such leg. A path over rooms no edge joins is a
-    MapConsistencyError.
+    Every other leg is searched by grid_shortest_path, in leg order up to
+    the first that fails; a search returns what the table stores for the
+    same leg, as the table was built by it. A leg with no path (an end off
+    the grid or untraversable, no route inside the room, or a stored path
+    that fails its check) means the map's layers disagree, reported as an
+    UnrealizableRouteError naming the room of the first such leg. A path
+    over rooms no edge joins is a MapConsistencyError.
 
     A served leg is walked, checked and converted once per map: its
     waypoints, or its fault, are memoised on m (SemanticMap._leg_memo) under
@@ -318,17 +318,14 @@ def refine_to_metric(
             failure = i, MapConsistencyError(cause)
             break
     last = len(legs) if failure is None else failure[0]  # legs after a failure are not needed
-    searched = [i for i in range(last) if found[i] is None]
-    if searched:
-        done = 0
-        try:
-            for (cols, rows), _ in grid_shortest_paths(
-                g, [legs[i] for i in searched], allow_inscribed=allow_inscribed
-            ):
-                found[searched[done]] = tuple(_cell_points(g, cols, rows))
-                done += 1
-        except (GridBoundsError, UnreachableError, ValidationError) as exc:
-            failure = searched[done], exc  # before any failure found above
+    for i in range(last):
+        if found[i] is None:
+            try:
+                (cols, rows), _ = grid_shortest_path(g, *legs[i], allow_inscribed=allow_inscribed)
+            except (GridBoundsError, UnreachableError, ValidationError) as exc:
+                failure = i, exc  # before any failure found above
+                break
+            found[i] = tuple(_cell_points(g, cols, rows))
     if failure is not None:
         leg, cause = failure
         raise unrealizable(leg, cause) from cause

@@ -450,7 +450,7 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
     Each room runs one csgraph search from its centroid for all its legs, in
     a window no larger than the room's box plus two cells per side. A leg's
     cost is at most that of its cheaper open bent path (_leg_spans), so by
-    metric.grid_shortest_paths' argument, with the portal as goal, every path
+    metric.grid_shortest_path's argument, with the portal as goal, every path
     no dearer lies in an octile ellipse E(span) with foci centroid and portal
     (metric.ellipse). The window is the bounding box, plus one ring for the
     portals' 3x3, of the union of the legs' ellipses, cut to the room's box
@@ -509,7 +509,7 @@ def extract_adjacency(raster: RoomLabelRaster, g: CostmapGrid) -> list[RoomEdge]
         half = ring[1:-1, 1:-1]  # the window searched
         top, left = top - 1, left - 1
         source = (centroid.row - top) * half.shape[1] + centroid.col - left
-        dist = window_search([ring], g.resolution, [source])[0][0].reshape(half.shape)
+        dist = window_search(ring, g.resolution, source)[0].reshape(half.shape)
         for i, portal in zip(ids, portals):  # in edge order: the first failing leg is named
             r, c = portal.row - top, portal.col - left
             near = np.s_[r - 1 : r + 2, c - 1 : c + 2]
@@ -532,7 +532,7 @@ def _leg_spans(halves, g, labels, label, a: GridIndex, portals) -> np.ndarray:
     The bound is the cheaper of the two bent paths from a to b, with the
     diagonal run first or last; both are shortest in free space. A path of
     cost C lies in E(C / resolution * (1 + 2**-30)) (see
-    metric.grid_shortest_paths), so the bent path's cost in cells plus 2
+    metric.grid_shortest_path), so the bent path's cost in cells plus 2
     holds the cheapest path: the allowance adds under one cell to a bent
     path that costs under 2**30 cells, and the other cell absorbs the
     rounding of the bent path's sum. inf where

@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from semnav.errors import MapConsistencyError
 from semnav.graph import RoomEdge, normalize_label
-from semnav.metric import COST_INSCRIBED, SQRT2, GridIndex, MetricPoint, grid_shortest_paths
+from semnav.metric import COST_INSCRIBED, SQRT2, GridIndex, MetricPoint, grid_shortest_path
 
 
 def cell_factor(cost: int, allow_inscribed: bool = False):
@@ -35,11 +35,6 @@ def cell_factor_table(allow_inscribed: bool = False) -> np.ndarray:
     """cell_factor of each of the 256 cell values, -1 where untraversable."""
     factors = (cell_factor(cost, allow_inscribed) for cost in range(256))
     return np.array([-1.0 if f is None else f for f in factors])
-
-
-def one_leg(g, start, goal, allow_inscribed: bool = False):
-    """((cols, rows), cost) of metric.grid_shortest_paths for the one leg start -> goal."""
-    return next(grid_shortest_paths(g, [(start, goal)], allow_inscribed=allow_inscribed))
 
 
 def brute_grid_dijkstra(grid, start, goal, allow_inscribed: bool = False):
@@ -561,7 +556,7 @@ def tie_rule_pred(dist, ring, resolution):
 def brute_ellipse(height, width, start, goal, span):
     """(height, width) bool mask: the cells v of the whole grid with
     octile(start, v) + octile(v, goal) <= span, one cell at a time in Python
-    floats. Reference for metric.ellipse in every layout; start and goal are
+    floats. Reference for metric.ellipse; start and goal are
     (col, row) and may lie off the grid."""
 
     def octile(drow, dcol):
@@ -590,7 +585,7 @@ def pixel_cost(pixel: int, free_thresh: int, lethal_thresh: int) -> int:
 
 
 def path_cells(path) -> list[GridIndex]:
-    """A grid_shortest_paths leg's (cols, rows) arrays as a list of int GridIndex cells."""
+    """A grid_shortest_path leg's (cols, rows) arrays as a list of int GridIndex cells."""
     cols, rows = path
     return [GridIndex(c, r) for c, r in zip(cols.tolist(), rows.tolist())]
 
@@ -598,7 +593,7 @@ def path_cells(path) -> list[GridIndex]:
 def per_cell_refine(m, path, start_point, allow_inscribed: bool = False):
     """Waypoints for a room path, one cell at a time. Reference for
     planner.refine_to_metric's bulk conversion: the same legs through
-    one_leg (start -> portal -> ... -> goal, each joint cell kept
+    metric.grid_shortest_path (start -> portal -> ... -> goal, each joint cell kept
     once), then CostmapGrid.grid_to_world on each cell."""
     graph, g = m.graph, m.costmap
     rooms = [node for node in path.nodes if node in graph.rooms]
@@ -609,7 +604,7 @@ def per_cell_refine(m, path, start_point, allow_inscribed: bool = False):
     anchors.append(g.world_to_grid(MetricPoint(*goal)))
     cells = []
     for src, dst in zip(anchors, anchors[1:]):
-        leg, _ = one_leg(g, src, dst, allow_inscribed)
+        leg, _ = grid_shortest_path(g, src, dst, allow_inscribed=allow_inscribed)
         leg = path_cells(leg)
         cells.extend(leg[1:] if cells else leg)
     return tuple(g.grid_to_world(cell) for cell in cells)

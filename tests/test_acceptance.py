@@ -14,7 +14,7 @@ from semnav.builder import ObjectPlacement, build_semantic_map
 from semnav.discovery import MockOracle, load_cooccurrence_table
 from semnav.errors import UnreachableError
 from semnav.graph import GoalQuery
-from semnav.metric import GridIndex
+from semnav.metric import GridIndex, grid_shortest_path
 from semnav.planner import (
     MODE_DISCOVERY,
     MODE_MULTI_TARGET,
@@ -26,7 +26,7 @@ from semnav.planner import (
 
 from mapfactory import adjacency_dict, graph_from_edges, random_graph_edges, strip_map
 from mutations import corrupt_graph
-from oracles import brute_grid_dijkstra, enumerate_min_cost, one_leg
+from oracles import brute_grid_dijkstra, enumerate_min_cost
 from test_metric import random_costmap
 
 
@@ -60,7 +60,7 @@ def test_criterion_2_grid_search_matches_brute_force(record_criterion):
         grid = random_costmap(rng, width=20, height=20, resolution=0.5)
         expected = brute_grid_dijkstra(grid, (0, 0), (19, 19))
         try:
-            _, cost = one_leg(grid, GridIndex(0, 0), GridIndex(19, 19))
+            _, cost = grid_shortest_path(grid, GridIndex(0, 0), GridIndex(19, 19))
         except UnreachableError:
             cost = None
         assert cost == expected

@@ -395,7 +395,6 @@ class TestUnrealizableRoute:
         from semnav import mapio, metric, planner
         from semnav.errors import UnreachableError
         from semnav.graph import GoalQuery
-        from oracles import one_leg
 
         m = mapio.load_map(map_dir)
         ids = sorted(m.graph.rooms)
@@ -408,9 +407,9 @@ class TestUnrealizableRoute:
         grid_sized = []
         search = metric.window_search
 
-        def spy(rings, resolution, sources, shears):
-            grid_sized.extend(ring.size == (grid.height + 2) * (grid.width + 2) for ring in rings)
-            return search(rings, resolution, sources, shears)
+        def spy(ring, resolution, source):
+            grid_sized.append(ring.size == (grid.height + 2) * (grid.width + 2))
+            return search(ring, resolution, source)
 
         monkeypatch.setattr(metric, "window_search", spy)
         request = planner.PlanRequest(
@@ -420,19 +419,19 @@ class TestUnrealizableRoute:
         assert outcome.failure_reason == planner.FAIL_NO_METRIC_ROUTE
         assert outcome.detail.startswith(f"room {rooms[1]!r}: ")
         assert "no traversable route" in outcome.detail
-        together = sum(grid_sized)
+        planned = sum(grid_sized)
 
-        # the same legs one at a time, up to the first that fails
+        # the plan's legs searched directly, up to the first that fails
         grid_sized.clear()
         graph = m.graph
         anchors = [grid.world_to_grid(graph.rooms[rooms[0]].centroid)]
         anchors += [graph.get_edge(a, b).portal for a, b in zip(rooms, rooms[1:])]
         anchors.append(grid.world_to_grid(graph.rooms[rooms[2]].centroid))
-        one_leg(grid, anchors[0], anchors[1])
+        metric.grid_shortest_path(grid, anchors[0], anchors[1])
         with pytest.raises(UnreachableError):
-            one_leg(grid, anchors[1], anchors[2])
+            metric.grid_shortest_path(grid, anchors[1], anchors[2])
         # the failing leg grew to the whole grid; the leg after it did not
-        assert 1 <= together <= sum(grid_sized)
+        assert 1 <= planned <= sum(grid_sized)
 
     @pytest.mark.parametrize("command", ["plan", "render"])
     def test_cli_exits_3(self, map_dir, tmp_path, command):

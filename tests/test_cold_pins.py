@@ -15,9 +15,7 @@ import pytest
 from semnav import envgen, mapio, planner
 from semnav.errors import UnreachableError
 from semnav.graph import GoalQuery
-from semnav.metric import GridIndex
-
-from oracles import one_leg
+from semnav.metric import GridIndex, grid_shortest_path
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +47,7 @@ def test_diagonal_grid_searches_are_pinned(cold):
     for start, goal in _diagonal_pairs(grid, 200, seed=7):
         for allow_inscribed in (False, True):
             try:
-                path, cost = one_leg(grid, start, goal, allow_inscribed=allow_inscribed)
+                path, cost = grid_shortest_path(grid, start, goal, allow_inscribed=allow_inscribed)
             except UnreachableError:
                 digest.update(b"unreachable;")
                 continue

@@ -4,6 +4,7 @@ has served it before."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 import shutil
 from dataclasses import replace
@@ -14,7 +15,7 @@ import pytest
 from semnav import envgen, mapio, planner
 from semnav.errors import SemnavError
 from semnav.graph import GoalQuery
-from semnav.metric import COST_LETHAL, CostmapGrid, LegTable, grid_shortest_paths
+from semnav.metric import COST_LETHAL, CostmapGrid, LegTable, grid_shortest_path
 
 from mapfactory import paint_bands
 
@@ -26,6 +27,19 @@ def generated(n_rooms, resolution=0.05, seed=7):
     return mapio.assemble_map(grid, gt.raster, graph, gt.label_to_room, name=f"{n_rooms} rooms")
 
 
+def legs_sha256(directory) -> str:
+    return hashlib.sha256((directory / mapio.LEGS_FILE).read_bytes()).hexdigest()
+
+
+# sha256 of legs.bin as semnav gen or index writes it for these maps (seed 7);
+# a change to every stored path and to the search alike shows here
+LEGS_SHA256 = {
+    "4 rooms 0.1 m": "64a7b45104c3b91a99d16e41f191f49106668ea71c19a1c900f19a9e1e7d8e07",
+    "12 rooms": "a4a08725709ed73c004c14ab3eeeeb978654b3911c874e500719909695e99716",
+    "12 rooms painted": "b2b74799ce617ccc6616188b8eab95104f97b491e361d3dd715149f7110f0277",
+}
+
+
 @pytest.fixture(scope="module")
 def painted():
     """A 12-room map with inflation bands, unindexed and indexed."""
@@ -34,18 +48,21 @@ def painted():
 
 
 @pytest.mark.parametrize("name", ["4 rooms", "12 rooms", "24 rooms", "12 rooms painted"])
-def test_every_stored_leg_is_its_search_bit_for_bit(painted, name):
+def test_every_stored_leg_is_its_search_bit_for_bit(painted, name, tmp_path):
     if name.endswith("painted"):
         indexed = painted[1]
     else:
         indexed = planner.index_legs(generated(int(name.split()[0])))
     g, table = indexed.costmap, indexed.legs
+    if name in LEGS_SHA256:
+        mapio.write_legs(tmp_path, table)
+        assert legs_sha256(tmp_path) == LEGS_SHA256[name]
     pairs = {(a, b) for anchors in planner.leg_anchors(indexed) for a in anchors for b in anchors}
     stored = table.walk(g, sorted(pairs))
     assert len(table.keys) == sum(got is not None for got in stored)
     for (a, b), got in zip(sorted(pairs), stored):
         try:
-            (cols, rows), _ = next(grid_shortest_paths(g, [(a, b)]))
+            (cols, rows), _ = grid_shortest_path(g, a, b)
         except SemnavError as exc:  # no route, or an end closed
             assert got is None, (a, b, exc)
             continue
@@ -77,6 +94,7 @@ def test_maps_round_trip_with_and_without_a_table(tmp_path):
     m = generated(4, resolution=0.1)
     indexed = planner.index_legs(m)
     mapio.save_map(indexed, tmp_path / "m")
+    assert legs_sha256(tmp_path / "m") == LEGS_SHA256["4 rooms 0.1 m"]
     loaded = mapio.load_map(tmp_path / "m")
     assert loaded == indexed and loaded.legs == indexed.legs
     assert isinstance(loaded.legs, LegTable) and len(loaded.legs.keys)

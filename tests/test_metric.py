@@ -20,7 +20,7 @@ from semnav.metric import (
     GridIndex,
     MetricPoint,
     costs_to_pixels,
-    grid_shortest_paths,
+    grid_shortest_path,
     load_costmap,
     pixels_to_costs,
     read_pgm,
@@ -32,7 +32,6 @@ from oracles import (
     brute_ellipse,
     brute_grid_dijkstra,
     cell_factor_table,
-    one_leg,
     open_cell_costs,
     open_cell_search,
     path_cells,
@@ -252,13 +251,13 @@ def random_costmap(rng, width=20, height=20, resolution=0.5):
 class TestGridShortestPath:
     def test_identity(self):
         g = grid_from_ascii("...\n...\n...")
-        path, cost = one_leg(g, GridIndex(1, 1), GridIndex(1, 1))
+        path, cost = grid_shortest_path(g, GridIndex(1, 1), GridIndex(1, 1))
         assert path_cells(path) == [GridIndex(1, 1)]
         assert cost == 0.0
 
     def test_diagonal_across_free_grid(self):
         g = grid_from_ascii("\n".join(["." * 5] * 5))
-        path, cost = one_leg(g, GridIndex(0, 0), GridIndex(4, 4))
+        path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 4))
         path = path_cells(path)
         assert cost == pytest.approx(4 * math.sqrt(2), rel=1e-12)
         assert path[0] == GridIndex(0, 0) and path[-1] == GridIndex(4, 4)
@@ -266,7 +265,7 @@ class TestGridShortestPath:
 
     def test_straight_line_cost_is_exact_geometric_length(self):
         g = grid_from_ascii("\n".join(["." * 5] * 2))
-        _, cost = one_leg(g, GridIndex(0, 0), GridIndex(4, 0))
+        _, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 0))
         assert cost == 4.0
 
     def test_graded_cell_cost_hand_computed(self):
@@ -274,7 +273,7 @@ class TestGridShortestPath:
         g = grid_from_ascii("...")
         cells = np.array([[0, 128, 0]], dtype=np.uint8)
         g = CostmapGrid(width=3, height=1, resolution=1.0, origin_x=0, origin_y=0, cells=cells)
-        _, cost = one_leg(g, GridIndex(0, 0), GridIndex(2, 0))
+        _, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0))
         assert cost == 3.0
 
     def test_search_detours_around_walls(self):
@@ -287,18 +286,21 @@ class TestGridShortestPath:
             .....
             """
         )
-        path, _ = one_leg(g, GridIndex(0, 0), GridIndex(4, 4))
+        path, _ = grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 4))
         assert all(g.cells[c.row, c.col] < 253 for c in path_cells(path))
 
     def test_untraversable_endpoint_raises_validation(self):
         g = grid_from_ascii("..#")
         with pytest.raises(ValidationError):
-            one_leg(g, GridIndex(0, 0), GridIndex(2, 0))
+            grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0))
+        # an end off the grid is found before a closed one
+        with pytest.raises(GridBoundsError):
+            grid_shortest_path(g, GridIndex(2, 0), GridIndex(3, 0))
 
     def test_unreachable_raises_distinct_error(self):
         g = grid_from_ascii("..#..")
         with pytest.raises(UnreachableError):
-            one_leg(g, GridIndex(0, 0), GridIndex(4, 0))
+            grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 0))
 
     def test_walled_pocket_is_unreachable(self):
         g = grid_from_ascii(
@@ -309,14 +311,14 @@ class TestGridShortestPath:
             """
         )
         with pytest.raises(UnreachableError):
-            one_leg(g, GridIndex(0, 0), GridIndex(4, 1))
+            grid_shortest_path(g, GridIndex(0, 0), GridIndex(4, 1))
 
     def test_inscribed_blocked_by_default_allowed_with_flag(self):
         cells = np.array([[0, 253, 0]], dtype=np.uint8)
         g = CostmapGrid(width=3, height=1, resolution=1.0, origin_x=0, origin_y=0, cells=cells)
         with pytest.raises(UnreachableError):
-            one_leg(g, GridIndex(0, 0), GridIndex(2, 0))
-        path, cost = one_leg(g, GridIndex(0, 0), GridIndex(2, 0), allow_inscribed=True)
+            grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0))
+        path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0), allow_inscribed=True)
         assert cost == 4.0  # factor 3.0 averaged with free on both steps
         assert GridIndex(1, 0) in path_cells(path)
 
@@ -324,7 +326,7 @@ class TestGridShortestPath:
         cells = np.array([[0, 255, 0]], dtype=np.uint8)
         g = CostmapGrid(width=3, height=1, resolution=1.0, origin_x=0, origin_y=0, cells=cells)
         with pytest.raises(UnreachableError):
-            one_leg(g, GridIndex(0, 0), GridIndex(2, 0), allow_inscribed=True)
+            grid_shortest_path(g, GridIndex(0, 0), GridIndex(2, 0), allow_inscribed=True)
 
     def test_matches_brute_force_on_random_grids(self):
         rng = random.Random(1234)
@@ -333,7 +335,7 @@ class TestGridShortestPath:
             g = random_costmap(rng)
             expected = brute_grid_dijkstra(g, (0, 0), (19, 19))
             try:
-                _, cost = one_leg(g, GridIndex(0, 0), GridIndex(19, 19))
+                _, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
             except UnreachableError:
                 cost = None
             assert cost == expected
@@ -345,8 +347,8 @@ class TestGridShortestPath:
         for _ in range(5):
             g = random_costmap(rng, width=12, height=12)
             try:
-                _, forward = one_leg(g, GridIndex(0, 0), GridIndex(11, 11))
-                _, backward = one_leg(g, GridIndex(11, 11), GridIndex(0, 0))
+                _, forward = grid_shortest_path(g, GridIndex(0, 0), GridIndex(11, 11))
+                _, backward = grid_shortest_path(g, GridIndex(11, 11), GridIndex(0, 0))
             except UnreachableError:
                 continue
             assert forward == pytest.approx(backward, rel=1e-9)
@@ -354,7 +356,7 @@ class TestGridShortestPath:
     def test_blocking_an_off_path_cell_never_reduces_cost(self):
         rng = random.Random(5)
         g = random_costmap(rng, width=15, height=15)
-        path, cost = one_leg(g, GridIndex(0, 0), GridIndex(14, 14))
+        path, cost = grid_shortest_path(g, GridIndex(0, 0), GridIndex(14, 14))
         on_path = set(path_cells(path))
         cells = np.array(g.cells)
         blocked = 0
@@ -370,7 +372,7 @@ class TestGridShortestPath:
                 g2 = CostmapGrid(
                     width=15, height=15, resolution=0.5, origin_x=0, origin_y=0, cells=mutated
                 )
-                _, cost2 = one_leg(g2, GridIndex(0, 0), GridIndex(14, 14))
+                _, cost2 = grid_shortest_path(g2, GridIndex(0, 0), GridIndex(14, 14))
                 assert cost2 >= cost
                 blocked += 1
 
@@ -380,9 +382,9 @@ class TestGridShortestPath:
         pts = [GridIndex(0, 0), GridIndex(14, 14), GridIndex(7, 2)]
         a, b, c = pts
         try:
-            _, ab = one_leg(g, a, b)
-            _, bc = one_leg(g, b, c)
-            _, ac = one_leg(g, a, c)
+            _, ab = grid_shortest_path(g, a, b)
+            _, bc = grid_shortest_path(g, b, c)
+            _, ac = grid_shortest_path(g, a, c)
         except (UnreachableError, ValidationError):
             pytest.skip("random grid disconnected for chosen probes")
         assert ac <= ab + bc + 1e-9
@@ -390,8 +392,8 @@ class TestGridShortestPath:
     def test_deterministic_path(self):
         rng = random.Random(77)
         g = random_costmap(rng)
-        p1, c1 = one_leg(g, GridIndex(0, 0), GridIndex(19, 19))
-        p2, c2 = one_leg(g, GridIndex(0, 0), GridIndex(19, 19))
+        p1, c1 = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
+        p2, c2 = grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
         assert path_cells(p1) == path_cells(p2) and c1 == c2
 
     def test_half_tables_are_shared_and_read_only(self):
@@ -404,7 +406,7 @@ class TestGridShortestPath:
         rng = random.Random(13)
         g = random_costmap(rng)
         def run(_):
-            return one_leg(g, GridIndex(0, 0), GridIndex(19, 19))
+            return grid_shortest_path(g, GridIndex(0, 0), GridIndex(19, 19))
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(run, range(16)))
         costs = {cost for _, cost in results}
@@ -440,74 +442,6 @@ def search_cases(draw):
     return grid, start, goal, draw(st.booleans())
 
 
-# Mostly closed cells, so that many legs have no route.
-_WALLED_VALUES = [254] * 6 + [0] * 4 + [64, 253, 255]
-
-
-@st.composite
-def leg_cases(draw):
-    """(grid, legs, allow_inscribed): a small grid and one to five
-    (start, goal) legs. Most endpoints are opened; some keep a closed cell,
-    and some cases move one endpoint off the grid, so legs fail validation as
-    well as find no route."""
-    width = draw(st.integers(2, 12))
-    height = draw(st.integers(2, 12))
-    n = width * height
-    values = draw(st.sampled_from([_CELL_VALUES, _WALLED_VALUES]))
-    cells = np.array(
-        draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=np.uint8
-    ).reshape(height, width)
-    ends = []
-    for _ in range(2 * draw(st.integers(1, 5))):
-        idx = GridIndex(draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
-        if draw(st.integers(0, 7)):  # else keep the cell, open or closed
-            cells[idx.row, idx.col] = min(cells[idx.row, idx.col], 252)
-        ends.append(idx)
-    if draw(st.integers(0, 9)) == 0:
-        i = draw(st.integers(0, len(ends) - 1))
-        ends[i] = GridIndex(width, ends[i].row)
-    grid = CostmapGrid(
-        width=width,
-        height=height,
-        resolution=draw(st.sampled_from([0.05, 0.1, 1.0])),
-        origin_x=0,
-        origin_y=0,
-        cells=cells,
-    )
-    return grid, list(zip(ends[::2], ends[1::2])), draw(st.booleans())
-
-
-class TestLegsSearchedTogether:
-    """grid_shortest_paths against one call per leg."""
-
-    @pytest.mark.parametrize("entries", [0, 10**9], ids=["each-leg-alone", "all-legs-together"])
-    @settings(max_examples=200, deadline=None)
-    @given(case=leg_cases(), first_slack=st.sampled_from([0.125, 2.0]))
-    def test_each_leg_matches_its_one_leg_search(self, entries, case, first_slack):
-        g, legs, allow_inscribed = case
-        failures = (GridBoundsError, ValidationError, UnreachableError)
-        with pytest.MonkeyPatch.context() as mp:
-            # a thin first ellipse makes most legs regrow
-            mp.setattr(metric, "_FIRST_SLACK", first_slack)
-            mp.setattr(metric, "_GROUP_ENTRIES", entries)
-            expected = []
-            for start, goal in legs:
-                try:
-                    path, cost = one_leg(g, start, goal, allow_inscribed=allow_inscribed)
-                except failures as exc:
-                    expected.append((type(exc), str(exc)))
-                    break
-                expected.append((path_cells(path), cost.hex()))
-            found = []
-            try:
-                for path, cost in grid_shortest_paths(g, legs, allow_inscribed=allow_inscribed):
-                    found.append((path_cells(path), cost.hex()))
-            except failures as exc:
-                found.append((type(exc), str(exc)))
-        # every leg up to the first failure, and nothing after it
-        assert found == expected
-
-
 def long_detour_grid():
     """Two free strips split by a 13-cell-thick wall with two tunnels through
     it: a costly one 9 rows from the endpoints, a free one 18 rows away."""
@@ -528,7 +462,7 @@ class TestWindowedSearchExactness:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metric, "_FIRST_SLACK", first_slack)
             try:
-                path, cost = one_leg(g, start, goal, allow_inscribed=allow_inscribed)
+                path, cost = grid_shortest_path(g, start, goal, allow_inscribed=allow_inscribed)
             except UnreachableError:
                 path, cost = None, None
         assert cost == expected
@@ -546,18 +480,18 @@ class TestWindowedSearchExactness:
         windows = []
         search = metric.window_search
 
-        def spy(rings, resolution, sources, shears):
-            found = search(rings, resolution, sources, shears)
-            ((dist, pred),), (half,), (source,) = found, rings, sources
+        def spy(ring, resolution, source):
+            found = search(ring, resolution, source)
+            dist, _ = found
             # the window's first cell lies at start - source in the grid
-            width = half.shape[1] - 2  # half holds the window in a one-cell ring
+            width = ring.shape[1] - 2  # ring holds the window in a one-cell ring
             cost = float(dist[source + (goal.row - start.row) * width + goal.col - start.col])
             windows.append(cost if cost < math.inf else None)
             return found
 
         monkeypatch.setattr(metric, "_FIRST_SLACK", 1.0)
         monkeypatch.setattr(metric, "window_search", spy)
-        path, cost = one_leg(g, start, goal)
+        path, cost = grid_shortest_path(g, start, goal)
         assert cost == brute_grid_dijkstra(g, start, goal)
         # First ellipse and its fourfold slack: no tunnel, no path. The next
         # grown ellipse takes the costly tunnel; the exact pass, wide enough
@@ -636,32 +570,11 @@ def window_cases(draw):
     return f, draw(st.sampled_from([0.05, 0.1, 1.0])), cell(), cell()
 
 
-def _grid_cell(shear, u, v):
-    """The grid (row, col) of cell (u, v) of a window with shear."""
-    return u, v + shear * u
-
-
-def _ring(f, shear):
-    """f halved, inf at closed cells, in the inf ring of a window with shear:
-    one row deep, 1 + |shear| columns wide."""
-    pad = 1 + abs(shear)
-    ring = np.full((f.shape[0] + 2, f.shape[1] + 2 * pad), np.inf)
-    ring[1:-1, pad:-pad] = np.where(f < 0, np.inf, 0.5 * f)
+def _ring(f):
+    """f halved, inf at closed cells, in a one-cell ring of inf."""
+    ring = np.full((f.shape[0] + 2, f.shape[1] + 2), np.inf)
+    ring[1:-1, 1:-1] = np.where(f < 0, np.inf, 0.5 * f)
     return ring
-
-
-def _in_grid(f, shear):
-    """(grid_f, at): the window f with shear as a plain window of grid
-    rows and columns, the bounding box of its cells with every other cell
-    closed, and at[u, v], the flat index in grid_f of window cell (u, v).
-    Row-major order of grid_f is the order of the window's node numbers."""
-    height, width = f.shape
-    rows, cols = _grid_cell(shear, *np.indices(f.shape))
-    cols -= cols.min()
-    at = rows * (width + abs(shear) * (height - 1)) + cols
-    grid_f = np.full((height, width + abs(shear) * (height - 1)), -1.0)
-    grid_f.flat[at] = f
-    return grid_f, at
 
 
 # Cell values that make many equal-cost paths: one free value with walls,
@@ -689,9 +602,7 @@ class TestFixedDegreeWindowGraph:
     def test_costs_match_open_cell_graph(self, case):
         f, resolution, source, _ = case
         f[source] = max(f[source], 1.0)  # the search starts at an open cell
-        ((costs, _),) = metric.window_search(
-            [_ring(f, 0)], resolution, [source[0] * f.shape[1] + source[1]]
-        )
+        costs, _ = metric.window_search(_ring(f), resolution, source[0] * f.shape[1] + source[1])
         assert costs.shape == (f.size,)
         assert (costs.reshape(f.shape) == open_cell_costs(f, resolution, source)).all()
 
@@ -701,7 +612,7 @@ class TestFixedDegreeWindowGraph:
         f, resolution, _, _ = case
         height, width = f.shape
         n = f.size
-        graph, _ = metric._ring_graph([_ring(f, 0)], resolution)
+        graph = metric._ring_graph(_ring(f), resolution)
         assert graph.shape == (n, n)
         assert (np.diff(graph.indptr) == 8).all()
         rows = np.repeat(np.arange(n), 8)
@@ -756,19 +667,16 @@ def _cell_sum_case(width, height, start, goal, cell):
 def _accepted_span(straight, diagonal, resolution):
     """C / resolution * _ROUNDING for the float cost C of a free-cell path of
     straight then diagonal steps, summed as csgraph sums it: the least span
-    at which grid_shortest_paths accepts that path."""
+    at which grid_shortest_path accepts that path."""
     cost = 0.0
     for step in [1.0] * straight + [metric.SQRT2] * diagonal:
         cost += 1.0 * (resolution * step)
     return cost / resolution * metric._ROUNDING
 
 
-_SHEARS = (-1, 0, 1)
-
-
 class TestShearedLayouts:
-    """The plain and sheared window layouts against oracles written in grid
-    coordinates."""
+    """The plain window layout, cells numbered row by row as on the grid,
+    against oracles written in grid coordinates."""
 
     @settings(max_examples=150, deadline=None)
     @given(ellipse_cases())
@@ -777,7 +685,7 @@ class TestShearedLayouts:
     @example(case=_cell_sum_case(12, 9, GridIndex(9, 5), GridIndex(1, 2), GridIndex(10, 1)))
     @example(case=_cell_sum_case(10, 10, GridIndex(8, 1), GridIndex(2, 6), GridIndex(0, 0)))
     @example(case=_cell_sum_case(7, 3, GridIndex(0, 1), GridIndex(6, 1), GridIndex(3, 0)))
-    # spans at which grid_shortest_paths accepts a path's cost: free paths of
+    # spans at which grid_shortest_path accepts a path's cost: free paths of
     # straight and diagonal steps, detours and routes along the octile line
     @example(case=(12, 9, GridIndex(0, 0), GridIndex(7, 4), _accepted_span(5, 4, 0.05)))
     @example(case=(12, 9, GridIndex(11, 8), GridIndex(4, 4), _accepted_span(3, 4, 0.05)))
@@ -796,148 +704,98 @@ class TestShearedLayouts:
             (goal.col + pad, goal.row + pad),
             span,
         )
-        for shear in _SHEARS:
-            # the foci's rows and window columns, widened by the documented reaches
-            reach, across = metric._reach(slack), metric._reach(slack, shear)
-            a, b = (p.col - shear * p.row for p in (start, goal))
-            box = (
-                min(start.row, goal.row) - reach,
-                max(start.row, goal.row) + reach + 1,
-                min(a, b) - across,
-                max(a, b) + across + 1,
-            )
-            top, left, inside = metric._mask(shear, start, goal, span, *box)
-            assert inside[0].any() and inside[-1].any()
-            assert inside[:, 0].any() and inside[:, -1].any()
-            placed = np.zeros_like(expected)
-            for i, j in np.argwhere(inside).tolist():
-                r, c = _grid_cell(shear, top + i, left + j)
-                placed[r + pad, c + pad] = True  # raises if a cell fell past the margin
-            assert np.array_equal(placed, expected)
-        # the chosen shear's box lies on the grid and holds the grid's part of E(span)
-        grid = CostmapGrid(width, height, 1.0, 0.0, 0.0, np.zeros((height, width), np.uint8))
-        shear, *box = metric._window_box(grid, start, goal, slack)
-        top, left, inside = metric._mask(shear, start, goal, span, *box)
+        # in a box out to the margin, the mask is cut only by the documented reach
+        box = (slice(-pad, height + pad), slice(-pad, width + pad))
+        top, left, inside = metric.ellipse(box, start, goal, span)
+        assert inside[0].any() and inside[-1].any()
+        assert inside[:, 0].any() and inside[:, -1].any()
+        assert top + pad > 0 and left + pad > 0
+        placed = np.zeros_like(expected)
+        placed[top + pad : top + pad + inside.shape[0], left + pad : left + pad + inside.shape[1]] = inside
+        assert np.array_equal(placed, expected)
+        # cut to the grid, it holds the grid's part of E(span)
+        top, left, inside = metric.ellipse((slice(0, height), slice(0, width)), start, goal, span)
         placed = np.zeros((height, width), dtype=bool)
-        for i, j in np.argwhere(inside).tolist():
-            r, c = _grid_cell(shear, top + i, left + j)
-            assert 0 <= r < height and 0 <= c < width
-            placed[r, c] = True
+        placed[top : top + inside.shape[0], left : left + inside.shape[1]] = inside
         assert np.array_equal(placed, expected[pad : pad + height, pad : pad + width])
 
-    @pytest.mark.parametrize("shear", _SHEARS, ids=lambda shear: f"shear{shear}")
     @settings(max_examples=60, deadline=None)
     @given(case=window_cases())
-    def test_ring_graph_rows_list_grid_moves(self, shear, case):
+    def test_ring_graph_rows_list_grid_moves(self, case):
         f, resolution, _, _ = case
         height, width = f.shape
-        graph, _ = metric._ring_graph([_ring(f, shear)], resolution, [shear])
+        graph = metric._ring_graph(_ring(f), resolution)
         assert (np.diff(graph.indptr) == 8).all()
         targets = graph.indices.reshape(height, width, 8)
         weights = graph.data.reshape(height, width, 8)
-        cells = [_grid_cell(shear, u, v) for u in range(height) for v in range(width)]
-        # node numbers follow the grid's row-major order of cells
-        assert cells == sorted(cells)
         for u in range(height):
             for v in range(width):
-                r, c = _grid_cell(shear, u, v)
                 for k, (drow, dcol) in enumerate(metric._MOVES):
                     step = resolution * (metric.SQRT2 if drow and dcol else 1.0)
                     target, weight = int(targets[u, v, k]), float(weights[u, v, k])
-                    if (r + drow, c + dcol) not in cells:  # off the window: inf, to a window node
+                    if not (0 <= u + drow < height and 0 <= v + dcol < width):
+                        # off the window: inf, to a window node
                         assert 0 <= target < height * width and weight == math.inf
                         continue
-                    # the k-th move of the row reaches the grid neighbour (drow, dcol)
-                    assert cells[target] == (r + drow, c + dcol)
-                    u2, v2 = divmod(target, width)
-                    if f[u, v] < 0 or f[u2, v2] < 0:
+                    # the k-th move of the row reaches the neighbour (drow, dcol), row by row
+                    assert divmod(target, width) == (u + drow, v + dcol)
+                    if f[u, v] < 0 or f[u + drow, v + dcol] < 0:
                         assert weight == math.inf
                     else:
-                        assert weight == step * (0.5 * f[u, v] + 0.5 * f[u2, v2])
+                        assert weight == step * (0.5 * f[u, v] + 0.5 * f[u + drow, v + dcol])
 
-    @pytest.mark.parametrize("shear", _SHEARS, ids=lambda shear: f"shear{shear}")
     @settings(max_examples=100, deadline=None)
-    @given(
-        case=window_cases(),
-        others=st.lists(st.tuples(window_cases(), st.sampled_from(_SHEARS)), max_size=2),
-    )
-    def test_ring_graph_is_symmetric(self, shear, case, others):
+    @given(case=window_cases())
+    def test_ring_graph_is_symmetric(self, case):
         # _ring_graph fills a move and its reverse from one sum: every finite
-        # u -> v has a v -> u of the same bits, and no edge joins two windows
-        windows = [(case, shear)] + others
-        rings = [_ring(f, s) for (f, _, _, _), s in windows]
-        graph, offsets = metric._ring_graph(rings, case[1], [s for _, s in windows])
-        n = graph.shape[0]
-        tails = np.repeat(np.arange(n), 8)
+        # u -> v has a v -> u of the same bits
+        f, resolution, _, _ = case
+        graph = metric._ring_graph(_ring(f), resolution)
+        tails = np.repeat(np.arange(graph.shape[0]), 8)
         finite = np.isfinite(graph.data)
         tails, heads = tails[finite], graph.indices[finite]
-        window = np.searchsorted(offsets, np.arange(n), side="right") - 1
-        assert (window[tails] == window[heads]).all()
         bits = dict(zip(zip(tails.tolist(), heads.tolist()), graph.data[finite].tolist()))
         assert len(bits) == len(tails)
         for (u, v), weight in bits.items():
             back = bits.get((v, u))
             assert back is not None and back.hex() == weight.hex()
 
-    @pytest.mark.parametrize("shear", _SHEARS, ids=lambda shear: f"shear{shear}")
     @settings(max_examples=300, deadline=None)
-    @given(case=window_cases(), top=st.integers(-3, 3), left=st.integers(-3, 3))
-    @example(  # a closed column splits the window: no route in the plain layout
-        case=(np.array([[1.0, -1.0, 1.0], [1.0, -1.0, 1.0]]), 1.0, (0, 0), (1, 2)), top=2, left=3
+    @given(case=window_cases())
+    @example(  # a closed column splits the window: no route
+        case=(np.array([[1.0, -1.0, 1.0], [1.0, -1.0, 1.0]]), 1.0, (0, 0), (1, 2))
     )
-    def test_search_matches_open_cell_graph(self, shear, case, top, left):
+    def test_search_matches_open_cell_graph(self, case):
         f, resolution, source, target = case
         for cell in (source, target):  # the search's endpoints are open
             f[cell] = max(f[cell], 1.0)
         height, width = f.shape
-        ((dist, pred),) = metric.window_search(
-            [_ring(f, shear)], resolution, [source[0] * width + source[1]], [shear]
-        )
-        # the window's cells in grid coordinates, closed around it
-        cells = {
-            _grid_cell(shear, top + u, left + v): f[u, v]
-            for u in range(height)
-            for v in range(width)
-        }
-        rows, cols = zip(*cells)
-        grid_top, grid_left = min(rows), min(cols)
-        grid_f = np.full((max(rows) - grid_top + 1, max(cols) - grid_left + 1), -1.0)
-        for (r, c), value in cells.items():
-            grid_f[r - grid_top, c - grid_left] = value
-        start, goal = (
-            GridIndex(*_grid_cell(shear, top + u, left + v)[::-1]) for u, v in (source, target)
-        )
-        expected = open_cell_search(grid_f, grid_top, grid_left, resolution, start, goal)
+        dist, pred = metric.window_search(_ring(f), resolution, source[0] * width + source[1])
+        start, goal = (GridIndex(c, r) for r, c in (source, target))
+        expected = open_cell_search(f, 0, 0, resolution, start, goal)
         v = target[0] * width + target[1]
         if expected is None:
             assert dist[v] == math.inf
             return
         cost, path = float(dist[v]), []
         while v >= 0:
-            r, c = _grid_cell(shear, top + v // width, left + v % width)
+            r, c = divmod(v, width)
             path.append((c, r))
             v = int(pred[v])
         assert path[::-1] == expected[0] and cost == expected[1]
 
-    @pytest.mark.parametrize("shear", _SHEARS, ids=lambda shear: f"shear{shear}")
     @settings(max_examples=150, deadline=None)
     @given(case=tie_cases())
-    def test_pred_follows_the_tie_rule(self, shear, case):
+    def test_pred_follows_the_tie_rule(self, case):
         # csgraph's predecessor choice among equal-cost ones, which every
         # pinned path depends on: a scipy whose heap order differs fails here
         f, resolution, source = case
         f[source] = max(f[source], 1.0)
-        height, width = f.shape
-        ((dist, pred),) = metric.window_search(
-            [_ring(f, shear)], resolution, [source[0] * width + source[1]], [shear]
-        )
-        grid_f, at = _in_grid(f, shear)
-        grid_dist = np.full(grid_f.shape, np.inf)
-        grid_dist.flat[at] = dist.reshape(f.shape)
-        expected = tie_rule_pred(grid_dist, _ring(grid_f, 0), resolution)
-        reached = (dist < math.inf).reshape(f.shape)
-        got = np.where(pred >= 0, at.reshape(-1)[np.maximum(pred, 0)], pred).reshape(f.shape)
-        assert (got[reached] == expected.flat[at[reached]]).all()
+        ring = _ring(f)
+        dist, pred = metric.window_search(ring, resolution, source[0] * f.shape[1] + source[1])
+        expected = tie_rule_pred(dist.reshape(f.shape), ring, resolution)
+        reached = dist < math.inf
+        assert (pred[reached] == expected.reshape(-1)[reached]).all()
 
     @pytest.mark.parametrize(
         "to_two", [(1.0, math.inf), (math.inf, 1.0)], ids=["finite-first", "inf-first"]

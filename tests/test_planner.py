@@ -18,7 +18,7 @@ from semnav.errors import (
 )
 from semnav.graph import GoalQuery, SemanticGraph
 from semnav.mapio import assemble_map
-from semnav.metric import GridIndex, MetricPoint
+from semnav.metric import GridIndex, MetricPoint, grid_shortest_path
 from semnav.planner import (
     FAIL_DISCOVERY,
     FAIL_INVALID_GOAL,
@@ -43,7 +43,7 @@ from mapfactory import (
     random_graph_edges,
     strip_map,
 )
-from oracles import enumerate_min_cost, one_leg, per_cell_refine
+from oracles import enumerate_min_cost, per_cell_refine
 
 
 @pytest.fixture
@@ -576,7 +576,7 @@ class TestRefine:
 
         ends = [GridIndex(*(data.draw(st.integers(0, k - 1)) for k in (n * BLOCK, BLOCK)))]
         ends.append(GridIndex(*(data.draw(st.integers(0, k - 1)) for k in (n * BLOCK, BLOCK))))
-        (cols, rows), _ = one_leg(m.costmap, *ends)
+        (cols, rows), _ = grid_shortest_path(m.costmap, *ends)
         assert cols.dtype.kind == rows.dtype.kind == "i" and cols.shape == rows.shape
         assert (cols[0], rows[0]) == ends[0] and (cols[-1], rows[-1]) == ends[1]
 

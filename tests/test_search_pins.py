@@ -15,9 +15,7 @@ import pytest
 from semnav import envgen, mapio, metric, planner
 from semnav.errors import UnreachableError
 from semnav.graph import GoalQuery
-from semnav.metric import GridIndex
-
-from oracles import one_leg
+from semnav.metric import GridIndex, grid_shortest_path
 
 
 def _office(n_rooms, resolution):
@@ -59,7 +57,7 @@ def test_grid_search_outputs_are_pinned(office):
     for allow_inscribed in (False, True):
         for start, goal in _cell_pairs(grid, allow_inscribed, 100, seed=7):
             try:
-                path, cost = one_leg(grid, start, goal, allow_inscribed=allow_inscribed)
+                path, cost = grid_shortest_path(grid, start, goal, allow_inscribed=allow_inscribed)
             except UnreachableError:
                 digest.update(b"unreachable;")
                 continue
@@ -128,13 +126,13 @@ def test_wall_route_searches_once(office, monkeypatch):
     calls = []
     search = metric.window_search
 
-    def spy(rings, resolution, sources, shears):
-        calls.append(len(rings))
-        return search(rings, resolution, sources, shears)
+    def spy(ring, resolution, source):
+        calls.append(ring.shape)
+        return search(ring, resolution, source)
 
     monkeypatch.setattr(metric, "window_search", spy)
     request = planner.PlanRequest(
         start="conference_room_4", goal=GoalQuery("conference_room_1"), refine_metric=True
     )
     assert planner.plan(office, request).ok
-    assert calls == [3]
+    assert len(calls) == 3  # one window per leg

@@ -796,10 +796,10 @@ def window_sizes(monkeypatch):
     sizes = []
     search = segmentation.window_search
 
-    def spy(rings, resolution, sources, shears=None):
+    def spy(ring, resolution, source):
         # a ring holds its window in one more row and column each side
-        sizes.extend((ring.shape[0] - 2) * (ring.shape[1] - 2) for ring in rings)
-        return search(rings, resolution, sources, shears)
+        sizes.append((ring.shape[0] - 2) * (ring.shape[1] - 2))
+        return search(ring, resolution, source)
 
     monkeypatch.setattr(segmentation, "window_search", spy)
     return sizes
